@@ -76,8 +76,6 @@ def _cmd_verify(args):
         if t.name not in sols:
             print(f"input error: solution does not bind {t.name}", file=sys.stderr)
             return EXIT_INPUT
-    from .frontend import _parse_term  # solution bodies already parsed
-
     for t in problem.targets:
         _, body = sols[t.name]
         v = check_conformance(body, t.grammar)
@@ -167,8 +165,9 @@ def _cmd_nuggets(args):
     stem = os.path.splitext(os.path.basename(args.grammar_file))[0]
     for i, body in enumerate(nuggets):
         constraints = []
+        fn = ev.compile(body)
         for env in sample:
-            out_val = ev.eval(body, env)
+            out_val = fn(env)
             call = Apply(
                 target.name,
                 tuple(Lit(env[n], s) for n, s in target.params),

@@ -9,7 +9,7 @@ naming a nonterminal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class SygusError(Exception):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Apply,
@@ -36,7 +36,7 @@ from .core import (
     template_holes,
     term_size,
 )
-from .semantics import Evaluator, builtin_impl, default_value, solution_interpretations
+from .semantics import Evaluator, TreeEvaluator, builtin_impl, default_value, solution_interpretations
 
 
 class ConflictingExamples(SygusError):
@@ -125,7 +125,7 @@ class Enumerator:
     def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None):
         self.grammar = grammar
         self.interpretations = dict(interpretations or {})
-        self.evaluator = Evaluator(self.interpretations)
+        self.evaluator = TreeEvaluator(self.interpretations)
         self.max_size = max_size
         self.prune = prune
         self.keep = keep
@@ -481,7 +481,7 @@ def cegis_solve(problem, budget=None, cfg=None):
 
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
-    examples = _try_pbe(problem)
+    examples = extract_pbe_points(problem)
     if examples is not None:
         return _solve_pbe(problem, examples, budget, deadline, unify=False)
 
@@ -503,13 +503,6 @@ def cegis_solve(problem, budget=None, cfg=None):
             t.name: DefinedFun(t.name, t.params, t.ret, cand[t.name]) for t in problem.targets
         }
         return Solution(funs, verdict, len(points))
-
-
-def _try_pbe(problem):
-    try:
-        return extract_pbe_points(problem)
-    except ConflictingExamples:
-        raise
 
 
 def _consistent_candidate(problem, points, budget, deadline):
@@ -783,7 +776,7 @@ def unify_solve(problem, budget=None, cfg=None):
     deadline = _Deadline(budget.wallclock)
     if problem.invariant_spec is not None:
         return _ice_solve(problem, budget, deadline, cfg)
-    examples = _try_pbe(problem)
+    examples = extract_pbe_points(problem)
     if examples is not None:
         return _solve_pbe(problem, examples, budget, deadline, unify=True)
     if len(problem.targets) != 1:
@@ -1055,8 +1048,8 @@ def _ice_learn(target, state_names, pos, neg, imps, budget, deadline):
         body = _ice_tree(target, states, envs, index, pos_w, neg_w, budget, deadline, t_lit, f_lit)
         if isinstance(body, Failure):
             return body
-        ev = Evaluator()
-        holds = lambda s: bool(ev.eval(body, dict(zip(state_names, s))))
+        inv = Evaluator().compile(body)
+        holds = lambda s: bool(inv(dict(zip(state_names, s))))
         broken = [(a, b) for a, b in imps if holds(a) and not holds(b)]
         if not broken:
             return body
@@ -1090,7 +1083,7 @@ def _octagon_atoms(target, bool_nt, envs):
         for v in int_vars:
             if u is not v:
                 terms.append(Apply("-", (u, v), INT))
-    ev = Evaluator()
+    compile_term = Evaluator().compile
     atoms = []
     for op in ("=", "<", "<="):
         for a in terms:
@@ -1099,7 +1092,8 @@ def _octagon_atoms(target, bool_nt, envs):
                     continue
                 atom = Apply(op, (a, b), BOOL)
                 try:
-                    vec = tuple(bool(ev.eval(atom, env)) for env in envs)
+                    fn = compile_term(atom)
+                    vec = tuple(bool(fn(env)) for env in envs)
                 except Exception:
                     continue
                 if all(vec) or not any(vec):

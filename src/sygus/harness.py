@@ -13,7 +13,7 @@ import multiprocessing as mp
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .core import SygusError, term_size
 from .engine import Budget, cegis_solve, unify_solve, extract_pbe_points, Failure
@@ -225,7 +225,10 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     """Run every `.sl` file under `bench_dir`; returns RunRecord list.
 
     Records are appended to `cfg.records_path` as they complete; on
-    restart, benchmarks already recorded for this engine are skipped.
+    restart, benchmarks already recorded for this engine are skipped.  A
+    torn final record is cut from the file before anything is appended
+    (else it would become a bad line mid-file), so its benchmark runs
+    again.  A worker that exits without replying fails its record.
     """
     paths = sorted(
         os.path.join(bench_dir, f) for f in os.listdir(bench_dir) if f.endswith(".sl")
@@ -233,12 +236,13 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     done = {}
     records = []
     if cfg.records_path and os.path.exists(cfg.records_path):
-        with open(cfg.records_path) as fh:
-            for line in fh:
-                if line.strip():
-                    r = RunRecord.from_json(line)
-                    if r.engine == cfg.label():
-                        done[r.benchmark] = r
+        saved, torn_at = _read_records(cfg.records_path)
+        if torn_at is not None:
+            with open(cfg.records_path, "r+b") as fh:
+                fh.truncate(torn_at)
+        for r in saved:
+            if r.engine == cfg.label():
+                done[r.benchmark] = r
     pending = []
     for p in paths:
         bench = os.path.basename(p)
@@ -278,7 +282,11 @@ def run_suite(bench_dir, cfg: SuiteConfig):
         for proc in list(active):
             bench, conn, start = active[proc]
             if conn.poll(0.02):
-                outcome, wall, cpu, size, solution = conn.recv()
+                try:
+                    outcome, wall, cpu, size, solution = conn.recv()
+                except EOFError:  # the worker died without replying
+                    outcome, wall, cpu, size, solution = ("failed", time.monotonic() - start, None, None, None)
+                conn.close()
                 proc.join()
                 del active[proc]
                 emit(RunRecord(bench, cfg.label(), outcome, wall, size, cpu, solution))
@@ -291,10 +299,30 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     return records
 
 
-def load_records(path):
+def _read_records(path):
+    """Parse a records file; returns (records, torn_at).
+
+    An unparsable final line is a write cut short by a crash: it is
+    skipped, and `torn_at` is the byte offset where it starts (else
+    None).  An unparsable line anywhere else raises DataError.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
     out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
+    offset = 0
+    for i, line in enumerate(lines):
+        if line.strip():
+            try:
                 out.append(RunRecord.from_json(line))
-    return out
+            except (ValueError, TypeError) as e:
+                if i != last:
+                    raise DataError(f"{path}: unparsable record on line {i + 1}: {e}") from None
+                return out, offset
+        offset += len(line)
+    return out, None
+
+
+def load_records(path):
+    """The records in `path`, skipping a torn final line."""
+    return _read_records(path)[0]

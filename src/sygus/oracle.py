@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     Apply,
@@ -23,12 +23,18 @@ from .core import (
     Lit,
     Sort,
     STRING,
+    SygusError,
     Term,
     Var,
     substitute_targets,
 )
 from .semantics import Evaluator, default_value, eval_constraints, solution_interpretations
 from .sexpr import HexTok, IntTok, SList, StrTok, Symbol, parse_sexprs
+
+
+class FalseCounterexample(SygusError):
+    """A point about to be reported as a counterexample satisfies every
+    constraint: the search and the final check disagree."""
 
 
 @dataclass(frozen=True)
@@ -427,7 +433,8 @@ def verify(problem, solution, cfg=None) -> Verdict:
 
 
 def _checked_cex(problem, solution, point):
-    assert not eval_constraints(problem, solution, point), "counterexample does not falsify"
+    if eval_constraints(problem, solution, point):
+        raise FalseCounterexample(f"point {point!r} does not falsify the constraints")
     return Counterexample(point)
 
 

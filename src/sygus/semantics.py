@@ -8,6 +8,8 @@ rewrites only the first occurrence.
 
 from __future__ import annotations
 
+import operator
+
 from .core import (
     Apply,
     BOOL,
@@ -143,12 +145,33 @@ _FIXED_IMPLS = {
 }
 
 
-class Evaluator:
-    """Ground-term interpreter.
+# C-level equivalents of builtins at fixed arity, for compiled terms.
+_UNARY = {"not": operator.not_, "-": operator.neg, "str.len": len}
+_BINARY = {
+    "=": operator.eq,
+    "xor": operator.ne,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "str.++": operator.add,
+    "bvand": operator.and_,
+    "bvor": operator.or_,
+    "bvxor": operator.xor,
+}
+
+
+class TreeEvaluator:
+    """Reference ground-term interpreter: walks the tree at every call.
 
     `interpretations` maps a function name to (param names, body term);
     it covers both problem macros and candidate solutions, so constraint
-    checks never need syntactic substitution.
+    checks never need syntactic substitution.  `Evaluator` gives the same
+    results faster; this walk stays as the reference it is tested against
+    and as the evaluator of the enumerator's macro productions.
     """
 
     def __init__(self, interpretations=None):
@@ -183,6 +206,116 @@ class Evaluator:
         raise TypeError(f"not a term: {t!r}")
 
 
+def _raiser(error, message):
+    def fail(env):
+        raise error(message)
+
+    return fail
+
+
+class Evaluator:
+    """Ground-term evaluator that compiles each term once into closures.
+
+    `interpretations` is as for `TreeEvaluator`, whose results and error
+    types this matches; errors are raised when evaluation reaches the bad
+    node.  `and`, `or`, `=>` and `ite` evaluate only the arguments they
+    need.  `eval` memoises the compiled form of each term it sees, keyed
+    by identity, for the life of this evaluator; a caller that evaluates
+    a term only once should call `compile` and drop the result instead.
+    """
+
+    def __init__(self, interpretations=None):
+        self.interpretations = dict(interpretations or {})
+        self._bodies = {}  # function name -> compiled body
+        self._memo = {}  # id(term) -> (term, compiled); the term pins its id
+
+    def eval(self, t: Term, env: dict):
+        entry = self._memo.get(id(t))
+        if entry is None:
+            entry = self._memo[id(t)] = (t, self.compile(t))
+        return entry[1](env)
+
+    def compile(self, t: Term):
+        """Return fn(env) computing the value of `t` in `env`."""
+        if isinstance(t, Var):
+            name = t.name
+
+            def var(env):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise UnboundVariable(f"unbound variable {name!r}") from None
+
+            return var
+        if isinstance(t, Lit):
+            value = t.value
+            return lambda env: value
+        if isinstance(t, Apply):
+            return self._compile_apply(t.op, [self.compile(a) for a in t.args], t.sort)
+        if isinstance(t, Let):
+            binds = [(name, self.compile(e)) for name, e in t.bindings]
+            body = self.compile(t.body)
+
+            def let(env):
+                inner = dict(env)
+                for name, f in binds:
+                    inner[name] = f(env)  # parallel let
+                return body(inner)
+
+            return let
+        if isinstance(t, Hole):
+            return _raiser(SygusError, "cannot evaluate a grammar template hole")
+        return _raiser(TypeError, f"not a term: {t!r}")
+
+    def _compile_apply(self, op, fns, sort):
+        interp = self.interpretations.get(op)
+        if interp is not None:
+            body = self._bodies.get(op)
+            if body is None:
+                body = self._bodies[op] = self.compile(interp[1])
+            pairs = tuple(zip(interp[0], fns))
+            return lambda env: body({p: f(env) for p, f in pairs})
+        if op == "and":
+            if len(fns) == 2:
+                a, b = fns
+                return lambda env: True if a(env) and b(env) else False
+            return lambda env: all(f(env) for f in fns)
+        if op == "or":
+            if len(fns) == 2:
+                a, b = fns
+                return lambda env: True if a(env) or b(env) else False
+            return lambda env: any(f(env) for f in fns)
+        if op == "=>" and len(fns) == 2:
+            a, b = fns
+            return lambda env: (not a(env)) or b(env)
+        if op == "ite" and len(fns) == 3:
+            c, a, b = fns
+            return lambda env: a(env) if c(env) else b(env)
+        try:
+            impl = builtin_impl(op, sort)
+        except KeyError:
+            fail = _raiser(SortMismatch, f"no interpretation for operator {op!r}")
+
+            def unknown(env):
+                for f in fns:
+                    f(env)
+                fail(env)
+
+            return unknown
+        if len(fns) == 1:
+            (f0,) = fns
+            impl = _UNARY.get(op, impl)
+            return lambda env: impl(f0(env))
+        if len(fns) == 2:
+            f0, f1 = fns
+            impl = _BINARY.get(op, impl)
+            return lambda env: impl(f0(env), f1(env))
+        if len(fns) == 3:
+            f0, f1, f2 = fns
+            return lambda env: impl(f0(env), f1(env), f2(env))
+        return lambda env: impl(*[f(env) for f in fns])
+
+
 def solution_interpretations(problem, solution):
     """Combine a problem's macros with a solution's target bindings.
 
@@ -202,9 +335,3 @@ def eval_constraints(problem, solution, point: dict) -> bool:
     """True iff every constraint holds at `point` under `solution`."""
     ev = Evaluator(solution_interpretations(problem, solution))
     return all(ev.eval(c, point) for c in problem.constraints)
-
-
-def falsified_constraints(problem, solution, point: dict):
-    """Indices of constraints that fail at `point` (diagnostic helper)."""
-    ev = Evaluator(solution_interpretations(problem, solution))
-    return [i for i, c in enumerate(problem.constraints) if not ev.eval(c, point)]

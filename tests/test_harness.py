@@ -6,6 +6,7 @@ import shutil
 import pytest
 from hypothesis import given, strategies as st
 
+from sygus import harness
 from sygus.harness import (
     DataError,
     RunRecord,
@@ -178,3 +179,58 @@ def test_run_suite_unparsable_file_fails_its_record(tmp_path):
     (d / "bad.sl").write_text("(set-logic LIA) (constraint")
     (rec,) = run_suite(str(d), SuiteConfig(timeout=5))
     assert rec.outcome == "failed"
+
+
+TINY = """(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))
+(declare-var x Int)
+(constraint (= (f x) (+ x x)))
+(check-synth)
+"""
+
+
+def _tiny_corpus(tmp_path, names=("tiny.sl",)):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for name in names:
+        (d / name).write_text(TINY)
+    return str(d)
+
+
+def test_run_suite_survives_a_worker_that_dies(tmp_path, monkeypatch):
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl"))
+    monkeypatch.setattr(harness, "solve_benchmark", lambda path, cfg: os._exit(1))
+    records = run_suite(corpus, SuiteConfig(engine="cegis", timeout=5, workers=2))
+    assert sorted(r.benchmark for r in records) == ["a.sl", "b.sl"]
+    assert all(r.outcome == "failed" and r.size is None for r in records)
+
+
+def _record_line(bench, outcome="solved"):
+    return RunRecord(bench, "cegis", outcome, 0.5, 3, 0.4, None).to_json() + "\n"
+
+
+def test_load_records_skips_a_torn_final_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(_record_line("a.sl") + _record_line("b.sl")[:25])
+    (rec,) = load_records(str(path))
+    assert rec.benchmark == "a.sl"
+
+
+def test_load_records_rejects_a_bad_line_before_the_last(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text(_record_line("a.sl")[:25] + "\n" + _record_line("b.sl"))
+    with pytest.raises(DataError):
+        load_records(str(path))
+
+
+def test_resume_reruns_the_benchmark_of_a_torn_record(tmp_path):
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl"))
+    path = tmp_path / "records.jsonl"
+    path.write_text(_record_line("a.sl", "timeout") + _record_line("b.sl")[:25])
+    cfg = SuiteConfig(engine="cegis", timeout=10, records_path=str(path))
+    records = run_suite(corpus, cfg)
+    outcomes = {r.benchmark: r.outcome for r in records}
+    # b.sl ran again: a universal spec verifies only up to the search bound
+    assert outcomes == {"a.sl": "timeout", "b.sl": "unknown-verified"}
+    # the torn tail was cut, so the file parses in full afterwards
+    assert sorted(load_records(str(path)), key=lambda r: r.benchmark) == sorted(records, key=lambda r: r.benchmark)

@@ -8,6 +8,7 @@ import pytest
 from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var
 from sygus.engine import Budget, cegis_solve, enumerate_all, unify_solve
 from sygus.frontend import parse_file
+from sygus import oracle
 from sygus.oracle import (
     VerifyConfig,
     build_smt_script,
@@ -104,6 +105,15 @@ def test_verify_rejects_overfit_invariant():
         )
     }
     assert verify(p, wrong).kind == "counterexample"
+
+
+def test_checked_cex_rejects_a_point_that_does_not_falsify():
+    # a real error, not an assert that `python -O` would strip
+    p = parse_file(os.path.join(BENCH, "abs.sl"))
+    wrong = {"abs": (["x"], Var("x", INT))}
+    assert oracle._checked_cex(p, wrong, {"x": -3}).point == {"x": -3}
+    with pytest.raises(oracle.FalseCounterexample):
+        oracle._checked_cex(p, wrong, {"x": 3})
 
 
 # --- SMT-LIB2 text ----------------------------------------------------------

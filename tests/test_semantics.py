@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sygus.core import Apply, BOOL, BV64, INT, Lit, STRING, Var
+from sygus.core import Apply, BOOL, BV64, Hole, INT, Let, Lit, STRING, SygusError, Var
 from sygus.semantics import (
     Evaluator,
+    SortMismatch,
+    TreeEvaluator,
     UnboundVariable,
     builtin_impl,
     default_value,
@@ -154,7 +156,160 @@ def test_default_values():
 def test_parallel_let():
     # both bindings see the outer x
     t = Apply("+", (Var("a", INT), Var("b", INT)), INT)
-    from sygus.core import Let
-
     let = Let((("a", Var("x", INT)), ("b", Apply("+", (Var("x", INT), _i(1)), INT))), t, INT)
     assert ev.eval(let, {"x": 10}) == 21
+    # a swap tells a parallel let from a sequential one
+    swap = Let((("x", Var("y", INT)), ("y", Var("x", INT))), Apply("-", (Var("x", INT), Var("y", INT)), INT), INT)
+    assert ev.eval(swap, {"x": 10, "y": 3}) == -7
+    assert TreeEvaluator().eval(swap, {"x": 10, "y": 3}) == -7
+
+
+# --- compiled evaluator against the tree-walk reference ---------------------
+
+# Variable names that are not Python identifiers, as SyGuS allows.
+VARS = {
+    INT: ("x", "i!", "qm-inner-loop"),
+    BOOL: ("p",),
+    BV64: ("a", "b"),
+    STRING: ("s", "t"),
+}
+SORTS = tuple(VARS)
+
+
+def _mac(op, params, body, sort):
+    return op, ([n for n, _ in params], body), sort, tuple(s for _, s in params)
+
+
+_x, _y = Var("x", INT), Var("y", INT)
+_u, _w = Var("u", BV64), Var("w", BV64)
+_q = Var("q", STRING)
+MACROS = [
+    _mac("qm", (("x", INT), ("y", INT)), Apply("ite", (Apply("<", (_x, _i(0)), BOOL), _y, _x), INT), INT),
+    _mac("in-range", (("x", INT),), Apply("and", (Apply("<=", (_i(0), _x), BOOL), Apply("<", (_x, _i(10)), BOOL)), BOOL), BOOL),
+    _mac("bv-mix", (("u", BV64), ("w", BV64)), Apply("bvxor", (Apply("bvand", (_u, _w), BV64), Apply("bvnot", (_w,), BV64)), BV64), BV64),
+    _mac(
+        "wrap3",
+        (("q", STRING), ("x", INT), ("y", INT)),
+        Apply("str.++", (_q, Apply("str.substr", (_q, _x, _y), STRING)), STRING),
+        STRING,
+    ),
+    # a macro whose body applies another macro
+    _mac("qm2", (("x", INT), ("y", INT)), Apply("qm", (Apply("qm", (_x, _y), INT), _y), INT), INT),
+]
+INTERPS = {op: interp for op, interp, _, _ in MACROS}
+
+# result sort -> [(operator, argument sorts)]; None marks a variadic tail
+OPS = {
+    INT: [
+        ("+", (INT, None)), ("-", (INT,)), ("-", (INT, INT)), ("*", (INT, INT)),
+        ("str.len", (STRING,)), ("str.indexof", (STRING, STRING, INT)), ("str.to.int", (STRING,)),
+    ],
+    BOOL: [
+        ("not", (BOOL,)), ("and", (BOOL, None)), ("or", (BOOL, None)), ("=>", (BOOL, BOOL)),
+        ("xor", (BOOL, BOOL)), ("<", (INT, INT)), ("<=", (INT, INT)), (">", (INT, INT)),
+        (">=", (INT, INT)), ("str.prefixof", (STRING, STRING)), ("str.suffixof", (STRING, STRING)),
+        ("str.contains", (STRING, STRING)),
+    ],
+    BV64: [("bvnot", (BV64,)), ("bvneg", (BV64,))]
+    + [(op, (BV64, BV64)) for op in ("bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvmul", "bvshl", "bvlshr", "bvashr")],
+    STRING: [
+        ("str.++", (STRING, STRING)), ("str.at", (STRING, INT)), ("str.substr", (STRING, INT, INT)),
+        ("str.replace", (STRING, STRING, STRING)), ("int.to.str", (INT,)),
+    ],
+}
+for _op, _, _sort, _params in MACROS:
+    OPS[_sort].append((_op, _params))
+
+_LITS = {
+    INT: st.integers(-12, 12),
+    BOOL: st.booleans(),
+    BV64: st.one_of(st.integers(0, 70), st.integers(0, MASK)),
+    STRING: st.text(st.sampled_from("ab1-"), max_size=4),
+}
+
+
+@st.composite
+def terms(draw, sort, depth=3):
+    choices = ["leaf"] if depth == 0 else ["leaf", "op", "op", "op", "ite", "eq", "let"]
+    kind = draw(st.sampled_from(choices))
+    if kind == "leaf":
+        if draw(st.booleans()):
+            return Var(draw(st.sampled_from(VARS[sort])), sort)
+        return Lit(draw(_LITS[sort]), sort)
+    if kind == "ite":
+        args = (draw(terms(BOOL, depth - 1)), draw(terms(sort, depth - 1)), draw(terms(sort, depth - 1)))
+        return Apply("ite", args, sort)
+    if kind == "eq" and sort == BOOL:
+        op = draw(st.sampled_from(("=", "distinct")))
+        arg_sort = draw(st.sampled_from(SORTS))
+        n = draw(st.integers(2, 3))
+        return Apply(op, tuple(draw(terms(arg_sort, depth - 1)) for _ in range(n)), BOOL)
+    if kind == "let":
+        # parallel bindings that may shadow and swap the outer variables
+        names = draw(st.lists(st.sampled_from(VARS[INT] + VARS[sort]), min_size=1, max_size=2, unique=True))
+        sorts = {n: s for s in (INT, sort) for n in VARS[s]}
+        bindings = tuple((n, draw(terms(sorts[n], depth - 1))) for n in names)
+        return Let(bindings, draw(terms(sort, depth - 1)), sort)
+    op, arg_sorts = draw(st.sampled_from(OPS[sort]))
+    if arg_sorts[-1] is None:
+        arg_sorts = arg_sorts[:1] * draw(st.integers(1, 3))
+    return Apply(op, tuple(draw(terms(s, depth - 1)) for s in arg_sorts), sort)
+
+
+ENVS = st.fixed_dictionaries({n: _LITS[s] for s, names in VARS.items() for n in names})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SORTS).flatmap(terms), ENVS)
+def test_compiled_matches_tree_walk(t, env):
+    want = TreeEvaluator(INTERPS).eval(t, env)
+    got = Evaluator(INTERPS).eval(t, env)
+    assert got == want and type(got) is type(want)
+    assert Evaluator(INTERPS).compile(t)(env) == want
+
+
+def _error_type(evaluator, t, env):
+    try:
+        evaluator.eval(t, env)
+    except Exception as e:  # the type is what is compared
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "t, expected",
+    [
+        (Var("nope", INT), UnboundVariable),
+        (Apply("+", (Var("x", INT), Var("nope", INT)), INT), UnboundVariable),
+        (Apply("qm", (Var("nope", INT), _i(1)), INT), UnboundVariable),
+        (Apply("frobnicate", (_i(1),), INT), SortMismatch),
+        (Apply("bvudiv", (Lit(1, BV64), Lit(1, BV64)), BV64), SortMismatch),
+        (Apply("frobnicate", (Var("nope", INT),), INT), UnboundVariable),
+        (Hole("Start", INT), SygusError),
+        (Apply("+", (_i(1), Hole("Start", INT)), INT), SygusError),
+        (Let((("y", Var("nope", INT)),), _i(0), INT), UnboundVariable),
+    ],
+)
+def test_errors_match_tree_walk(t, expected):
+    env = {"x": 1}
+    assert _error_type(TreeEvaluator(INTERPS), t, env) is expected
+    assert _error_type(Evaluator(INTERPS), t, env) is expected
+
+
+def test_bad_node_raises_only_when_reached():
+    # the compiled form of a bad subterm raises at run time, not compile time
+    bad = Apply("ite", (Var("p", BOOL), Hole("Start", INT), Apply("frobnicate", (), INT)), INT)
+    fn = Evaluator().compile(bad)
+    with pytest.raises(SygusError):
+        fn({"p": True})
+    with pytest.raises(SortMismatch):
+        fn({"p": False})
+
+
+def test_compile_does_not_memoise():
+    e = Evaluator(INTERPS)
+    t = Apply("qm", (Var("x", INT), _i(3)), INT)
+    assert e.compile(t)({"x": -1}) == 3
+    assert not e._memo
+    assert e.eval(t, {"x": 5}) == 5
+    assert len(e._memo) == 1
