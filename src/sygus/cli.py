@@ -19,7 +19,6 @@ from .harness import (
     load_records,
     run_suite,
     score,
-    solve_benchmark,
     _pick_solver,
 )
 from .oracle import VerifyConfig, check_conformance, verify

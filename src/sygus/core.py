@@ -299,6 +299,39 @@ def free_vars(t: Term):
     raise TypeError(f"not a term: {t!r}")
 
 
+def walk(t: Term):
+    """Every node of `t` in preorder: a node before its arguments, and a
+    let's bound terms before its body.  Holes are leaves."""
+    yield t
+    if isinstance(t, Apply):
+        for a in t.args:
+            yield from walk(a)
+    elif isinstance(t, Let):
+        for _, e in t.bindings:
+            yield from walk(e)
+        yield from walk(t.body)
+
+
+def var_equations(terms, names):
+    """Equations `(= v e)` or `(= e v)` anywhere in `terms`, where `v` is a
+    variable named in `names` and `e` is not `v` itself.
+
+    Returns {v: [e, ...]}; each list holds distinct terms in the order a
+    preorder walk first meets them.
+    """
+    defs = {}
+    for t in terms:
+        for node in walk(t):
+            if isinstance(node, Apply) and node.op == "=" and len(node.args) == 2:
+                a, b = node.args
+                for v, e in ((a, b), (b, a)):
+                    if isinstance(v, Var) and v.name in names and e != v:
+                        bucket = defs.setdefault(v.name, [])
+                        if e not in bucket:
+                            bucket.append(e)
+    return defs
+
+
 _fresh_counter = itertools.count()
 
 
@@ -344,9 +377,9 @@ def substitute_targets(c: Term, sol: dict, target_names=None) -> Term:
     """
     names = set(sol) if target_names is None else set(target_names)
 
-    def walk(t):
+    def rebuild(t):
         if isinstance(t, Apply):
-            args = tuple(walk(a) for a in t.args)
+            args = tuple(rebuild(a) for a in t.args)
             if t.op in names:
                 if t.op not in sol:
                     raise UnboundTarget(f"no solution bound for target {t.op!r}")
@@ -359,11 +392,11 @@ def substitute_targets(c: Term, sol: dict, target_names=None) -> Term:
             return Apply(t.op, args, t.sort)
         if isinstance(t, Let):
             return Let(
-                tuple((n, walk(e)) for n, e in t.bindings), walk(t.body), t.sort
+                tuple((n, rebuild(e)) for n, e in t.bindings), rebuild(t.body), t.sort
             )
         return t
 
-    return walk(c)
+    return rebuild(c)
 
 
 def expand_macros(t: Term, macros: dict, _active=frozenset()) -> Term:
@@ -437,20 +470,7 @@ class Grammar:
 
 def template_holes(tmpl: Term):
     """Holes of a template in left-to-right traversal order."""
-    if isinstance(tmpl, Hole):
-        return [tmpl]
-    if isinstance(tmpl, Apply):
-        out = []
-        for a in tmpl.args:
-            out.extend(template_holes(a))
-        return out
-    if isinstance(tmpl, Let):
-        out = []
-        for _, e in tmpl.bindings:
-            out.extend(template_holes(e))
-        out.extend(template_holes(tmpl.body))
-        return out
-    return []
+    return [n for n in walk(tmpl) if isinstance(n, Hole)]
 
 
 def template_fixed_size(tmpl: Term) -> int:

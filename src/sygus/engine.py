@@ -3,11 +3,19 @@
 Two strategies over the same enumeration machinery:
 
 * `cegis_solve` — size-ordered grammar enumeration with
-  observational-equivalence pruning inside a counterexample-guided loop.
+  observational-equivalence pruning proposes each candidate.
 * `unify_solve` — cover small terms over the current point set, then
-  stitch them with enumerated predicates via greedy information-gain
-  decision-tree learning; invariant problems use an ICE-style variant
-  that learns a Boolean combination of enumerated atoms.
+  stitch them with enumerated predicates; invariant problems use an
+  ICE-style variant that learns a Boolean combination of enumerated
+  atoms from positive, negative and implication examples.
+
+Plain CEGIS, unification and the ICE variant share one
+counterexample-guided loop, `_cegis`: propose a candidate, verify it,
+then learn from the counterexample or stall.  PBE problems skip the
+loop, since their examples are the whole specification.  Stitching and
+invariant learning grow their trees with one greedy information-gain
+ID3, `build_decision_tree`, over predicate pools from one builder,
+`_predicate_pool`.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.
@@ -32,9 +40,12 @@ from .core import (
     Term,
     Var,
     expand_macros,
+    free_vars,
     template_fixed_size,
     template_holes,
     term_size,
+    var_equations,
+    walk,
 )
 from .semantics import Evaluator, TreeEvaluator, builtin_impl, default_value, solution_interpretations
 
@@ -142,7 +153,7 @@ class Enumerator:
         env = {}
         for _, templates in self.grammar.productions:
             for tmpl in templates:
-                for node in _walk(tmpl):
+                for node in walk(tmpl):
                     if isinstance(node, Var):
                         env[node.name] = default_value(node.sort)
         return env
@@ -324,19 +335,8 @@ class Enumerator:
         return go(self.grammar.start)
 
 
-def _walk(t):
-    yield t
-    if isinstance(t, Apply):
-        for a in t.args:
-            yield from _walk(a)
-    elif isinstance(t, Let):
-        for _, e in t.bindings:
-            yield from _walk(e)
-        yield from _walk(t.body)
-
-
 def _contains_let(t):
-    return any(isinstance(n, Let) for n in _walk(t))
+    return any(isinstance(n, Let) for n in walk(t))
 
 
 def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
@@ -410,23 +410,14 @@ def collect_envs(problem, target, points):
     """
     names = problem.target_names()
     macro_map = problem.macro_map()
-    apps = []
-
-    def scan(t):
-        if isinstance(t, Apply):
-            if t.op == target.name and not any(
-                isinstance(n, Apply) and n.op in names for a in t.args for n in _walk(a)
-            ):
-                apps.append(t.args)
-            for a in t.args:
-                scan(a)
-        elif isinstance(t, Let):
-            for _, e in t.bindings:
-                scan(e)
-            scan(t.body)
-
-    for c in problem.constraints:
-        scan(expand_macros(c, macro_map))
+    apps = [
+        t.args
+        for c in problem.constraints
+        for t in walk(expand_macros(c, macro_map))
+        if isinstance(t, Apply)
+        and t.op == target.name
+        and not any(isinstance(n, Apply) and n.op in names for a in t.args for n in walk(a))
+    ]
     if not points or not apps:
         return []
     ev = Evaluator(macro_map)
@@ -475,34 +466,70 @@ class _Deadline:
 # CEGIS
 
 
-def cegis_solve(problem, budget=None, cfg=None):
-    """Enumerative CEGIS; returns Solution or Failure."""
+def _defined_funs(targets, bodies):
+    """{name: DefinedFun} for `targets`, given {name: body}."""
+    return {t.name: DefinedFun(t.name, t.params, t.ret, bodies[t.name]) for t in targets}
+
+
+def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
+    """The counterexample-guided loop that every engine runs.
+
+    Each round `propose()` returns a Failure, {name: body}, or a single
+    target's body; the oracle checks the candidate, and `learn(point,
+    sol_map)` takes its counterexample, returning a Failure to stop.  At
+    most `rounds` candidates are proposed.  A verified (or unrefuted)
+    candidate becomes a Solution using `used()` points.
+    """
     from . import oracle as oracle_mod
 
+    for _ in range(rounds):
+        if deadline.expired():
+            break
+        cand = propose()
+        if isinstance(cand, Failure):
+            return cand
+        if isinstance(cand, Term):
+            cand = {targets[0].name: cand}
+        sol = Solution(_defined_funs(targets, cand))
+        sol_map = sol.as_map()
+        verdict = oracle_mod.verify(problem, sol_map, cfg)
+        if verdict.kind != "counterexample":
+            sol.verdict, sol.points_used = verdict, used()
+            return sol
+        stop = learn(verdict.point, sol_map)
+        if stop is not None:
+            return stop
+    return Failure("budget-exhausted")
+
+
+def _point_cegis(problem, targets, propose, budget, deadline, cfg):
+    """`_cegis` over the counterexample points themselves: `propose(points)`
+    sees every point so far, and a repeated point stalls the loop."""
+    points = []
+
+    def learn(point, _sol_map):
+        if point in points:
+            return Failure("oracle-stall", "repeated counterexample")
+        points.append(point)
+
+    return _cegis(
+        problem, targets, lambda: propose(points), learn, lambda: len(points),
+        budget.max_points + 1, deadline, cfg,
+    )
+
+
+def cegis_solve(problem, budget=None, cfg=None):
+    """Enumerative CEGIS; returns Solution or Failure."""
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
     examples = extract_pbe_points(problem)
     if examples is not None:
         return _solve_pbe(problem, examples, budget, deadline, unify=False)
-
-    points = []
-    while True:
-        if deadline.expired() or len(points) > budget.max_points:
-            return Failure("budget-exhausted")
-        cand = _consistent_candidate(problem, points, budget, deadline)
-        if isinstance(cand, Failure):
-            return cand
-        sol_map = {t.name: ([n for n, _ in t.params], cand[t.name]) for t in problem.targets}
-        verdict = oracle_mod.verify(problem, sol_map, cfg)
-        if verdict.kind == "counterexample":
-            if verdict.point in points:
-                return Failure("oracle-stall", "repeated counterexample")
-            points.append(verdict.point)
-            continue
-        funs = {
-            t.name: DefinedFun(t.name, t.params, t.ret, cand[t.name]) for t in problem.targets
-        }
-        return Solution(funs, verdict, len(points))
+    return _point_cegis(
+        problem, problem.targets,
+        lambda points: _consistent_candidate(problem, points, budget, deadline),
+        budget, deadline, cfg,
+    )
 
 
 def _consistent_candidate(problem, points, budget, deadline):
@@ -570,25 +597,21 @@ def _entropy(counts):
     return h
 
 
-def build_decision_tree(ids, cover_terms, preds):
-    """Greedy information-gain tree.
+def build_decision_tree(ids, labels, leaf, preds, depth=None):
+    """Greedy information-gain (ID3) tree over example ids.
 
-    `cover_terms` is a list of (term, cover frozenset); `preds` a list of
-    (payload, bool vector).  Every id must be covered by some term.
-    Returns Leaf/Branch or None when no predicate makes progress.
+    `labels` maps each id to its class; `leaf(ids)` returns the Leaf for
+    ids that need no split, else None; `preds` is a list of (payload,
+    bool vector indexed by id).  With a `depth`, no split is made that
+    many levels down.  The first predicate of highest gain wins.  Returns
+    Leaf/Branch, or None when no predicate makes progress.
     """
     ids = frozenset(ids)
-    for term, cover in cover_terms:
-        if ids <= cover:
-            return Leaf(term)
-
-    def label(i):
-        for k, (_, cover) in enumerate(cover_terms):
-            if i in cover:
-                return k
-        return -1
-
-    labels = {i: label(i) for i in ids}
+    node = leaf(ids)
+    if node is not None:
+        return node
+    if depth is not None and depth <= 0:
+        return None
     base = _entropy(_counts(labels, ids))
     best = None
     best_gain = -1.0
@@ -603,12 +626,13 @@ def build_decision_tree(ids, cover_terms, preds):
         )
         if gain > best_gain + 1e-12:
             best_gain = gain
-            best = (payload, vec, yes, no)
+            best = (payload, yes, no)
     if best is None:
         return None
-    payload, vec, yes, no = best
-    then = build_decision_tree(yes, cover_terms, preds)
-    other = build_decision_tree(no, cover_terms, preds)
+    payload, yes, no = best
+    sub = None if depth is None else depth - 1
+    then = build_decision_tree(yes, labels, leaf, preds, sub)
+    other = build_decision_tree(no, labels, leaf, preds, sub)
     if then is None or other is None:
         return None
     return Branch(payload, then, other)
@@ -702,8 +726,8 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
             cover_terms.append((term, cov, vec))
             union |= cov
             if union == all_ids and kind is not None:
-                stitched = _stitch_pbe(
-                    problem, target, en, cover_terms, expected, envs, kind, cond_nt, budget, deadline
+                stitched = _stitch(
+                    en, cover_terms, all_ids, kind, cond_nt, target.ret, budget, deadline
                 )
                 if isinstance(stitched, Term):
                     found = stitched
@@ -715,39 +739,58 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
         if unify and union != all_ids and _exhaust_reason(en).reason == "grammar-exhausted":
             return Failure("cover-stall")
         return _exhaust_reason(en)
-    sol_map = {target.name: (params, found)}
-    verdict = oracle_mod.verify(problem, sol_map, None)
-    funs = {target.name: DefinedFun(target.name, target.params, target.ret, found)}
-    return Solution(funs, verdict, len(examples))
+    sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
+    sol.verdict = oracle_mod.verify(problem, sol.as_map(), None)
+    return sol
 
 
-def _stitch_pbe(problem, target, en, cover_terms, expected, envs, kind, cond_nt, budget, deadline):
-    all_ids = frozenset(range(len(expected)))
-    covers = [(t, c) for t, c, _ in cover_terms]
-    if kind == "qm":
-        return _stitch_qm([(t, c, v) for t, c, v in cover_terms], all_ids)
-    preds = []
+def _predicate_pool(en, nt, max_size, kind="ite", deadline=None):
+    """(term, bool vector) for the `nt` terms up to `max_size`, in
+    enumeration order, dropping constant and already-seen vectors.
+
+    An `if0` condition selects where it equals 1, any other condition
+    where it is truthy.  Returns (pool, expired): with a `deadline`, the
+    pool stops where the deadline is found expired.
+    """
+    pool = []
     seen = set()
-    limit = min(budget.max_pred_size, budget.max_term_size)
-    for term, vec in en.enumerate(cond_nt):
-        if deadline.expired():
-            return Failure("budget-exhausted")
-        if term_size(term) > limit:
+    for term, vec in en.enumerate(nt):
+        if deadline is not None and deadline.expired():
+            return pool, True
+        if term_size(term) > max_size:
             break
-        if kind == "ite":
-            bvec = tuple(bool(v) for v in vec)
-            payload = term
-        else:  # if0 selects its second argument when the condition equals 1
+        if kind == "if0":
             bvec = tuple(v == 1 for v in vec)
-            payload = term
+        else:
+            bvec = tuple(bool(v) for v in vec)
         if bvec in seen or all(bvec) or not any(bvec):
             continue
         seen.add(bvec)
-        preds.append((payload, bvec))
-    tree = build_decision_tree(all_ids, covers, preds)
+        pool.append((term, bvec))
+    return pool, False
+
+
+def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort, budget, deadline=None):
+    """Join (term, cover, vector) triples that together cover `all_ids`
+    into one term: a qm chain, or a decision tree over the `cond_nt`
+    predicates.  Returns a Term or a Failure."""
+    if kind == "qm":
+        return _stitch_qm(cover_terms, all_ids)
+    preds, expired = _predicate_pool(
+        en, cond_nt, min(budget.max_pred_size, budget.max_term_size), kind, deadline
+    )
+    if expired:
+        return Failure("budget-exhausted")
+    # each id is labelled with the first term covering it
+    labels = {i: next(k for k, (_, c, _) in enumerate(cover_terms) if i in c) for i in all_ids}
+
+    def leaf(ids):
+        return next((Leaf(t) for t, c, _ in cover_terms if ids <= c), None)
+
+    tree = build_decision_tree(all_ids, labels, leaf, preds)
     if tree is None:
         return Failure("predicate-exhausted")
-    return _flatten_dt(tree, kind, target.ret)
+    return _flatten_dt(tree, kind, sort)
 
 
 def _stitch_qm(cover_terms, ids):
@@ -770,8 +813,6 @@ def _stitch_qm(cover_terms, ids):
 
 def unify_solve(problem, budget=None, cfg=None):
     """Enumeration + unification; returns Solution or Failure."""
-    from . import oracle as oracle_mod
-
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
     if problem.invariant_spec is not None:
@@ -785,24 +826,11 @@ def unify_solve(problem, budget=None, cfg=None):
     kind, cond_nt = _conditional_kind(target.grammar)
     if kind is None:
         return Failure("no-conditional-production")
-    params = [n for n, _ in target.params]
-
-    points = []
-    while True:
-        if deadline.expired() or len(points) > budget.max_points:
-            return Failure("budget-exhausted")
-        cand = _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline)
-        if isinstance(cand, Failure):
-            return cand
-        sol_map = {target.name: (params, cand)}
-        verdict = oracle_mod.verify(problem, sol_map, cfg)
-        if verdict.kind == "counterexample":
-            if verdict.point in points:
-                return Failure("oracle-stall", "repeated counterexample")
-            points.append(verdict.point)
-            continue
-        funs = {target.name: DefinedFun(target.name, target.params, target.ret, cand)}
-        return Solution(funs, verdict, len(points))
+    return _point_cegis(
+        problem, [target],
+        lambda points: _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline),
+        budget, deadline, cfg,
+    )
 
 
 def _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline):
@@ -839,29 +867,7 @@ def _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline):
         union |= cov
         if union != all_ids or not aligned:
             continue
-        if kind == "qm":
-            result = _stitch_qm(covers, all_ids)
-        else:
-            preds = []
-            seenp = set()
-            for pterm, pvec in en.enumerate(cond_nt):
-                if term_size(pterm) > budget.max_pred_size:
-                    break
-                bvec = (
-                    tuple(bool(v) for v in pvec)
-                    if kind == "ite"
-                    else tuple(v == 1 for v in pvec)
-                )
-                if bvec in seenp or all(bvec) or not any(bvec):
-                    continue
-                seenp.add(bvec)
-                preds.append((pterm, bvec))
-            tree = build_decision_tree(all_ids, [(t, c) for t, c, _ in covers], preds)
-            result = (
-                _flatten_dt(tree, kind, target.ret)
-                if tree is not None
-                else Failure("predicate-exhausted")
-            )
+        result = _stitch(en, covers, all_ids, kind, cond_nt, target.ret, budget)
         if isinstance(result, Failure):
             stitched_failure = result
             continue
@@ -909,7 +915,6 @@ def _ice_seed(problem, spec, state_names, budget):
 
     pos, neg, imps = set(), set(), set()
     for s in states:
-        env = dict(zip(state_names, s))
         if ev.eval(pre_body, dict(zip(pre_params, s))):
             pos.add(s)
         if not ev.eval(post_body, dict(zip(post_params, s))):
@@ -920,33 +925,13 @@ def _ice_seed(problem, spec, state_names, budget):
         neg = set(rng.sample(sorted(neg), 120))
 
     # Successors: solve the transition equations for the primed variables.
-    from .core import free_vars
-
     unprimed = set(trans_params[:n])
     primed = trans_params[n:]
-    defs = {}
-
-    def scan(t):
-        if isinstance(t, Apply):
-            if t.op == "=" and len(t.args) == 2:
-                for a, b in ((t.args[0], t.args[1]), (t.args[1], t.args[0])):
-                    if (
-                        isinstance(a, Var)
-                        and a.name in primed
-                        and free_vars(b) <= unprimed
-                    ):
-                        bucket = defs.setdefault(a.name, [])
-                        if b not in bucket:
-                            bucket.append(b)
-            for x in t.args:
-                scan(x)
-        elif isinstance(t, Let):
-            for _, e in t.bindings:
-                scan(e)
-            scan(t.body)
-
-    scan(trans_body)
-    if all(p in defs for p in primed):
+    defs = {
+        v: [e for e in es if free_vars(e) <= unprimed]
+        for v, es in var_equations([trans_body], primed).items()
+    }
+    if all(defs.get(p) for p in primed):
         combos = list(itertools.product(*[defs[p][:3] for p in primed]))[:81]
         for s in states:
             env = dict(zip(trans_params[:n], s))
@@ -964,30 +949,15 @@ def _ice_seed(problem, spec, state_names, budget):
 
 
 def _ice_solve(problem, budget, deadline, cfg):
-    from . import oracle as oracle_mod
-
     spec = problem.invariant_spec
     target = problem.target(spec.inv_name)
-    params = [n for n, _ in target.params]
     state_names = [n for n, _ in spec.state_vars]
     vc_base = len(problem.constraints) - 3
     pos, neg, imps = _ice_seed(problem, spec, state_names, budget)
     if _ice_closure(pos, neg, imps):
         return Failure("ice-conflict", "pre/trans/post admit no invariant")
-    iters = 0
-    while True:
-        iters += 1
-        if deadline.expired() or iters > budget.max_points:
-            return Failure("budget-exhausted")
-        body = _ice_learn(target, state_names, pos, neg, imps, budget, deadline)
-        if isinstance(body, Failure):
-            return body
-        sol_map = {spec.inv_name: (params, body)}
-        verdict = oracle_mod.verify(problem, sol_map, cfg)
-        if verdict.kind != "counterexample":
-            funs = {spec.inv_name: DefinedFun(spec.inv_name, target.params, target.ret, body)}
-            return Solution(funs, verdict, len(pos) + len(neg) + len(imps))
-        p = verdict.point
+
+    def learn(p, sol_map):
         ev = Evaluator(solution_interpretations(problem, sol_map))
         state = tuple(p[n] for n in state_names)
         state_p = tuple(p[n + "!"] for n in state_names)
@@ -1011,6 +981,13 @@ def _ice_solve(problem, budget, deadline, cfg):
             return Failure("oracle-stall", "counterexample added no new example")
         if _ice_closure(pos, neg, imps):
             return Failure("ice-conflict", "an example is forced both inside and outside")
+
+    # One round fewer than point-based CEGIS: the cap counts rounds here.
+    return _cegis(
+        problem, [target],
+        lambda: _ice_learn(target, state_names, pos, neg, imps, budget, deadline),
+        learn, lambda: len(pos) + len(neg) + len(imps), budget.max_points, deadline, cfg,
+    )
 
 
 def _ice_closure(pos, neg, imps):
@@ -1115,6 +1092,13 @@ def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_
     ids = frozenset(range(len(states)))
     labels = {i: (states[i] in pos) for i in ids}
 
+    def leaf(subset):
+        if all(labels[i] for i in subset):
+            return Leaf(True)
+        if not any(labels[i] for i in subset):
+            return Leaf(False)
+        return None
+
     curated = None
     enum_cache = {}
 
@@ -1127,17 +1111,8 @@ def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_
         cap = 2 * stage + 1
         if cap not in enum_cache:
             en = Enumerator(grammar, envs, max_size=cap)
-            preds = []
-            seen = set()
-            for term, vec in en.enumerate(bool_nt):
-                if deadline.expired():
-                    break
-                bvec = tuple(bool(v) for v in vec)
-                if bvec in seen or all(bvec) or not any(bvec):
-                    continue
-                seen.add(bvec)
-                preds.append((term, bvec))
-            enum_cache[cap] = preds
+            # a pool the deadline cut short is still tried; the stage loop then stops
+            enum_cache[cap] = _predicate_pool(en, bool_nt, cap, deadline=deadline)[0]
         return curated + enum_cache[cap]
 
     max_stage = max(1, (budget.max_pred_size - 1) // 2)
@@ -1152,42 +1127,10 @@ def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_
             for t, v in preds:
                 dedup.setdefault(v, t)
             preds = [(t, v) for v, t in dedup.items()]
-            tree = _ice_id3(ids, labels, preds, depth)
+            tree = build_decision_tree(ids, labels, leaf, preds, depth)
             if tree is not None:
                 return _dt_to_bool(tree, t_lit, f_lit)
     return Failure("predicate-exhausted")
-
-
-def _ice_id3(ids, labels, preds, depth=None):
-    ids = frozenset(ids)
-    if all(labels[i] for i in ids):
-        return Leaf(True)
-    if not any(labels[i] for i in ids):
-        return Leaf(False)
-    if depth is not None and depth <= 0:
-        return None
-    base = _entropy(_counts(labels, ids))
-    best, best_gain = None, -1.0
-    for term, vec in preds:
-        yes = frozenset(i for i in ids if vec[i])
-        no = ids - yes
-        if not yes or not no:
-            continue
-        gain = base - (
-            len(yes) / len(ids) * _entropy(_counts(labels, yes))
-            + len(no) / len(ids) * _entropy(_counts(labels, no))
-        )
-        if gain > best_gain + 1e-12:
-            best_gain, best = gain, (term, yes, no)
-    if best is None:
-        return None
-    term, yes, no = best
-    sub = None if depth is None else depth - 1
-    then = _ice_id3(yes, labels, preds, sub)
-    other = _ice_id3(no, labels, preds, sub)
-    if then is None or other is None:
-        return None
-    return Branch(term, then, other)
 
 
 def _dt_to_bool(tree, t_lit, f_lit):

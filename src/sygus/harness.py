@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 
 from .core import SygusError, term_size
 from .engine import Budget, cegis_solve, unify_solve, extract_pbe_points, Failure
-from .frontend import parse_file, parse_solution
+from .frontend import parse_file
 from .oracle import VerifyConfig, check_conformance, verify
 
 TIME_EDGES = (1, 3, 10, 30, 100, 300, 1000, 3600)
@@ -214,9 +214,8 @@ def solve_benchmark(path, cfg: SuiteConfig):
 def _worker(path, cfg, conn):
     try:
         out = solve_benchmark(path, cfg)
-    except Exception as e:  # a crashing engine fails its record only
-        out = ("failed", 0.0, 0.0, None, f"; error: {e}")
-        out = (out[0], out[1], out[2], out[3], None)
+    except Exception:  # a crashing engine fails its record only
+        out = ("failed", 0.0, 0.0, None, None)
     conn.send(out)
     conn.close()
 

@@ -26,8 +26,13 @@ from .core import (
     SygusError,
     Term,
     Var,
+    expand_macros,
+    free_vars,
     substitute_targets,
+    var_equations,
+    walk,
 )
+from .frontend import emit_term
 from .semantics import Evaluator, default_value, eval_constraints, solution_interpretations
 from .sexpr import HexTok, IntTok, SList, StrTok, Symbol, parse_sexprs
 
@@ -142,28 +147,11 @@ def _offending_path(grammar, nt, term, derivable):
 
 
 def _string_constants(problem):
-    out = []
-
-    def scan(t):
-        if isinstance(t, Lit) and t.sort == STRING:
-            out.append(t.value)
-        elif isinstance(t, Apply):
-            for a in t.args:
-                scan(a)
-        elif isinstance(t, Let):
-            for _, e in t.bindings:
-                scan(e)
-            scan(t.body)
-
-    for c in problem.constraints:
-        scan(c)
-    for m in problem.macros:
-        scan(m.body)
+    terms = list(problem.constraints) + [m.body for m in problem.macros]
     for t in problem.targets:
         for _, templates in t.grammar.productions:
-            for tmpl in templates:
-                scan(tmpl)
-    return out
+            terms.extend(templates)
+    return [n.value for t in terms for n in walk(t) if isinstance(n, Lit) and n.sort == STRING]
 
 
 _PRINTABLE = "".join(chr(c) for c in range(32, 127))
@@ -267,31 +255,9 @@ def _derived_choices(constraints, sub, problem):
     (name, [Term, ...]) for the derived variables, in a deterministic
     order.
     """
-    from .core import expand_macros as _expand, free_vars
-
     names = [n for n, _ in sub]
     macro_map = problem.macro_map()
-    defs = {}
-
-    def scan(t):
-        if isinstance(t, Apply):
-            if t.op == "=" and len(t.args) == 2:
-                for a, b in ((t.args[0], t.args[1]), (t.args[1], t.args[0])):
-                    if isinstance(a, Var) and a.name in names and not (
-                        isinstance(b, Var) and b.name == a.name
-                    ):
-                        bucket = defs.setdefault(a.name, [])
-                        if b not in bucket:
-                            bucket.append(b)
-            for x in t.args:
-                scan(x)
-        elif isinstance(t, Let):
-            for _, e in t.bindings:
-                scan(e)
-            scan(t.body)
-
-    for c in constraints:
-        scan(_expand(c, macro_map))
+    defs = var_equations((expand_macros(c, macro_map) for c in constraints), names)
 
     base = set(names)
     derived = []
@@ -391,18 +357,13 @@ def verify(problem, solution, cfg=None) -> Verdict:
 
     from .engine import extract_pbe_points
 
-    examples = None
     try:
         examples = extract_pbe_points(problem)
     except Exception:
         examples = None
-    if examples is not None:
-        for c in problem.constraints:
-            if not ev.eval(c, {}):
-                return _checked_cex(problem, solution, {})
-        return Valid()
-
-    if not problem.universals:
+    # PBE examples and constraints without universals are ground: one
+    # evaluation each decides them.
+    if examples is not None or not problem.universals:
         for c in problem.constraints:
             if not ev.eval(c, {}):
                 return _checked_cex(problem, solution, {})
@@ -411,8 +372,6 @@ def verify(problem, solution, cfg=None) -> Verdict:
     # Each constraint is searched over its own free variables only; a
     # constraint touching 4 of 8 universals gets the full grid radius in
     # those 4 dimensions instead of a radius diluted by the other 4.
-    from .core import free_vars
-
     groups = {}
     for c in problem.constraints:
         fv = free_vars(c)
@@ -450,16 +409,12 @@ def _smt_sort(sort: Sort) -> str:
 
 def build_smt_script(problem, solution) -> str:
     """SMT-LIB2 script whose unsatisfiability proves the solution valid."""
-    from .frontend import emit_term
-
     lines = ["(set-logic ALL)"]
     for n, s in problem.universals:
         lines.append(f"(declare-const {n} {_smt_sort(s)})")
     for m in problem.macros:
         params = " ".join(f"({pn} {_smt_sort(ps)})" for pn, ps in m.params)
-        from .frontend import emit_term as _e
-
-        lines.append(f"(define-fun {m.name} ({params}) {_smt_sort(m.ret)} {_e(m.body)})")
+        lines.append(f"(define-fun {m.name} ({params}) {_smt_sort(m.ret)} {emit_term(m.body)})")
     sol = {k: (v[0], v[1]) for k, v in solution.items()}
     names = problem.target_names()
     subbed = [substitute_targets(c, sol, names) for c in problem.constraints]

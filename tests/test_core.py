@@ -24,7 +24,10 @@ from sygus.core import (
     mk_apply,
     subst,
     substitute_targets,
+    template_holes,
     term_size,
+    var_equations,
+    walk,
 )
 from sygus.semantics import Evaluator
 
@@ -130,6 +133,54 @@ def test_substitute_targets():
     c = Apply("=", (Apply("f", (X,), INT), X), BOOL)
     out = substitute_targets(c, {"f": (["a"], _plus(Var("a", INT), Lit(1, INT)))}, {"f"})
     assert out == Apply("=", (_plus(X, Lit(1, INT)), X), BOOL)
+
+
+def test_walk_is_preorder_with_let_bindings_before_body():
+    hole = Hole("S", INT)
+    a, b = Apply("-", (X,), INT), _plus(hole, Lit(2, INT))
+    t = Let((("y", a), ("z", b)), _plus(Y, Var("z", INT)), INT)
+    assert list(walk(t)) == [
+        t,
+        a, X,
+        b, hole, Lit(2, INT),
+        t.body, Y, Var("z", INT),
+    ]
+
+
+def test_walk_treats_holes_as_leaves():
+    hole = Hole("S", INT)
+    tmpl = _plus(hole, Apply("ite", (Hole("B", BOOL), X, hole), INT))
+    assert template_holes(tmpl) == [hole, Hole("B", BOOL), hole]
+    assert list(walk(hole)) == [hole]
+
+
+def _eq(a, b):
+    return Apply("=", (a, b), BOOL)
+
+
+def test_var_equations_both_orientations_in_first_seen_order():
+    xp, yp = Var("x!", INT), Var("y!", INT)
+    minus = Apply("-", (X, Lit(1, INT)), INT)
+    t = Apply("and", (_eq(xp, minus), _eq(_plus(Y, Lit(1, INT)), yp), _eq(xp, X)), BOOL)
+    assert var_equations([t], ["x!", "y!"]) == {
+        "x!": [minus, X],
+        "y!": [_plus(Y, Lit(1, INT))],
+    }
+
+
+def test_var_equations_skips_self_equations_and_duplicates():
+    xp = Var("x!", INT)
+    t = Apply("and", (_eq(xp, xp), _eq(xp, Y), _eq(Y, xp), _eq(xp, X)), BOOL)
+    # the second constraint repeats a definition already seen in the first
+    defs = var_equations([t, _eq(X, xp)], {"x!"})
+    assert defs == {"x!": [Y, X]}
+    assert var_equations([_eq(xp, xp)], {"x!"}) == {}
+
+
+def test_var_equations_finds_equations_inside_let():
+    xp = Var("x!", INT)
+    t = Let((("d", _eq(xp, Y)),), _eq(Var("z", INT), _plus(X, X)), BOOL)
+    assert var_equations([t], ["x!", "z"]) == {"x!": [Y], "z": [_plus(X, X)]}
 
 
 def test_grammar_validation():

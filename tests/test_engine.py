@@ -159,6 +159,36 @@ def test_unsolvable_reports_failure():
     assert isinstance(out, Failure)
 
 
+def test_round_caps(monkeypatch):
+    """CEGIS and unification give up after more than `max_points`
+    counterexamples; the ICE learner counts rounds, one fewer."""
+    from sygus import oracle
+
+    p = parse(
+        "(set-logic LIA)\n"
+        "(synth-fun f ((x Int)) Int\n"
+        "  ((Start Int (x 0 (ite B Start Start))) (B Bool ((<= Start Start)))))\n"
+        "(declare-var x Int) (constraint (>= (f x) x)) (check-synth)"
+    )
+    calls = []
+
+    def refute(problem, sol_map, cfg=None):
+        calls.append(sol_map)
+        return oracle.Counterexample({"x": len(calls)})
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "verify", refute)
+        for solve in (cegis_solve, unify_solve):
+            calls.clear()
+            out = solve(p, Budget(wallclock=30, max_points=2))
+            assert isinstance(out, Failure) and out.reason == "budget-exhausted"
+            assert len(calls) == 3
+
+    inv = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))  # solved in one round
+    assert unify_solve(inv, Budget(wallclock=30, max_points=0)).reason == "budget-exhausted"
+    assert isinstance(unify_solve(inv, Budget(wallclock=30, max_points=1)), Solution)
+
+
 def test_solver_determinism():
     p = parse_file(os.path.join(BENCH, "qm_inner.sl"))
     a = unify_solve(p, Budget(wallclock=30))

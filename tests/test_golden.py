@@ -1,0 +1,134 @@
+"""Golden solutions: at seed 0 the engines' output stays byte-identical.
+
+Each entry is a problem, an engine and what the run must produce: the
+emitted `Solution.emit()` text with its verdict kind and point count, or
+the `Failure.reason`.  The expected values were captured from the
+engines before their CEGIS loops, ID3 learners and predicate-pool
+builders were merged into one of each; a refactor that changes search
+order, tie-breaks or round caps shows up here.
+
+Conditional kinds covered by stitching: `ite` (PBE `ite_max`, non-PBE
+`max2`), `if0` (PBE `if0`) and `qm` (`qm_inner.sl` under unification),
+plus the ICE learner on both invariant benchmarks.
+"""
+
+import os
+
+import pytest
+
+from sygus.engine import Budget, Failure, cegis_solve, unify_solve
+from sygus.frontend import parse, parse_file
+from sygus.harness import _pick_solver
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
+
+ITE_MAX = (
+    "(set-logic LIA)\n"
+    "(synth-fun f ((x Int) (y Int)) Int\n"
+    "  ((Start Int (x y (ite B Start Start)))\n"
+    "   (B Bool ((<= Start Start)))))\n"
+    "(constraint (= (f 0 1) 1)) (constraint (= (f 1 0) 1))\n"
+    "(constraint (= (f 3 2) 3)) (constraint (= (f -1 -2) -1))\n"
+    "(constraint (= (f 2 5) 5)) (constraint (= (f 7 7) 7))\n"
+    "(check-synth)"
+)
+
+MAX2 = (
+    "(set-logic LIA)\n"
+    "(synth-fun max2 ((x Int) (y Int)) Int\n"
+    "  ((Start Int (x y 0 1 (ite B Start Start)))\n"
+    "   (B Bool ((<= Start Start)))))\n"
+    "(declare-var x Int) (declare-var y Int)\n"
+    "(constraint (>= (max2 x y) x)) (constraint (>= (max2 x y) y))\n"
+    "(constraint (or (= x (max2 x y)) (= y (max2 x y))))\n"
+    "(check-synth)"
+)
+
+IF0 = (
+    "(set-logic BV)\n"
+    "(define-fun if0 ((c (BitVec 64)) (a (BitVec 64)) (b (BitVec 64))) (BitVec 64)\n"
+    "  (ite (= c #x0000000000000001) a b))\n"
+    "(synth-fun f ((x (BitVec 64))) (BitVec 64)\n"
+    "  ((Start (BitVec 64) (#x0000000000000000 #x0000000000000001 x (bvnot Start)\n"
+    "                       (if0 Start Start Start)))))\n"
+    "(constraint (= (f #x0000000000000001) #x0000000000000000))\n"
+    "(constraint (= (f #x0000000000000002) #x0000000000000002))\n"
+    "(constraint (= (f #x0000000000000003) #x0000000000000003))\n"
+    "(constraint (= (f #x0000000000000008) #x0000000000000008))\n"
+    "(check-synth)"
+)
+
+INLINE = {"ite_max": ITE_MAX, "max2": MAX2, "if0": IF0}
+
+# (problem, engine) -> (emitted text, verdict kind, points used), or a
+# Failure.reason string
+GOLDEN = {
+    ("abs.sl", "cegis"): (
+        "(define-fun abs ((x Int)) Int (ite (< 0 x) x (- 0 x)))",
+        "unknown",
+        3,
+    ),
+    ("qm_inner.sl", "cegis"): (
+        "(define-fun qm-inner-loop ((x Int)) Int (qm (- x 1) 7))",
+        "unknown",
+        2,
+    ),
+    ("qm_inner.sl", "unif"): (
+        "(define-fun qm-inner-loop ((x Int)) Int (qm (- x 1) 7))",
+        "unknown",
+        2,
+    ),
+    ("initials.sl", "unif"): (
+        '(define-fun f ((name String)) String (str.++ (str.at name 0) (str.++ "." '
+        '(str.++ (str.at name (+ 1 (str.indexof name " " 0))) "."))))',
+        "valid",
+        4,
+    ),
+    ("inv_loop_guarded.sl", "unif"): (
+        "(define-fun inv-f ((i Int) (j Int) (i0 Int) (j0 Int)) Bool "
+        "(and (= (+ i j) (+ i0 j0)) (not (< i 0))))",
+        "unknown",
+        1009,
+    ),
+    ("inv_loop.sl", "unif"): "ice-conflict",
+    ("fig2_bv_template.sl", "auto"): (
+        "(define-fun f ((x (BitVec 64))) (BitVec 64) #x0000000000000000)",
+        "valid",
+        0,
+    ),
+    ("ite_max", "unif"): (
+        "(define-fun f ((x Int) (y Int)) Int (ite (<= y x) x y))",
+        "valid",
+        6,
+    ),
+    ("max2", "unif"): (
+        "(define-fun max2 ((x Int) (y Int)) Int (ite (<= x y) y x))",
+        "unknown",
+        2,
+    ),
+    ("if0", "unif"): (
+        "(define-fun f ((x (BitVec 64))) (BitVec 64) (if0 x #x0000000000000000 x))",
+        "valid",
+        4,
+    ),
+}
+
+
+def _problem(name):
+    if name in INLINE:
+        return parse(INLINE[name])
+    return parse_file(os.path.join(BENCH, name))
+
+
+@pytest.mark.parametrize("name,engine", list(GOLDEN), ids=[f"{n}-{e}" for n, e in GOLDEN])
+def test_golden_solution(name, engine):
+    problem = _problem(name)
+    solver = {"cegis": cegis_solve, "unif": unify_solve}.get(engine) or _pick_solver(problem, engine)
+    result = solver(problem, Budget(wallclock=30))
+    expected = GOLDEN[(name, engine)]
+    if isinstance(expected, str):
+        assert isinstance(result, Failure)
+        assert result.reason == expected
+    else:
+        assert not isinstance(result, Failure), result
+        assert (result.emit(), result.verdict.kind, result.points_used) == expected
