@@ -109,27 +109,6 @@ class Hole(Term):
     sort: Sort
 
 
-def mk_int(v: int) -> Lit:
-    return Lit(int(v), INT)
-
-
-def mk_bool(v: bool) -> Lit:
-    return Lit(bool(v), BOOL)
-
-
-def mk_str(v: str) -> Lit:
-    return Lit(str(v), STRING)
-
-
-def mk_bv(v: int, width: int = 64) -> Lit:
-    sort = Sort("BitVec", width)
-    return Lit(v & ((1 << width) - 1), sort)
-
-
-TRUE = mk_bool(True)
-FALSE = mk_bool(False)
-
-
 # ---------------------------------------------------------------------------
 # Operator signatures
 

@@ -47,6 +47,7 @@ from .core import (
     var_equations,
     walk,
 )
+from . import oracle
 from .semantics import Evaluator, TreeEvaluator, builtin_impl, default_value, solution_interpretations
 
 
@@ -65,7 +66,6 @@ class Budget:
     max_pred_size: int = 9
     max_points: int = 128
     seed: int = 0
-    string_pruning: bool = True
 
 
 @dataclass(frozen=True)
@@ -480,8 +480,6 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
     most `rounds` candidates are proposed.  A verified (or unrefuted)
     candidate becomes a Solution using `used()` points.
     """
-    from . import oracle as oracle_mod
-
     for _ in range(rounds):
         if deadline.expired():
             break
@@ -492,7 +490,7 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
             cand = {targets[0].name: cand}
         sol = Solution(_defined_funs(targets, cand))
         sol_map = sol.as_map()
-        verdict = oracle_mod.verify(problem, sol_map, cfg)
+        verdict = oracle.verify(problem, sol_map, cfg)
         if verdict.kind != "counterexample":
             sol.verdict, sol.points_used = verdict, used()
             return sol
@@ -533,26 +531,14 @@ def cegis_solve(problem, budget=None, cfg=None):
 
 
 def _consistent_candidate(problem, points, budget, deadline):
-    if len(problem.targets) == 1:
-        target = problem.targets[0]
-        en = _enum_for(problem, target, points, budget)
-        params = [n for n, _ in target.params]
-        for term, _vec in en.enumerate():
-            if deadline.expired():
-                return Failure("budget-exhausted")
-            if _satisfies_all(problem, {target.name: (params, term)}, points):
-                return {target.name: term}
-        return _exhaust_reason(en)
-
-    # Multi-target: product enumeration ordered by combined size.
+    """Product enumeration of the targets' terms, ordered by combined size."""
     targets = problem.targets
     ens = [_enum_for(problem, t, points, budget) for t in targets]
     params = [[n for n, _ in t.params] for t in targets]
     n = len(targets)
     for total in range(n, budget.max_term_size * n + 1):
         for sizes in _compositions(total, n):
-            if any(sz > budget.max_term_size for sz in sizes):
-                continue
+            # a size past the cap has an empty bank
             banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n)]
             if any(not b for b in banks):
                 continue
@@ -695,14 +681,12 @@ def _string_keep(expected_outputs):
 
 
 def _solve_pbe(problem, examples, budget, deadline, unify=True):
-    from . import oracle as oracle_mod
-
     target = problem.targets[0]
     params = [n for n, _ in target.params]
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
     expected = tuple(ex.output for ex in examples)
     keep = None
-    if budget.string_pruning and target.ret == STRING:
+    if target.ret == STRING:
         keep = _string_keep([str(o) for o in expected])
     en = Enumerator(
         target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, keep=keep
@@ -740,7 +724,7 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
             return Failure("cover-stall")
         return _exhaust_reason(en)
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
-    sol.verdict = oracle_mod.verify(problem, sol.as_map(), None)
+    sol.verdict = oracle.verify(problem, sol.as_map(), None)
     return sol
 
 
@@ -1050,8 +1034,6 @@ def _octagon_atoms(target, bool_nt, envs):
     """
     from dataclasses import replace
 
-    from .oracle import check_conformance
-
     int_vars = [Var(n, s) for n, s in target.params if s == INT]
     terms = list(int_vars) + [Lit(0, INT), Lit(1, INT)]
     for i, u in enumerate(int_vars):
@@ -1077,7 +1059,7 @@ def _octagon_atoms(target, bool_nt, envs):
                     continue
                 atoms.append((atom, vec))
     g = replace(target.grammar, start=bool_nt)
-    return [(t, v) for t, v in atoms if check_conformance(t, g).kind == "valid"]
+    return [(t, v) for t, v in atoms if oracle.check_conformance(t, g).kind == "valid"]
 
 
 def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_lit):
@@ -1168,7 +1150,10 @@ def _dt_to_bool(tree, t_lit, f_lit):
 # Nugget generation
 
 
-def generate_nuggets(grammar, k, input_sample, interpretations=None, max_bank=500_000):
+MAX_NUGGET_BANK = 500_000  # terms enumerated before generate_nuggets gives up
+
+
+def generate_nuggets(grammar, k, input_sample, interpretations=None):
     """Size-k terms observationally distinct (on the sample) from every
     smaller term.  The equivalence check is sampling-based, so the result
     over-approximates true nuggets."""
@@ -1181,13 +1166,13 @@ def generate_nuggets(grammar, k, input_sample, interpretations=None, max_bank=50
         for _, vec in en.bank(grammar.start, s):
             seen.add(vec)
             total += 1
-            if total > max_bank:
-                raise BudgetExceeded(f"more than {max_bank} terms below size {k}")
+            if total > MAX_NUGGET_BANK:
+                raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms below size {k}")
     out = []
     for term, vec in en.bank(grammar.start, k):
         total += 1
-        if total > max_bank:
-            raise BudgetExceeded(f"more than {max_bank} terms up to size {k}")
+        if total > MAX_NUGGET_BANK:
+            raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms up to size {k}")
         if vec not in seen:
             out.append(term)
     return out

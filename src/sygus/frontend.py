@@ -372,6 +372,8 @@ def parse(text: str) -> Problem:
 
     if not finished:
         raise ParseError("input does not end with (check-synth)")
+    if not targets:
+        raise ParseError("no synth-fun or synth-inv to synthesize")
     problem = Problem(
         logic=logic,
         universals=tuple(universals),

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, asdict
 
 from .core import SygusError, term_size
-from .engine import Budget, cegis_solve, unify_solve, extract_pbe_points, Failure
+from .engine import Budget, cegis_solve, unify_solve, extract_pbe_points, Failure, _conditional_kind
 from .frontend import parse_file
 from .oracle import VerifyConfig, check_conformance, verify
 
@@ -166,8 +166,6 @@ def _pick_solver(problem, engine):
             return unify_solve
     except SygusError:
         pass
-    from .engine import _conditional_kind
-
     for t in problem.targets:
         if _conditional_kind(t.grammar)[0] is not None and len(problem.targets) == 1:
             return unify_solve
@@ -212,10 +210,11 @@ def solve_benchmark(path, cfg: SuiteConfig):
 
 
 def _worker(path, cfg, conn):
+    start = time.monotonic()
     try:
         out = solve_benchmark(path, cfg)
     except Exception:  # a crashing engine fails its record only
-        out = ("failed", 0.0, 0.0, None, None)
+        out = ("failed", time.monotonic() - start, None, None, None)
     conn.send(out)
     conn.close()
 

@@ -1,13 +1,14 @@
 """Post-processors: syntactic conformance and semantic verification.
 
 Conformance is decided first, then semantics — counterexample search in
-three tiers: exact evaluation of PBE examples, seeded bounded/sampled
-search, and an optional external SMT solver spoken to over SMT-LIB2
-text on stdin/stdout.
+three tiers: exact evaluation of ground constraints (PBE examples are
+ground), seeded bounded/sampled search, and an optional external SMT
+solver spoken to over SMT-LIB2 text on stdin/stdout.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import shlex
 import subprocess
@@ -68,14 +69,18 @@ def Unknown(reason):
 
 @dataclass
 class VerifyConfig:
-    int_bound: int = 64
-    exhaustive_cap: int = 200_000
-    samples: int = 10_000
     seed: int = 0
     smt_cmd: object = None  # argv list or command string
     smt_timeout: float = 30.0
-    string_pool_cap: int = 200
-    string_sample_len: int = 10
+
+
+# Tier-2 search: Int grid radius, grid size cap, sample count, and the
+# String pool's size cap and longest random string.
+INT_BOUND = 64
+EXHAUSTIVE_CAP = 200_000
+SAMPLES = 10_000
+STRING_POOL_CAP = 200
+STRING_SAMPLE_LEN = 10
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +162,11 @@ def _string_constants(problem):
 _PRINTABLE = "".join(chr(c) for c in range(32, 127))
 
 
-def _value_pool(sort: Sort, problem, cfg, rng):
+def _value_pool(sort: Sort, problem, rng):
     if sort == BOOL:
         return [False, True]
     if sort == INT:
-        return list(range(-cfg.int_bound, cfg.int_bound + 1))
+        return list(range(-INT_BOUND, INT_BOUND + 1))
     if sort.kind == "BitVec":
         w = sort.width
         mask = (1 << w) - 1
@@ -188,10 +193,10 @@ def _value_pool(sort: Sort, problem, cfg, rng):
                 pool.append(a + b)
         pool.append("")
         for _ in range(32):
-            n = rng.randrange(cfg.string_sample_len + 1)
+            n = rng.randrange(STRING_SAMPLE_LEN + 1)
             pool.append("".join(rng.choice(_PRINTABLE) for _ in range(n)))
         pool = list(dict.fromkeys(pool))
-        return pool[: cfg.string_pool_cap]
+        return pool[:STRING_POOL_CAP]
     raise ValueError(f"no value pool for sort {sort}")
 
 
@@ -204,22 +209,20 @@ def _sample_value(sort, pool, rng):
     return rng.choice(pool)
 
 
-def _search_points(universals, problem, cfg):
+def _search_points(universals, problem, seed, cap, samples):
     """Deterministic candidate points: a bounded exhaustive grid (shrunk to
-    fit the cap), then seeded independent samples."""
-    import itertools
-
-    rng = random.Random(cfg.seed)
+    fit `cap` points), then `samples` seeded independent samples."""
+    rng = random.Random(seed)
     names = [n for n, _ in universals]
     sorts = [s for _, s in universals]
-    pools = [_value_pool(s, problem, cfg, rng) for s in sorts]
+    pools = [_value_pool(s, problem, rng) for s in sorts]
 
     grids = list(pools)
     while True:
         size = 1
         for g in grids:
             size *= len(g)
-        if size <= cfg.exhaustive_cap:
+        if size <= cap:
             break
         # Shrink: halve the integer radius (down to 1), truncate the rest.
         shrunk = False
@@ -239,7 +242,7 @@ def _search_points(universals, problem, cfg):
     if grids is not None:
         for combo in itertools.product(*grids):
             yield dict(zip(names, combo))
-    for _ in range(cfg.samples):
+    for _ in range(samples):
         yield {
             n: _sample_value(s, pool, rng) for n, s, pool in zip(names, sorts, pools)
         }
@@ -299,17 +302,14 @@ def _derived_choices(constraints, sub, problem):
     return derived
 
 
-def _search_group(problem, ev, constraints, sub, cfg):
+def _search_group(problem, ev, constraints, sub, seed):
     """Tier-2 search for one group of constraints sharing free variables.
 
     Returns a falsifying point dict or None.
     """
-    import itertools
-    from dataclasses import replace
-
     derived = _derived_choices(constraints, sub, problem)
     if not derived:
-        for point in _search_points(sub, problem, cfg):
+        for point in _search_points(sub, problem, seed, EXHAUSTIVE_CAP, SAMPLES):
             for c in constraints:
                 if not ev.eval(c, point):
                     return point
@@ -320,14 +320,11 @@ def _search_group(problem, ev, constraints, sub, cfg):
     sorts = dict(sub)
     combos = list(itertools.product(*[exprs + [None] for _, exprs in derived]))
     # Spread the same point budget across the combinations.
-    sub_cfg = replace(
-        cfg,
-        exhaustive_cap=max(1000, cfg.exhaustive_cap // len(combos)),
-        samples=max(1000, cfg.samples // len(combos)),
-    )
-    rng = random.Random(cfg.seed + 1)
-    pools = {n: _value_pool(sorts[n], problem, cfg, rng) for n in derived_names}
-    for point in _search_points(base, problem, sub_cfg):
+    cap = max(1000, EXHAUSTIVE_CAP // len(combos))
+    samples = max(1000, SAMPLES // len(combos))
+    rng = random.Random(seed + 1)
+    pools = {n: _value_pool(sorts[n], problem, rng) for n in derived_names}
+    for point in _search_points(base, problem, seed, cap, samples):
         for combo in combos:
             full = dict(point)
             ok = True
@@ -352,22 +349,7 @@ def verify(problem, solution, cfg=None) -> Verdict:
     """Search for a falsifying point; `solution` maps target name ->
     (param names, body)."""
     cfg = cfg or VerifyConfig()
-    interp = solution_interpretations(problem, solution)
-    ev = Evaluator(interp)
-
-    from .engine import extract_pbe_points
-
-    try:
-        examples = extract_pbe_points(problem)
-    except Exception:
-        examples = None
-    # PBE examples and constraints without universals are ground: one
-    # evaluation each decides them.
-    if examples is not None or not problem.universals:
-        for c in problem.constraints:
-            if not ev.eval(c, {}):
-                return _checked_cex(problem, solution, {})
-        return Valid()
+    ev = Evaluator(solution_interpretations(problem, solution))
 
     # Each constraint is searched over its own free variables only; a
     # constraint touching 4 of 8 universals gets the full grid radius in
@@ -379,13 +361,21 @@ def verify(problem, solution, cfg=None) -> Verdict:
         groups.setdefault(key, []).append(c)
     defaults = {n: default_value(s) for n, s in problem.universals}
     for key, cs in groups.items():
+        if not key:
+            # Ground constraints (PBE examples among them): one evaluation
+            # each decides them.
+            if not all(ev.eval(c, defaults) for c in cs):
+                return _checked_cex(problem, solution, defaults)
+            continue
         sub = [(n, s) for n, s in problem.universals if n in key]
-        cex = _search_group(problem, ev, cs, sub, cfg)
+        cex = _search_group(problem, ev, cs, sub, cfg.seed)
         if cex is not None:
             full = dict(defaults)
             full.update(cex)
             return _checked_cex(problem, solution, full)
 
+    if not any(groups):  # every constraint was ground
+        return Valid()
     if cfg.smt_cmd:
         return external_check(problem, solution, cfg)
     return Unknown("unverified-beyond-bound")
@@ -429,11 +419,7 @@ def build_smt_script(problem, solution) -> str:
 
 
 def _model_value(sx):
-    if isinstance(sx, IntTok):
-        return sx.value
-    if isinstance(sx, HexTok):
-        return sx.value
-    if isinstance(sx, StrTok):
+    if isinstance(sx, (IntTok, HexTok, StrTok)):
         return sx.value
     if isinstance(sx, Symbol):
         if sx.name == "true":

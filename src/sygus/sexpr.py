@@ -9,15 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import SygusError
 
-class LexError(Exception):
+
+class LexError(SygusError):
     def __init__(self, message, line, col):
         super().__init__(f"{message} at {line}:{col}")
         self.line = line
         self.col = col
 
 
-class ParseError(Exception):
+class ParseError(SygusError):
     pass
 
 

@@ -25,6 +25,13 @@ def test_solve_missing_file_is_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_solve_without_a_target_is_input_error(tmp_path, capsys):
+    path = tmp_path / "no_target.sl"
+    path.write_text("(set-logic LIA) (declare-var x Int) (constraint (>= x x)) (check-synth)")
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 def test_solve_unsolvable_is_failure(capsys):
     assert main(["solve", _b("inv_loop.sl"), "--timeout", "30"]) == EXIT_FAILURE
     assert "ice-conflict" in capsys.readouterr().err

@@ -124,6 +124,7 @@ def test_parse_solution():
         "(set-logic LIA) (constraint (+ 1 2)) (check-synth)",  # non-Bool constraint
         "(set-logic LIA) (constraint (= x 1)) (check-synth)",  # unbound var
         "(set-logic LIA) (constraint (= 1 1))",  # no check-synth
+        "(set-logic LIA) (declare-var x Int) (constraint (>= x x)) (check-synth)",  # nothing to synthesize
     ],
 )
 def test_malformed_inputs_raise_structured_errors(text):

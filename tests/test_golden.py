@@ -10,6 +10,12 @@ order, tie-breaks or round caps shows up here.
 Conditional kinds covered by stitching: `ite` (PBE `ite_max`, non-PBE
 `max2`), `if0` (PBE `if0`) and `qm` (`qm_inner.sl` under unification),
 plus the ICE learner on both invariant benchmarks.
+
+`VERDICTS` pins what `verify` returns (kind, point, reason) for right and
+wrong candidates, captured the same way.  One value differs from its
+capture: the wrong `initials.sl` literal's point, which was `{}` while
+PBE problems had their own branch in the oracle and is now the
+universals' defaults, as for any other ground constraint.
 """
 
 import os
@@ -17,8 +23,9 @@ import os
 import pytest
 
 from sygus.engine import Budget, Failure, cegis_solve, unify_solve
-from sygus.frontend import parse, parse_file
+from sygus.frontend import parse, parse_file, parse_solution
 from sygus.harness import _pick_solver
+from sygus.oracle import verify
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -132,3 +139,46 @@ def test_golden_solution(name, engine):
     else:
         assert not isinstance(result, Failure), result
         assert (result.emit(), result.verdict.kind, result.points_used) == expected
+
+
+INV_ARGS = "((i Int) (j Int) (i0 Int) (j0 Int)) Bool"
+
+# (problem, candidate define-fun) -> (kind, point, reason)
+VERDICTS = {
+    ("abs.sl", "(define-fun abs ((x Int)) Int x)"): ("counterexample", {"x": -64}, ""),
+    ("abs.sl", "(define-fun abs ((x Int)) Int (ite (< 0 x) x (- 0 x)))"): (
+        "unknown",
+        None,
+        "unverified-beyond-bound",
+    ),
+    ("qm_inner.sl", "(define-fun qm-inner-loop ((x Int)) Int (qm (- x 1) 7))"): (
+        "unknown",
+        None,
+        "unverified-beyond-bound",
+    ),
+    ("qm_inner.sl", "(define-fun qm-inner-loop ((x Int)) Int x)"): ("counterexample", {"x": 0}, ""),
+    # pre-f's (= i i0) and (= j j0) derive i0 and j0: the derived-variable loop
+    ("inv_loop_guarded.sl", f"(define-fun inv-f {INV_ARGS} (= j j0))"): (
+        "counterexample",
+        {"i": -64, "j": -64, "i0": -64, "j0": -64, "i!": 0, "j!": 0, "i0!": 0, "j0!": 0},
+        "",
+    ),
+    ("inv_loop_guarded.sl", f"(define-fun inv-f {INV_ARGS} (and (= (+ i j) (+ i0 j0)) (not (< i 0))))"): (
+        "unknown",
+        None,
+        "unverified-beyond-bound",
+    ),
+    ("initials.sl", '(define-fun f ((name String)) String "N.F.")'): ("counterexample", {"name": ""}, ""),
+    ("fig2_bv_template.sl", "(define-fun f ((x (BitVec 64))) (BitVec 64) #x0000000000000000)"): (
+        "valid",
+        None,
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,candidate", list(VERDICTS), ids=[n for n, _ in VERDICTS])
+def test_golden_verdict(name, candidate):
+    problem = _problem(name)
+    v = verify(problem, parse_solution(candidate, problem))
+    assert (v.kind, v.point, v.reason) == VERDICTS[(name, candidate)]

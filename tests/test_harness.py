@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -203,6 +204,18 @@ def test_run_suite_survives_a_worker_that_dies(tmp_path, monkeypatch):
     records = run_suite(corpus, SuiteConfig(engine="cegis", timeout=5, workers=2))
     assert sorted(r.benchmark for r in records) == ["a.sl", "b.sl"]
     assert all(r.outcome == "failed" and r.size is None for r in records)
+
+
+def test_run_suite_records_the_wallclock_of_a_crashing_engine(tmp_path, monkeypatch):
+    def crash(path, cfg):
+        time.sleep(0.3)
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(harness, "solve_benchmark", crash)
+    (rec,) = run_suite(_tiny_corpus(tmp_path), SuiteConfig(engine="cegis", timeout=5))
+    assert rec.outcome == "failed"
+    assert rec.wallclock >= 0.3
+    assert rec.cpu is None
 
 
 def _record_line(bench, outcome="solved"):

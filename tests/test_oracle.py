@@ -7,7 +7,7 @@ import pytest
 
 from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var
 from sygus.engine import Budget, cegis_solve, enumerate_all, unify_solve
-from sygus.frontend import parse_file
+from sygus.frontend import parse, parse_file
 from sygus import oracle
 from sygus.oracle import (
     VerifyConfig,
@@ -105,6 +105,22 @@ def test_verify_rejects_overfit_invariant():
         )
     }
     assert verify(p, wrong).kind == "counterexample"
+
+
+GROUND_WITH_UNIVERSAL = (
+    "(set-logic LIA) (synth-fun f ((y Int)) Int) (declare-var x Int)"
+    " (constraint (= (f 1) (+ 1 1))) (check-synth)"
+)
+
+
+def test_verify_decides_ground_constraints_by_one_evaluation():
+    # not PBE (the output is no literal) and a universal is declared, yet
+    # no constraint mentions it: evaluation alone decides the verdict
+    p = parse(GROUND_WITH_UNIVERSAL)
+    y = Var("y", INT)
+    right = {"f": (["y"], Apply("+", (y, Lit(1, INT)), INT))}
+    assert verify(p, right) == oracle.Valid()
+    assert verify(p, {"f": (["y"], y)}) == oracle.Counterexample({"x": 0})
 
 
 def test_checked_cex_rejects_a_point_that_does_not_falsify():
