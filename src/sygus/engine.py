@@ -520,7 +520,10 @@ def cegis_solve(problem, budget=None, cfg=None):
     """Enumerative CEGIS; returns Solution or Failure."""
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
-    examples = extract_pbe_points(problem)
+    try:
+        examples = extract_pbe_points(problem)
+    except ConflictingExamples as e:
+        return Failure("conflicting-examples", str(e))
     if examples is not None:
         return _solve_pbe(problem, examples, budget, deadline, unify=False)
     return _point_cegis(
@@ -801,7 +804,10 @@ def unify_solve(problem, budget=None, cfg=None):
     deadline = _Deadline(budget.wallclock)
     if problem.invariant_spec is not None:
         return _ice_solve(problem, budget, deadline, cfg)
-    examples = extract_pbe_points(problem)
+    try:
+        examples = extract_pbe_points(problem)
+    except ConflictingExamples as e:
+        return Failure("conflicting-examples", str(e))
     if examples is not None:
         return _solve_pbe(problem, examples, budget, deadline, unify=True)
     if len(problem.targets) != 1:

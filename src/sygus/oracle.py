@@ -3,7 +3,10 @@
 Conformance is decided first, then semantics — counterexample search in
 three tiers: exact evaluation of ground constraints (PBE examples are
 ground), seeded bounded/sampled search, and an optional external SMT
-solver spoken to over SMT-LIB2 text on stdin/stdout.
+solver spoken to over SMT-LIB2 text on stdin/stdout.  The second tier
+runs each constraint group's whole point loop in one generated and
+compiled Python function; the closure `Evaluator` decides the first tier
+and re-checks every counterexample.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .core import (
     walk,
 )
 from .frontend import emit_term
-from .semantics import Evaluator, default_value, eval_constraints, solution_interpretations
+from .semantics import Evaluator, SourceEmitter, default_value, eval_constraints, solution_interpretations
 from .sexpr import HexTok, IntTok, SList, StrTok, Symbol, parse_sexprs
 
 
@@ -210,10 +213,10 @@ def _sample_value(sort, pool, rng):
 
 
 def _search_points(universals, problem, seed, cap, samples):
-    """Deterministic candidate points: a bounded exhaustive grid (shrunk to
-    fit `cap` points), then `samples` seeded independent samples."""
+    """Deterministic candidate points as value tuples: a bounded exhaustive
+    grid (shrunk to fit `cap` points), then `samples` seeded independent
+    samples."""
     rng = random.Random(seed)
-    names = [n for n, _ in universals]
     sorts = [s for _, s in universals]
     pools = [_value_pool(s, problem, rng) for s in sorts]
 
@@ -240,12 +243,9 @@ def _search_points(universals, problem, seed, cap, samples):
             grids = None
             break
     if grids is not None:
-        for combo in itertools.product(*grids):
-            yield dict(zip(names, combo))
+        yield from itertools.product(*grids)
     for _ in range(samples):
-        yield {
-            n: _sample_value(s, pool, rng) for n, s, pool in zip(names, sorts, pools)
-        }
+        yield tuple(_sample_value(s, pool, rng) for s, pool in zip(sorts, pools))
 
 
 def _derived_choices(constraints, sub, problem):
@@ -302,54 +302,55 @@ def _derived_choices(constraints, sub, problem):
     return derived
 
 
-def _search_group(problem, ev, constraints, sub, seed):
-    """Tier-2 search for one group of constraints sharing free variables.
+def _search_group(problem, interps, constraints, sub, seed):
+    """Tier-2 search for one group of constraints sharing free variables:
+    each base point with every combination of choices (an expression or a
+    free draw) for the derived variables, all in one generated function.
 
     Returns a falsifying point dict or None.
     """
     derived = _derived_choices(constraints, sub, problem)
-    if not derived:
-        for point in _search_points(sub, problem, seed, EXHAUSTIVE_CAP, SAMPLES):
-            for c in constraints:
-                if not ev.eval(c, point):
-                    return point
-        return None
-
-    derived_names = {n for n, _ in derived}
-    base = [(n, s) for n, s in sub if n not in derived_names]
+    base = [n for n, _ in sub if n not in dict(derived)]
     sorts = dict(sub)
     combos = list(itertools.product(*[exprs + [None] for _, exprs in derived]))
     # Spread the same point budget across the combinations.
     cap = max(1000, EXHAUSTIVE_CAP // len(combos))
     samples = max(1000, SAMPLES // len(combos))
     rng = random.Random(seed + 1)
-    pools = {n: _value_pool(sorts[n], problem, rng) for n in derived_names}
-    for point in _search_points(base, problem, seed, cap, samples):
-        for combo in combos:
-            full = dict(point)
-            ok = True
-            for (v, _), choice in zip(derived, combo):
-                if choice is None:
-                    full[v] = _sample_value(sorts[v], pools[v], rng)
-                else:
-                    try:
-                        full[v] = ev.eval(choice, full)
-                    except Exception:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            for c in constraints:
-                if not ev.eval(c, full):
-                    return full
-    return None
+    pools = {n: _value_pool(sorts[n], problem, rng) for n, _ in derived}
+
+    em = SourceEmitter(interps)
+    local = {n: em.fresh() for n, _ in sub}
+    sample = em.bind(_sample_value, _sample_value)
+    checks = " and ".join(em.expr(c, local) for c in constraints)
+    lines = [
+        "def search(points, rng):",
+        f"    for {''.join(local[n] + ',' for n in base) or '_'} in points:",
+    ]
+    for combo in combos:
+        lines.append("        while True:  # one combination; `break` leaves it")
+        scope = {n: local[n] for n in base}
+        for (v, _), choice in zip(derived, combo):
+            if choice is None:
+                sort, pool = em.bind(sorts[v], sorts[v]), em.bind(("pool", v), pools[v])
+                lines.append(f"            {local[v]} = {sample}({sort}, {pool}, rng)")
+            else:
+                lines.append(f"            try: {local[v]} = {em.expr(choice, scope)}")
+                lines.append("            except Exception: break")
+            scope[v] = local[v]
+        lines.append(f"            if not ({checks}): return ({','.join(local.values())},)")
+        lines.append("            break")
+    search = em.build("\n".join(lines), "search")
+    found = search(_search_points([(n, sorts[n]) for n in base], problem, seed, cap, samples), rng)
+    return None if found is None else dict(zip(local, found))
 
 
 def verify(problem, solution, cfg=None) -> Verdict:
     """Search for a falsifying point; `solution` maps target name ->
     (param names, body)."""
     cfg = cfg or VerifyConfig()
-    ev = Evaluator(solution_interpretations(problem, solution))
+    interps = solution_interpretations(problem, solution)
+    ev = Evaluator(interps)
 
     # Each constraint is searched over its own free variables only; a
     # constraint touching 4 of 8 universals gets the full grid radius in
@@ -368,7 +369,7 @@ def verify(problem, solution, cfg=None) -> Verdict:
                 return _checked_cex(problem, solution, defaults)
             continue
         sub = [(n, s) for n, s in problem.universals if n in key]
-        cex = _search_group(problem, ev, cs, sub, cfg.seed)
+        cex = _search_group(problem, interps, cs, sub, cfg.seed)
         if cex is not None:
             full = dict(defaults)
             full.update(cex)

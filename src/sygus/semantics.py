@@ -8,6 +8,7 @@ rewrites only the first occurrence.
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 from .core import (
@@ -207,7 +208,7 @@ class TreeEvaluator:
 
 
 def _raiser(error, message):
-    def fail(env):
+    def fail(*_):  # generated code passes the arguments it evaluated first
         raise error(message)
 
     return fail
@@ -302,18 +303,104 @@ class Evaluator:
                 fail(env)
 
             return unknown
+        impl = {1: _UNARY, 2: _BINARY}.get(len(fns), {}).get(op, impl)
         if len(fns) == 1:
             (f0,) = fns
-            impl = _UNARY.get(op, impl)
             return lambda env: impl(f0(env))
         if len(fns) == 2:
             f0, f1 = fns
-            impl = _BINARY.get(op, impl)
             return lambda env: impl(f0(env), f1(env))
         if len(fns) == 3:
             f0, f1, f2 = fns
             return lambda env: impl(f0(env), f1(env), f2(env))
         return lambda env: impl(*[f(env) for f in fns])
+
+
+class SourceEmitter:
+    """Python source for terms, for generated code that runs them on many
+    points.  `expr(t, names)` gives an expression for `t`, with `names`
+    mapping each variable in scope to the local holding its value (SyGuS
+    names never appear in the source).  Applied functions become `defs`
+    with positional parameters; builtins call `Evaluator`'s callables,
+    bound into `namespace`.  Results and error types match `Evaluator`'s,
+    and errors are raised only when evaluation reaches them.
+    """
+
+    MAX_DEPTH = 100  # Python nests 200 parentheses at most; deeper subterms become defs
+
+    def __init__(self, interpretations=None):
+        self.interpretations = dict(interpretations or {})
+        self.namespace = {}
+        self.defs = []
+        self._bound = {}  # key, or function name -> generated name
+        self._count = itertools.count()
+
+    def fresh(self, prefix="_v"):
+        return f"{prefix}{next(self._count)}"
+
+    def bind(self, key, value):
+        """The name under which generated code sees `value`, one per `key`."""
+        if key not in self._bound:
+            self._bound[key] = self.fresh("_k")
+            self.namespace[self._bound[key]] = value
+        return self._bound[key]
+
+    def build(self, source, name):
+        """Compile the defs with `source`; return what `source` binds to `name`."""
+        exec(compile("\n".join(self.defs + [source]), "<generated>", "exec"), self.namespace)
+        return self.namespace[name]
+
+    def expr(self, t: Term, names: dict, depth=0) -> str:
+        if depth > self.MAX_DEPTH:
+            params = list(names.values())
+            return f"{self._def(t, names, params)}({', '.join(params)})"
+        depth += 1
+        if isinstance(t, Var):
+            if t.name in names:
+                return names[t.name]
+            return self._fail(UnboundVariable, f"unbound variable {t.name!r}")
+        if isinstance(t, Lit):
+            return repr(t.value)
+        if isinstance(t, Apply):
+            return self._apply(t.op, [self.expr(a, names, depth) for a in t.args], t.sort)
+        if isinstance(t, Let):
+            params = [self.fresh() for _ in t.bindings]
+            values = [self.expr(e, names, depth) for _, e in t.bindings]
+            inner = {**names, **{n: p for (n, _), p in zip(t.bindings, params)}}
+            body = self.expr(t.body, inner, depth)
+            return f"(lambda {', '.join(params)}: {body})({', '.join(values)})"  # parallel let
+        if isinstance(t, Hole):
+            return self._fail(SygusError, "cannot evaluate a grammar template hole")
+        return self._fail(TypeError, f"not a term: {t!r}")
+
+    def _fail(self, error, message, args=()):
+        return f"{self.bind((error, message), _raiser(error, message))}({', '.join(args)})"
+
+    def _apply(self, op, args, sort):
+        interp = self.interpretations.get(op)
+        if interp is not None:
+            if op not in self._bound:
+                params = [self.fresh() for _ in interp[0]]
+                self._bound[op] = self._def(interp[1], dict(zip(interp[0], params)), params)
+            return f"{self._bound[op]}({', '.join(args)})"
+        if op in ("and", "or"):
+            return f"(True if {f' {op} '.join(args)} else False)" if args else repr(op == "and")
+        if op == "=>" and len(args) == 2:
+            return f"(not {args[0]} or {args[1]})"
+        if op == "ite" and len(args) == 3:
+            return f"({args[1]} if {args[0]} else {args[2]})"
+        try:
+            impl = builtin_impl(op, sort)
+        except KeyError:
+            return self._fail(SortMismatch, f"no interpretation for operator {op!r}", args)
+        impl = {1: _UNARY, 2: _BINARY}.get(len(args), {}).get(op, impl)
+        return f"{self.bind((op, sort, len(args)), impl)}({', '.join(args)})"
+
+    def _def(self, t, names, params):
+        """The name of a new def of `params` returning `t`."""
+        name = self.fresh("_f")
+        self.defs.append(f"def {name}({', '.join(params)}): return {self.expr(t, names)}")
+        return name
 
 
 def solution_interpretations(problem, solution):

@@ -4,6 +4,8 @@ import glob
 import json
 import os
 
+import pytest
+
 from sygus.cli import EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
 from sygus.frontend import parse_file
 
@@ -35,6 +37,20 @@ def test_solve_without_a_target_is_input_error(tmp_path, capsys):
 def test_solve_unsolvable_is_failure(capsys):
     assert main(["solve", _b("inv_loop.sl"), "--timeout", "30"]) == EXIT_FAILURE
     assert "ice-conflict" in capsys.readouterr().err
+
+
+CONFLICTING = (
+    "(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+    "(constraint (= (f 1) 2))\n(constraint (= (f 1) 3))\n(check-synth)\n"
+)
+
+
+@pytest.mark.parametrize("engine", ["cegis", "unif", "auto"])
+def test_solve_conflicting_examples_is_failure(tmp_path, capsys, engine):
+    path = tmp_path / "conflict.sl"
+    path.write_text(CONFLICTING)
+    assert main(["solve", str(path), "--engine", engine]) == EXIT_FAILURE
+    assert "conflicting-examples" in capsys.readouterr().err
 
 
 def test_verify_roundtrip(tmp_path, capsys):

@@ -15,7 +15,9 @@ plus the ICE learner on both invariant benchmarks.
 wrong candidates, captured the same way.  One value differs from its
 capture: the wrong `initials.sl` literal's point, which was `{}` while
 PBE problems had their own branch in the oracle and is now the
-universals' defaults, as for any other ground constraint.
+universals' defaults, as for any other ground constraint.  The verdicts
+from `(>= i 0)` on were captured while tier 2 still ran on the closure
+evaluator, before it ran as generated code.
 """
 
 import os
@@ -65,7 +67,25 @@ IF0 = (
     "(check-synth)"
 )
 
-INLINE = {"ite_max": ITE_MAX, "max2": MAX2, "if0": IF0}
+# Universally quantified over BitVec and String, each with an equation
+# that derives `y` or `t`: tier 2 over those sorts' pools and draws.
+BV_DOUBLE = (
+    "(set-logic BV)\n"
+    "(synth-fun f ((x (BitVec 64))) (BitVec 64) ((Start (BitVec 64) (x (bvadd Start Start)))))\n"
+    "(declare-var x (BitVec 64)) (declare-var y (BitVec 64))\n"
+    "(constraint (=> (= y (bvadd x x)) (= (f x) y)))\n"
+    "(check-synth)"
+)
+
+STR_PREFIX = (
+    "(set-logic SLIA)\n"
+    "(synth-fun f ((s String)) String ((Start String (s (str.++ Start Start)))))\n"
+    "(declare-var s String) (declare-var t String)\n"
+    '(constraint (=> (= t (str.++ s "a")) (= (f s) (str.substr t 0 (str.len s)))))\n'
+    "(check-synth)"
+)
+
+INLINE = {"ite_max": ITE_MAX, "max2": MAX2, "if0": IF0, "bv_double": BV_DOUBLE, "str_prefix": STR_PREFIX}
 
 # (problem, engine) -> (emitted text, verdict kind, points used), or a
 # Failure.reason string
@@ -168,12 +188,33 @@ VERDICTS = {
         None,
         "unverified-beyond-bound",
     ),
+    # post-f derives j from (+ j0 i0); i0 = -1208 is a free draw, off the grid
+    ("inv_loop_guarded.sl", f"(define-fun inv-f {INV_ARGS} (>= i 0))"): (
+        "counterexample",
+        {"i": 0, "j": -64, "i0": -1208, "j0": -64, "i!": 0, "j!": 0, "i0!": 0, "j0!": 0},
+        "",
+    ),
+    # holds initially and at exit, but steps from i = 2 > i0 to i = 1:
+    # found in the transition group
+    ("inv_loop_guarded.sl", f"(define-fun inv-f {INV_ARGS} (and (= (+ i j) (+ i0 j0)) (>= i 0) (or (<= i i0) (> i 1))))"): (
+        "counterexample",
+        {"i": 2, "j": -2, "i0": -2, "j0": 2, "i!": 1, "j!": -1, "i0!": -2, "j0!": 2},
+        "",
+    ),
     ("initials.sl", '(define-fun f ((name String)) String "N.F.")'): ("counterexample", {"name": ""}, ""),
     ("fig2_bv_template.sl", "(define-fun f ((x (BitVec 64))) (BitVec 64) #x0000000000000000)"): (
         "valid",
         None,
         "",
     ),
+    ("bv_double", "(define-fun f ((x (BitVec 64))) (BitVec 64) x)"): ("counterexample", {"x": 1, "y": 2}, ""),
+    ("bv_double", "(define-fun f ((x (BitVec 64))) (BitVec 64) (bvadd x x))"): (
+        "unknown",
+        None,
+        "unverified-beyond-bound",
+    ),
+    ("str_prefix", "(define-fun f ((s String)) String (str.++ s s))"): ("counterexample", {"s": "a", "t": "aa"}, ""),
+    ("str_prefix", "(define-fun f ((s String)) String s)"): ("unknown", None, "unverified-beyond-bound"),
 }
 
 

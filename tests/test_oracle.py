@@ -7,7 +7,7 @@ import pytest
 
 from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var
 from sygus.engine import Budget, cegis_solve, enumerate_all, unify_solve
-from sygus.frontend import parse, parse_file
+from sygus.frontend import parse, parse_file, parse_solution
 from sygus import oracle
 from sygus.oracle import (
     VerifyConfig,
@@ -105,6 +105,22 @@ def test_verify_rejects_overfit_invariant():
         )
     }
     assert verify(p, wrong).kind == "counterexample"
+
+
+def test_tier2_search_runs_generated_code(monkeypatch):
+    # every point of the right invariant's search runs in the generated
+    # function: no closure evaluation at all
+    from sygus import semantics
+
+    p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
+    sol = parse_solution(
+        "(define-fun inv-f ((i Int) (j Int) (i0 Int) (j0 Int)) Bool"
+        " (and (= (+ i j) (+ i0 j0)) (not (< i 0))))", p)
+    calls = []
+    original = semantics.Evaluator.eval
+    monkeypatch.setattr(semantics.Evaluator, "eval", lambda self, t, env: calls.append(t) or original(self, t, env))
+    assert verify(p, sol).reason == "unverified-beyond-bound"
+    assert calls == []
 
 
 GROUND_WITH_UNIVERSAL = (

@@ -7,6 +7,7 @@ from sygus.core import Apply, BOOL, BV64, Hole, INT, Let, Lit, STRING, SygusErro
 from sygus.semantics import (
     Evaluator,
     SortMismatch,
+    SourceEmitter,
     TreeEvaluator,
     UnboundVariable,
     builtin_impl,
@@ -14,6 +15,23 @@ from sygus.semantics import (
 )
 
 ev = Evaluator()
+
+
+class Emitted:
+    """`SourceEmitter` behind the evaluators' `eval(t, env)`: one generated
+    function per call, taking the environment's values positionally."""
+
+    def __init__(self, interpretations=None):
+        self.interpretations = interpretations
+
+    def source(self, t, names):
+        em = SourceEmitter(self.interpretations)
+        local = {n: em.fresh() for n in names}
+        return em, f"def run({', '.join(local.values())}): return {em.expr(t, local)}"
+
+    def eval(self, t, env):
+        em, source = self.source(t, env)
+        return em.build(source, "run")(*env.values())
 
 
 def _i(v):
@@ -162,6 +180,31 @@ def test_parallel_let():
     swap = Let((("x", Var("y", INT)), ("y", Var("x", INT))), Apply("-", (Var("x", INT), Var("y", INT)), INT), INT)
     assert ev.eval(swap, {"x": 10, "y": 3}) == -7
     assert TreeEvaluator().eval(swap, {"x": 10, "y": 3}) == -7
+    assert Emitted().eval(swap, {"x": 10, "y": 3}) == -7
+
+
+def test_emitted_source_holds_no_sygus_names():
+    # names that are not Python identifiers, swapped by a parallel let
+    # inside a macro of such a name
+    i, q = Var("i!", INT), Var("qm-inner-loop", INT)
+    swap = Let((("i!", q), ("qm-inner-loop", i)), Apply("-", (i, q), INT), INT)
+    interps = {"qm-inner-loop": (["i!", "qm-inner-loop"], swap)}
+    call = Apply("qm-inner-loop", (i, q), INT)
+    em = SourceEmitter(interps)
+    local = {"i!": em.fresh(), "qm-inner-loop": em.fresh()}
+    expr = em.expr(call, local)
+    source = "\n".join(em.defs + [expr])
+    assert "i!" not in source and "qm-inner-loop" not in source
+    env = {"i!": 10, "qm-inner-loop": 3}
+    assert Emitted(interps).eval(call, env) == Evaluator(interps).eval(call, env) == -7
+
+
+def test_emitted_deep_term_moves_into_defs():
+    # deeper than Python's parser nests parentheses
+    t = Var("x", INT)
+    for k in range(300):
+        t = Apply("+", (t, _i(k)), INT)
+    assert Emitted().eval(t, {"x": 1}) == ev.eval(t, {"x": 1}) == 1 + sum(range(300))
 
 
 # --- compiled evaluator against the tree-walk reference ---------------------
@@ -268,6 +311,30 @@ def test_compiled_matches_tree_walk(t, env):
     assert Evaluator(INTERPS).compile(t)(env) == want
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SORTS).flatmap(terms), ENVS)
+def test_emitted_matches_compiled(t, env):
+    want = Evaluator(INTERPS).eval(t, env)
+    got = Emitted(INTERPS).eval(t, env)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        Apply("and", (), BOOL),
+        Apply("or", (), BOOL),
+        Apply("and", (_i(3),), BOOL),
+        Apply("or", (_i(0),), BOOL),
+    ],
+)
+def test_edge_applications_match_tree_walk(t):
+    want = TreeEvaluator(INTERPS).eval(t, {})
+    assert Evaluator(INTERPS).eval(t, {}) == want
+    got = Emitted(INTERPS).eval(t, {})
+    assert got == want and type(got) is type(want)
+
+
 def _error_type(evaluator, t, env):
     try:
         evaluator.eval(t, env)
@@ -294,16 +361,24 @@ def test_errors_match_tree_walk(t, expected):
     env = {"x": 1}
     assert _error_type(TreeEvaluator(INTERPS), t, env) is expected
     assert _error_type(Evaluator(INTERPS), t, env) is expected
+    assert _error_type(Emitted(INTERPS), t, env) is expected
 
 
 def test_bad_node_raises_only_when_reached():
-    # the compiled form of a bad subterm raises at run time, not compile time
+    # the compiled and emitted forms of a bad subterm raise at run time,
+    # not when they are built
     bad = Apply("ite", (Var("p", BOOL), Hole("Start", INT), Apply("frobnicate", (), INT)), INT)
     fn = Evaluator().compile(bad)
+    em, source = Emitted().source(bad, ["p"])
+    run = em.build(source, "run")
     with pytest.raises(SygusError):
         fn({"p": True})
+    with pytest.raises(SygusError):
+        run(True)
     with pytest.raises(SortMismatch):
         fn({"p": False})
+    with pytest.raises(SortMismatch):
+        run(False)
 
 
 def test_compile_does_not_memoise():
