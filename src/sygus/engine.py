@@ -24,6 +24,7 @@ index, then recursive argument order.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ from .core import (
     free_vars,
     template_fixed_size,
     template_holes,
-    term_size,
     var_equations,
     walk,
 )
@@ -741,19 +741,20 @@ def _predicate_pool(en, nt, max_size, kind="ite", deadline=None):
     """
     pool = []
     seen = set()
-    for term, vec in en.enumerate(nt):
-        if deadline is not None and deadline.expired():
-            return pool, True
-        if term_size(term) > max_size:
-            break
-        if kind == "if0":
-            bvec = tuple(v == 1 for v in vec)
-        else:
-            bvec = tuple(bool(v) for v in vec)
-        if bvec in seen or all(bvec) or not any(bvec):
-            continue
-        seen.add(bvec)
-        pool.append((term, bvec))
+    # Read the banks by size: sizes past the cap are never built, even when
+    # pruning has left the banks empty.
+    for s in range(1, max_size + 1):
+        for term, vec in en.bank(nt, s):
+            if deadline is not None and deadline.expired():
+                return pool, True
+            if kind == "if0":
+                bvec = tuple(v == 1 for v in vec)
+            else:
+                bvec = tuple(bool(v) for v in vec)
+            if bvec in seen or all(bvec) or not any(bvec):
+                continue
+            seen.add(bvec)
+            pool.append((term, bvec))
     return pool, False
 
 
@@ -1048,22 +1049,25 @@ def _octagon_atoms(target, bool_nt, envs):
         for v in int_vars:
             if u is not v:
                 terms.append(Apply("-", (u, v), INT))
+    # Each term is evaluated once over `envs`; an atom over a term that
+    # fails to evaluate is dropped.
     compile_term = Evaluator().compile
+    values = []
+    for t in terms:
+        try:
+            values.append(tuple(map(compile_term(t), envs)))
+        except Exception:
+            values.append(None)
     atoms = []
-    for op in ("=", "<", "<="):
-        for a in terms:
-            for b in terms:
-                if a == b:
+    for op, cmp in (("=", operator.eq), ("<", operator.lt), ("<=", operator.le)):
+        for a, va in zip(terms, values):
+            for b, vb in zip(terms, values):
+                if a == b or va is None or vb is None:
                     continue
-                atom = Apply(op, (a, b), BOOL)
-                try:
-                    fn = compile_term(atom)
-                    vec = tuple(bool(fn(env)) for env in envs)
-                except Exception:
-                    continue
+                vec = tuple(map(cmp, va, vb))
                 if all(vec) or not any(vec):
                     continue
-                atoms.append((atom, vec))
+                atoms.append((Apply(op, (a, b), BOOL), vec))
     g = replace(target.grammar, start=bool_nt)
     return [(t, v) for t, v in atoms if oracle.check_conformance(t, g).kind == "valid"]
 

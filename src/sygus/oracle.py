@@ -203,13 +203,49 @@ def _value_pool(sort: Sort, problem, rng):
     raise ValueError(f"no value pool for sort {sort}")
 
 
-def _sample_value(sort, pool, rng):
+INT_SCALES = (2, 8, 64, 4096, 10**6)  # a sampled Int is uniform in [-scale, scale]
+
+
+def _drawer(sort, pool, rng):
+    """A function of no arguments that draws one sampled value of `sort`.
+
+    An Int picks a scale from `INT_SCALES`, then a value in [-scale,
+    scale]; a BitVec flips a coin between `pool` and `sort.width` random
+    bits; any other sort picks from `pool`.  Each pick from n items draws
+    `n.bit_length()` bits from `rng` until they fall below n, which is how
+    `random.choice` and `random.randint` pick, so the values and the `rng`
+    stream are exactly theirs, without their per-call overhead.
+    """
+    bits = rng.getrandbits
     if sort == INT:
-        scale = rng.choice((2, 8, 64, 4096, 10**6))
-        return rng.randint(-scale, scale)
+        ranges = [(s, 2 * s + 1, (2 * s + 1).bit_length()) for s in INT_SCALES]
+        n_scales, k_scales = len(ranges), len(ranges).bit_length()
+
+        def draw_int():
+            i = bits(k_scales)
+            while i >= n_scales:
+                i = bits(k_scales)
+            scale, n, k = ranges[i]
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            return r - scale
+
+        return draw_int
+    if not pool:
+        raise IndexError(f"no values to draw for sort {sort}")
+    n, k = len(pool), len(pool).bit_length()
+
+    def draw():
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return pool[r]
+
     if sort.kind == "BitVec":
-        return rng.choice(pool) if rng.random() < 0.5 else rng.getrandbits(sort.width)
-    return rng.choice(pool)
+        coin, width = rng.random, sort.width
+        return lambda: draw() if coin() < 0.5 else bits(width)
+    return draw
 
 
 def _search_points(universals, problem, seed, cap, samples):
@@ -244,8 +280,9 @@ def _search_points(universals, problem, seed, cap, samples):
             break
     if grids is not None:
         yield from itertools.product(*grids)
+    draws = [_drawer(s, pool, rng) for s, pool in zip(sorts, pools)]
     for _ in range(samples):
-        yield tuple(_sample_value(s, pool, rng) for s, pool in zip(sorts, pools))
+        yield tuple([draw() for draw in draws])
 
 
 def _derived_choices(constraints, sub, problem):
@@ -320,11 +357,11 @@ def _search_group(problem, interps, constraints, sub, seed):
     pools = {n: _value_pool(sorts[n], problem, rng) for n, _ in derived}
 
     em = SourceEmitter(interps)
+    draws = {n: em.bind(("draw", n), _drawer(sorts[n], pools[n], rng)) for n, _ in derived}
     local = {n: em.fresh() for n, _ in sub}
-    sample = em.bind(_sample_value, _sample_value)
     checks = " and ".join(em.expr(c, local) for c in constraints)
     lines = [
-        "def search(points, rng):",
+        "def search(points):",
         f"    for {''.join(local[n] + ',' for n in base) or '_'} in points:",
     ]
     for combo in combos:
@@ -332,8 +369,7 @@ def _search_group(problem, interps, constraints, sub, seed):
         scope = {n: local[n] for n in base}
         for (v, _), choice in zip(derived, combo):
             if choice is None:
-                sort, pool = em.bind(sorts[v], sorts[v]), em.bind(("pool", v), pools[v])
-                lines.append(f"            {local[v]} = {sample}({sort}, {pool}, rng)")
+                lines.append(f"            {local[v]} = {draws[v]}()")
             else:
                 lines.append(f"            try: {local[v]} = {em.expr(choice, scope)}")
                 lines.append("            except Exception: break")
@@ -341,7 +377,7 @@ def _search_group(problem, interps, constraints, sub, seed):
         lines.append(f"            if not ({checks}): return ({','.join(local.values())},)")
         lines.append("            break")
     search = em.build("\n".join(lines), "search")
-    found = search(_search_points([(n, sorts[n]) for n in base], problem, seed, cap, samples), rng)
+    found = search(_search_points([(n, sorts[n]) for n in base], problem, seed, cap, samples))
     return None if found is None else dict(zip(local, found))
 
 

@@ -13,6 +13,7 @@ import operator
 
 from .core import (
     Apply,
+    ArityError,
     BOOL,
     Hole,
     INT,
@@ -191,6 +192,8 @@ class TreeEvaluator:
             interp = self.interpretations.get(t.op)
             if interp is not None:
                 params, body = interp
+                if len(params) != len(vals):
+                    raise ArityError(_arity_message(t.op, params, vals))
                 return self.eval(body, dict(zip(params, vals)))
             try:
                 fn = builtin_impl(t.op, t.sort)
@@ -212,6 +215,21 @@ def _raiser(error, message):
         raise error(message)
 
     return fail
+
+
+def _arity_message(op, params, args):
+    return f"{op} expects {len(params)} arguments, got {len(args)}"
+
+
+def _failing(fns, error, message):
+    """fn(env) that evaluates `fns`, then raises `error`."""
+
+    def failing(env):
+        for f in fns:
+            f(env)
+        raise error(message)
+
+    return failing
 
 
 class Evaluator:
@@ -270,6 +288,8 @@ class Evaluator:
 
     def _compile_apply(self, op, fns, sort):
         interp = self.interpretations.get(op)
+        if interp is not None and len(interp[0]) != len(fns):
+            return _failing(fns, ArityError, _arity_message(op, interp[0], fns))
         if interp is not None:
             body = self._bodies.get(op)
             if body is None:
@@ -295,14 +315,7 @@ class Evaluator:
         try:
             impl = builtin_impl(op, sort)
         except KeyError:
-            fail = _raiser(SortMismatch, f"no interpretation for operator {op!r}")
-
-            def unknown(env):
-                for f in fns:
-                    f(env)
-                fail(env)
-
-            return unknown
+            return _failing(fns, SortMismatch, f"no interpretation for operator {op!r}")
         impl = {1: _UNARY, 2: _BINARY}.get(len(fns), {}).get(op, impl)
         if len(fns) == 1:
             (f0,) = fns
@@ -378,6 +391,8 @@ class SourceEmitter:
 
     def _apply(self, op, args, sort):
         interp = self.interpretations.get(op)
+        if interp is not None and len(interp[0]) != len(args):
+            return self._fail(ArityError, _arity_message(op, interp[0], args), args)
         if interp is not None:
             if op not in self._bound:
                 params = [self.fresh() for _ in interp[0]]

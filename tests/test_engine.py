@@ -12,6 +12,8 @@ from sygus.engine import (
     Enumerator,
     Failure,
     Solution,
+    _conditional_kind,
+    _predicate_pool,
     cegis_solve,
     enumerate_all,
     extract_pbe_points,
@@ -19,6 +21,7 @@ from sygus.engine import (
     unify_solve,
 )
 from sygus.frontend import parse, parse_file
+from sygus.harness import SuiteConfig, solve_benchmark
 from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator
 
@@ -194,6 +197,60 @@ def test_solver_determinism():
     a = unify_solve(p, Budget(wallclock=30))
     b = unify_solve(p, Budget(wallclock=30))
     assert a.emit() == b.emit()
+
+
+# --- predicate pools -------------------------------------------------------
+
+
+def _enumerated_pool(en, nt, max_size, kind):
+    """Reference pool, read off `enumerate` up to the first term past the
+    cap; `_predicate_pool` gives the same pool without building past it."""
+    pool, seen = [], set()
+    for term, vec in en.enumerate(nt):
+        if term_size(term) > max_size:
+            break
+        bvec = tuple(v == 1 if kind == "if0" else bool(v) for v in vec)
+        if bvec in seen or all(bvec) or not any(bvec):
+            continue
+        seen.add(bvec)
+        pool.append((term, bvec))
+    return pool
+
+
+def test_predicate_pool_stops_at_its_cap():
+    # one point makes every Bool vector constant, so pruning empties the
+    # Bool banks and no term past the cap is ever reached
+    g = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
+    kind, cond_nt = _conditional_kind(g)
+    en = Enumerator(g, [{"x": 0}], max_size=20)
+    assert _predicate_pool(en, cond_nt, 9, kind) == ([], False)
+    assert en._done == 9
+
+
+@pytest.mark.parametrize(
+    "bench, envs, cap",
+    [
+        ("abs.sl", [{"x": v} for v in (-2, 0, 3)], 5),
+        ("abs.sl", [{"x": v} for v in (-3, -1, 0, 2, 5)], 6),
+        ("fig2_bv_template.sl", [{"x": v} for v in (1, 2, 4, 8, 3, 16)], 4),
+    ],
+)
+def test_predicate_pool_matches_enumeration(bench, envs, cap):
+    p = parse_file(os.path.join(BENCH, bench))
+    g = p.targets[0].grammar
+    kind, cond_nt = _conditional_kind(g)
+    want = _enumerated_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
+    got, expired = _predicate_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
+    assert got == want and want and not expired
+
+
+def test_auto_keeps_the_budget_on_abs():
+    # unification on abs stitches over a few points, where pruning empties
+    # the Bool banks: only the pool's size cap bounds the stitch
+    cfg = SuiteConfig(engine="auto", timeout=5)
+    outcome, wall, _cpu, _size, _text = solve_benchmark(os.path.join(BENCH, "abs.sl"), cfg)
+    assert outcome == "unknown-verified"
+    assert wall < cfg.timeout
 
 
 # --- nuggets ---------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Conformance checking, semantic verification, SMT-LIB2 plumbing."""
 
 import os
+import random
 import stat
 
 import pytest
 
-from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var
+from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, Sort, STRING, Var
 from sygus.engine import Budget, cegis_solve, enumerate_all, unify_solve
 from sygus.frontend import parse, parse_file, parse_solution
 from sygus import oracle
@@ -121,6 +122,39 @@ def test_tier2_search_runs_generated_code(monkeypatch):
     monkeypatch.setattr(semantics.Evaluator, "eval", lambda self, t, env: calls.append(t) or original(self, t, env))
     assert verify(p, sol).reason == "unverified-beyond-bound"
     assert calls == []
+
+
+def _sample_value(sort, pool, rng):
+    """Reference tier-2 draw, through `random`'s public calls."""
+    if sort == INT:
+        scale = rng.choice((2, 8, 64, 4096, 10**6))
+        return rng.randint(-scale, scale)
+    if sort.kind == "BitVec":
+        return rng.choice(pool) if rng.random() < 0.5 else rng.getrandbits(sort.width)
+    return rng.choice(pool)
+
+
+STRINGS = parse_file(os.path.join(BENCH, "initials.sl"))
+DRAW_SORTS = [INT, Sort("BitVec", 8), Sort("BitVec", 64), STRING, BOOL]
+
+
+@pytest.mark.parametrize("sort", DRAW_SORTS, ids=str)
+def test_drawer_matches_reference_stream(sort):
+    pool = oracle._value_pool(sort, STRINGS, random.Random(5))
+    ours, theirs = random.Random(11), random.Random(11)
+    draw = oracle._drawer(sort, pool, ours)
+    assert [draw() for _ in range(50_000)] == [_sample_value(sort, pool, theirs) for _ in range(50_000)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_search_points_samples_match_reference_stream():
+    # a zero cap leaves no grid: every point is a sample
+    universals = [(f"v{i}", s) for i, s in enumerate(DRAW_SORTS)]
+    got = list(oracle._search_points(universals, STRINGS, 3, 0, 2_000))
+    rng = random.Random(3)
+    pools = [oracle._value_pool(s, STRINGS, rng) for _, s in universals]
+    want = [tuple(_sample_value(s, pool, rng) for (_, s), pool in zip(universals, pools)) for _ in range(2_000)]
+    assert got == want
 
 
 GROUND_WITH_UNIVERSAL = (

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sygus.core import Apply, BOOL, BV64, Hole, INT, Let, Lit, STRING, SygusError, Var
+from sygus.core import Apply, ArityError, BOOL, BV64, Hole, INT, Let, Lit, STRING, SygusError, Var
 from sygus.semantics import (
     Evaluator,
     SortMismatch,
@@ -355,6 +355,11 @@ def _error_type(evaluator, t, env):
         (Hole("Start", INT), SygusError),
         (Apply("+", (_i(1), Hole("Start", INT)), INT), SygusError),
         (Let((("y", Var("nope", INT)),), _i(0), INT), UnboundVariable),
+        # a function applied to the wrong number of arguments: its
+        # arguments are evaluated first, as for any application
+        (Apply("qm", (_i(-1), _i(7), Var("nope", INT)), INT), UnboundVariable),
+        (Apply("qm", (_i(-1), _i(7), _i(8)), INT), ArityError),
+        (Apply("qm", (_i(1),), INT), ArityError),
     ],
 )
 def test_errors_match_tree_walk(t, expected):
@@ -379,6 +384,18 @@ def test_bad_node_raises_only_when_reached():
         fn({"p": False})
     with pytest.raises(SortMismatch):
         run(False)
+
+
+def test_arity_error_raises_only_when_reached():
+    bad = Apply("ite", (Var("p", BOOL), Apply("qm", (_i(1),), INT), _i(0)), INT)
+    fn = Evaluator(INTERPS).compile(bad)
+    em, source = Emitted(INTERPS).source(bad, ["p"])
+    run = em.build(source, "run")
+    assert fn({"p": False}) == 0 and run(False) == 0
+    with pytest.raises(ArityError):
+        fn({"p": True})
+    with pytest.raises(ArityError):
+        run(True)
 
 
 def test_compile_does_not_memoise():
