@@ -55,7 +55,8 @@ def _cmd_solve(args):
     solver = _pick_solver(problem, args.engine)
     result = solver(problem, budget, vcfg)
     if isinstance(result, Failure):
-        print(f"; no solution: {result.reason}", file=sys.stderr)
+        why = f"{result.reason} ({result.detail})" if result.detail else result.reason
+        print(f"; no solution: {why}", file=sys.stderr)
         return EXIT_TIMEOUT if result.reason == "budget-exhausted" else EXIT_FAILURE
     print(result.emit())
     if result.verdict is not None and result.verdict.kind == "unknown":

@@ -19,11 +19,18 @@ ID3, `build_decision_tree`, over predicate pools from one builder,
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.
+
+Every engine keeps one wallclock deadline.  The enumerator refuses a
+size it predicts cannot finish in the time left, and stops a size the
+deadline overtakes; either raises BudgetExceeded, which `cegis_solve`
+and `unify_solve` turn into `Failure("budget-exhausted")`.  Nothing cut
+short is ever read, so no other outcome depends on the clock.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -123,6 +130,13 @@ def _fill(tmpl, kids):
     return tmpl
 
 
+# A size whose build constructs at least this many candidates sets the
+# seconds-per-candidate rate that the next size's cost is predicted from.
+RATE_MIN_CANDIDATES = 1000
+# `_try_add` looks at the deadline once per this many candidates.
+DEADLINE_STRIDE = 1024
+
+
 class Enumerator:
     """Per-grammar term banks, one per (nonterminal, size).
 
@@ -131,9 +145,15 @@ class Enumerator:
     nonterminal.  With no observation points the single default
     environment (Int 0, Bool false, BV 0, String "") still folds
     constants.
+
+    With a `deadline`, building raises BudgetExceeded: before a size
+    whose predicted cost exceeds the time left, and inside a size once
+    the deadline has passed.  No caller sees a size before all of it is
+    built, so a size that cannot finish is not started.
     """
 
-    def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None):
+    def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None,
+                 deadline=None):
         self.grammar = grammar
         self.interpretations = dict(interpretations or {})
         self.evaluator = TreeEvaluator(self.interpretations)
@@ -148,6 +168,8 @@ class Enumerator:
         self._alias_pos = {}
         self._done = 0
         self.constructed = 0
+        self.deadline = deadline
+        self._rate = None  # seconds per candidate on the last large size built
 
     def _default_env(self):
         env = {}
@@ -211,8 +233,43 @@ class Enumerator:
 
     def ensure(self, size):
         while self._done < min(size, self.max_size):
-            self._build_size(self._done + 1)
-            self._done += 1
+            s = self._done + 1
+            if self.deadline is not None:
+                self._check_fits(s)
+            before, t0 = self.constructed, time.perf_counter()
+            self._build_size(s)
+            built = self.constructed - before
+            if built >= RATE_MIN_CANDIDATES:
+                self._rate = (time.perf_counter() - t0) / built
+            self._done = s
+
+    def _check_fits(self, s):
+        """Raise BudgetExceeded unless size `s` is predicted to finish in
+        the time left.  A size cut short leaves its banks half built; the
+        deadline has passed by then, so they are never read."""
+        left = self.deadline.remaining()
+        if left <= 0:
+            raise BudgetExceeded(f"deadline reached before size {s}")
+        if self._rate is not None:
+            need = self.size_cost(s) * self._rate
+            if need > left:
+                raise BudgetExceeded(f"size {s} needs about {need:.3g} s, {left:.3g} s left")
+
+    def size_cost(self, s):
+        """Candidates `_build_size(s)` constructs once every smaller size
+        is built: each leaf of size `s`, and for each production with
+        holes and each split of the size among them, the product of the
+        child banks' lengths."""
+        total = 0
+        for nt in self._nts:
+            for prod in self._prods[nt]:
+                if prod[0] == "leaf":
+                    total += template_fixed_size(prod[2]) == s
+                elif prod[0] == "comp":
+                    _, _, _, hole_nts, fixed, _ = prod
+                    for sizes in _compositions(s - fixed, len(hole_nts)):
+                        total += math.prod(len(self._bank.get(hs, ())) for hs in zip(hole_nts, sizes))
+        return total
 
     def _build_size(self, s):
         for nt in self._nts:
@@ -274,6 +331,8 @@ class Enumerator:
             vec.append(fn(kids, env))
         vec = tuple(vec)
         self.constructed += 1
+        if self.constructed % DEADLINE_STRIDE == 0 and self.deadline is not None and self.deadline.expired():
+            raise BudgetExceeded(f"deadline reached while building size {s}")
         term = _fill(tmpl, iter([c[0] for c in combo])) if combo else tmpl
         if not self._admit(nt, term, vec):
             return False
@@ -434,7 +493,7 @@ def collect_envs(problem, target, points):
     return envs
 
 
-def _enum_for(problem, target, points, budget, keep=None, envs=None):
+def _enum_for(problem, target, points, budget, deadline, envs=None):
     if envs is None:
         envs = collect_envs(problem, target, points)
     return Enumerator(
@@ -442,7 +501,7 @@ def _enum_for(problem, target, points, budget, keep=None, envs=None):
         envs,
         problem.macro_map(),
         max_size=budget.max_term_size,
-        keep=keep,
+        deadline=deadline,
     )
 
 
@@ -454,12 +513,21 @@ def _exhaust_reason(en):
 
 
 class _Deadline:
+    """A run's wallclock budget, counted from construction."""
+
     def __init__(self, seconds):
         self.t0 = time.monotonic()
         self.limit = seconds
 
+    def remaining(self):
+        return self.limit - (time.monotonic() - self.t0)
+
     def expired(self):
-        return time.monotonic() - self.t0 > self.limit
+        return self.remaining() < 0
+
+    def check(self):
+        if self.expired():
+            raise BudgetExceeded("deadline reached")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +549,7 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
     candidate becomes a Solution using `used()` points.
     """
     for _ in range(rounds):
-        if deadline.expired():
-            break
+        deadline.check()
         cand = propose()
         if isinstance(cand, Failure):
             return cand
@@ -497,7 +564,7 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
         stop = learn(verdict.point, sol_map)
         if stop is not None:
             return stop
-    return Failure("budget-exhausted")
+    return Failure("budget-exhausted", "round cap reached")
 
 
 def _point_cegis(problem, targets, propose, budget, deadline, cfg):
@@ -522,21 +589,23 @@ def cegis_solve(problem, budget=None, cfg=None):
     deadline = _Deadline(budget.wallclock)
     try:
         examples = extract_pbe_points(problem)
+        if examples is not None:
+            return _solve_pbe(problem, examples, budget, deadline, unify=False)
+        return _point_cegis(
+            problem, problem.targets,
+            lambda points: _consistent_candidate(problem, points, budget, deadline),
+            budget, deadline, cfg,
+        )
     except ConflictingExamples as e:
         return Failure("conflicting-examples", str(e))
-    if examples is not None:
-        return _solve_pbe(problem, examples, budget, deadline, unify=False)
-    return _point_cegis(
-        problem, problem.targets,
-        lambda points: _consistent_candidate(problem, points, budget, deadline),
-        budget, deadline, cfg,
-    )
+    except BudgetExceeded as e:
+        return Failure("budget-exhausted", str(e))
 
 
 def _consistent_candidate(problem, points, budget, deadline):
     """Product enumeration of the targets' terms, ordered by combined size."""
     targets = problem.targets
-    ens = [_enum_for(problem, t, points, budget) for t in targets]
+    ens = [_enum_for(problem, t, points, budget, deadline) for t in targets]
     params = [[n for n, _ in t.params] for t in targets]
     n = len(targets)
     for total in range(n, budget.max_term_size * n + 1):
@@ -546,8 +615,7 @@ def _consistent_candidate(problem, points, budget, deadline):
             if any(not b for b in banks):
                 continue
             for combo in itertools.product(*banks):
-                if deadline.expired():
-                    return Failure("budget-exhausted")
+                deadline.check()
                 sol_map = {
                     targets[i].name: (params[i], combo[i][0]) for i in range(n)
                 }
@@ -692,7 +760,8 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
     if target.ret == STRING:
         keep = _string_keep([str(o) for o in expected])
     en = Enumerator(
-        target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, keep=keep
+        target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, keep=keep,
+        deadline=deadline,
     )
     all_ids = frozenset(range(len(examples)))
     kind, cond_nt = _conditional_kind(target.grammar) if unify else (None, None)
@@ -701,8 +770,7 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
     union = set()
     found = None
     for term, vec in en.enumerate():
-        if deadline.expired():
-            return Failure("budget-exhausted")
+        deadline.check()
         cov = frozenset(i for i in all_ids if vec[i] == expected[i])
         if cov == all_ids:
             found = term
@@ -713,14 +781,10 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
             cover_terms.append((term, cov, vec))
             union |= cov
             if union == all_ids and kind is not None:
-                stitched = _stitch(
-                    en, cover_terms, all_ids, kind, cond_nt, target.ret, budget, deadline
-                )
+                stitched = _stitch(en, cover_terms, all_ids, kind, cond_nt, target.ret, budget)
                 if isinstance(stitched, Term):
                     found = stitched
                     break
-                if isinstance(stitched, Failure) and stitched.reason == "budget-exhausted":
-                    return stitched
                 # keep enumerating; a direct solution may still turn up
     if found is None:
         if unify and union != all_ids and _exhaust_reason(en).reason == "grammar-exhausted":
@@ -731,13 +795,14 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
     return sol
 
 
-def _predicate_pool(en, nt, max_size, kind="ite", deadline=None):
+def _predicate_pool(en, nt, max_size, kind="ite"):
     """(term, bool vector) for the `nt` terms up to `max_size`, in
     enumeration order, dropping constant and already-seen vectors.
 
     An `if0` condition selects where it equals 1, any other condition
-    where it is truthy.  Returns (pool, expired): with a `deadline`, the
-    pool stops where the deadline is found expired.
+    where it is truthy.  A size `en` refuses for the deadline raises
+    BudgetExceeded: a pool cut short would make the tree, and so the
+    outcome, depend on the clock.
     """
     pool = []
     seen = set()
@@ -745,8 +810,6 @@ def _predicate_pool(en, nt, max_size, kind="ite", deadline=None):
     # pruning has left the banks empty.
     for s in range(1, max_size + 1):
         for term, vec in en.bank(nt, s):
-            if deadline is not None and deadline.expired():
-                return pool, True
             if kind == "if0":
                 bvec = tuple(v == 1 for v in vec)
             else:
@@ -755,20 +818,16 @@ def _predicate_pool(en, nt, max_size, kind="ite", deadline=None):
                 continue
             seen.add(bvec)
             pool.append((term, bvec))
-    return pool, False
+    return pool
 
 
-def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort, budget, deadline=None):
+def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort, budget):
     """Join (term, cover, vector) triples that together cover `all_ids`
     into one term: a qm chain, or a decision tree over the `cond_nt`
     predicates.  Returns a Term or a Failure."""
     if kind == "qm":
         return _stitch_qm(cover_terms, all_ids)
-    preds, expired = _predicate_pool(
-        en, cond_nt, min(budget.max_pred_size, budget.max_term_size), kind, deadline
-    )
-    if expired:
-        return Failure("budget-exhausted")
+    preds = _predicate_pool(en, cond_nt, min(budget.max_pred_size, budget.max_term_size), kind)
     # each id is labelled with the first term covering it
     labels = {i: next(k for k, (_, c, _) in enumerate(cover_terms) if i in c) for i in all_ids}
 
@@ -803,32 +862,34 @@ def unify_solve(problem, budget=None, cfg=None):
     """Enumeration + unification; returns Solution or Failure."""
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
-    if problem.invariant_spec is not None:
-        return _ice_solve(problem, budget, deadline, cfg)
     try:
+        if problem.invariant_spec is not None:
+            return _ice_solve(problem, budget, deadline, cfg)
         examples = extract_pbe_points(problem)
+        if examples is not None:
+            return _solve_pbe(problem, examples, budget, deadline, unify=True)
+        if len(problem.targets) != 1:
+            return Failure("no-conditional-production", "unification handles a single target")
+        target = problem.targets[0]
+        kind, cond_nt = _conditional_kind(target.grammar)
+        if kind is None:
+            return Failure("no-conditional-production")
+        return _point_cegis(
+            problem, [target],
+            lambda points: _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline),
+            budget, deadline, cfg,
+        )
     except ConflictingExamples as e:
         return Failure("conflicting-examples", str(e))
-    if examples is not None:
-        return _solve_pbe(problem, examples, budget, deadline, unify=True)
-    if len(problem.targets) != 1:
-        return Failure("no-conditional-production", "unification handles a single target")
-    target = problem.targets[0]
-    kind, cond_nt = _conditional_kind(target.grammar)
-    if kind is None:
-        return Failure("no-conditional-production")
-    return _point_cegis(
-        problem, [target],
-        lambda points: _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline),
-        budget, deadline, cfg,
-    )
+    except BudgetExceeded as e:
+        return Failure("budget-exhausted", str(e))
 
 
 def _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline):
     """One round of cover-and-stitch over the current point set."""
     params = [n for n, _ in target.params]
     envs = collect_envs(problem, target, points)
-    en = _enum_for(problem, target, points, budget, envs=envs)
+    en = _enum_for(problem, target, points, budget, deadline, envs)
     if not points:
         for term, _ in en.enumerate():
             return term
@@ -840,8 +901,7 @@ def _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline):
     union = set()
     stitched_failure = Failure("predicate-exhausted")
     for term, vec in en.enumerate():
-        if deadline.expired():
-            return Failure("budget-exhausted")
+        deadline.check()
         sol = {target.name: (params, term)}
         cov = frozenset(i for i in all_ids if _satisfies_all(problem, sol, [points[i]]))
         if cov == all_ids:
@@ -1037,10 +1097,8 @@ def _octagon_atoms(target, bool_nt, envs):
     Linear invariants usually relate two variables or two pairwise sums;
     the grammar enumerator reaches such atoms only at size 7, long after
     small atoms have let the tree overfit.  Atoms not derivable from the
-    grammar's Bool nonterminal are dropped.
+    grammar's Bool nonterminal are dropped; one memo decides them all.
     """
-    from dataclasses import replace
-
     int_vars = [Var(n, s) for n, s in target.params if s == INT]
     terms = list(int_vars) + [Lit(0, INT), Lit(1, INT)]
     for i, u in enumerate(int_vars):
@@ -1068,8 +1126,8 @@ def _octagon_atoms(target, bool_nt, envs):
                 if all(vec) or not any(vec):
                     continue
                 atoms.append((Apply(op, (a, b), BOOL), vec))
-    g = replace(target.grammar, start=bool_nt)
-    return [(t, v) for t, v in atoms if oracle.check_conformance(t, g).kind == "valid"]
+    derivable = oracle.Derivable(target.grammar)
+    return [(t, v) for t, v in atoms if derivable(bool_nt, t)]
 
 
 def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_lit):
@@ -1102,9 +1160,8 @@ def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_
             return curated
         cap = 2 * stage + 1
         if cap not in enum_cache:
-            en = Enumerator(grammar, envs, max_size=cap)
-            # a pool the deadline cut short is still tried; the stage loop then stops
-            enum_cache[cap] = _predicate_pool(en, bool_nt, cap, deadline=deadline)[0]
+            en = Enumerator(grammar, envs, max_size=cap, deadline=deadline)
+            enum_cache[cap] = _predicate_pool(en, bool_nt, cap)
         return curated + enum_cache[cap]
 
     max_stage = max(1, (budget.max_pred_size - 1) // 2)
@@ -1112,8 +1169,7 @@ def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_
     # depth-limited fit with richer atoms beats a deep overfit chain.
     for stage in range(0, max_stage + 1):
         for depth in (3, 5, None):
-            if deadline.expired():
-                return Failure("budget-exhausted")
+            deadline.check()
             preds = pool(stage)
             dedup = {}
             for t, v in preds:

@@ -14,6 +14,7 @@ import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, asdict
+from multiprocessing.connection import wait
 
 from .core import SygusError, term_size
 from .engine import Budget, cegis_solve, unify_solve, extract_pbe_points, Failure, _conditional_kind
@@ -22,6 +23,7 @@ from .oracle import VerifyConfig, check_conformance, verify
 
 TIME_EDGES = (1, 3, 10, 30, 100, 300, 1000, 3600)
 SIZE_EDGES = (10, 30, 100, 300, 1000)
+GRACE = 5.0  # wallclock slack past the budget before run_suite terminates a worker
 
 OUTCOMES = (
     "solved",
@@ -226,7 +228,9 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     restart, benchmarks already recorded for this engine are skipped.  A
     torn final record is cut from the file before anything is appended
     (else it would become a bad line mid-file), so its benchmark runs
-    again.  A worker that exits without replying fails its record.
+    again.  A worker that exits without replying fails its record; one
+    still running `GRACE` seconds past its budget is terminated and
+    recorded as a timeout.
     """
     paths = sorted(
         os.path.join(bench_dir, f) for f in os.listdir(bench_dir) if f.endswith(".sl")
@@ -250,7 +254,7 @@ def run_suite(bench_dir, cfg: SuiteConfig):
             pending.append(p)
 
     ctx = mp.get_context("fork")
-    active = {}  # proc -> (bench, conn, start)
+    active = {}  # conn -> (proc, bench, start)
     idx = 0
 
     def launch():
@@ -262,7 +266,7 @@ def run_suite(bench_dir, cfg: SuiteConfig):
             proc = ctx.Process(target=_worker, args=(path, cfg, child))
             proc.start()
             child.close()
-            active[proc] = (os.path.basename(path), parent, time.monotonic())
+            active[parent] = (proc, os.path.basename(path), time.monotonic())
 
     def emit(record):
         records.append(record)
@@ -275,23 +279,25 @@ def run_suite(bench_dir, cfg: SuiteConfig):
                 fh.write(record.solution + "\n")
 
     launch()
-    grace = 5.0  # wallclock slack before the parent terminates a worker
     while active:
-        for proc in list(active):
-            bench, conn, start = active[proc]
-            if conn.poll(0.02):
-                try:
-                    outcome, wall, cpu, size, solution = conn.recv()
-                except EOFError:  # the worker died without replying
-                    outcome, wall, cpu, size, solution = ("failed", time.monotonic() - start, None, None, None)
-                conn.close()
-                proc.join()
-                del active[proc]
-                emit(RunRecord(bench, cfg.label(), outcome, wall, size, cpu, solution))
-            elif time.monotonic() - start > cfg.timeout + grace:
+        # sleep until a worker replies or dies, or the first kill time comes
+        kill_at = min(start for _, _, start in active.values()) + cfg.timeout + GRACE
+        for conn in wait(list(active), timeout=max(0.0, kill_at - time.monotonic())):
+            proc, bench, start = active.pop(conn)
+            try:
+                outcome, wall, cpu, size, solution = conn.recv()
+            except EOFError:  # the worker died without replying
+                outcome, wall, cpu, size, solution = ("failed", time.monotonic() - start, None, None, None)
+            conn.close()
+            proc.join()
+            emit(RunRecord(bench, cfg.label(), outcome, wall, size, cpu, solution))
+        now = time.monotonic()
+        for conn, (proc, bench, start) in list(active.items()):
+            if now - start >= cfg.timeout + GRACE:
                 proc.terminate()
                 proc.join()
-                del active[proc]
+                conn.close()
+                del active[conn]
                 emit(RunRecord(bench, cfg.label(), "timeout", cfg.timeout, None, None, None))
         launch()
     return records

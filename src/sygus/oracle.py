@@ -109,24 +109,45 @@ def _match(template, term, derivable):
     return False
 
 
+class Derivable:
+    """`Derivable(grammar)(nt, term)`: whether the grammar derives `term`
+    from `nt`, by top-down matching with one memo across calls.
+
+    The memo keys on `id`, so every term asked about must outlive the
+    checker.  A pair already in progress is refused (an alias cycle that
+    consumes no node); a refusal that leaned on such a cut through a pair
+    further up is not memoized, since that pair may yet derive the term
+    another way.
+    """
+
+    def __init__(self, grammar: Grammar):
+        self.grammar = grammar
+        self.memo = {}
+        self.depth = {}  # pair in progress -> its depth on the stack
+        self.shallowest_cut = float("inf")  # depth of the outermost pair a cut reached
+
+    def __call__(self, nt, t):
+        key = (nt, id(t))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if key in self.depth:
+            self.shallowest_cut = min(self.shallowest_cut, self.depth[key])
+            return False
+        d = self.depth[key] = len(self.depth)
+        outer, self.shallowest_cut = self.shallowest_cut, d
+        ok = any(_match(tmpl, t, self) for tmpl in self.grammar.prods(nt))
+        del self.depth[key]
+        if ok or self.shallowest_cut >= d:
+            self.memo[key] = ok
+        self.shallowest_cut = min(outer, self.shallowest_cut)
+        return ok
+
+
 def check_conformance(term: Term, grammar: Grammar) -> Verdict:
     """Membership of `term` in the grammar's language, by memoized
     top-down derivation matching."""
-    memo = {}
-    in_progress = set()
-
-    def derivable(nt, t):
-        key = (nt, id(t))
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            return False  # alias cycle without consuming a node
-        in_progress.add(key)
-        ok = any(_match(tmpl, t, derivable) for tmpl in grammar.prods(nt))
-        in_progress.discard(key)
-        memo[key] = ok
-        return ok
-
+    derivable = Derivable(grammar)
     if derivable(grammar.start, term):
         return Valid()
     return NonConformant(_offending_path(grammar, grammar.start, term, derivable))

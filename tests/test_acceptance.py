@@ -223,9 +223,10 @@ def test_criterion_6_bitvector_pbe_suite():
         worst = max(worst, dt)
         if isinstance(sol, Solution) and dt < 60.0 and verify(prob, sol.as_map()).kind == "valid":
             recovered += 1
-    ok = recovered >= 16
+    ok = recovered >= 16 and worst < 60.5
     _report(6, ok, f"bitvector PBE: {recovered}/20 programs recovered consistently, "
-                   f"slowest instance {worst:.2f}s (tolerance: >= 16/20, < 60 s each)")
+                   f"slowest instance {worst:.2f}s (tolerance: >= 16/20 solved in < 60 s, every instance "
+                   f"ends in < 60.5 s)")
 
 
 def test_criterion_7_repeat_dedup():

@@ -3,10 +3,11 @@
 import glob
 import json
 import os
+import re
 
 import pytest
 
-from sygus.cli import EXIT_FAILURE, EXIT_INPUT, EXIT_OK, main
+from sygus.cli import EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
 from sygus.frontend import parse_file
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
@@ -37,6 +38,13 @@ def test_solve_without_a_target_is_input_error(tmp_path, capsys):
 def test_solve_unsolvable_is_failure(capsys):
     assert main(["solve", _b("inv_loop.sl"), "--timeout", "30"]) == EXIT_FAILURE
     assert "ice-conflict" in capsys.readouterr().err
+
+
+def test_solve_says_why_it_stopped(capsys):
+    # cegis enumerates inv_loop's invariant until the budget stops it
+    assert main(["solve", _b("inv_loop.sl"), "--engine", "cegis", "--timeout", "1"]) == EXIT_TIMEOUT
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"; no solution: budget-exhausted \((size \d+ needs about|deadline reached).*\)\n", err), err
 
 
 CONFLICTING = (

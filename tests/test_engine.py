@@ -1,18 +1,25 @@
 """Enumeration, pruning, PBE extraction, synthesis loops, nuggets."""
 
+import glob
 import os
+import time
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
 from sygus.core import Apply, Grammar, Hole, INT, Lit, Var, term_size
+from sygus import oracle
 from sygus.engine import (
     Budget,
+    BudgetExceeded,
     ConflictingExamples,
     Enumerator,
     Failure,
     Solution,
     _conditional_kind,
+    _ice_seed,
+    _octagon_atoms,
     _predicate_pool,
     cegis_solve,
     enumerate_all,
@@ -21,7 +28,7 @@ from sygus.engine import (
     unify_solve,
 )
 from sygus.frontend import parse, parse_file
-from sygus.harness import SuiteConfig, solve_benchmark
+from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
 from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator
 
@@ -223,7 +230,7 @@ def test_predicate_pool_stops_at_its_cap():
     g = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
     kind, cond_nt = _conditional_kind(g)
     en = Enumerator(g, [{"x": 0}], max_size=20)
-    assert _predicate_pool(en, cond_nt, 9, kind) == ([], False)
+    assert _predicate_pool(en, cond_nt, 9, kind) == []
     assert en._done == 9
 
 
@@ -240,8 +247,8 @@ def test_predicate_pool_matches_enumeration(bench, envs, cap):
     g = p.targets[0].grammar
     kind, cond_nt = _conditional_kind(g)
     want = _enumerated_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
-    got, expired = _predicate_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
-    assert got == want and want and not expired
+    got = _predicate_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
+    assert got == want and want
 
 
 def test_auto_keeps_the_budget_on_abs():
@@ -251,6 +258,142 @@ def test_auto_keeps_the_budget_on_abs():
     outcome, wall, _cpu, _size, _text = solve_benchmark(os.path.join(BENCH, "abs.sl"), cfg)
     assert outcome == "unknown-verified"
     assert wall < cfg.timeout
+
+
+# --- the wallclock budget --------------------------------------------------
+
+
+class _Clock:
+    """Deadline stub: `left` seconds remain until a test sets it."""
+
+    def __init__(self, left):
+        self.left = left
+
+    def remaining(self):
+        return self.left
+
+    def expired(self):
+        return self.left < 0
+
+
+class _PassingClock(_Clock):
+    """A deadline that passes the first time it is checked inside a size."""
+
+    def expired(self):
+        self.left = -1.0
+        return True
+
+
+def test_size_cost_counts_the_candidates_a_size_constructs():
+    abs_grammar = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
+    for grammar, prune in ((PLUS_GRAMMAR, False), (PLUS_GRAMMAR, True), (abs_grammar, True)):
+        en = Enumerator(grammar, ENVS, max_size=9, prune=prune)
+        for s in range(1, 10):
+            cost, before = en.size_cost(s), en.constructed
+            en.ensure(s)
+            assert en.constructed - before == cost, (grammar.start, prune, s)
+    assert Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False).size_cost(1) == _count(1)
+
+
+def test_no_time_left_builds_nothing():
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=8, deadline=_Clock(0.0))
+    with pytest.raises(BudgetExceeded, match="deadline reached before size 1"):
+        en.bank("S", 1)
+    assert (en.constructed, en._done) == (0, 0)
+
+    clock = _Clock(60.0)
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=8, deadline=clock)
+    built = en.bank("S", 3)
+    constructed = en.constructed
+    clock.left = -0.5
+    with pytest.raises(BudgetExceeded):
+        en.bank("S", 4)
+    assert (en.constructed, en._done) == (constructed, 3)
+    assert en.bank("S", 3) == built  # sizes already built stay readable
+
+
+def test_a_size_predicted_not_to_fit_is_never_started():
+    # unpruned, size 9 constructs 3402 candidates, enough to set the rate;
+    # size 10 has none, and size 11 is predicted to need more than is left
+    clock = _Clock(60.0)
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=12, prune=False, deadline=clock)
+    en.ensure(9)
+    assert en._rate is not None
+    constructed = en.constructed
+    clock.left = 1e-9
+    with pytest.raises(BudgetExceeded, match=r"size 11 needs about .* s, 1e-09 s left"):
+        en.bank("S", 11)
+    assert (en.constructed, en._done) == (constructed, 10)
+
+
+def test_a_size_stops_at_the_deadline():
+    # sizes 1-7 construct 471 candidates; the check at the 1024th falls in size 9
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False, deadline=_PassingClock(60.0))
+    with pytest.raises(BudgetExceeded, match="deadline reached while building size 9"):
+        en.ensure(9)
+    assert (en.constructed, en._done) == (1024, 8)
+    with pytest.raises(BudgetExceeded, match="before size 9"):
+        en.bank("S", 9)  # the half-built size is never read
+    assert en.constructed == 1024
+
+
+CORPUS = sorted(glob.glob(os.path.join(BENCH, "*.sl")))
+
+
+@pytest.mark.parametrize("engine", ["cegis", "unif", "auto"])
+@pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
+def test_every_solver_keeps_a_one_second_budget(path, engine):
+    p = parse_file(path)
+    t0 = time.monotonic()
+    _pick_solver(p, engine)(p, Budget(wallclock=1.0))
+    assert time.monotonic() - t0 < 1.5
+
+
+IF0_EXAMPLES = [(1, 0), (2, 2), (4, 4), (8, 8), (3, 3), (16, 16)]
+
+
+def _if0_problem():
+    with open(os.path.join(BENCH, "fig2_bv_template.sl")) as fh:
+        text = fh.read()
+    examples = "".join(f"(constraint (= (f #x{i:016x}) #x{o:016x}))\n" for i, o in IF0_EXAMPLES)
+    return parse(text.replace("(check-synth)", examples + "(check-synth)"))
+
+
+@pytest.mark.parametrize(
+    "solve, problem",
+    [
+        (cegis_solve, lambda: parse_file(os.path.join(BENCH, "inv_loop.sl"))),
+        (unify_solve, _if0_problem),  # stitching reads Start predicates up to size 9
+    ],
+    ids=["inv_loop-cegis", "if0-unif"],
+)
+def test_budget_overruns_stop_at_the_deadline(solve, problem):
+    p = problem()
+    t0 = time.monotonic()
+    out = solve(p, Budget(wallclock=3.0))
+    assert time.monotonic() - t0 < 3.5
+    assert isinstance(out, Failure) and out.reason == "budget-exhausted" and out.detail
+
+
+# --- invariant atoms -------------------------------------------------------
+
+
+@pytest.mark.parametrize("bench", ["inv_loop.sl", "inv_loop_guarded.sl"])
+def test_octagon_atoms_match_per_atom_conformance(bench, monkeypatch):
+    p = parse_file(os.path.join(BENCH, bench))
+    spec = p.invariant_spec
+    target = p.target(spec.inv_name)
+    names = [n for n, _ in spec.state_vars]
+    pos, neg, _ = _ice_seed(p, spec, names, Budget())
+    envs = [dict(zip(names, s)) for s in sorted(pos | neg)]
+    bool_nt = next(n for n, s in target.grammar.nonterminals if s.kind == "Bool")
+    got = _octagon_atoms(target, bool_nt, envs)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "Derivable", lambda grammar: lambda nt, t: True)
+        candidates = _octagon_atoms(target, bool_nt, envs)
+    g = replace(target.grammar, start=bool_nt)
+    want = [(t, v) for t, v in candidates if oracle.check_conformance(t, g).kind == "valid"]
+    assert got == want and len(candidates) > 1000
 
 
 # --- nuggets ---------------------------------------------------------------

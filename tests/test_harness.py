@@ -218,6 +218,17 @@ def test_run_suite_records_the_wallclock_of_a_crashing_engine(tmp_path, monkeypa
     assert rec.cpu is None
 
 
+def test_run_suite_kills_a_worker_that_hangs(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "solve_benchmark", lambda path, cfg: time.sleep(60))
+    monkeypatch.setattr(harness, "GRACE", 0.3)
+    cfg = SuiteConfig(engine="cegis", timeout=0.2, workers=2)
+    t0 = time.monotonic()
+    records = run_suite(_tiny_corpus(tmp_path, ("a.sl", "b.sl", "c.sl")), cfg)
+    assert time.monotonic() - t0 < 5
+    assert sorted(r.benchmark for r in records) == ["a.sl", "b.sl", "c.sl"]
+    assert all((r.outcome, r.wallclock, r.cpu, r.size) == ("timeout", 0.2, None, None) for r in records)
+
+
 def _record_line(bench, outcome="solved"):
     return RunRecord(bench, "cegis", outcome, 0.5, 3, 0.4, None).to_json() + "\n"
 

@@ -1,6 +1,7 @@
 """Conformance checking, semantic verification, SMT-LIB2 plumbing."""
 
 import os
+from dataclasses import replace
 import random
 import stat
 
@@ -11,6 +12,7 @@ from sygus.engine import Budget, cegis_solve, enumerate_all, unify_solve
 from sygus.frontend import parse, parse_file, parse_solution
 from sygus import oracle
 from sygus.oracle import (
+    Derivable,
     VerifyConfig,
     build_smt_script,
     check_conformance,
@@ -59,6 +61,27 @@ def test_conformance_through_alias_chains():
     )
     assert check_conformance(Apply("+", (X, X), INT), g).kind == "valid"
     assert check_conformance(Lit(0, INT), g).kind == "nonconformant"
+
+
+def test_shared_derivation_memo_agrees_with_fresh_checks():
+    # S -> A | B, A -> S, B -> x | (+ S S): deciding (S, x) cuts A -> S
+    # short, which must not leave (A, x) refused for the next question
+    g = Grammar(
+        nonterminals=(("S", INT), ("A", INT), ("B", INT)),
+        start="S",
+        productions=(
+            ("S", (Hole("A", INT), Hole("B", INT))),
+            ("A", (Hole("S", INT),)),
+            ("B", (X, Apply("+", (Hole("S", INT), Hole("S", INT)), INT))),
+        ),
+    )
+    terms = enumerate_all(SUPER, "S", 5)
+    derivable = Derivable(g)
+    for nt in ("S", "A", "B"):
+        fresh = replace(g, start=nt)
+        for t in terms:
+            assert derivable(nt, t) == (check_conformance(t, fresh).kind == "valid"), (nt, t)
+    assert derivable("A", Apply("+", (X, X), INT)) and not derivable("A", Lit(0, INT))
 
 
 def test_solver_outputs_conform_to_their_grammars():
