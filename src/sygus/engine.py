@@ -21,10 +21,12 @@ Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.
 
 Every engine keeps one wallclock deadline.  The enumerator refuses a
-size it predicts cannot finish in the time left, and stops a size the
-deadline overtakes; either raises BudgetExceeded, which `cegis_solve`
-and `unify_solve` turn into `Failure("budget-exhausted")`.  Nothing cut
-short is ever read, so no other outcome depends on the clock.
+request for sizes it predicts cannot finish in the time left, and stops
+a size the deadline overtakes; either raises BudgetExceeded, which
+`cegis_solve` and `unify_solve` turn into `Failure("budget-exhausted")`.
+Nothing cut short is ever read, so no other outcome depends on the
+clock.  PBE and CEGIS stop building a size at the first term they
+accept.
 """
 
 from __future__ import annotations
@@ -146,10 +148,17 @@ class Enumerator:
     environment (Int 0, Bool false, BV 0, String "") still folds
     constants.
 
-    With a `deadline`, building raises BudgetExceeded: before a size
+    A size is built by a generator that `ensure` drives.  With a `goal`,
+    `(nt, goal(term, vec))`, the build pauses right after it banks the
+    first `nt` entry that meets the goal: `ensure` returns early once,
+    leaving the entry in `hit`, and the next `ensure` resumes the build
+    where it paused.  Only `enumerate` and `find` read a paused size;
+    `bank` always returns a complete one.
+
+    With a `deadline`, building raises BudgetExceeded: before a request
     whose predicted cost exceeds the time left, and inside a size once
-    the deadline has passed.  No caller sees a size before all of it is
-    built, so a size that cannot finish is not started.
+    the deadline has passed.  A build the deadline cuts is dropped, never
+    resumed: its banks are never read, and the next `ensure` raises.
     """
 
     def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None,
@@ -170,6 +179,10 @@ class Enumerator:
         self.constructed = 0
         self.deadline = deadline
         self._rate = None  # seconds per candidate on the last large size built
+        self.goal = None  # (nt, goal(term, vec)): pause the build at its first hit
+        self.hit = None  # the entry the last pause stopped at
+        self._build = None  # the generator building size _done + 1, if started
+        self._cut = False  # a build was cut short; its size is never finished
 
     def _default_env(self):
         env = {}
@@ -228,32 +241,70 @@ class Enumerator:
         return go(tmpl)
 
     def bank(self, nt, size):
-        self.ensure(size)
+        """Every entry of (nt, size), the size built in full."""
+        while self._done < min(size, self.max_size):
+            self.ensure(size)
         return self._bank.get((nt, size), [])
 
-    def ensure(self, size):
-        while self._done < min(size, self.max_size):
-            s = self._done + 1
-            if self.deadline is not None:
-                self._check_fits(s)
-            before, t0 = self.constructed, time.perf_counter()
-            self._build_size(s)
-            built = self.constructed - before
-            if built >= RATE_MIN_CANDIDATES:
-                self._rate = (time.perf_counter() - t0) / built
-            self._done = s
+    def find(self, nt, size, goal):
+        """The first entry of (nt, size), in bank order, that meets
+        `goal(term, vec)`, or None.  Scans what is built, then builds the
+        size no further than the entry."""
+        self.bank(nt, size - 1)
+        for entry in self._bank.get((nt, size), ()):
+            if goal(*entry):
+                return entry
+        self.goal, self.hit = (nt, goal), None
+        try:
+            self.ensure(size)
+        finally:
+            self.goal = None
+        return self.hit
 
-    def _check_fits(self, s):
-        """Raise BudgetExceeded unless size `s` is predicted to finish in
-        the time left.  A size cut short leaves its banks half built; the
-        deadline has passed by then, so they are never read."""
+    def ensure(self, size):
+        """Build every size up to `size`, or pause at the goal's first hit."""
+        upto = min(size, self.max_size)
+        while self._done < upto:
+            s = self._done + 1
+            if self._build is None:
+                if self.deadline is not None:
+                    self._check_fits(s, upto)
+                if self._cut:
+                    raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
+                self._build, self._build_from, self._build_s = self._build_size(s), self.constructed, 0.0
+            # the rate counts building time only, not the goal's own checks
+            t0, goal_s = time.perf_counter(), 0.0
+            try:
+                for nt, entry in self._build:
+                    if self.goal is not None and nt == self.goal[0]:
+                        g0 = time.perf_counter()
+                        met = self.goal[1](*entry)
+                        goal_s += time.perf_counter() - g0
+                        if met:
+                            self.goal, self.hit = None, entry
+                            return
+            except BaseException:  # whatever ends the generator leaves the size half built
+                self._build, self._cut = None, True
+                raise
+            finally:
+                self._build_s += time.perf_counter() - t0 - goal_s
+            built = self.constructed - self._build_from
+            if built >= RATE_MIN_CANDIDATES:
+                self._rate = self._build_s / built
+            self._build, self._done = None, s
+
+    def _check_fits(self, s, upto):
+        """Raise BudgetExceeded unless sizes `s..upto` are predicted to
+        finish in the time left.  Past `s` the prediction counts only the
+        candidates the banks built so far imply, so it is a lower bound."""
         left = self.deadline.remaining()
         if left <= 0:
             raise BudgetExceeded(f"deadline reached before size {s}")
         if self._rate is not None:
-            need = self.size_cost(s) * self._rate
+            need = sum(self.size_cost(t) for t in range(s, upto + 1)) * self._rate
             if need > left:
-                raise BudgetExceeded(f"size {s} needs about {need:.3g} s, {left:.3g} s left")
+                what = f"size {s} needs" if upto == s else f"sizes {s}-{upto} need"
+                raise BudgetExceeded(f"{what} about {need:.3g} s, {left:.3g} s left")
 
     def size_cost(self, s):
         """Candidates `_build_size(s)` constructs once every smaller size
@@ -272,6 +323,7 @@ class Enumerator:
         return total
 
     def _build_size(self, s):
+        """Build size `s`, yielding (nt, entry) after each entry it banks."""
         for nt in self._nts:
             self._bank[(nt, s)] = []
         changed = True
@@ -286,6 +338,7 @@ class Enumerator:
                         if s == template_fixed_size(tmpl) and not self._seen_leaf(nt, idx, s):
                             if self._try_add(nt, s, tmpl, fn, []):
                                 changed = True
+                                yield nt, out[-1]
                     elif kind == "alias":
                         _, idx, sub = prod
                         src = self._bank.get((sub, s), [])
@@ -297,6 +350,7 @@ class Enumerator:
                             if self._admit(nt, term, vec):
                                 out.append((term, vec))
                                 changed = True
+                                yield nt, out[-1]
                         self._alias_pos[key] = pos
                     else:
                         _, idx, tmpl, hole_nts, fixed, fn = prod
@@ -315,6 +369,7 @@ class Enumerator:
                             for combo in itertools.product(*banks):
                                 if self._try_add(nt, s, tmpl, fn, combo):
                                     changed = True
+                                    yield nt, out[-1]
 
     def _seen_leaf(self, nt, idx, s):
         key = (nt, idx, s, "leaf")
@@ -354,8 +409,15 @@ class Enumerator:
         """Yield (term, vector) in nondecreasing size up to the size cap."""
         nt = nt or self.grammar.start
         for s in range(1, self.max_size + 1):
-            self.ensure(s)
-            yield from self._bank.get((nt, s), [])
+            i = 0
+            while True:  # a paused size is read as far as it is built
+                self.ensure(s)
+                out = self._bank.get((nt, s), [])
+                while i < len(out):
+                    yield out[i]
+                    i += 1
+                if self._done >= s:
+                    break
 
     def max_finite_size(self):
         """Largest derivable term size if the grammar is acyclic, else None."""
@@ -608,19 +670,26 @@ def _consistent_candidate(problem, points, budget, deadline):
     ens = [_enum_for(problem, t, points, budget, deadline) for t in targets]
     params = [[n for n, _ in t.params] for t in targets]
     n = len(targets)
+    last = ens[-1]
     for total in range(n, budget.max_term_size * n + 1):
         for sizes in _compositions(total, n):
             # a size past the cap has an empty bank
-            banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n)]
+            banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n - 1)]
             if any(not b for b in banks):
                 continue
-            for combo in itertools.product(*banks):
-                deadline.check()
-                sol_map = {
-                    targets[i].name: (params[i], combo[i][0]) for i in range(n)
-                }
-                if _satisfies_all(problem, sol_map, points):
-                    return {targets[i].name: combo[i][0] for i in range(n)}
+            for prefix in itertools.product(*banks):
+                terms = [c[0] for c in prefix]
+
+                def completes(term, _vec, terms=terms):
+                    deadline.check()
+                    sol_map = {t.name: (ps, body) for t, ps, body in zip(targets, params, terms + [term])}
+                    return _satisfies_all(problem, sol_map, points)
+
+                # the last target's size is built only up to its first
+                # term that completes the prefix
+                hit = last.find(last.grammar.start, sizes[-1], completes)
+                if hit is not None:
+                    return {t.name: body for t, body in zip(targets, terms + [hit[0]])}
     if all(_exhaust_reason(e).reason == "grammar-exhausted" for e in ens):
         return Failure("grammar-exhausted")
     return Failure("budget-exhausted", "size cap reached")
@@ -763,6 +832,8 @@ def _solve_pbe(problem, examples, budget, deadline, unify=True):
         target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, keep=keep,
         deadline=deadline,
     )
+    # no size is built past the first term that meets every example
+    en.goal = (en.grammar.start, lambda _term, vec: vec == expected)
     all_ids = frozenset(range(len(examples)))
     kind, cond_nt = _conditional_kind(target.grammar) if unify else (None, None)
     cover_terms = []
@@ -800,14 +871,17 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     enumeration order, dropping constant and already-seen vectors.
 
     An `if0` condition selects where it equals 1, any other condition
-    where it is truthy.  A size `en` refuses for the deadline raises
-    BudgetExceeded: a pool cut short would make the tree, and so the
-    outcome, depend on the clock.
+    where it is truthy.  A pool `en` refuses for the deadline raises
+    BudgetExceeded, before any size when the sizes up to `max_size` are
+    predicted not to fit: a pool cut short would make the tree, and so
+    the outcome, depend on the clock.
     """
     pool = []
     seen = set()
-    # Read the banks by size: sizes past the cap are never built, even when
-    # pruning has left the banks empty.
+    # One request for every size up to the cap, so the deadline refuses it
+    # whole; sizes past the cap are never built, even when pruning has left
+    # the banks empty.
+    en.bank(nt, max_size)
     for s in range(1, max_size + 1):
         for term, vec in en.bank(nt, s):
             if kind == "if0":
@@ -1226,19 +1300,10 @@ def generate_nuggets(grammar, k, input_sample, interpretations=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     en = Enumerator(grammar, input_sample, interpretations, max_size=k, prune=False)
-    seen = set()
-    total = 0
-    for s in range(1, k):
-        for _, vec in en.bank(grammar.start, s):
-            seen.add(vec)
-            total += 1
-            if total > MAX_NUGGET_BANK:
-                raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms below size {k}")
-    out = []
-    for term, vec in en.bank(grammar.start, k):
-        total += 1
-        if total > MAX_NUGGET_BANK:
-            raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms up to size {k}")
-        if vec not in seen:
-            out.append(term)
-    return out
+    for s in range(1, k + 1):
+        # unpruned, every candidate is banked: refuse a size before building it
+        if en.constructed + en.size_cost(s) > MAX_NUGGET_BANK:
+            raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms up to size {s}")
+        en.ensure(s)
+    seen = {vec for s in range(1, k) for _, vec in en.bank(grammar.start, s)}
+    return [term for term, vec in en.bank(grammar.start, k) if vec not in seen]

@@ -1,15 +1,17 @@
 """Enumeration, pruning, PBE extraction, synthesis loops, nuggets."""
 
 import glob
+import itertools
 import os
+import random
 import time
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 
-from sygus.core import Apply, Grammar, Hole, INT, Lit, Var, term_size
-from sygus import oracle
+from sygus.core import Apply, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
+from sygus import engine, oracle
 from sygus.engine import (
     Budget,
     BudgetExceeded,
@@ -21,6 +23,7 @@ from sygus.engine import (
     _ice_seed,
     _octagon_atoms,
     _predicate_pool,
+    _string_keep,
     cegis_solve,
     enumerate_all,
     extract_pbe_points,
@@ -314,14 +317,19 @@ def test_no_time_left_builds_nothing():
 
 def test_a_size_predicted_not_to_fit_is_never_started():
     # unpruned, size 9 constructs 3402 candidates, enough to set the rate;
-    # size 10 has none, and size 11 is predicted to need more than is left
+    # size 10 has none, but the request runs to size 11, which is predicted
+    # to need more than is left, so size 10 is refused with it
     clock = _Clock(60.0)
     en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=12, prune=False, deadline=clock)
     en.ensure(9)
     assert en._rate is not None
     constructed = en.constructed
     clock.left = 1e-9
-    with pytest.raises(BudgetExceeded, match=r"size 11 needs about .* s, 1e-09 s left"):
+    with pytest.raises(BudgetExceeded, match=r"sizes 10-11 need about .* s, 1e-09 s left"):
+        en.bank("S", 11)
+    assert (en.constructed, en._done) == (constructed, 9)
+    assert en.bank("S", 10) == []  # a request for the empty size alone fits
+    with pytest.raises(BudgetExceeded, match=r"^size 11 needs about .* s, 1e-09 s left"):
         en.bank("S", 11)
     assert (en.constructed, en._done) == (constructed, 10)
 
@@ -337,7 +345,160 @@ def test_a_size_stops_at_the_deadline():
     assert en.constructed == 1024
 
 
+def test_a_cut_build_is_never_resumed():
+    clock = _PassingClock(60.0)
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False, deadline=clock)
+    with pytest.raises(BudgetExceeded, match="while building size 9"):
+        en.ensure(9)
+    clock.left = 60.0  # time to spare again: still not restarted over stale signatures
+    with pytest.raises(BudgetExceeded, match="size 9 was cut short"):
+        en.bank("S", 9)
+    assert (en.constructed, en._done) == (1024, 8)
+
+
+def test_a_refused_pool_request_builds_no_size():
+    # the size the pool would start fits alone; the sizes up to its cap do not
+    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    g = p.targets[0].grammar
+    kind, cond_nt = _conditional_kind(g)
+    clock = _Clock(60.0)
+    en = Enumerator(g, [{"x": v} for v in (1, 2, 4, 8, 3, 16)], p.macro_map(), deadline=clock)
+    en.ensure(5)
+    assert en._rate is not None
+    constructed = en.constructed
+    clock.left = en._rate * en.size_cost(6) * 1.01
+    with pytest.raises(BudgetExceeded, match=r"sizes 6-9 need about"):
+        _predicate_pool(en, cond_nt, 9, kind)
+    assert (en.constructed, en._done) == (constructed, 5)
+
+
 CORPUS = sorted(glob.glob(os.path.join(BENCH, "*.sl")))
+
+
+# --- early stop at the first accepted term ---------------------------------
+
+
+def _fig2_pbe_problems():
+    """Criterion-6 style PBE problems over the fig2 grammar, planted at
+    sizes 3-5 so that the goal falls inside a size."""
+    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    target, macros = p.targets[0], p.macro_map()
+    sample = [{"x": v} for v in [0, 1, 2, 7, 2**63, 2**64 - 1]]
+    nuggets = [t for k in (2, 3) for t in generate_nuggets(target.grammar, k, sample, macros)]
+    programs = [subst(a, {"x": b}) for a, b in itertools.product(nuggets, repeat=2)]
+    rng = random.Random(0)
+    programs = [t for t in programs if term_size(t) <= 5] + nuggets
+    rng.shuffle(programs)
+    mask = (1 << 64) - 1
+    ev = Evaluator(macros)
+    out = []
+    for body in programs[:6]:
+        inputs = [0, 1, mask, 1 << 32, (1 << 32) - 1] + [rng.getrandbits(64) for _ in range(5)]
+        out.append((target, macros, [{"x": v} for v in inputs], tuple(ev.eval(body, {"x": v}) for v in inputs)))
+    return out
+
+
+def _initials_problem():
+    p = parse_file(os.path.join(BENCH, "initials.sl"))
+    target = p.targets[0]
+    examples = extract_pbe_points(p)
+    return target, p.macro_map(), [{"name": ex.inputs[0]} for ex in examples], tuple(ex.output for ex in examples)
+
+
+def _pbe_enumerators(target, macros, envs, expected):
+    """The enumerator `_solve_pbe` builds, with its goal, and a goal-free twin."""
+    keep = _string_keep([str(o) for o in expected]) if target.ret == STRING else None
+    ens = [Enumerator(target.grammar, envs, macros, max_size=16, keep=keep) for _ in range(2)]
+    ens[0].goal = (target.grammar.start, lambda _term, vec: vec == expected)
+    return ens
+
+
+def _until_goal(en, expected):
+    seq = []
+    for term, vec in en.enumerate():
+        seq.append((term, vec))
+        if vec == expected:
+            return seq
+
+
+@pytest.mark.parametrize("problem", _fig2_pbe_problems() + [_initials_problem()],
+                         ids=[f"fig2-{i}" for i in range(6)] + ["initials"])
+def test_the_build_stops_at_the_goal_and_resumes_in_order(problem):
+    target, _macros, _envs, expected = problem
+    en, ref = _pbe_enumerators(*problem)
+    seq = _until_goal(en, expected)
+    assert seq == _until_goal(ref, expected)
+    size = term_size(seq[-1][0])
+    assert en._done == size - 1 and en._build is not None  # paused inside the size
+    assert en.constructed <= ref.constructed
+    en.bank(target.grammar.start, size + 1)  # resumes, and builds on past the pause
+    ref.bank(target.grammar.start, size + 1)
+    assert en.constructed == ref.constructed
+    for nt, _ in target.grammar.nonterminals:
+        for s in range(1, size + 2):
+            assert en.bank(nt, s) == ref.bank(nt, s), (nt, s)
+
+
+def test_find_returns_the_first_match_in_bank_order():
+    def goal(_term, vec):
+        return vec == (0, 1, 2, 3, 4, 5, 6)
+
+    ref = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False)
+    want = next(e for e in ref.bank("S", 7) if goal(*e))
+    assert want != ref.bank("S", 7)[0]
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False)
+    assert en.find("S", 7, goal) == want
+    assert en._done == 6 and en.constructed < ref.constructed
+    assert en.find("S", 7, goal) == want  # the built part is scanned first
+    assert en.find("S", 7, lambda _t, vec: False) is None  # and then the rest is built
+    assert en.bank("S", 7) == ref.bank("S", 7)
+
+
+def test_find_on_a_complete_bank_builds_nothing():
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9)
+    bank = en.bank("S", 5)
+    constructed = en.constructed
+    assert en.find("S", 5, lambda _t, vec: True) == bank[0]
+    assert en.find("S", 5, lambda _t, vec: vec == bank[-1][1]) == bank[-1]
+    assert en.find("S", 5, lambda _t, vec: False) is None
+    assert (en.constructed, en._done, en._build) == (constructed, 5, None)
+
+
+def _whole_size_find(self, nt, size, goal):
+    """Reference `find`: build the whole size, then scan it."""
+    return next((e for e in self.bank(nt, size) if goal(*e)), None)
+
+
+ITE_SPECS = ["(ite (<= x y) y x)", "(ite (= x y) (+ x 1) (- x y))", "(ite (< x 0) (- 0 x) (+ x y))"]
+# These three end at the deadline under cegis; a smaller size cap ends them
+# at the cap instead, so that nothing depends on the clock.
+CLOCK_BOUND = {"inv_loop.sl", "inv_loop_guarded.sl", "qm_loop.sl"}
+
+
+def _cegis_specs():
+    for path in CORPUS:
+        name = os.path.basename(path)
+        yield pytest.param(lambda path=path: parse_file(path), 6 if name in CLOCK_BOUND else 20, id=name)
+    for body in ITE_SPECS:
+        text = ("(set-logic LIA)\n(synth-fun f ((x Int) (y Int)) Int)\n(declare-var x Int)\n"
+                f"(declare-var y Int)\n(constraint (= (f x y) {body}))\n(check-synth)\n")
+        yield pytest.param(lambda text=text: parse(text), 20, id=body)
+
+
+@pytest.mark.parametrize("problem, cap", _cegis_specs())
+def test_cegis_stops_early_like_a_whole_size_scan(problem, cap, monkeypatch):
+    calls = []
+    satisfies_all = engine._satisfies_all
+    monkeypatch.setattr(engine, "_satisfies_all", lambda *a: calls.append(1) or satisfies_all(*a))
+
+    def run():
+        calls.clear()
+        out = cegis_solve(problem(), Budget(wallclock=60, max_term_size=cap))
+        return out.emit() if isinstance(out, Solution) else out, len(calls)
+
+    got = run()
+    monkeypatch.setattr(Enumerator, "find", _whole_size_find)
+    assert got == run()
 
 
 @pytest.mark.parametrize("engine", ["cegis", "unif", "auto"])
@@ -424,6 +585,24 @@ def test_nuggets_k1_are_the_distinct_leaves():
     nuggets = generate_nuggets(PLUS_GRAMMAR, 1, sample)
     # x, 0 and 1 are pairwise distinct on the sample
     assert len(nuggets) == 3
+
+
+def test_nuggets_refuse_a_size_past_the_cap_before_building_it(monkeypatch):
+    made = []
+
+    class Recording(Enumerator):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "Enumerator", Recording)
+    below = sum(_count(s) for s in range(1, 5))  # 12 candidates up to size 4
+    monkeypatch.setattr(engine, "MAX_NUGGET_BANK", below + _count(5) - 1)
+    with pytest.raises(BudgetExceeded, match="up to size 5"):
+        generate_nuggets(PLUS_GRAMMAR, 7, ENVS)
+    assert (made[0].constructed, made[0]._done) == (below, 4)
+    monkeypatch.setattr(engine, "MAX_NUGGET_BANK", below + _count(5))
+    assert generate_nuggets(PLUS_GRAMMAR, 5, ENVS)
 
 
 def test_nuggets_rejects_bad_k():
