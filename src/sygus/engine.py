@@ -9,12 +9,14 @@ Two strategies over the same enumeration machinery:
   ICE-style variant that learns a Boolean combination of enumerated
   atoms from positive, negative and implication examples.
 
-Plain CEGIS, unification and the ICE variant share one
-counterexample-guided loop, `_cegis`: propose a candidate, verify it,
-then learn from the counterexample or stall.  PBE problems skip the
-loop, since their examples are the whole specification.  Stitching and
-invariant learning grow their trees with one greedy information-gain
-ID3, `build_decision_tree`, over predicate pools from one builder,
+`classify` decides once what kind each problem is.  Plain CEGIS,
+unification and the ICE variant share one counterexample-guided loop,
+`_cegis`: propose a candidate, verify it, then learn from the
+counterexample or stall.  PBE problems skip the loop, since their
+examples are the whole specification.  PBE and unification share one
+cover-and-stitch search, `_cover_and_stitch`.  Stitching and invariant
+learning grow their trees with one greedy information-gain ID3,
+`build_decision_tree`, over predicate pools from one builder,
 `_predicate_pool`.
 
 Enumeration order is total and reproducible: by size, then production
@@ -174,7 +176,6 @@ class Enumerator:
         self._prods = {nt: self._prepare(nt) for nt in self._nts}
         self._bank = {}
         self._sigs = {nt: {} for nt in self._nts}
-        self._alias_pos = {}
         self._done = 0
         self.constructed = 0
         self.deadline = deadline
@@ -326,24 +327,18 @@ class Enumerator:
         """Build size `s`, yielding (nt, entry) after each entry it banks."""
         for nt in self._nts:
             self._bank[(nt, s)] = []
+        built = set()  # (nt, production index): leaves and compositions are built once
+        read = {}  # (nt, production index) of an alias -> source entries read
         changed = True
         while changed:  # fixpoint for alias chains at equal size
             changed = False
             for nt in self._nts:
                 out = self._bank[(nt, s)]
                 for prod in self._prods[nt]:
-                    kind = prod[0]
-                    if kind == "leaf":
-                        _, idx, tmpl, fn = prod
-                        if s == template_fixed_size(tmpl) and not self._seen_leaf(nt, idx, s):
-                            if self._try_add(nt, s, tmpl, fn, []):
-                                changed = True
-                                yield nt, out[-1]
-                    elif kind == "alias":
-                        _, idx, sub = prod
-                        src = self._bank.get((sub, s), [])
-                        key = (nt, idx, s)
-                        pos = self._alias_pos.get(key, 0)
+                    kind, key = prod[0], (nt, prod[1])
+                    if kind == "alias":
+                        src = self._bank.get((prod[2], s), [])
+                        pos = read.get(key, 0)
                         while pos < len(src):
                             term, vec = src[pos]
                             pos += 1
@@ -351,32 +346,29 @@ class Enumerator:
                                 out.append((term, vec))
                                 changed = True
                                 yield nt, out[-1]
-                        self._alias_pos[key] = pos
-                    else:
-                        _, idx, tmpl, hole_nts, fixed, fn = prod
-                        key = (nt, idx, s)
-                        if key in self._alias_pos:
-                            continue  # comp productions are built once per size
-                        self._alias_pos[key] = -1
-                        budget = s - fixed
-                        k = len(hole_nts)
-                        if budget < k:
+                        read[key] = pos
+                        continue
+                    if key in built:
+                        continue
+                    built.add(key)
+                    if kind == "leaf":
+                        _, _, tmpl, fn = prod
+                        if s == template_fixed_size(tmpl) and self._try_add(nt, s, tmpl, fn, []):
+                            changed = True
+                            yield nt, out[-1]
+                        continue
+                    _, _, tmpl, hole_nts, fixed, fn = prod
+                    k = len(hole_nts)
+                    if s - fixed < k:
+                        continue
+                    for sizes in _compositions(s - fixed, k):
+                        banks = [self._bank.get((hole_nts[i], sizes[i]), []) for i in range(k)]
+                        if any(not b for b in banks):
                             continue
-                        for sizes in _compositions(budget, k):
-                            banks = [self._bank.get((hole_nts[i], sizes[i]), []) for i in range(k)]
-                            if any(not b for b in banks):
-                                continue
-                            for combo in itertools.product(*banks):
-                                if self._try_add(nt, s, tmpl, fn, combo):
-                                    changed = True
-                                    yield nt, out[-1]
-
-    def _seen_leaf(self, nt, idx, s):
-        key = (nt, idx, s, "leaf")
-        if key in self._alias_pos:
-            return True
-        self._alias_pos[key] = -1
-        return False
+                        for combo in itertools.product(*banks):
+                            if self._try_add(nt, s, tmpl, fn, combo):
+                                changed = True
+                                yield nt, out[-1]
 
     def _try_add(self, nt, s, tmpl, fn, combo):
         kid_vecs = [c[1] for c in combo]
@@ -467,7 +459,7 @@ def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
 
 
 # ---------------------------------------------------------------------------
-# PBE extraction
+# PBE extraction and problem classes
 
 
 @dataclass(frozen=True)
@@ -507,6 +499,31 @@ def extract_pbe_points(problem):
         seen[inputs] = rhs.value
         order.append(PbeExample(inputs, rhs.value))
     return order
+
+
+@dataclass(frozen=True)
+class ProblemClass:
+    """`kind` is "invariant", "pbe" (with its `examples`), "conditional"
+    (a single target whose `_conditional_kind` is `cond`) or "plain".
+    Examples in `conflict` leave the problem classed by its grammar."""
+
+    kind: str
+    examples: list = None
+    cond: tuple = (None, None)
+    conflict: str = None
+
+
+def classify(problem):
+    """The one place that decides what kind of problem `problem` is."""
+    if problem.invariant_spec is not None:
+        return ProblemClass("invariant")
+    cond = _conditional_kind(problem.targets[0].grammar) if len(problem.targets) == 1 else (None, None)
+    try:
+        examples, conflict = extract_pbe_points(problem), None
+    except ConflictingExamples as e:
+        examples, conflict = None, str(e)
+    kind = "pbe" if examples is not None else "plain" if cond[0] is None else "conditional"
+    return ProblemClass(kind, examples, cond, conflict)
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +572,8 @@ def collect_envs(problem, target, points):
     return envs
 
 
-def _enum_for(problem, target, points, budget, deadline, envs=None):
-    if envs is None:
-        envs = collect_envs(problem, target, points)
-    return Enumerator(
-        target.grammar,
-        envs,
-        problem.macro_map(),
-        max_size=budget.max_term_size,
-        deadline=deadline,
-    )
+def _enum_for(problem, target, envs, budget, deadline):
+    return Enumerator(target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, deadline=deadline)
 
 
 def _exhaust_reason(en):
@@ -645,29 +654,39 @@ def _point_cegis(problem, targets, propose, budget, deadline, cfg):
     )
 
 
-def cegis_solve(problem, budget=None, cfg=None):
-    """Enumerative CEGIS; returns Solution or Failure."""
+def _run(problem, budget, solve):
+    """`solve(pclass, budget, deadline)` under one wallclock deadline, on
+    the problem's class; BudgetExceeded becomes a Failure."""
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
+    pclass = classify(problem)
+    if pclass.conflict is not None:
+        return Failure("conflicting-examples", pclass.conflict)
     try:
-        examples = extract_pbe_points(problem)
-        if examples is not None:
-            return _solve_pbe(problem, examples, budget, deadline, unify=False)
+        return solve(pclass, budget, deadline)
+    except BudgetExceeded as e:
+        return Failure("budget-exhausted", str(e))
+
+
+def cegis_solve(problem, budget=None, cfg=None):
+    """Enumerative CEGIS; returns Solution or Failure."""
+
+    def solve(pclass, budget, deadline):
+        if pclass.kind == "pbe":
+            return _solve_pbe(problem, pclass.examples, (None, None), budget, deadline)
         return _point_cegis(
             problem, problem.targets,
             lambda points: _consistent_candidate(problem, points, budget, deadline),
             budget, deadline, cfg,
         )
-    except ConflictingExamples as e:
-        return Failure("conflicting-examples", str(e))
-    except BudgetExceeded as e:
-        return Failure("budget-exhausted", str(e))
+
+    return _run(problem, budget, solve)
 
 
 def _consistent_candidate(problem, points, budget, deadline):
     """Product enumeration of the targets' terms, ordered by combined size."""
     targets = problem.targets
-    ens = [_enum_for(problem, t, points, budget, deadline) for t in targets]
+    ens = [_enum_for(problem, t, collect_envs(problem, t, points), budget, deadline) for t in targets]
     params = [[n for n, _ in t.params] for t in targets]
     n = len(targets)
     last = ens[-1]
@@ -712,8 +731,6 @@ class Branch:
 
 
 def _entropy(counts):
-    import math
-
     total = sum(counts.values())
     h = 0.0
     for c in counts.values():
@@ -772,36 +789,26 @@ def _counts(labels, ids):
 
 
 def _conditional_kind(grammar):
-    """(kind, cond_nt) where kind in {"ite", "if0", "qm", None}."""
+    """(kind, cond_nt) where kind in {"ite", "if0", "qm", None}: the first
+    production of the first of those kinds the grammar has."""
+    found = {}
     for _, templates in grammar.productions:
-        for tmpl in templates:
-            if isinstance(tmpl, Apply) and tmpl.op == "ite" and len(tmpl.args) == 3:
-                c = tmpl.args[0]
-                if isinstance(c, Hole):
-                    return "ite", c.nonterminal
-    for _, templates in grammar.productions:
-        for tmpl in templates:
-            if isinstance(tmpl, Apply) and tmpl.op == "if0" and len(tmpl.args) == 3:
-                c = tmpl.args[0]
-                if isinstance(c, Hole):
-                    return "if0", c.nonterminal
-    for _, templates in grammar.productions:
-        for tmpl in templates:
-            if isinstance(tmpl, Apply) and tmpl.op == "qm" and len(tmpl.args) == 2:
-                return "qm", None
-    return None, None
+        for t in templates:
+            if not isinstance(t, Apply):
+                continue
+            if t.op in ("ite", "if0") and len(t.args) == 3 and isinstance(t.args[0], Hole):
+                found.setdefault(t.op, t.args[0].nonterminal)
+            elif t.op == "qm" and len(t.args) == 2:
+                found.setdefault("qm", None)
+    return next(((k, found[k]) for k in ("ite", "if0", "qm") if k in found), (None, None))
 
 
 def _flatten_dt(tree, kind, sort):
     if isinstance(tree, Leaf):
         return tree.term
-    a = _flatten_dt(tree.then, kind, sort)
-    b = _flatten_dt(tree.other, kind, sort)
-    if kind == "ite":
-        return Apply("ite", (tree.pred, a, b), sort)
-    if kind == "if0":
-        return Apply("if0", (tree.pred, a, b), sort)
-    raise SygusError(f"cannot flatten decision tree for conditional kind {kind!r}")
+    if kind not in ("ite", "if0"):
+        raise SygusError(f"cannot flatten decision tree for conditional kind {kind!r}")
+    return Apply(kind, (tree.pred, _flatten_dt(tree.then, kind, sort), _flatten_dt(tree.other, kind, sort)), sort)
 
 
 # ---------------------------------------------------------------------------
@@ -820,47 +827,71 @@ def _string_keep(expected_outputs):
     return keep
 
 
-def _solve_pbe(problem, examples, budget, deadline, unify=True):
+def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
+    """Return the first enumerated term that `covers(term, vec)` says is
+    right on all of ids 0..n-1.  With a conditional `cond` = (kind,
+    cond_nt), terms with new covers are kept, and stitched for each new
+    one once together they cover every id; a stitched term that passes
+    `check` is returned.  Else the Failure is the last stitch's, if one
+    was tried; `cover-stall` if a finite grammar with a conditional ran
+    out; else `_exhaust_reason`."""
+    kind, cond_nt = cond
+    all_ids = frozenset(range(n))
+    kept, seen, union = [], set(), set()
+    failure = None
+    for term, vec in en.enumerate():
+        deadline.check()
+        cov = covers(term, vec)
+        if cov == all_ids:
+            return term
+        if kind is None or not cov:
+            continue
+        # qm chains select on the sign of the branch term, so two terms
+        # with the same cover but different signs are not interchangeable.
+        key = (cov, tuple(v >= 0 for v in vec)) if kind == "qm" else cov
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append((term, cov, vec))
+        union |= cov
+        if union != all_ids:
+            continue
+        stitched = _stitch(en, kept, all_ids, kind, cond_nt, sort, budget)
+        if isinstance(stitched, Failure):
+            failure = stitched
+        elif check is None or check(stitched):
+            return stitched
+        else:
+            failure = Failure("cover-stall", "stitched candidate fails a point")
+    if failure is not None:
+        return failure
+    out = _exhaust_reason(en)
+    if kind is not None and out.reason == "grammar-exhausted":
+        return Failure("cover-stall")
+    return out
+
+
+def _solve_pbe(problem, examples, cond, budget, deadline):
+    """Cover-and-stitch over the examples, with `cond` as the conditional
+    to stitch with; (None, None) enumerates only."""
     target = problem.targets[0]
     params = [n for n, _ in target.params]
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
     expected = tuple(ex.output for ex in examples)
-    keep = None
-    if target.ret == STRING:
-        keep = _string_keep([str(o) for o in expected])
+    keep = _string_keep([str(o) for o in expected]) if target.ret == STRING else None
     en = Enumerator(
         target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, keep=keep,
         deadline=deadline,
     )
     # no size is built past the first term that meets every example
     en.goal = (en.grammar.start, lambda _term, vec: vec == expected)
-    all_ids = frozenset(range(len(examples)))
-    kind, cond_nt = _conditional_kind(target.grammar) if unify else (None, None)
-    cover_terms = []
-    seen_covers = set()
-    union = set()
-    found = None
-    for term, vec in en.enumerate():
-        deadline.check()
-        cov = frozenset(i for i in all_ids if vec[i] == expected[i])
-        if cov == all_ids:
-            found = term
-            break
-        key = (cov, tuple(v >= 0 for v in vec)) if kind == "qm" else cov
-        if unify and cov and key not in seen_covers:
-            seen_covers.add(key)
-            cover_terms.append((term, cov, vec))
-            union |= cov
-            if union == all_ids and kind is not None:
-                stitched = _stitch(en, cover_terms, all_ids, kind, cond_nt, target.ret, budget)
-                if isinstance(stitched, Term):
-                    found = stitched
-                    break
-                # keep enumerating; a direct solution may still turn up
-    if found is None:
-        if unify and union != all_ids and _exhaust_reason(en).reason == "grammar-exhausted":
-            return Failure("cover-stall")
-        return _exhaust_reason(en)
+
+    def covers(_term, vec):
+        return frozenset(i for i, (v, out) in enumerate(zip(vec, expected)) if v == out)
+
+    found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, budget, deadline)
+    if isinstance(found, Failure):
+        return found
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
     sol.verdict = oracle.verify(problem, sol.as_map(), None)
     return sol
@@ -934,79 +965,50 @@ def _stitch_qm(cover_terms, ids):
 
 def unify_solve(problem, budget=None, cfg=None):
     """Enumeration + unification; returns Solution or Failure."""
-    budget = budget or Budget()
-    deadline = _Deadline(budget.wallclock)
-    try:
-        if problem.invariant_spec is not None:
+
+    def solve(pclass, budget, deadline):
+        if pclass.kind == "invariant":
             return _ice_solve(problem, budget, deadline, cfg)
-        examples = extract_pbe_points(problem)
-        if examples is not None:
-            return _solve_pbe(problem, examples, budget, deadline, unify=True)
-        if len(problem.targets) != 1:
-            return Failure("no-conditional-production", "unification handles a single target")
+        if pclass.kind == "pbe":
+            return _solve_pbe(problem, pclass.examples, pclass.cond, budget, deadline)
+        if pclass.kind != "conditional":
+            many = len(problem.targets) != 1
+            return Failure("no-conditional-production", "unification handles a single target" if many else "")
         target = problem.targets[0]
-        kind, cond_nt = _conditional_kind(target.grammar)
-        if kind is None:
-            return Failure("no-conditional-production")
         return _point_cegis(
             problem, [target],
-            lambda points: _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline),
+            lambda points: _unify_candidate(problem, target, points, pclass.cond, budget, deadline),
             budget, deadline, cfg,
         )
-    except ConflictingExamples as e:
-        return Failure("conflicting-examples", str(e))
-    except BudgetExceeded as e:
-        return Failure("budget-exhausted", str(e))
+
+    return _run(problem, budget, solve)
 
 
-def _unify_candidate(problem, target, points, kind, cond_nt, budget, deadline):
-    """One round of cover-and-stitch over the current point set."""
+def _point_covers(problem, target, points):
+    """covers(term, vec): the ids of the points where `term` as `target`
+    meets every constraint."""
     params = [n for n, _ in target.params]
+
+    def covers(term, _vec):
+        ev = Evaluator(solution_interpretations(problem, {target.name: (params, term)}))
+        return frozenset(i for i, p in enumerate(points) if all(ev.eval(c, p) for c in problem.constraints))
+
+    return covers
+
+
+def _unify_candidate(problem, target, points, cond, budget, deadline):
+    """One round of cover-and-stitch over the current point set."""
     envs = collect_envs(problem, target, points)
-    en = _enum_for(problem, target, points, budget, deadline, envs)
-    if not points:
-        for term, _ in en.enumerate():
-            return term
-        return _exhaust_reason(en)
-    aligned = len(envs) == len(points)  # single invocation per point
-    all_ids = frozenset(range(len(points)))
-    covers = []
-    seen = set()
-    union = set()
-    stitched_failure = Failure("predicate-exhausted")
-    for term, vec in en.enumerate():
-        deadline.check()
-        sol = {target.name: (params, term)}
-        cov = frozenset(i for i in all_ids if _satisfies_all(problem, sol, [points[i]]))
-        if cov == all_ids:
-            return term
-        if not cov:
-            continue
-        # qm chains select on the sign of the branch term, so two terms
-        # with the same cover but different signs are not interchangeable.
-        key = (cov, tuple(v >= 0 for v in vec)) if kind == "qm" else cov
-        if key in seen:
-            continue
-        seen.add(key)
-        covers.append((term, cov, vec))
-        union |= cov
-        if union != all_ids or not aligned:
-            continue
-        result = _stitch(en, covers, all_ids, kind, cond_nt, target.ret, budget)
-        if isinstance(result, Failure):
-            stitched_failure = result
-            continue
-        sol = {target.name: (params, result)}
-        if _satisfies_all(problem, sol, points):
-            return result
-        stitched_failure = Failure("cover-stall", "stitched candidate fails a point")
-    if union != all_ids:
-        if _exhaust_reason(en).reason == "grammar-exhausted":
-            return Failure("cover-stall")
-        return Failure("cover-stall", "size cap reached before full cover")
-    if not aligned:
+    en = _enum_for(problem, target, envs, budget, deadline)
+    aligned = len(envs) == len(points)  # stitching reads one environment per point
+    covers = _point_covers(problem, target, points)
+    found = _cover_and_stitch(
+        en, len(points), covers, cond if aligned else (None, None), target.ret, budget, deadline,
+        lambda term: len(covers(term, None)) == len(points),
+    )
+    if isinstance(found, Failure) and not aligned:
         return Failure("cover-stall", "multiple target invocations per point")
-    return stitched_failure
+    return found
 
 
 # ---------------------------------------------------------------------------

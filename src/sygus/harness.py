@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict
 from multiprocessing.connection import wait
 
 from .core import SygusError, term_size
-from .engine import Budget, cegis_solve, unify_solve, extract_pbe_points, Failure, _conditional_kind
+from .engine import Budget, Failure, cegis_solve, classify, unify_solve
 from .frontend import parse_file
 from .oracle import VerifyConfig, check_conformance, verify
 
@@ -159,19 +159,9 @@ def _pick_solver(problem, engine):
         return cegis_solve
     if engine == "unif":
         return unify_solve
-    # auto: unification for invariant and PBE problems and for grammars with
-    # a conditional production; plain enumeration otherwise.
-    if problem.invariant_spec is not None:
-        return unify_solve
-    try:
-        if extract_pbe_points(problem) is not None:
-            return unify_solve
-    except SygusError:
-        pass
-    for t in problem.targets:
-        if _conditional_kind(t.grammar)[0] is not None and len(problem.targets) == 1:
-            return unify_solve
-    return cegis_solve
+    # auto: unification for invariant and PBE problems and for a single
+    # target whose grammar has a conditional; plain enumeration otherwise.
+    return cegis_solve if classify(problem).kind == "plain" else unify_solve
 
 
 def solve_benchmark(path, cfg: SuiteConfig):

@@ -475,14 +475,17 @@ ITE_SPECS = ["(ite (<= x y) y x)", "(ite (= x y) (+ x 1) (- x y))", "(ite (< x 0
 CLOCK_BOUND = {"inv_loop.sl", "inv_loop_guarded.sl", "qm_loop.sl"}
 
 
+def _ite_spec(body):
+    return parse("(set-logic LIA)\n(synth-fun f ((x Int) (y Int)) Int)\n(declare-var x Int)\n"
+                 f"(declare-var y Int)\n(constraint (= (f x y) {body}))\n(check-synth)\n")
+
+
 def _cegis_specs():
     for path in CORPUS:
         name = os.path.basename(path)
         yield pytest.param(lambda path=path: parse_file(path), 6 if name in CLOCK_BOUND else 20, id=name)
     for body in ITE_SPECS:
-        text = ("(set-logic LIA)\n(synth-fun f ((x Int) (y Int)) Int)\n(declare-var x Int)\n"
-                f"(declare-var y Int)\n(constraint (= (f x y) {body}))\n(check-synth)\n")
-        yield pytest.param(lambda text=text: parse(text), 20, id=body)
+        yield pytest.param(lambda body=body: _ite_spec(body), 20, id=body)
 
 
 @pytest.mark.parametrize("problem, cap", _cegis_specs())
@@ -534,6 +537,172 @@ def test_budget_overruns_stop_at_the_deadline(solve, problem):
     out = solve(p, Budget(wallclock=3.0))
     assert time.monotonic() - t0 < 3.5
     assert isinstance(out, Failure) and out.reason == "budget-exhausted" and out.detail
+
+
+# --- stop reasons ----------------------------------------------------------
+
+# Finite grammars: an ite over x, 0 and 1; the same with only constant
+# conditions, so that no predicate splits anything; no conditional at all.
+# And two grammars with no size bound.
+FINITE_ITE = "((Start Int (A (ite B A A))) (A Int (x 0 1)) (B Bool ((<= A A))))"
+CONST_ITE = "((Start Int (A (ite B A A))) (A Int (x 0 1)) (B Bool ((= C C))) (C Int (0 1)))"
+MINUS_ITE = "((Start Int (A (- A A) (ite B A A))) (A Int (x 0 1)) (B Bool ((<= A A))))"
+FINITE_PLAIN = "((Start Int (A (+ A A))) (A Int (x 1)))"
+OPEN_ITE = "((Start Int (x 0 1 (+ Start Start) (ite B Start Start))) (B Bool ((<= Start Start))))"
+OPEN_PLAIN = "((Start Int (x 1 (+ Start Start))))"
+
+
+def _lia_spec(grammar, constraints, decls="(declare-var x Int)", extra=""):
+    return (f"(set-logic LIA)\n(synth-fun f ((x Int)) Int {grammar})\n{extra}{decls}\n"
+            f"{constraints}\n(check-synth)")
+
+
+# (problem text, size cap, counterexamples the oracle returns in turn,
+#  {engine: (reason, detail)})
+STOP_REASONS = {
+    # PBE: no term gives f(1) = 5, so the covers never complete
+    "pbe-finite-ite": (
+        _lia_spec(FINITE_ITE, "(constraint (= (f 1) 5))"), 20, [],
+        {"cegis": ("grammar-exhausted", ""), "unif": ("cover-stall", "")},
+    ),
+    # PBE with no conditional to stitch with: enumeration alone decides
+    "pbe-finite-plain": (
+        _lia_spec(FINITE_PLAIN, "(constraint (= (f 0) 7))"), 20, [],
+        {"cegis": ("grammar-exhausted", ""), "unif": ("grammar-exhausted", "")},
+    ),
+    "pbe-open-plain": (
+        _lia_spec(OPEN_PLAIN, "(constraint (= (f 0) -1))"), 5, [],
+        {"cegis": ("budget-exhausted", "size cap reached"), "unif": ("budget-exhausted", "size cap reached")},
+    ),
+    # PBE: x, 0 and 1 cover the examples, but every condition is constant
+    "pbe-stitch-fails": (
+        _lia_spec(CONST_ITE, "(constraint (= (f 0) 0)) (constraint (= (f 1) 0)) (constraint (= (f 2) 1))"), 20, [],
+        {"cegis": ("grammar-exhausted", ""), "unif": ("predicate-exhausted", "")},
+    ),
+    # no term up to size 4 gives f(3) = 103
+    "size-cap": (
+        _lia_spec(OPEN_ITE, "(constraint (= (f x) (+ x 100)))"), 4, [{"x": 3}],
+        {"unif": ("budget-exhausted", "size cap reached")},
+    ),
+    "finite-ite": (
+        _lia_spec(FINITE_ITE, "(constraint (= (f x) (+ x 100)))"), 20, [{"x": 3}],
+        {"unif": ("cover-stall", "")},
+    ),
+    # 0 covers x = -1 and x covers x = 2, but every condition is constant
+    "predicate-exhausted": (
+        _lia_spec(CONST_ITE, "(constraint (= (f x) (ite (<= x 0) 0 x)))"), 20, [{"x": -1}, {"x": 2}],
+        {"unif": ("predicate-exhausted", "")},
+    ),
+    # x covers the first point and (- 0 x) the second; no term covers both
+    "two-invocations": (
+        _lia_spec(MINUS_ITE, "(constraint (= (f x) (+ (f y) 1)))", "(declare-var x Int) (declare-var y Int)"),
+        20, [{"x": 1, "y": 0}, {"x": 2, "y": 3}],
+        {"unif": ("cover-stall", "multiple target invocations per point")},
+    ),
+    "two-targets": (
+        _lia_spec("", "(constraint (= (f x) (g x)))", extra="(synth-fun g ((x Int)) Int)\n"), 20, [],
+        {"unif": ("no-conditional-production", "unification handles a single target")},
+    ),
+    "no-conditional": (
+        _lia_spec(OPEN_PLAIN, "(constraint (= (f x) (+ x 7)))"), 20, [],
+        {"unif": ("no-conditional-production", "")},
+    ),
+}
+
+
+def _refuting(points):
+    """An `oracle.verify` that refutes the k-th candidate with `points[k]`."""
+    calls = []
+
+    def verify(problem, sol_map, cfg=None):
+        calls.append(sol_map)
+        assert len(calls) <= len(points), f"{sol_map} passed every chosen point"
+        return oracle.Counterexample(points[len(calls) - 1])
+
+    return verify
+
+
+@pytest.mark.parametrize("name", list(STOP_REASONS))
+def test_stop_reasons(name, monkeypatch):
+    text, cap, points, want = STOP_REASONS[name]
+    p = parse(text)
+    for engine_name, reason in want.items():
+        monkeypatch.setattr(oracle, "verify", _refuting(points))
+        out = {"cegis": cegis_solve, "unif": unify_solve}[engine_name](p, Budget(wallclock=30, max_term_size=cap))
+        assert isinstance(out, Failure), (engine_name, out)
+        assert (out.reason, out.detail) == reason, engine_name
+
+
+MAX2 = (
+    "(set-logic LIA)\n(synth-fun max2 ((x Int) (y Int)) Int\n"
+    "  ((Start Int (x y 0 1 (ite B Start Start))) (B Bool ((<= Start Start)))))\n"
+    "(declare-var x Int) (declare-var y Int)\n"
+    "(constraint (>= (max2 x y) x)) (constraint (>= (max2 x y) y))\n"
+    "(constraint (or (= x (max2 x y)) (= y (max2 x y))))\n(check-synth)"
+)
+
+
+def _unification_specs():
+    for name in ("abs.sl", "qm_inner.sl"):
+        yield pytest.param(lambda name=name: parse_file(os.path.join(BENCH, name)), id=name)
+    yield pytest.param(lambda: parse(MAX2), id="max2")
+    for body in ITE_SPECS:
+        yield pytest.param(lambda body=body: _ite_spec(body), id=body)
+
+
+@pytest.mark.parametrize("problem", _unification_specs())
+def test_point_covers_match_a_per_point_check(problem):
+    p = problem()
+    target = p.targets[0]
+    params = [n for n, _ in target.params]
+    rng = random.Random(3)
+    points = [{n: rng.randint(-4, 4) for n, _ in p.universals} for _ in range(4)]
+    covers = engine._point_covers(p, target, points)
+    envs = engine.collect_envs(p, target, points)
+    partial = 0
+    for term, vec in Enumerator(target.grammar, envs, p.macro_map(), max_size=6, prune=False).enumerate():
+        sol = {target.name: (params, term)}
+        want = frozenset(i for i, pt in enumerate(points) if engine._satisfies_all(p, sol, [pt]))
+        assert covers(term, vec) == want, term
+        partial += 0 < len(want) < len(points)
+    assert partial
+
+
+@pytest.mark.parametrize(
+    "prods, want",
+    [
+        ("(qm S S) (if0 S S S) (ite B S S) (ite D S S)", ("ite", "B")),
+        ("(qm S S) (if0 C S S) (if0 S S S)", ("if0", "C")),
+        ("(qm S S) (ite true S S)", ("qm", None)),
+        ("(+ S S)", (None, None)),
+    ],
+)
+def test_conditional_kind_prefers_ite_then_if0_then_qm(prods, want):
+    p = parse(
+        "(set-logic LIA)\n(define-fun qm ((a Int) (b Int)) Int (ite (< a 0) b a))\n"
+        "(define-fun if0 ((c Int) (a Int) (b Int)) Int (ite (= c 1) a b))\n"
+        f"(synth-fun f ((x Int)) Int ((S Int (x {prods})) (B Bool ((<= S S))) (C Int (x 1)) (D Bool ((< S S)))))\n"
+        "(check-synth)"
+    )
+    assert _conditional_kind(p.targets[0].grammar) == want
+
+
+CONFLICTING ="(constraint (= (f 1) 2)) (constraint (= (f 1) 3))"
+AUTO_PICKS = {os.path.basename(path): unify_solve for path in CORPUS} | {
+    "qm_loop.sl": cegis_solve,  # two targets
+    "conflicting, default grammar": unify_solve,  # classed by the grammar's ite
+    "conflicting, no conditional": cegis_solve,
+}
+
+
+@pytest.mark.parametrize("name", list(AUTO_PICKS))
+def test_auto_picks_by_problem_class(name):
+    if name.startswith("conflicting"):
+        grammar = "" if "default" in name else OPEN_PLAIN
+        p = parse(_lia_spec(grammar, CONFLICTING, decls=""))
+    else:
+        p = parse_file(os.path.join(BENCH, name))
+    assert _pick_solver(p, "auto") is AUTO_PICKS[name]
 
 
 # --- invariant atoms -------------------------------------------------------
