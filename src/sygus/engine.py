@@ -20,12 +20,17 @@ learning grow their trees with one greedy information-gain ID3,
 `_predicate_pool`.
 
 Enumeration order is total and reproducible: by size, then production
-index, then recursive argument order.
+index, then recursive argument order.  Each production is compiled once
+per enumerator into one generated function that computes a candidate's
+vector over every observation point from its children's vectors; a term
+is built only for a vector pruning keeps.
 
 Every engine keeps one wallclock deadline.  The enumerator refuses a
-request for sizes it predicts cannot finish in the time left, and stops
-a size the deadline overtakes; either raises BudgetExceeded, which
-`cegis_solve` and `unify_solve` turn into `Failure("budget-exhausted")`.
+request for sizes it predicts cannot finish in the time left (the next
+size counted exactly, later ones from its growth over the size before),
+and stops a size the deadline overtakes; either raises BudgetExceeded,
+which `cegis_solve` and `unify_solve` turn into
+`Failure("budget-exhausted")`.
 Nothing cut short is ever read, so no other outcome depends on the
 clock.  PBE and CEGIS stop building a size at the first term they
 accept.
@@ -33,6 +38,7 @@ accept.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import operator
@@ -59,7 +65,7 @@ from .core import (
     walk,
 )
 from . import oracle
-from .semantics import Evaluator, TreeEvaluator, builtin_impl, default_value, solution_interpretations
+from .semantics import Evaluator, SourceEmitter, default_value, solution_interpretations
 
 
 class ConflictingExamples(SygusError):
@@ -167,19 +173,19 @@ class Enumerator:
                  deadline=None):
         self.grammar = grammar
         self.interpretations = dict(interpretations or {})
-        self.evaluator = TreeEvaluator(self.interpretations)
         self.max_size = max_size
         self.prune = prune
         self.keep = keep
         self.envs = list(envs) if envs else [self._default_env()]
         self._nts = [n for n, _ in grammar.nonterminals]
-        self._prods = {nt: self._prepare(nt) for nt in self._nts}
+        self._prods = self._prepare()
         self._bank = {}
         self._sigs = {nt: {} for nt in self._nts}
         self._done = 0
         self.constructed = 0
         self.deadline = deadline
         self._rate = None  # seconds per candidate on the last large size built
+        self._last_built = 0  # candidates the build of size _done constructed
         self.goal = None  # (nt, goal(term, vec)): pause the build at its first hit
         self.hit = None  # the entry the last pause stopped at
         self._build = None  # the generator building size _done + 1, if started
@@ -194,52 +200,48 @@ class Enumerator:
                         env[node.name] = default_value(node.sort)
         return env
 
-    def _prepare(self, nt):
-        prods = []
-        for idx, tmpl in enumerate(self.grammar.prods(nt)):
-            if _contains_let(tmpl):
-                continue  # let productions are not enumerated
-            if isinstance(tmpl, Hole):
-                prods.append(("alias", idx, tmpl.nonterminal))
-                continue
-            holes = template_holes(tmpl)
-            fn = self._compile(tmpl)
-            if holes:
-                prods.append(("comp", idx, tmpl, [h.nonterminal for h in holes], template_fixed_size(tmpl), fn))
-            else:
-                prods.append(("leaf", idx, tmpl, fn))
-        return prods
+    def _prepare(self):
+        """Each nonterminal's productions, in grammar order.  Every
+        production but an alias is compiled into one generated function
+        fn(*kid_vecs) -> vec over all of `envs`: the template's holes are
+        its parameters, and its variables are columns over `envs`, bound
+        once.  A leaf's function takes no arguments."""
+        em = SourceEmitter(self.interpretations)
+        prods, names, sources = {nt: [] for nt in self._nts}, [], []
+        for nt in self._nts:
+            for idx, tmpl in enumerate(self.grammar.prods(nt)):
+                if _contains_let(tmpl):
+                    continue  # let productions are not enumerated
+                if isinstance(tmpl, Hole):
+                    prods[nt].append(("alias", idx, tmpl.nonterminal))
+                    continue
+                names.append(em.fresh("_p"))
+                sources.append(self._vector_source(em, names[-1], tmpl))
+                prods[nt].append(("compile", idx, tmpl))
+        fns = iter(em.build("\n".join(sources + [f"_fns = ({''.join(n + ',' for n in names)})"]), "_fns"))
+        return {
+            nt: [p if p[0] == "alias" else _production(p[1], p[2], next(fns)) for p in ps]
+            for nt, ps in prods.items()
+        }
 
-    def _compile(self, tmpl):
-        """Build fn(kid_values, env) -> value evaluating the template."""
-        counter = itertools.count()
-
-        def go(node):
-            if isinstance(node, Hole):
-                pos = next(counter)
-                return lambda kids, env: kids[pos]
-            if isinstance(node, Var):
-                name = node.name
-                return lambda kids, env: env[name]
-            if isinstance(node, Lit):
-                v = node.value
-                return lambda kids, env: v
-            if isinstance(node, Apply):
-                fns = [go(a) for a in node.args]
-                interp = self.interpretations.get(node.op)
-                if interp is not None:
-                    params, body = interp
-                    ev = self.evaluator
-
-                    def apply_interp(kids, env, fns=fns, params=params, body=body, ev=ev):
-                        return ev.eval(body, dict(zip(params, [f(kids, env) for f in fns])))
-
-                    return apply_interp
-                impl = builtin_impl(node.op, node.sort)
-                return lambda kids, env: impl(*[f(kids, env) for f in fns])
-            raise SygusError(f"cannot compile template node {node!r}")
-
-        return go(tmpl)
+    def _vector_source(self, em, name, tmpl):
+        """Source of `def name(*kid_vecs)` returning `tmpl`'s vector."""
+        holes = template_holes(tmpl)
+        kids = [em.fresh() for _ in holes]
+        elems = [em.fresh() for _ in holes]
+        # A hole becomes a variable named by its position: no SyGuS symbol
+        # starts with a digit, so it cannot shadow a template variable.
+        body = _fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)]))
+        names = {str(i): e for i, e in enumerate(elems)}
+        columns = []
+        for var in dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)):
+            names[var] = em.fresh()
+            elems.append(names[var])
+            columns.append(em.bind(("column", var), tuple(env[var] for env in self.envs)))
+        if not elems:  # a constant leaf: one value per environment
+            elems, columns = ["_"], [em.bind("points", range(len(self.envs)))]
+        loop = f"for {''.join(e + ',' for e in elems)} in zip({', '.join(kids + columns)})"
+        return f"def {name}({', '.join(kids)}):\n    return tuple([{em.expr(body, names)} {loop}])"
 
     def bank(self, nt, size):
         """Every entry of (nt, size), the size built in full."""
@@ -274,7 +276,10 @@ class Enumerator:
                     raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
                 self._build, self._build_from, self._build_s = self._build_size(s), self.constructed, 0.0
             # the rate counts building time only, not the goal's own checks
-            t0, goal_s = time.perf_counter(), 0.0
+            t0, goal_s, collecting = time.perf_counter(), 0.0, gc.isenabled()
+            # Banked terms and vectors form no reference cycles, so the
+            # cyclic collector would only rescan the growing banks.
+            gc.disable()
             try:
                 for nt, entry in self._build:
                     if self.goal is not None and nt == self.goal[0]:
@@ -288,21 +293,30 @@ class Enumerator:
                 self._build, self._cut = None, True
                 raise
             finally:
+                if collecting:
+                    gc.enable()
                 self._build_s += time.perf_counter() - t0 - goal_s
             built = self.constructed - self._build_from
             if built >= RATE_MIN_CANDIDATES:
                 self._rate = self._build_s / built
-            self._build, self._done = None, s
+            self._build, self._done, self._last_built = None, s, built
 
     def _check_fits(self, s, upto):
         """Raise BudgetExceeded unless sizes `s..upto` are predicted to
-        finish in the time left.  Past `s` the prediction counts only the
-        candidates the banks built so far imply, so it is a lower bound."""
+        finish in the time left.  Size `s` is counted exactly.  A later
+        size `t` is predicted from growth, as size_cost(s) * g**(t - s)
+        where g is size_cost(s) over the candidates size s - 1 built, and
+        never below size_cost(t), which counts only the candidates the
+        banks built so far imply.  With either count 0, size_cost(t)
+        alone is the prediction."""
         left = self.deadline.remaining()
         if left <= 0:
             raise BudgetExceeded(f"deadline reached before size {s}")
         if self._rate is not None:
-            need = sum(self.size_cost(t) for t in range(s, upto + 1)) * self._rate
+            first = self.size_cost(s)
+            growth = first / self._last_built if first and self._last_built else 0
+            later = sum(max(self.size_cost(t), first * growth ** (t - s)) for t in range(s + 1, upto + 1))
+            need = (first + later) * self._rate
             if need > left:
                 what = f"size {s} needs" if upto == s else f"sizes {s}-{upto} need"
                 raise BudgetExceeded(f"{what} about {need:.3g} s, {left:.3g} s left")
@@ -371,15 +385,12 @@ class Enumerator:
                                 yield nt, out[-1]
 
     def _try_add(self, nt, s, tmpl, fn, combo):
-        kid_vecs = [c[1] for c in combo]
-        vec = []
-        for i, env in enumerate(self.envs):
-            kids = [kv[i] for kv in kid_vecs]
-            vec.append(fn(kids, env))
-        vec = tuple(vec)
+        vec = fn(*[c[1] for c in combo])
         self.constructed += 1
         if self.constructed % DEADLINE_STRIDE == 0 and self.deadline is not None and self.deadline.expired():
             raise BudgetExceeded(f"deadline reached while building size {s}")
+        if self.prune and vec in self._sigs[nt]:
+            return False  # the term would be dropped: do not build it
         term = _fill(tmpl, iter([c[0] for c in combo])) if combo else tmpl
         if not self._admit(nt, term, vec):
             return False
@@ -448,14 +459,15 @@ class Enumerator:
         return go(self.grammar.start)
 
 
+def _production(idx, tmpl, fn):
+    holes = template_holes(tmpl)
+    if holes:
+        return ("comp", idx, tmpl, [h.nonterminal for h in holes], template_fixed_size(tmpl), fn)
+    return ("leaf", idx, tmpl, fn)
+
+
 def _contains_let(t):
     return any(isinstance(n, Let) for n in walk(t))
-
-
-def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
-    """Unpruned brute-force enumeration; the reference for pruning checks."""
-    en = Enumerator(grammar, envs, interpretations, max_size, prune=False)
-    return [t for t, _ in en.enumerate(nt)]
 
 
 # ---------------------------------------------------------------------------
@@ -539,37 +551,38 @@ def _satisfies_all(problem, sol_map, points):
     return True
 
 
+def _applications(problem, target):
+    """The distinct applications of `target` in the constraints, macros
+    expanded, in order of appearance."""
+    macro_map = problem.macro_map()
+    return list(dict.fromkeys(
+        t for c in problem.constraints for t in walk(expand_macros(c, macro_map))
+        if isinstance(t, Apply) and t.op == target.name
+    ))
+
+
 def collect_envs(problem, target, points):
     """Parameter environments for `target` induced by the points.
 
     Each application of the target whose arguments mention no synthesis
     target is evaluated at every point; the resulting argument tuples
-    become observation environments.
+    become observation environments.  With one application, environment
+    i belongs to point i, repeats included; with more, repeated tuples
+    are dropped.
     """
     names = problem.target_names()
-    macro_map = problem.macro_map()
     apps = [
-        t.args
-        for c in problem.constraints
-        for t in walk(expand_macros(c, macro_map))
-        if isinstance(t, Apply)
-        and t.op == target.name
-        and not any(isinstance(n, Apply) and n.op in names for a in t.args for n in walk(a))
+        t.args for t in _applications(problem, target)
+        if not any(isinstance(n, Apply) and n.op in names for a in t.args for n in walk(a))
     ]
     if not points or not apps:
         return []
-    ev = Evaluator(macro_map)
-    envs = []
-    seen = set()
+    ev = Evaluator(problem.macro_map())
+    rows = [tuple(ev.eval(a, p) for a in args) for p in points for args in apps]
+    if len(apps) > 1:
+        rows = list(dict.fromkeys(rows))
     param_names = [n for n, _ in target.params]
-    for p in points:
-        for args in apps:
-            vals = tuple(ev.eval(a, p) for a in args)
-            if vals in seen:
-                continue
-            seen.add(vals)
-            envs.append(dict(zip(param_names, vals)))
-    return envs
+    return [dict(zip(param_names, vals)) for vals in rows]
 
 
 def _enum_for(problem, target, envs, budget, deadline):
@@ -998,9 +1011,9 @@ def _point_covers(problem, target, points):
 
 def _unify_candidate(problem, target, points, cond, budget, deadline):
     """One round of cover-and-stitch over the current point set."""
-    envs = collect_envs(problem, target, points)
-    en = _enum_for(problem, target, envs, budget, deadline)
-    aligned = len(envs) == len(points)  # stitching reads one environment per point
+    en = _enum_for(problem, target, collect_envs(problem, target, points), budget, deadline)
+    # stitching reads environment i as point i: one application per point
+    aligned = len(_applications(problem, target)) == 1
     covers = _point_covers(problem, target, points)
     found = _cover_and_stitch(
         en, len(points), covers, cond if aligned else (None, None), target.ret, budget, deadline,

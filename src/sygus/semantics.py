@@ -166,50 +166,6 @@ _BINARY = {
 }
 
 
-class TreeEvaluator:
-    """Reference ground-term interpreter: walks the tree at every call.
-
-    `interpretations` maps a function name to (param names, body term);
-    it covers both problem macros and candidate solutions, so constraint
-    checks never need syntactic substitution.  `Evaluator` gives the same
-    results faster; this walk stays as the reference it is tested against
-    and as the evaluator of the enumerator's macro productions.
-    """
-
-    def __init__(self, interpretations=None):
-        self.interpretations = dict(interpretations or {})
-
-    def eval(self, t: Term, env: dict):
-        if isinstance(t, Var):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise UnboundVariable(f"unbound variable {t.name!r}") from None
-        if isinstance(t, Lit):
-            return t.value
-        if isinstance(t, Apply):
-            vals = [self.eval(a, env) for a in t.args]
-            interp = self.interpretations.get(t.op)
-            if interp is not None:
-                params, body = interp
-                if len(params) != len(vals):
-                    raise ArityError(_arity_message(t.op, params, vals))
-                return self.eval(body, dict(zip(params, vals)))
-            try:
-                fn = builtin_impl(t.op, t.sort)
-            except KeyError:
-                raise SortMismatch(f"no interpretation for operator {t.op!r}") from None
-            return fn(*vals)
-        if isinstance(t, Let):
-            inner = dict(env)
-            for name, e in t.bindings:
-                inner[name] = self.eval(e, env)  # parallel let
-            return self.eval(t.body, inner)
-        if isinstance(t, Hole):
-            raise SygusError("cannot evaluate a grammar template hole")
-        raise TypeError(f"not a term: {t!r}")
-
-
 def _raiser(error, message):
     def fail(*_):  # generated code passes the arguments it evaluated first
         raise error(message)
@@ -235,12 +191,14 @@ def _failing(fns, error, message):
 class Evaluator:
     """Ground-term evaluator that compiles each term once into closures.
 
-    `interpretations` is as for `TreeEvaluator`, whose results and error
-    types this matches; errors are raised when evaluation reaches the bad
-    node.  `and`, `or`, `=>` and `ite` evaluate only the arguments they
-    need.  `eval` memoises the compiled form of each term it sees, keyed
-    by identity, for the life of this evaluator; a caller that evaluates
-    a term only once should call `compile` and drop the result instead.
+    `interpretations` maps a function name to (param names, body term);
+    it covers both problem macros and candidate solutions, so constraint
+    checks never need syntactic substitution.  Errors are raised when
+    evaluation reaches the bad node.  `and`, `or`, `=>` and `ite`
+    evaluate only the arguments they need.  `eval` memoises the compiled
+    form of each term it sees, keyed by identity, for the life of this
+    evaluator; a caller that evaluates a term only once should call
+    `compile` and drop the result instead.
     """
 
     def __init__(self, interpretations=None):

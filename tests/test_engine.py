@@ -25,7 +25,6 @@ from sygus.engine import (
     _predicate_pool,
     _string_keep,
     cegis_solve,
-    enumerate_all,
     extract_pbe_points,
     generate_nuggets,
     unify_solve,
@@ -34,6 +33,8 @@ from sygus.frontend import parse, parse_file
 from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
 from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator
+
+from reference import TreeEvaluator, enumerate_all
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -78,6 +79,26 @@ def test_pruned_representatives_evaluate_to_their_vectors():
 
 def test_enumerate_all_helper_is_unpruned():
     assert len(enumerate_all(PLUS_GRAMMAR, "S", 5)) == sum(_count(s) for s in range(1, 6))
+
+
+def _vector_cases():
+    sample = [{"x": v} for v in [0, 1, 2, 7, 2**63, 2**64 - 1]]
+    yield pytest.param("fig2_bv_template.sl", lambda _p: sample, id="fig2")  # macro productions
+    yield pytest.param("abs.sl", lambda _p: ENVS, id="abs")
+    yield pytest.param("initials.sl", lambda p: [{"name": ex.inputs[0]} for ex in extract_pbe_points(p)], id="initials")
+
+
+@pytest.mark.parametrize("bench, envs", _vector_cases())
+def test_generated_vectors_match_the_tree_walk(bench, envs):
+    p = parse_file(os.path.join(BENCH, bench))
+    g, envs = p.targets[0].grammar, envs(p)
+    en = Enumerator(g, envs, p.macro_map(), max_size=7)
+    ev = TreeEvaluator(p.macro_map())
+    for nt, _ in g.nonterminals:
+        for s in range(1, 8):
+            for term, vec in en.bank(nt, s):
+                want = [ev.eval(term, env) for env in envs]
+                assert [(type(v), v) for v in vec] == [(type(v), v) for v in want], term
 
 
 def test_max_finite_size():
@@ -372,6 +393,22 @@ def test_a_refused_pool_request_builds_no_size():
     assert (en.constructed, en._done) == (constructed, 5)
 
 
+def test_growth_refuses_a_pool_request_the_lower_bound_admits():
+    # counted only from the banks built so far, sizes 6-9 would fit; the
+    # growth from size 5 to size 6 predicts many more candidates for 7-9
+    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    g = p.targets[0].grammar
+    kind, cond_nt = _conditional_kind(g)
+    clock = _Clock(60.0)
+    en = Enumerator(g, [{"x": v} for v in (1, 2, 4, 8, 3, 16)], p.macro_map(), deadline=clock)
+    en.ensure(5)
+    constructed = en.constructed
+    clock.left = en._rate * sum(en.size_cost(t) for t in range(6, 10)) * 1.01
+    with pytest.raises(BudgetExceeded, match=r"sizes 6-9 need about"):
+        _predicate_pool(en, cond_nt, 9, kind)
+    assert (en.constructed, en._done) == (constructed, 5)
+
+
 CORPUS = sorted(glob.glob(os.path.join(BENCH, "*.sl")))
 
 
@@ -513,7 +550,11 @@ def test_every_solver_keeps_a_one_second_budget(path, engine):
     assert time.monotonic() - t0 < 1.5
 
 
-IF0_EXAMPLES = [(1, 0), (2, 2), (4, 4), (8, 8), (3, 3), (16, 16)]
+# f(1) = 0, else f(x) = x.  Wide inputs keep many predicate vectors apart,
+# so the size-9 predicate pool takes several times the 3 s budget below.
+IF0_EXAMPLES = [(1, 0), (2, 2), (4, 4), (8, 8), (3, 3), (16, 16)] + [
+    (v, v) for v in (2**63, 2**64 - 1, 0x123456789ABCDEF0, 0x0F0F0F0F0F0F0F0F)
+]
 
 
 def _if0_problem():
@@ -598,6 +639,19 @@ STOP_REASONS = {
         _lia_spec(MINUS_ITE, "(constraint (= (f x) (+ (f y) 1)))", "(declare-var x Int) (declare-var y Int)"),
         20, [{"x": 1, "y": 0}, {"x": 2, "y": 3}],
         {"unif": ("cover-stall", "multiple target invocations per point")},
+    ),
+    # as many environments (x = 1, x = 0) as points, still not one per point
+    "two-invocations-as-many-envs-as-points": (
+        _lia_spec(MINUS_ITE, "(constraint (= (f x) (+ (f y) 1)))", "(declare-var x Int) (declare-var y Int)"),
+        20, [{"x": 1, "y": 0}, {"x": 0, "y": 1}],
+        {"unif": ("cover-stall", "multiple target invocations per point")},
+    ),
+    # one invocation, equal arguments at both points: x and (+ x 1) cover
+    # them, and no predicate tells their environments apart
+    "one-invocation-repeated-args": (
+        _lia_spec(OPEN_ITE, "(constraint (= (f x) (ite (<= y 0) x (+ x 1))))", "(declare-var x Int) (declare-var y Int)"),
+        4, [{"x": 1, "y": 0}, {"x": 1, "y": 5}],
+        {"unif": ("predicate-exhausted", "")},
     ),
     "two-targets": (
         _lia_spec("", "(constraint (= (f x) (g x)))", extra="(synth-fun g ((x Int)) Int)\n"), 20, [],

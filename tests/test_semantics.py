@@ -8,11 +8,12 @@ from sygus.semantics import (
     Evaluator,
     SortMismatch,
     SourceEmitter,
-    TreeEvaluator,
     UnboundVariable,
     builtin_impl,
     default_value,
 )
+
+from reference import TreeEvaluator
 
 ev = Evaluator()
 
