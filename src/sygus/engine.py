@@ -14,7 +14,10 @@ unification and the ICE variant share one counterexample-guided loop,
 `_cegis`: propose a candidate, verify it, then learn from the
 counterexample or stall.  PBE problems skip the loop, since their
 examples are the whole specification.  PBE and unification share one
-cover-and-stitch search, `_cover_and_stitch`.  Stitching and invariant
+cover-and-stitch search, `_cover_and_stitch`.  CEGIS and unification
+check a candidate with one `_point_check` per round: the constraints are
+compiled once over the round's points, and each target application reads
+the candidate's value from its bank vector.  Stitching and invariant
 learning grow their trees with one greedy information-gain ID3,
 `build_decision_tree`, over predicate pools from one builder,
 `_predicate_pool`.
@@ -38,11 +41,13 @@ accept.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -59,6 +64,7 @@ from .core import (
     Var,
     expand_macros,
     free_vars,
+    subst,
     template_fixed_size,
     template_holes,
     var_equations,
@@ -433,28 +439,20 @@ class Enumerator:
             if nt in visiting:
                 return None  # recursive grammar: unbounded
             visiting.add(nt)
-            best = None
+            sizes = []
             for prod in self._prods[nt]:
                 if prod[0] == "leaf":
-                    size = template_fixed_size(prod[2])
+                    sizes.append(template_fixed_size(prod[2]))
                 elif prod[0] == "alias":
-                    size = go(prod[2])
+                    sizes.append(go(prod[2]))
                 else:
-                    size = prod[4]
-                    for h in prod[3]:
-                        sub = go(h)
-                        if sub is None:
-                            size = None
-                            break
-                        size += sub
-                if size is None:
-                    visiting.discard(nt)
-                    memo[nt] = None
-                    return None
-                best = size if best is None else max(best, size)
+                    subs = [go(h) for h in prod[3]]
+                    sizes.append(None if None in subs else prod[4] + sum(subs))
+                if sizes[-1] is None:
+                    break
             visiting.discard(nt)
-            memo[nt] = best
-            return best
+            memo[nt] = None if None in sizes else max(sizes, default=None)
+            return memo[nt]
 
         return go(self.grammar.start)
 
@@ -542,23 +540,54 @@ def classify(problem):
 # Candidate search helpers
 
 
-def _satisfies_all(problem, sol_map, points):
-    ev = Evaluator(solution_interpretations(problem, sol_map))
-    for p in points:
-        for c in problem.constraints:
-            if not ev.eval(c, p):
-                return False
-    return True
+def _point_check(problem, points, envs):
+    """check(entries): the ids of `points` where every constraint holds
+    with target i as entries[i] = (term, vec), `vec` being the term's
+    vector over envs[i].  The constraints are compiled once, into one
+    function over the points' columns.  An application reads its value
+    from `vec` by argument tuple; only a tuple outside envs[i] (a nested
+    application, or a stitched term passed with vec = ()) compiles `term`."""
+    targets, ev = problem.targets, Evaluator(problem.macro_map())
+    em = SourceEmitter(problem.macro_map(), {t.name: f"_t{i}" for i, t in enumerate(targets)})
+    local = {n: em.fresh() for n, _ in problem.universals}
+    columns = [repr(range(len(points)))] + [em.bind(("column", n), tuple(p[n] for p in points)) for n in local]
+    holds = " and ".join(em.expr(c, local) for c in problem.constraints) or "True"
+    run = em.build(f"def run():\n    return frozenset([_i for _i, {''.join(v + ',' for v in local.values())} in "
+                   f"zip({', '.join(columns)}) if {holds}])", "run")
+    rows = [[tuple(env[n] for n, _ in t.params) for env in e] for t, e in zip(targets, envs)]
+
+    def bind(target, table, term):
+        def call(*args):
+            if args not in table:
+                table[args] = ev.eval(term, dict(zip([n for n, _ in target.params], args)))
+            return table[args]
+
+        return call
+
+    def check(entries):
+        for i, (term, vec) in enumerate(entries):
+            em.namespace[f"_t{i}"] = bind(targets[i], dict(zip(rows[i], vec)), term)
+        return run()
+
+    return check
 
 
 def _applications(problem, target):
     """The distinct applications of `target` in the constraints, macros
-    expanded, in order of appearance."""
+    expanded and lets inlined, in order of appearance."""
     macro_map = problem.macro_map()
     return list(dict.fromkeys(
-        t for c in problem.constraints for t in walk(expand_macros(c, macro_map))
+        t for c in problem.constraints for t in walk(_inline_lets(expand_macros(c, macro_map)))
         if isinstance(t, Apply) and t.op == target.name
     ))
+
+
+def _inline_lets(t):
+    if isinstance(t, Let):
+        return _inline_lets(subst(t.body, dict(t.bindings)))
+    if isinstance(t, Apply):
+        return Apply(t.op, tuple(_inline_lets(a) for a in t.args), t.sort)
+    return t
 
 
 def collect_envs(problem, target, points):
@@ -699,8 +728,9 @@ def cegis_solve(problem, budget=None, cfg=None):
 def _consistent_candidate(problem, points, budget, deadline):
     """Product enumeration of the targets' terms, ordered by combined size."""
     targets = problem.targets
-    ens = [_enum_for(problem, t, collect_envs(problem, t, points), budget, deadline) for t in targets]
-    params = [[n for n, _ in t.params] for t in targets]
+    envs = [collect_envs(problem, t, points) for t in targets]
+    ens = [_enum_for(problem, t, e, budget, deadline) for t, e in zip(targets, envs)]
+    check, all_ids = _point_check(problem, points, envs), frozenset(range(len(points)))
     n = len(targets)
     last = ens[-1]
     for total in range(n, budget.max_term_size * n + 1):
@@ -710,18 +740,16 @@ def _consistent_candidate(problem, points, budget, deadline):
             if any(not b for b in banks):
                 continue
             for prefix in itertools.product(*banks):
-                terms = [c[0] for c in prefix]
 
-                def completes(term, _vec, terms=terms):
+                def completes(term, vec, prefix=prefix):
                     deadline.check()
-                    sol_map = {t.name: (ps, body) for t, ps, body in zip(targets, params, terms + [term])}
-                    return _satisfies_all(problem, sol_map, points)
+                    return check(prefix + ((term, vec),)) == all_ids
 
                 # the last target's size is built only up to its first
                 # term that completes the prefix
                 hit = last.find(last.grammar.start, sizes[-1], completes)
                 if hit is not None:
-                    return {t.name: body for t, body in zip(targets, terms + [hit[0]])}
+                    return {t.name: entry[0] for t, entry in zip(targets, prefix + (hit,))}
     if all(_exhaust_reason(e).reason == "grammar-exhausted" for e in ens):
         return Failure("grammar-exhausted")
     return Failure("budget-exhausted", "size cap reached")
@@ -743,8 +771,9 @@ class Branch:
     other: object
 
 
-def _entropy(counts):
-    total = sum(counts.values())
+def _entropy(labels, ids):
+    counts = Counter(labels[i] for i in ids)
+    total = len(ids)
     h = 0.0
     for c in counts.values():
         if c:
@@ -768,7 +797,7 @@ def build_decision_tree(ids, labels, leaf, preds, depth=None):
         return node
     if depth is not None and depth <= 0:
         return None
-    base = _entropy(_counts(labels, ids))
+    base = _entropy(labels, ids)
     best = None
     best_gain = -1.0
     for payload, vec in preds:
@@ -777,8 +806,8 @@ def build_decision_tree(ids, labels, leaf, preds, depth=None):
         if not yes or not no:
             continue
         gain = base - (
-            len(yes) / len(ids) * _entropy(_counts(labels, yes))
-            + len(no) / len(ids) * _entropy(_counts(labels, no))
+            len(yes) / len(ids) * _entropy(labels, yes)
+            + len(no) / len(ids) * _entropy(labels, no)
         )
         if gain > best_gain + 1e-12:
             best_gain = gain
@@ -792,13 +821,6 @@ def build_decision_tree(ids, labels, leaf, preds, depth=None):
     if then is None or other is None:
         return None
     return Branch(payload, then, other)
-
-
-def _counts(labels, ids):
-    out = {}
-    for i in ids:
-        out[labels[i]] = out.get(labels[i], 0) + 1
-    return out
 
 
 def _conditional_kind(grammar):
@@ -997,27 +1019,16 @@ def unify_solve(problem, budget=None, cfg=None):
     return _run(problem, budget, solve)
 
 
-def _point_covers(problem, target, points):
-    """covers(term, vec): the ids of the points where `term` as `target`
-    meets every constraint."""
-    params = [n for n, _ in target.params]
-
-    def covers(term, _vec):
-        ev = Evaluator(solution_interpretations(problem, {target.name: (params, term)}))
-        return frozenset(i for i, p in enumerate(points) if all(ev.eval(c, p) for c in problem.constraints))
-
-    return covers
-
-
 def _unify_candidate(problem, target, points, cond, budget, deadline):
     """One round of cover-and-stitch over the current point set."""
-    en = _enum_for(problem, target, collect_envs(problem, target, points), budget, deadline)
+    envs = collect_envs(problem, target, points)
+    en = _enum_for(problem, target, envs, budget, deadline)
     # stitching reads environment i as point i: one application per point
     aligned = len(_applications(problem, target)) == 1
-    covers = _point_covers(problem, target, points)
+    check = _point_check(problem, points, [envs])
     found = _cover_and_stitch(
-        en, len(points), covers, cond if aligned else (None, None), target.ret, budget, deadline,
-        lambda term: len(covers(term, None)) == len(points),
+        en, len(points), lambda term, vec: check([(term, vec)]), cond if aligned else (None, None), target.ret,
+        budget, deadline, lambda term: len(check([(term, ())])) == len(points),
     )
     if isinstance(found, Failure) and not aligned:
         return Failure("cover-stall", "multiple target invocations per point")
@@ -1291,14 +1302,8 @@ def _dt_to_bool(tree, t_lit, f_lit):
         if not conds:
             return t_lit
         lits = [p if polarity else Apply("not", (p,), BOOL) for p, polarity in conds]
-        acc = lits[0]
-        for l in lits[1:]:
-            acc = Apply("and", (acc, l), BOOL)
-        disjuncts.append(acc)
-    acc = disjuncts[0]
-    for d in disjuncts[1:]:
-        acc = Apply("or", (acc, d), BOOL)
-    return acc
+        disjuncts.append(functools.reduce(lambda a, b: Apply("and", (a, b), BOOL), lits))
+    return functools.reduce(lambda a, b: Apply("or", (a, b), BOOL), disjuncts)
 
 
 # ---------------------------------------------------------------------------

@@ -292,15 +292,17 @@ class SourceEmitter:
     points.  `expr(t, names)` gives an expression for `t`, with `names`
     mapping each variable in scope to the local holding its value (SyGuS
     names never appear in the source).  Applied functions become `defs`
-    with positional parameters; builtins call `Evaluator`'s callables,
-    bound into `namespace`.  Results and error types match `Evaluator`'s,
+    with positional parameters, except an op in `calls`, which becomes a
+    call to the name `calls` maps it to; builtins call `Evaluator`'s
+    callables, bound into `namespace`.  Results and error types match `Evaluator`'s,
     and errors are raised only when evaluation reaches them.
     """
 
     MAX_DEPTH = 100  # Python nests 200 parentheses at most; deeper subterms become defs
 
-    def __init__(self, interpretations=None):
+    def __init__(self, interpretations=None, calls=None):
         self.interpretations = dict(interpretations or {})
+        self.calls = dict(calls or {})
         self.namespace = {}
         self.defs = []
         self._bound = {}  # key, or function name -> generated name
@@ -348,6 +350,8 @@ class SourceEmitter:
         return f"{self.bind((error, message), _raiser(error, message))}({', '.join(args)})"
 
     def _apply(self, op, args, sort):
+        if op in self.calls:
+            return f"{self.calls[op]}({', '.join(args)})"
         interp = self.interpretations.get(op)
         if interp is not None and len(interp[0]) != len(args):
             return self._fail(ArityError, _arity_message(op, interp[0], args), args)

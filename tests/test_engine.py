@@ -32,7 +32,7 @@ from sygus.engine import (
 from sygus.frontend import parse, parse_file
 from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
 from sygus.oracle import check_conformance
-from sygus.semantics import Evaluator
+from sygus.semantics import Evaluator, eval_constraints
 
 from reference import TreeEvaluator, enumerate_all
 
@@ -528,8 +528,13 @@ def _cegis_specs():
 @pytest.mark.parametrize("problem, cap", _cegis_specs())
 def test_cegis_stops_early_like_a_whole_size_scan(problem, cap, monkeypatch):
     calls = []
-    satisfies_all = engine._satisfies_all
-    monkeypatch.setattr(engine, "_satisfies_all", lambda *a: calls.append(1) or satisfies_all(*a))
+    point_check = engine._point_check
+
+    def counted(*args):  # counts calls to each round's check
+        check = point_check(*args)
+        return lambda entries: calls.append(1) or check(entries)
+
+    monkeypatch.setattr(engine, "_point_check", counted)
 
     def run():
         calls.clear()
@@ -696,30 +701,52 @@ MAX2 = (
 )
 
 
-def _unification_specs():
+LET_ARG = "(constraint (let ((y (+ x 1))) (= (f y) (+ y 1))))"
+TWO_TARGETS = (f"(set-logic LIA)\n(synth-fun f ((x Int)) Int {OPEN_ITE})\n(synth-fun g ((x Int)) Int {OPEN_ITE})\n"
+               "(declare-var x Int)\n(constraint (= (f x) (g x)))\n(check-synth)")
+
+
+def _point_check_specs():
     for name in ("abs.sl", "qm_inner.sl"):
         yield pytest.param(lambda name=name: parse_file(os.path.join(BENCH, name)), id=name)
     yield pytest.param(lambda: parse(MAX2), id="max2")
     for body in ITE_SPECS:
         yield pytest.param(lambda body=body: _ite_spec(body), id=body)
+    two_vars = "(declare-var x Int) (declare-var y Int)"
+    yield pytest.param(lambda: parse(_lia_spec(OPEN_ITE, "(constraint (= (f x) (+ (f y) 1)))", two_vars)),
+                       id="two-applications")
+    yield pytest.param(lambda: parse(_lia_spec(OPEN_ITE, "(constraint (= (f (f x)) (+ x 2)))")), id="nested")
+    yield pytest.param(lambda: parse(TWO_TARGETS), id="two-targets")
+    yield pytest.param(lambda: parse(_lia_spec(OPEN_ITE, LET_ARG)), id="let")
 
 
-@pytest.mark.parametrize("problem", _unification_specs())
+@pytest.mark.parametrize("problem", _point_check_specs())
 def test_point_covers_match_a_per_point_check(problem):
     p = problem()
-    target = p.targets[0]
-    params = [n for n, _ in target.params]
     rng = random.Random(3)
     points = [{n: rng.randint(-4, 4) for n, _ in p.universals} for _ in range(4)]
-    covers = engine._point_covers(p, target, points)
-    envs = engine.collect_envs(p, target, points)
+    envs = [engine.collect_envs(p, t, points) for t in p.targets]
+    check = engine._point_check(p, points, envs)
+    size = 6 if len(p.targets) == 1 else 3
+    banks = [list(Enumerator(t.grammar, e, p.macro_map(), max_size=size, prune=False).enumerate())
+             for t, e in zip(p.targets, envs)]
     partial = 0
-    for term, vec in Enumerator(target.grammar, envs, p.macro_map(), max_size=6, prune=False).enumerate():
-        sol = {target.name: (params, term)}
-        want = frozenset(i for i, pt in enumerate(points) if engine._satisfies_all(p, sol, [pt]))
-        assert covers(term, vec) == want, term
+    for entries in itertools.product(*banks):
+        sol = {t.name: ([n for n, _ in t.params], term) for t, (term, _) in zip(p.targets, entries)}
+        want = frozenset(i for i, pt in enumerate(points) if eval_constraints(p, sol, pt))
+        assert check(entries) == want, entries
+        # with no vector, as for a stitched term, every value is computed
+        assert check([(term, ()) for term, _ in entries]) == want, entries
         partial += 0 < len(want) < len(points)
     assert partial
+
+
+@pytest.mark.parametrize("engine_name", ["cegis", "unif", "auto"])
+def test_a_let_bound_target_argument_is_solved(engine_name):
+    p = parse(_lia_spec("", LET_ARG))
+    out = _pick_solver(p, engine_name)(p, Budget(wallclock=30))
+    assert isinstance(out, Solution), out
+    assert out.emit() == "(define-fun f ((x Int)) Int (+ x 1))"
 
 
 @pytest.mark.parametrize(
