@@ -46,6 +46,7 @@ import gc
 import itertools
 import math
 import operator
+import random
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -1044,12 +1045,10 @@ def _ice_seed(problem, spec, state_names, budget):
 
     Any state satisfying the pre-condition must be inside the invariant;
     any state violating the post-condition must be outside.  Implication
-    pairs come from executing the transition relation on sampled states.
+    pairs come from executing the transition relation on sampled states,
+    all through generated functions of the state values by position.
     """
-    import random as _random
-
     macro_map = problem.macro_map()
-    ev = Evaluator(macro_map)
     pre_params, pre_body = macro_map[spec.pre_name]
     post_params, post_body = macro_map[spec.post_name]
     trans_params, trans_body = macro_map[spec.trans_name]
@@ -1058,22 +1057,11 @@ def _ice_seed(problem, spec, state_names, budget):
     while (2 * radius + 3) ** n <= 700:
         radius += 1
     grid = itertools.product(range(-radius, radius + 1), repeat=n)
-    rng = _random.Random(budget.seed)
+    rng = random.Random(budget.seed)
     states = list(grid)
     for _ in range(200):
         states.append(tuple(rng.randint(-8, 8) for _ in range(n)))
     states = list(dict.fromkeys(states))
-
-    pos, neg, imps = set(), set(), set()
-    for s in states:
-        if ev.eval(pre_body, dict(zip(pre_params, s))):
-            pos.add(s)
-        if not ev.eval(post_body, dict(zip(post_params, s))):
-            neg.add(s)
-    # Keep the learner's example set small; verification supplies any
-    # point the subsample fails to pin down.
-    if len(neg) > 120:
-        neg = set(rng.sample(sorted(neg), 120))
 
     # Successors: solve the transition equations for the primed variables.
     unprimed = set(trans_params[:n])
@@ -1082,20 +1070,38 @@ def _ice_seed(problem, spec, state_names, budget):
         v: [e for e in es if free_vars(e) <= unprimed]
         for v, es in var_equations([trans_body], primed).items()
     }
+    combos = []
     if all(defs.get(p) for p in primed):
         combos = list(itertools.product(*[defs[p][:3] for p in primed]))[:81]
-        for s in states:
-            env = dict(zip(trans_params[:n], s))
-            for combo in combos:
-                try:
-                    succ = tuple(ev.eval(e, env) for e in combo)
-                except Exception:
-                    continue
-                full = list(s) + list(succ)
-                if ev.eval(trans_body, dict(zip(trans_params, full))):
-                    imps.add((s, succ))
-            if len(imps) > 4000:
-                break
+    em = SourceEmitter(macro_map)
+
+    def function(params, bodies):  # a lambda of `params` returning the tuple of `bodies`
+        names = {p: em.fresh() for p in params}
+        return f"lambda {', '.join(names.values())}: ({''.join(em.expr(b, names) + ',' for b in bodies)})"
+
+    sources = [function(pre_params, [pre_body]), function(post_params, [post_body]),
+               function(trans_params, [trans_body])]
+    sources += [function(trans_params[:n], combo) for combo in combos]
+    pre, post, trans, *successors = em.build(f"_fns = ({''.join(f + ',' for f in sources)})", "_fns")
+
+    pos = {s for s in states if pre(*s)[0]}
+    neg = {s for s in states if not post(*s)[0]}
+    # Keep the learner's example set small; verification supplies any
+    # point the subsample fails to pin down.
+    if len(neg) > 120:
+        neg = set(rng.sample(sorted(neg), 120))
+
+    imps = set()
+    for s in states:
+        for successor in successors:
+            try:
+                succ = successor(*s)
+            except Exception:
+                continue
+            if trans(*s, *succ)[0]:
+                imps.add((s, succ))
+        if len(imps) > 4000:
+            break
     return pos, neg, imps
 
 
@@ -1196,8 +1202,8 @@ def _octagon_atoms(target, bool_nt, envs):
 
     Linear invariants usually relate two variables or two pairwise sums;
     the grammar enumerator reaches such atoms only at size 7, long after
-    small atoms have let the tree overfit.  Atoms not derivable from the
-    grammar's Bool nonterminal are dropped; one memo decides them all.
+    small atoms have let the tree overfit.  Keeps the first atom per
+    vector that the grammar's Bool nonterminal derives; one memo decides.
     """
     int_vars = [Var(n, s) for n, s in target.params if s == INT]
     terms = list(int_vars) + [Lit(0, INT), Lit(1, INT)]
@@ -1216,18 +1222,21 @@ def _octagon_atoms(target, bool_nt, envs):
             values.append(tuple(map(compile_term(t), envs)))
         except Exception:
             values.append(None)
-    atoms = []
+    derivable = oracle.Derivable(target.grammar)
+    asked = []  # every atom asked about outlives `derivable`, whose memo keys on id
+    kept = {}  # vector -> its first derivable atom
     for op, cmp in (("=", operator.eq), ("<", operator.lt), ("<=", operator.le)):
         for a, va in zip(terms, values):
             for b, vb in zip(terms, values):
                 if a == b or va is None or vb is None:
                     continue
                 vec = tuple(map(cmp, va, vb))
-                if all(vec) or not any(vec):
+                if vec in kept or all(vec) or not any(vec):
                     continue
-                atoms.append((Apply(op, (a, b), BOOL), vec))
-    derivable = oracle.Derivable(target.grammar)
-    return [(t, v) for t, v in atoms if derivable(bool_nt, t)]
+                asked.append(Apply(op, (a, b), BOOL))
+                if derivable(bool_nt, asked[-1]):
+                    kept[vec] = asked[-1]
+    return [(t, v) for v, t in kept.items()]
 
 
 def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_lit):

@@ -5,16 +5,19 @@ three tiers: exact evaluation of ground constraints (PBE examples are
 ground), seeded bounded/sampled search, and an optional external SMT
 solver spoken to over SMT-LIB2 text on stdin/stdout.  The second tier
 runs each constraint group's whole point loop in one generated and
-compiled Python function; the closure `Evaluator` decides the first tier
-and re-checks every counterexample.
+compiled Python function, drawing all-Int samples once per process; the
+closure `Evaluator` decides the first tier and re-checks every
+counterexample.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import shlex
 import subprocess
+from array import array
 from dataclasses import dataclass
 
 from .core import (
@@ -269,6 +272,33 @@ def _drawer(sort, pool, rng):
     return draw
 
 
+class _IntStream:
+    """An Int `_drawer`'s values from `random.Random(seed)`, drawn once into
+    `array('q')` chunks, each by the first `iter()` to read past the last."""
+
+    CHUNK = 4096
+
+    def __init__(self, seed):
+        self._draw = _drawer(INT, (), random.Random(seed))
+        self.chunks = []
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._chunks())
+
+    def _chunks(self):
+        for i in itertools.count():
+            if i == len(self.chunks):
+                self.chunks.append(array("q", [self._draw() for _ in range(self.CHUNK)]))
+            yield self.chunks[i]
+
+
+@functools.cache
+def _int_stream(seed):
+    """The process's `_IntStream` for `seed`: exactly what a search whose
+    draws are all Int draws, as an Int pool takes nothing from the rng."""
+    return _IntStream(seed)
+
+
 def _search_points(universals, problem, seed, cap, samples):
     """Deterministic candidate points as value tuples: a bounded exhaustive
     grid (shrunk to fit `cap` points), then `samples` seeded independent
@@ -299,11 +329,13 @@ def _search_points(universals, problem, seed, cap, samples):
         if not shrunk:
             grids = None
             break
-    if grids is not None:
-        yield from itertools.product(*grids)
-    draws = [_drawer(s, pool, rng) for s, pool in zip(sorts, pools)]
-    for _ in range(samples):
-        yield tuple([draw() for draw in draws])
+    grid = () if grids is None else itertools.product(*grids)
+    if sorts and all(s == INT for s in sorts):
+        sampled = itertools.islice(zip(*[iter(_int_stream(seed))] * len(sorts)), samples)
+    else:
+        draws = [_drawer(s, pool, rng) for s, pool in zip(sorts, pools)]
+        sampled = (tuple([draw() for draw in draws]) for _ in range(samples))
+    return itertools.chain(grid, sampled)
 
 
 def _derived_choices(constraints, sub, problem):
@@ -374,11 +406,15 @@ def _search_group(problem, interps, constraints, sub, seed):
     # Spread the same point budget across the combinations.
     cap = max(1000, EXHAUSTIVE_CAP // len(combos))
     samples = max(1000, SAMPLES // len(combos))
-    rng = random.Random(seed + 1)
-    pools = {n: _value_pool(sorts[n], problem, rng) for n, _ in derived}
+    if all(sorts[n] == INT for n, _ in derived):
+        drawers = dict.fromkeys(dict(derived), iter(_int_stream(seed + 1)).__next__)
+    else:
+        rng = random.Random(seed + 1)
+        pools = {n: _value_pool(sorts[n], problem, rng) for n, _ in derived}
+        drawers = {n: _drawer(sorts[n], pools[n], rng) for n, _ in derived}
 
     em = SourceEmitter(interps)
-    draws = {n: em.bind(("draw", n), _drawer(sorts[n], pools[n], rng)) for n, _ in derived}
+    draws = {n: em.bind(("draw", n), d) for n, d in drawers.items()}
     local = {n: em.fresh() for n, _ in sub}
     checks = " and ".join(em.expr(c, local) for c in constraints)
     lines = [

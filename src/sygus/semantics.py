@@ -166,6 +166,12 @@ _BINARY = {
 }
 
 
+# Source templates, by (op, arity), of the builtins that generated code
+# writes as Python operators when every argument is an Int or a Bool.
+_OPERATORS = {("=", 2): "{} == {}", ("-", 1): "- {}", ("not", 1): "not {}"} | {
+    (op, 2): f"{{}} {op} {{}}" for op in ("+", "-", "*", "<", "<=", ">", ">=")}
+
+
 def _raiser(error, message):
     def fail(*_):  # generated code passes the arguments it evaluated first
         raise error(message)
@@ -293,9 +299,11 @@ class SourceEmitter:
     mapping each variable in scope to the local holding its value (SyGuS
     names never appear in the source).  Applied functions become `defs`
     with positional parameters, except an op in `calls`, which becomes a
-    call to the name `calls` maps it to; builtins call `Evaluator`'s
-    callables, bound into `namespace`.  Results and error types match `Evaluator`'s,
-    and errors are raised only when evaluation reaches them.
+    call to the name `calls` maps it to.  Arithmetic, comparisons and
+    `not` over Int and Bool arguments become Python operators; other
+    builtins call `Evaluator`'s callables, bound into `namespace`.
+    Results and error types match `Evaluator`'s, and errors are raised
+    only when evaluation reaches them.
     """
 
     MAX_DEPTH = 100  # Python nests 200 parentheses at most; deeper subterms become defs
@@ -335,7 +343,7 @@ class SourceEmitter:
         if isinstance(t, Lit):
             return repr(t.value)
         if isinstance(t, Apply):
-            return self._apply(t.op, [self.expr(a, names, depth) for a in t.args], t.sort)
+            return self._apply(t.op, [self.expr(a, names, depth) for a in t.args], t.sort, t.args)
         if isinstance(t, Let):
             params = [self.fresh() for _ in t.bindings]
             values = [self.expr(e, names, depth) for _, e in t.bindings]
@@ -349,7 +357,7 @@ class SourceEmitter:
     def _fail(self, error, message, args=()):
         return f"{self.bind((error, message), _raiser(error, message))}({', '.join(args)})"
 
-    def _apply(self, op, args, sort):
+    def _apply(self, op, args, sort, arg_terms):
         if op in self.calls:
             return f"{self.calls[op]}({', '.join(args)})"
         interp = self.interpretations.get(op)
@@ -366,6 +374,8 @@ class SourceEmitter:
             return f"(not {args[0]} or {args[1]})"
         if op == "ite" and len(args) == 3:
             return f"({args[1]} if {args[0]} else {args[2]})"
+        if (op, len(args)) in _OPERATORS and all(a.sort in (INT, BOOL) for a in arg_terms):
+            return f"({_OPERATORS[op, len(args)].format(*args)})"
         try:
             impl = builtin_impl(op, sort)
         except KeyError:

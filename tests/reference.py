@@ -1,8 +1,11 @@
 """Reference implementations the tests compare the toolkit against."""
 
-from sygus.core import Apply, ArityError, Hole, Let, Lit, SygusError, Term, Var
+import itertools
+import random
+
+from sygus.core import Apply, ArityError, Hole, Let, Lit, SygusError, Term, Var, free_vars, var_equations
 from sygus.engine import Enumerator
-from sygus.semantics import SortMismatch, UnboundVariable, _arity_message, builtin_impl
+from sygus.semantics import Evaluator, SortMismatch, UnboundVariable, _arity_message, builtin_impl
 
 
 class TreeEvaluator:
@@ -52,3 +55,55 @@ def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
     """Unpruned brute-force enumeration; the reference for pruning checks."""
     en = Enumerator(grammar, envs, interpretations, max_size, prune=False)
     return [t for t, _ in en.enumerate(nt)]
+
+
+def ice_seed(problem, spec, state_names, budget):
+    """`engine._ice_seed` through the closure `Evaluator`, one environment
+    dict per evaluation; the generated functions must give the same
+    (pos, neg, imps)."""
+    macro_map = problem.macro_map()
+    ev = Evaluator(macro_map)
+    pre_params, pre_body = macro_map[spec.pre_name]
+    post_params, post_body = macro_map[spec.post_name]
+    trans_params, trans_body = macro_map[spec.trans_name]
+    n = len(state_names)
+    radius = 1
+    while (2 * radius + 3) ** n <= 700:
+        radius += 1
+    grid = itertools.product(range(-radius, radius + 1), repeat=n)
+    rng = random.Random(budget.seed)
+    states = list(grid)
+    for _ in range(200):
+        states.append(tuple(rng.randint(-8, 8) for _ in range(n)))
+    states = list(dict.fromkeys(states))
+
+    pos, neg, imps = set(), set(), set()
+    for s in states:
+        if ev.eval(pre_body, dict(zip(pre_params, s))):
+            pos.add(s)
+        if not ev.eval(post_body, dict(zip(post_params, s))):
+            neg.add(s)
+    if len(neg) > 120:
+        neg = set(rng.sample(sorted(neg), 120))
+
+    unprimed = set(trans_params[:n])
+    primed = trans_params[n:]
+    defs = {
+        v: [e for e in es if free_vars(e) <= unprimed]
+        for v, es in var_equations([trans_body], primed).items()
+    }
+    if all(defs.get(p) for p in primed):
+        combos = list(itertools.product(*[defs[p][:3] for p in primed]))[:81]
+        for s in states:
+            env = dict(zip(trans_params[:n], s))
+            for combo in combos:
+                try:
+                    succ = tuple(ev.eval(e, env) for e in combo)
+                except Exception:
+                    continue
+                full = list(s) + list(succ)
+                if ev.eval(trans_body, dict(zip(trans_params, full))):
+                    imps.add((s, succ))
+            if len(imps) > 4000:
+                break
+    return pos, neg, imps

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 
 from sygus.core import Apply, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
-from sygus import engine, oracle
+from sygus import engine, oracle, semantics
 from sygus.engine import (
     Budget,
     BudgetExceeded,
@@ -34,6 +34,7 @@ from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
 from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator, eval_constraints
 
+import reference
 from reference import TreeEvaluator, enumerate_all
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
@@ -99,6 +100,55 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
             for term, vec in en.bank(nt, s):
                 want = [ev.eval(term, env) for env in envs]
                 assert [(type(v), v) for v in vec] == [(type(v), v) for v in want], term
+
+
+# The fig2 grammar's generated vector source.  Its builtins are all
+# BitVec, so they stay bound callables when Int and Bool builtins become
+# Python operators; this pins the source byte for byte.
+FIG2_VECTOR_SOURCE = (
+    "def _f14(_v13): return _k15(_v13, 1)\n"
+    "def _f20(_v19): return _k21(_v19, 1)\n"
+    "def _f26(_v25): return _k21(_v25, 4)\n"
+    "def _f31(_v30): return _k21(_v30, 16)\n"
+    "def _f66(_v63, _v64, _v65): return (_v64 if _k67(_v63, 1) else _v65)\n"
+    "def _p0():\n"
+    "    return tuple([0 for _, in zip(_k1)])\n"
+    "def _p2():\n"
+    "    return tuple([1 for _, in zip(_k1)])\n"
+    "def _p3():\n"
+    "    return tuple([_v4 for _v4, in zip(_k5)])\n"
+    "def _p6(_v7):\n"
+    "    return tuple([_k9(_v8) for _v8, in zip(_v7)])\n"
+    "def _p10(_v11):\n"
+    "    return tuple([_f14(_v12) for _v12, in zip(_v11)])\n"
+    "def _p16(_v17):\n"
+    "    return tuple([_f20(_v18) for _v18, in zip(_v17)])\n"
+    "def _p22(_v23):\n"
+    "    return tuple([_f26(_v24) for _v24, in zip(_v23)])\n"
+    "def _p27(_v28):\n"
+    "    return tuple([_f31(_v29) for _v29, in zip(_v28)])\n"
+    "def _p32(_v33, _v34):\n"
+    "    return tuple([_k37(_v35, _v36) for _v35,_v36, in zip(_v33, _v34)])\n"
+    "def _p38(_v39, _v40):\n"
+    "    return tuple([_k43(_v41, _v42) for _v41,_v42, in zip(_v39, _v40)])\n"
+    "def _p44(_v45, _v46):\n"
+    "    return tuple([_k49(_v47, _v48) for _v47,_v48, in zip(_v45, _v46)])\n"
+    "def _p50(_v51, _v52):\n"
+    "    return tuple([_k55(_v53, _v54) for _v53,_v54, in zip(_v51, _v52)])\n"
+    "def _p56(_v57, _v58, _v59):\n"
+    "    return tuple([_f66(_v60, _v61, _v62) for _v60,_v61,_v62, in zip(_v57, _v58, _v59)])\n"
+    "_fns = (_p0,_p2,_p3,_p6,_p10,_p16,_p22,_p27,_p32,_p38,_p44,_p50,_p56,)\n"
+)
+
+
+def test_fig2_vector_source_is_unchanged(monkeypatch):
+    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    sources = []
+    build = semantics.SourceEmitter.build
+    monkeypatch.setattr(semantics.SourceEmitter, "build",
+                        lambda em, source, name: sources.append("\n".join(em.defs + [source])) or build(em, source, name))
+    Enumerator(p.targets[0].grammar, [{"x": 1}], p.macro_map(), max_size=3).bank("Start", 1)
+    assert sources == [FIG2_VECTOR_SOURCE.rstrip("\n")]
 
 
 def test_max_finite_size():
@@ -789,22 +839,60 @@ def test_auto_picks_by_problem_class(name):
 # --- invariant atoms -------------------------------------------------------
 
 
-@pytest.mark.parametrize("bench", ["inv_loop.sl", "inv_loop_guarded.sl"])
-def test_octagon_atoms_match_per_atom_conformance(bench, monkeypatch):
+INV_BENCHES = ["inv_loop.sl", "inv_loop_guarded.sl"]
+
+
+def _ice_inputs(bench):
     p = parse_file(os.path.join(BENCH, bench))
     spec = p.invariant_spec
-    target = p.target(spec.inv_name)
     names = [n for n, _ in spec.state_vars]
+    return p, spec, names, p.target(spec.inv_name)
+
+
+@pytest.mark.parametrize("bench", INV_BENCHES)
+def test_ice_seed_matches_the_closure_evaluator(bench):
+    p, spec, names, _ = _ice_inputs(bench)
+    for seed in (0, 5):
+        got = _ice_seed(p, spec, names, Budget(seed=seed))
+        assert got == reference.ice_seed(p, spec, names, Budget(seed=seed))
+        assert all(got)
+
+
+@pytest.mark.parametrize("bench", INV_BENCHES)
+def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypatch):
+    p, spec, names, target = _ice_inputs(bench)
     pos, neg, _ = _ice_seed(p, spec, names, Budget())
-    envs = [dict(zip(names, s)) for s in sorted(pos | neg)]
+    states = sorted(pos | neg)
+    envs = [dict(zip(names, s)) for s in states]
     bool_nt = next(n for n, s in target.grammar.nonterminals if s.kind == "Bool")
     got = _octagon_atoms(target, bool_nt, envs)
+    # A checker that derives nothing is asked about every candidate atom.
+    asked = []
     with monkeypatch.context() as m:
-        m.setattr(oracle, "Derivable", lambda grammar: lambda nt, t: True)
-        candidates = _octagon_atoms(target, bool_nt, envs)
+        m.setattr(oracle, "Derivable", lambda grammar: lambda nt, t: asked.append(t) or False)
+        assert _octagon_atoms(target, bool_nt, envs) == []
     g = replace(target.grammar, start=bool_nt)
-    want = [(t, v) for t, v in candidates if oracle.check_conformance(t, g).kind == "valid"]
-    assert got == want and len(candidates) > 1000
+    ev = Evaluator()
+    conformant = [(t, tuple(ev.eval(t, env) for env in envs))
+                  for t in asked if oracle.check_conformance(t, g).kind == "valid"]
+    first = {}
+    for t, v in conformant:
+        first.setdefault(v, t)
+    assert got == [(t, v) for v, t in first.items()] and len(asked) > 1000
+
+    # _ice_tree's deduplicated predicate lists are those of every
+    # conformant atom
+    def preds_seen(atoms):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_octagon_atoms", lambda *_: atoms)
+            m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
+            engine._ice_tree(target, states, envs, None, pos, neg, Budget(max_pred_size=5),
+                             engine._Deadline(60), None, None)
+        return seen
+
+    seen = preds_seen(got)
+    assert seen == preds_seen(conformant) and len(seen) == 9  # 3 pools x 3 depths
 
 
 # --- nuggets ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Conformance checking, semantic verification, SMT-LIB2 plumbing."""
 
+import itertools
 import os
 from dataclasses import replace
 import random
@@ -133,15 +134,19 @@ def test_verify_rejects_overfit_invariant():
     assert verify(p, wrong).kind == "counterexample"
 
 
+RIGHT_GUARDED = (
+    "(define-fun inv-f ((i Int) (j Int) (i0 Int) (j0 Int)) Bool"
+    " (and (= (+ i j) (+ i0 j0)) (not (< i 0))))"
+)
+
+
 def test_tier2_search_runs_generated_code(monkeypatch):
     # every point of the right invariant's search runs in the generated
     # function: no closure evaluation at all
     from sygus import semantics
 
     p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
-    sol = parse_solution(
-        "(define-fun inv-f ((i Int) (j Int) (i0 Int) (j0 Int)) Bool"
-        " (and (= (+ i j) (+ i0 j0)) (not (< i 0))))", p)
+    sol = parse_solution(RIGHT_GUARDED, p)
     calls = []
     original = semantics.Evaluator.eval
     monkeypatch.setattr(semantics.Evaluator, "eval", lambda self, t, env: calls.append(t) or original(self, t, env))
@@ -180,6 +185,84 @@ def test_search_points_samples_match_reference_stream():
     pools = [oracle._value_pool(s, STRINGS, rng) for _, s in universals]
     want = [tuple(_sample_value(s, pool, rng) for (_, s), pool in zip(universals, pools)) for _ in range(2_000)]
     assert got == want
+
+
+def _reference_ints(seed, n):
+    rng = random.Random(seed)
+    return [_sample_value(INT, None, rng) for _ in range(n)]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_all_int_search_points_samples_match_reference_stream(m):
+    universals = [(f"v{i}", INT) for i in range(m)]
+    got = list(oracle._search_points(universals, STRINGS, 7, 0, 3_000))
+    want = _reference_ints(7, 3_000 * m)
+    assert got == [tuple(want[i : i + m]) for i in range(0, len(want), m)]
+
+
+def test_interleaved_and_abandoned_stream_readers_see_the_reference():
+    stream = oracle._IntStream(21)
+    n = 3 * oracle._IntStream.CHUNK + 5
+    want = _reference_ints(21, n)
+    a, b = iter(stream), iter(stream)
+    abandoned = iter(stream)
+    abandoned = [next(abandoned), next(abandoned)]
+    got_a, got_b = [], []
+    for i in range(n):
+        got_a.append(next(a))
+        if i % 3 == 0:  # b lags behind, then catches up
+            got_b.extend(next(b) for _ in range(min(3, n - len(got_b))))
+    assert got_a == got_b == want and abandoned == want[:2]
+    assert len(stream.chunks) == 4
+    assert list(itertools.islice(iter(stream), n)) == want
+
+
+def test_a_second_identical_verify_draws_nothing_new():
+    # the right invariant reads every point its groups search
+    p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
+    sol = parse_solution(RIGHT_GUARDED, p)
+    cfg = VerifyConfig(seed=1234)
+    first = verify(p, sol, cfg)
+    drawn = [len(oracle._int_stream(s).chunks) for s in (1234, 1235)]
+    assert verify(p, sol, cfg) == first and first.kind == "unknown"
+    assert [len(oracle._int_stream(s).chunks) for s in (1234, 1235)] == drawn and min(drawn) > 0
+
+
+class _FreshDraws:
+    """An `_IntStream` stand-in that draws every reader's values afresh
+    from `random.Random(seed)`, as the search did before the cache."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def __iter__(self):
+        rng = random.Random(self.seed)
+        return iter(lambda: _sample_value(INT, None, rng), object())
+
+
+GENERATED_CLIA = (
+    "(set-logic LIA) (synth-fun f ((x Int) (y Int)) Int) (declare-var x Int) (declare-var y Int)"
+    " (constraint (= (f x y) (ite (< x 1) (+ y 1) (- y 1)))) (check-synth)"
+)
+
+
+@pytest.mark.parametrize("name", ["abs.sl", "qm_inner.sl", "inv_loop_guarded.sl", "generated clia"])
+def test_wrong_candidates_get_the_counterexamples_of_fresh_draws(name, monkeypatch):
+    p = parse(GENERATED_CLIA) if name == "generated clia" else parse_file(os.path.join(BENCH, name))
+    (target,) = p.targets
+    params = [n for n, _ in target.params]
+    candidates = enumerate_all(target.grammar, target.grammar.start, 4, p.macro_map())[:40]
+    # a grid of the origin alone leaves the other counterexamples to the
+    # samples
+    monkeypatch.setattr(oracle, "INT_BOUND", 0)
+    cfg = VerifyConfig(seed=9)
+    cached = [verify(p, {target.name: (params, t)}, cfg) for t in candidates]
+    monkeypatch.setattr(oracle, "_int_stream", _FreshDraws)
+    fresh = [verify(p, {target.name: (params, t)}, cfg) for t in candidates]
+    assert cached == fresh
+    points = [v.point for v in cached if v.kind == "counterexample"]
+    beyond = [pt for pt in points if any(pt.values())]
+    assert len(points) > len(candidates) // 2 and len(beyond) >= 5
 
 
 GROUND_WITH_UNIVERSAL = (

@@ -208,6 +208,27 @@ def test_emitted_deep_term_moves_into_defs():
     assert Emitted().eval(t, {"x": 1}) == ev.eval(t, {"x": 1}) == 1 + sum(range(300))
 
 
+def test_emitter_writes_operators_for_int_and_bool_arguments_only():
+    x, y, p = Var("x", INT), Var("y", INT), Var("p", BOOL)
+    a, b, s, t = Var("a", BV64), Var("b", BV64), Var("s", STRING), Var("t", STRING)
+    env = {"x": -7, "y": 3, "p": True, "a": 12, "b": 10, "s": "ab", "t": "c"}  # locals _v0 ... _v6
+    operators = {
+        Apply("+", (x, y), INT): "(_v0 + _v1)", Apply("-", (x, y), INT): "(_v0 - _v1)",
+        Apply("*", (x, y), INT): "(_v0 * _v1)", Apply("-", (x,), INT): "(- _v0)",
+        Apply("<", (x, y), BOOL): "(_v0 < _v1)", Apply("<=", (x, y), BOOL): "(_v0 <= _v1)",
+        Apply(">", (x, y), BOOL): "(_v0 > _v1)", Apply(">=", (x, y), BOOL): "(_v0 >= _v1)",
+        Apply("=", (x, y), BOOL): "(_v0 == _v1)", Apply("=", (p, p), BOOL): "(_v2 == _v2)",
+        Apply("not", (p,), BOOL): "(not _v2)",
+    }
+    callables = [Apply("bvand", (a, b), BV64), Apply("=", (a, b), BOOL), Apply("str.++", (s, t), STRING),
+                 Apply("+", (x, y, x), INT)]
+    for term in list(operators) + callables:
+        em = SourceEmitter()
+        source = em.expr(term, {n: em.fresh() for n in env})
+        assert source == operators[term] if term in operators else source.startswith("_k"), (term, source)
+        assert Emitted().eval(term, env) == ev.eval(term, env), term
+
+
 # --- compiled evaluator against the tree-walk reference ---------------------
 
 # Variable names that are not Python identifiers, as SyGuS allows.
