@@ -20,7 +20,8 @@ compiled once over the round's points, and each target application reads
 the candidate's value from its bank vector.  Stitching and invariant
 learning grow their trees with one greedy information-gain ID3,
 `build_decision_tree`, over predicate pools from one builder,
-`_predicate_pool`.
+`_predicate_pool`.  It holds the ids, each class and each predicate as
+an int mask, so a split is one `&` and a class count one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
@@ -48,7 +49,6 @@ import math
 import operator
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -551,7 +551,9 @@ def _point_check(problem, points, envs):
     targets, ev = problem.targets, Evaluator(problem.macro_map())
     em = SourceEmitter(problem.macro_map(), {t.name: f"_t{i}" for i, t in enumerate(targets)})
     local = {n: em.fresh() for n, _ in problem.universals}
-    columns = [repr(range(len(points)))] + [em.bind(("column", n), tuple(p[n] for p in points)) for n in local]
+    # everything that varies from round to round is bound, so the source repeats
+    columns = [em.bind("ids", range(len(points)))]
+    columns += [em.bind(("column", n), tuple(p[n] for p in points)) for n in local]
     holds = " and ".join(em.expr(c, local) for c in problem.constraints) or "True"
     run = em.build(f"def run():\n    return frozenset([_i for _i, {''.join(v + ',' for v in local.values())} in "
                    f"zip({', '.join(columns)}) if {holds}])", "run")
@@ -716,7 +718,7 @@ def cegis_solve(problem, budget=None, cfg=None):
 
     def solve(pclass, budget, deadline):
         if pclass.kind == "pbe":
-            return _solve_pbe(problem, pclass.examples, (None, None), budget, deadline)
+            return _solve_pbe(problem, pclass.examples, (None, None), budget, deadline, cfg)
         return _point_cegis(
             problem, problem.targets,
             lambda points: _consistent_candidate(problem, points, budget, deadline),
@@ -772,11 +774,22 @@ class Branch:
     other: object
 
 
-def _entropy(labels, ids):
-    counts = Counter(labels[i] for i in ids)
-    total = len(ids)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(bits):
+    """The int whose bit i is set where the bool `bits[i]` is True."""
+    return int(bytes(bits)[::-1].translate(_DIGITS) or b"0", 2)
+
+
+def _bits(mask):
+    """The frozenset of the bit positions set in `mask`."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _entropy(counts, total):
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         if c:
             p = c / total
             h -= p * math.log2(p)
@@ -787,38 +800,58 @@ def build_decision_tree(ids, labels, leaf, preds, depth=None):
     """Greedy information-gain (ID3) tree over example ids.
 
     `labels` maps each id to its class; `leaf(ids)` returns the Leaf for
-    ids that need no split, else None; `preds` is a list of (payload,
-    bool vector indexed by id).  With a `depth`, no split is made that
-    many levels down.  The first predicate of highest gain wins.  Returns
-    Leaf/Branch, or None when no predicate makes progress.
+    a frozenset of ids that need no split, else None; `preds` is a list
+    of (payload, bool vector indexed by id).  With a `depth`, no split is
+    made that many levels down.  The first predicate of highest gain
+    wins.  Returns Leaf/Branch, or None when no predicate makes progress.
+
+    The id set, each class and each vector become int masks once, so a
+    split is one `&` and a class count one popcount.
     """
-    ids = frozenset(ids)
-    node = leaf(ids)
+    whole = 0
+    classes = {}
+    for i in ids:
+        whole |= 1 << i
+        classes[labels[i]] = classes.get(labels[i], 0) | 1 << i
+    masks = []
+    for payload, vec in preds:
+        m = _mask(vec) & whole
+        if m and m != whole:  # a predicate that splits no subset of ids is never chosen
+            masks.append((payload, m))
+    return _id3(whole, list(classes.values()), leaf, masks, depth)
+
+
+def _id3(ids, classes, leaf, preds, depth):
+    """`build_decision_tree` over an id mask, class masks and (payload, mask) predicates."""
+    node = leaf(_bits(ids))
     if node is not None:
         return node
     if depth is not None and depth <= 0:
         return None
-    base = _entropy(labels, ids)
+    n = ids.bit_count()
+    counts = [(c & ids).bit_count() for c in classes]
+    base = _entropy(counts, n)
     best = None
     best_gain = -1.0
-    for payload, vec in preds:
-        yes = frozenset(i for i in ids if vec[i])
-        no = ids - yes
-        if not yes or not no:
+    for payload, m in preds:
+        yes = ids & m
+        if not yes or yes == ids:
             continue
+        n_yes = yes.bit_count()
+        yes_counts = [(c & yes).bit_count() for c in classes]
         gain = base - (
-            len(yes) / len(ids) * _entropy(labels, yes)
-            + len(no) / len(ids) * _entropy(labels, no)
+            n_yes / n * _entropy(yes_counts, n_yes)
+            + (n - n_yes) / n * _entropy([a - b for a, b in zip(counts, yes_counts)], n - n_yes)
         )
         if gain > best_gain + 1e-12:
             best_gain = gain
-            best = (payload, yes, no)
+            best = (payload, yes)
     if best is None:
         return None
-    payload, yes, no = best
+    payload, yes = best
     sub = None if depth is None else depth - 1
-    then = build_decision_tree(yes, labels, leaf, preds, sub)
-    other = build_decision_tree(no, labels, leaf, preds, sub)
+    then = _id3(yes, classes, leaf, preds, sub)
+    other = _id3(ids & ~yes, classes, leaf, preds, sub)
     if then is None or other is None:
         return None
     return Branch(payload, then, other)
@@ -907,9 +940,10 @@ def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
     return out
 
 
-def _solve_pbe(problem, examples, cond, budget, deadline):
+def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
     """Cover-and-stitch over the examples, with `cond` as the conditional
-    to stitch with; (None, None) enumerates only."""
+    to stitch with; (None, None) enumerates only.  The term found is
+    verified under the caller's `cfg`."""
     target = problem.targets[0]
     params = [n for n, _ in target.params]
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
@@ -929,7 +963,7 @@ def _solve_pbe(problem, examples, cond, budget, deadline):
     if isinstance(found, Failure):
         return found
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
-    sol.verdict = oracle.verify(problem, sol.as_map(), None)
+    sol.verdict = oracle.verify(problem, sol.as_map(), cfg)
     return sol
 
 
@@ -1006,7 +1040,7 @@ def unify_solve(problem, budget=None, cfg=None):
         if pclass.kind == "invariant":
             return _ice_solve(problem, budget, deadline, cfg)
         if pclass.kind == "pbe":
-            return _solve_pbe(problem, pclass.examples, pclass.cond, budget, deadline)
+            return _solve_pbe(problem, pclass.examples, pclass.cond, budget, deadline, cfg)
         if pclass.kind != "conditional":
             many = len(problem.targets) != 1
             return Failure("no-conditional-production", "unification handles a single target" if many else "")

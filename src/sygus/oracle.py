@@ -7,7 +7,10 @@ solver spoken to over SMT-LIB2 text on stdin/stdout.  The second tier
 runs each constraint group's whole point loop in one generated and
 compiled Python function, drawing all-Int samples once per process; the
 closure `Evaluator` decides the first tier and re-checks every
-counterexample.
+counterexample.  `verify` keeps its last answer: the same question asked
+again (the same problem object, an equal solution and an equal config)
+is answered from it without a search, so the harness's check of the
+solution an engine has just verified costs nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import random
 import shlex
 import subprocess
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Apply,
@@ -438,10 +441,30 @@ def _search_group(problem, interps, constraints, sub, seed):
     return None if found is None else dict(zip(local, found))
 
 
+_last = None  # (problem, solution key, config, verdict) of the last verify that returned
+
+
 def verify(problem, solution, cfg=None) -> Verdict:
     """Search for a falsifying point; `solution` maps target name ->
-    (param names, body)."""
+    (param names, body).
+
+    The last verdict returned is kept, keyed by the problem object, the
+    solution as {name: (params tuple, body)} and an equal `cfg`; that
+    question asked again returns it at once.  An exception is not kept.
+    """
+    global _last
     cfg = cfg or VerifyConfig()
+    key = {name: (tuple(params), body) for name, (params, body) in solution.items()}
+    if _last is not None and _last[0] is problem and _last[1] == key and _last[2] == cfg:
+        return _last[3]
+    verdict = _verify(problem, solution, cfg)
+    _last = (problem, key, replace(cfg), verdict)
+    return verdict
+
+
+def _verify(problem, solution, cfg):
+    """`verify` without its memo: ground constraints, then the search of
+    each group, then the SMT command if one is set."""
     interps = solution_interpretations(problem, solution)
     ev = Evaluator(interps)
 

@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the toolkit against."""
 
 import itertools
+import math
 import random
+from collections import Counter
 
 from sygus.core import Apply, ArityError, Hole, Let, Lit, SygusError, Term, Var, free_vars, var_equations
-from sygus.engine import Enumerator
+from sygus.engine import Branch, Enumerator
 from sygus.semantics import Evaluator, SortMismatch, UnboundVariable, _arity_message, builtin_impl
 
 
@@ -107,3 +109,50 @@ def ice_seed(problem, spec, state_names, budget):
             if len(imps) > 4000:
                 break
     return pos, neg, imps
+
+
+def _entropy(labels, ids):
+    counts = Counter(labels[i] for i in ids)
+    total = len(ids)
+    h = 0.0
+    for c in counts.values():
+        if c:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def build_decision_tree(ids, labels, leaf, preds, depth=None):
+    """`engine.build_decision_tree` over frozensets, one `Counter` per
+    candidate split; the mask learner must give an equal tree, or None
+    where this one does."""
+    ids = frozenset(ids)
+    node = leaf(ids)
+    if node is not None:
+        return node
+    if depth is not None and depth <= 0:
+        return None
+    base = _entropy(labels, ids)
+    best = None
+    best_gain = -1.0
+    for payload, vec in preds:
+        yes = frozenset(i for i in ids if vec[i])
+        no = ids - yes
+        if not yes or not no:
+            continue
+        gain = base - (
+            len(yes) / len(ids) * _entropy(labels, yes)
+            + len(no) / len(ids) * _entropy(labels, no)
+        )
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = (payload, yes, no)
+    if best is None:
+        return None
+    payload, yes, no = best
+    sub = None if depth is None else depth - 1
+    then = build_decision_tree(yes, labels, leaf, preds, sub)
+    other = build_decision_tree(no, labels, leaf, preds, sub)
+    if then is None or other is None:
+        return None
+    return Branch(payload, then, other)

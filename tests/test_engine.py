@@ -9,6 +9,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sygus.core import Apply, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
 from sygus import engine, oracle, semantics
@@ -18,6 +19,7 @@ from sygus.engine import (
     ConflictingExamples,
     Enumerator,
     Failure,
+    Leaf,
     Solution,
     _conditional_kind,
     _ice_seed,
@@ -893,6 +895,67 @@ def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypat
 
     seen = preds_seen(got)
     assert seen == preds_seen(conformant) and len(seen) == 9  # 3 pools x 3 depths
+
+
+# --- decision trees -------------------------------------------------------
+
+
+@st.composite
+def _tree_inputs(draw):
+    """Arguments for `build_decision_tree`: ids over 2-5 classes, boolean
+    vectors with duplicates and constant ones among them, a depth, and a
+    leaf like `_stitch`'s (the first cover holding every id) or like
+    `_ice_tree`'s (one class throughout)."""
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(2, 5))
+    ids = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    vec = st.lists(st.booleans(), min_size=n, max_size=n).map(tuple)
+    vecs = draw(st.lists(vec | st.sampled_from([(True,) * n, (False,) * n]), max_size=10))
+    if vecs:
+        vecs += draw(st.lists(st.sampled_from(vecs), max_size=4))
+    preds = [(f"p{j}", v) for j, v in enumerate(vecs)]
+    depth = draw(st.none() | st.integers(0, 3))
+    if draw(st.booleans()):
+        # each id is covered by its own class and maybe others, and is
+        # labelled with the first class covering it, as in `_stitch`
+        own = [draw(st.integers(0, k - 1)) for _ in range(n)]
+        covers = [frozenset(i for i in range(n) if own[i] == c or draw(st.booleans())) for c in range(k)]
+        labels = {i: next(c for c in range(k) if i in covers[c]) for i in range(n)}
+
+        def leaf(subset):
+            assert isinstance(subset, frozenset)
+            return next((Leaf(c) for c in range(k) if subset <= covers[c]), None)
+    else:
+        labels = {i: draw(st.integers(0, k - 1)) for i in range(n)}
+
+        def leaf(subset):
+            assert isinstance(subset, frozenset)
+            found = {labels[i] for i in subset}
+            return Leaf(found.pop()) if len(found) == 1 else None
+
+    return ids, labels, leaf, preds, depth
+
+
+@settings(max_examples=300)
+@given(_tree_inputs())
+def test_mask_learner_grows_the_reference_tree(args):
+    assert engine.build_decision_tree(*args) == reference.build_decision_tree(*args)
+
+
+@pytest.mark.parametrize("name", ["inv_loop_guarded.sl", "abs.sl"])
+def test_mask_learner_grows_the_reference_tree_inside_the_solvers(name, monkeypatch):
+    calls = []
+    learner = engine.build_decision_tree
+
+    def both(ids, labels, leaf, preds, depth=None):
+        got = learner(ids, labels, leaf, preds, depth)
+        assert got == reference.build_decision_tree(ids, labels, leaf, preds, depth)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(engine, "build_decision_tree", both)
+    assert unify_solve(parse_file(os.path.join(BENCH, name)), Budget(wallclock=60)).verdict.kind != "counterexample"
+    assert any(t is not None for t in calls)
 
 
 # --- nuggets ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, Sort, STRING, Var
 from sygus.engine import Budget, cegis_solve, unify_solve
 from sygus.frontend import parse, parse_file, parse_solution
-from sygus import oracle
+from sygus import harness, oracle
 from sygus.oracle import (
     Derivable,
     VerifyConfig,
@@ -363,3 +363,37 @@ def test_external_check_unconfigured_is_unknown():
     p = parse_file(os.path.join(BENCH, "abs.sl"))
     v = external_check(p, {"abs": (["x"], Var("x", INT))})
     assert v.kind == "unknown"
+
+
+@pytest.mark.parametrize("name", ["inv_loop_guarded.sl", "abs.sl"])
+def test_the_harness_question_is_answered_from_the_memo(name, monkeypatch):
+    searches = []
+    search_group = oracle._search_group
+    monkeypatch.setattr(oracle, "_search_group", lambda *args: searches.append(args) or search_group(*args))
+    asked = []
+    harness_verify = harness.verify
+
+    def counted(problem, solution, cfg):
+        before = len(searches)
+        verdict = harness_verify(problem, solution, cfg)
+        asked.append((problem, solution, cfg, verdict, len(searches) - before))
+        return verdict
+
+    monkeypatch.setattr(harness, "verify", counted)
+    path = os.path.join(BENCH, name)
+    assert harness.solve_benchmark(path, harness.SuiteConfig(timeout=60))[0] in ("solved", "unknown-verified")
+    ((problem, solution, cfg, verdict, added),) = asked
+    assert added == 0 and searches  # the engine searched; the harness's verify did not
+
+    def searched(*question):
+        before = len(searches)
+        assert verify(*question) == verdict
+        return len(searches) > before
+
+    (fname, (params, body)), = solution.items()
+    same_meaning = Apply("ite", (Lit(True, BOOL), body, body), body.sort)
+    assert searched(problem, {fname: (params, same_meaning)}, cfg)
+    assert searched(problem, solution, replace(cfg, seed=cfg.seed + 1))
+    again = parse_file(path)
+    assert searched(again, solution, cfg)
+    assert not searched(again, dict(solution), replace(cfg))  # an equal question is not searched again
