@@ -1240,29 +1240,24 @@ def _octagon_atoms(target, bool_nt, envs):
     vector that the grammar's Bool nonterminal derives; one memo decides.
     """
     int_vars = [Var(n, s) for n, s in target.params if s == INT]
+    columns = [tuple(env[v.name] for env in envs) for v in int_vars]
     terms = list(int_vars) + [Lit(0, INT), Lit(1, INT)]
-    for i, u in enumerate(int_vars):
-        for v in int_vars[i:]:
+    values = columns + [(0,) * len(envs), (1,) * len(envs)]
+    for i, (u, cu) in enumerate(zip(int_vars, columns)):
+        for v, cv in zip(int_vars[i:], columns[i:]):
             terms.append(Apply("+", (u, v), INT))
-        for v in int_vars:
+            values.append(tuple(map(operator.add, cu, cv)))
+        for v, cv in zip(int_vars, columns):
             if u is not v:
                 terms.append(Apply("-", (u, v), INT))
-    # Each term is evaluated once over `envs`; an atom over a term that
-    # fails to evaluate is dropped.
-    compile_term = Evaluator().compile
-    values = []
-    for t in terms:
-        try:
-            values.append(tuple(map(compile_term(t), envs)))
-        except Exception:
-            values.append(None)
+                values.append(tuple(map(operator.sub, cu, cv)))
     derivable = oracle.Derivable(target.grammar)
     asked = []  # every atom asked about outlives `derivable`, whose memo keys on id
     kept = {}  # vector -> its first derivable atom
     for op, cmp in (("=", operator.eq), ("<", operator.lt), ("<=", operator.le)):
         for a, va in zip(terms, values):
             for b, vb in zip(terms, values):
-                if a == b or va is None or vb is None:
+                if a == b:
                     continue
                 vec = tuple(map(cmp, va, vb))
                 if vec in kept or all(vec) or not any(vec):

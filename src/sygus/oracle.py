@@ -5,8 +5,8 @@ three tiers: exact evaluation of ground constraints (PBE examples are
 ground), seeded bounded/sampled search, and an optional external SMT
 solver spoken to over SMT-LIB2 text on stdin/stdout.  The second tier
 runs each constraint group's whole point loop in one generated and
-compiled Python function, drawing all-Int samples once per process; the
-closure `Evaluator` decides the first tier and re-checks every
+compiled Python function, drawing all-Int samples once per process; an
+`Evaluator` decides the first tier in one evaluation and re-checks every
 counterexample.  `verify` keeps its last answer: the same question asked
 again (the same problem object, an equal solution and an equal config)
 is answered from it without a search, so the harness's check of the
@@ -466,7 +466,6 @@ def _verify(problem, solution, cfg):
     """`verify` without its memo: ground constraints, then the search of
     each group, then the SMT command if one is set."""
     interps = solution_interpretations(problem, solution)
-    ev = Evaluator(interps)
 
     # Each constraint is searched over its own free variables only; a
     # constraint touching 4 of 8 universals gets the full grid radius in
@@ -480,8 +479,8 @@ def _verify(problem, solution, cfg):
     for key, cs in groups.items():
         if not key:
             # Ground constraints (PBE examples among them): one evaluation
-            # each decides them.
-            if not all(ev.eval(c, defaults) for c in cs):
+            # of their conjunction decides them.
+            if not Evaluator(interps).eval(Apply("and", tuple(cs), BOOL), defaults):
                 return _checked_cex(problem, solution, defaults)
             continue
         sub = [(n, s) for n, s in problem.universals if n in key]

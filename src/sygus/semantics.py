@@ -24,7 +24,9 @@ from .core import (
     STRING,
     SygusError,
     Term,
+    UnboundTarget,
     Var,
+    free_vars,
 )
 
 
@@ -184,33 +186,26 @@ def _arity_message(op, params, args):
     return f"{op} expects {len(params)} arguments, got {len(args)}"
 
 
-def _failing(fns, error, message):
-    """fn(env) that evaluates `fns`, then raises `error`."""
-
-    def failing(env):
-        for f in fns:
-            f(env)
-        raise error(message)
-
-    return failing
+def _unbound(error):
+    raise UnboundVariable(f"unbound variable {error.args[0]!r}") from None
 
 
 class Evaluator:
-    """Ground-term evaluator that compiles each term once into closures.
+    """Ground-term evaluator over `SourceEmitter`'s generated code.
 
     `interpretations` maps a function name to (param names, body term);
     it covers both problem macros and candidate solutions, so constraint
-    checks never need syntactic substitution.  Errors are raised when
-    evaluation reaches the bad node.  `and`, `or`, `=>` and `ite`
-    evaluate only the arguments they need.  `eval` memoises the compiled
-    form of each term it sees, keyed by identity, for the life of this
-    evaluator; a caller that evaluates a term only once should call
-    `compile` and drop the result instead.
+    checks never need syntactic substitution.  A variable of the term
+    that the environment lacks raises `UnboundVariable` at once; every
+    other error is raised when evaluation reaches the bad node.  `and`,
+    `or`, `=>` and `ite` evaluate only the arguments they need.  `eval`
+    memoises the compiled form of each term it sees, keyed by identity,
+    for the life of this evaluator; a caller that evaluates a term only
+    once should call `compile` and drop the result instead.
     """
 
     def __init__(self, interpretations=None):
         self.interpretations = dict(interpretations or {})
-        self._bodies = {}  # function name -> compiled body
         self._memo = {}  # id(term) -> (term, compiled); the term pins its id
 
     def eval(self, t: Term, env: dict):
@@ -220,78 +215,17 @@ class Evaluator:
         return entry[1](env)
 
     def compile(self, t: Term):
-        """Return fn(env) computing the value of `t` in `env`."""
-        if isinstance(t, Var):
-            name = t.name
-
-            def var(env):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise UnboundVariable(f"unbound variable {name!r}") from None
-
-            return var
-        if isinstance(t, Lit):
-            value = t.value
-            return lambda env: value
-        if isinstance(t, Apply):
-            return self._compile_apply(t.op, [self.compile(a) for a in t.args], t.sort)
-        if isinstance(t, Let):
-            binds = [(name, self.compile(e)) for name, e in t.bindings]
-            body = self.compile(t.body)
-
-            def let(env):
-                inner = dict(env)
-                for name, f in binds:
-                    inner[name] = f(env)  # parallel let
-                return body(inner)
-
-            return let
-        if isinstance(t, Hole):
-            return _raiser(SygusError, "cannot evaluate a grammar template hole")
-        return _raiser(TypeError, f"not a term: {t!r}")
-
-    def _compile_apply(self, op, fns, sort):
-        interp = self.interpretations.get(op)
-        if interp is not None and len(interp[0]) != len(fns):
-            return _failing(fns, ArityError, _arity_message(op, interp[0], fns))
-        if interp is not None:
-            body = self._bodies.get(op)
-            if body is None:
-                body = self._bodies[op] = self.compile(interp[1])
-            pairs = tuple(zip(interp[0], fns))
-            return lambda env: body({p: f(env) for p, f in pairs})
-        if op == "and":
-            if len(fns) == 2:
-                a, b = fns
-                return lambda env: True if a(env) and b(env) else False
-            return lambda env: all(f(env) for f in fns)
-        if op == "or":
-            if len(fns) == 2:
-                a, b = fns
-                return lambda env: True if a(env) or b(env) else False
-            return lambda env: any(f(env) for f in fns)
-        if op == "=>" and len(fns) == 2:
-            a, b = fns
-            return lambda env: (not a(env)) or b(env)
-        if op == "ite" and len(fns) == 3:
-            c, a, b = fns
-            return lambda env: a(env) if c(env) else b(env)
-        try:
-            impl = builtin_impl(op, sort)
-        except KeyError:
-            return _failing(fns, SortMismatch, f"no interpretation for operator {op!r}")
-        impl = {1: _UNARY, 2: _BINARY}.get(len(fns), {}).get(op, impl)
-        if len(fns) == 1:
-            (f0,) = fns
-            return lambda env: impl(f0(env))
-        if len(fns) == 2:
-            f0, f1 = fns
-            return lambda env: impl(f0(env), f1(env))
-        if len(fns) == 3:
-            f0, f1, f2 = fns
-            return lambda env: impl(f0(env), f1(env), f2(env))
-        return lambda env: impl(*[f(env) for f in fns])
+        """Return fn(env) computing the value of `t` in `env`.  The source
+        depends only on `t` and the interpretations, so a term compiled
+        again reuses its code object."""
+        em = SourceEmitter(self.interpretations)
+        names = {n: em.fresh() for n in sorted(free_vars(t))}
+        lines = ["def _e(_env):"]
+        if names:
+            lines += ["    try:"] + [f"        {v} = _env[{n!r}]" for n, v in names.items()]
+            lines += ["    except KeyError as _x:", f"        {em.bind('unbound', _unbound)}(_x)"]
+        lines.append(f"    return {em.expr(t, names)}")
+        return em.build("\n".join(lines), "_e")
 
 
 COMPILE_CACHE = 256  # generated sources kept compiled per process
@@ -303,17 +237,19 @@ def _compiled(source):
 
 
 class SourceEmitter:
-    """Python source for terms, for generated code that runs them on many
-    points.  `expr(t, names)` gives an expression for `t`, with `names`
-    mapping each variable in scope to the local holding its value (SyGuS
-    names never appear in the source).  Applied functions become `defs`
-    with positional parameters, except an op in `calls`, which becomes a
-    call to the name `calls` maps it to.  Arithmetic, comparisons and
-    `not` over Int and Bool arguments become Python operators; other
-    builtins call `Evaluator`'s callables, bound into `namespace`.
-    Results and error types match `Evaluator`'s, and errors are raised
-    only when evaluation reaches them.  Each source text is compiled once
-    per process; each emitter runs it in its own namespace.
+    """The term compiler: Python source for terms, for generated code
+    that runs them on one point (`Evaluator`) or on many.  `expr(t,
+    names)` gives an expression for `t`, with `names` mapping each
+    variable in scope to the local holding its value (SyGuS names never
+    appear in the source).  Applied functions become `defs` with
+    positional parameters, except an op in `calls`, which becomes a call
+    to the name `calls` maps it to.  Arithmetic, comparisons and `not`
+    over Int and Bool arguments become Python operators; other builtins
+    call `builtin_impl`'s callables, bound into `namespace`.  `and`,
+    `or`, `=>` and `ite` evaluate only the arguments they need, and
+    errors are raised only when evaluation reaches them.  Each source
+    text is compiled once per process; each emitter runs it in its own
+    namespace.
     """
 
     MAX_DEPTH = 100  # Python nests 200 parentheses at most; deeper subterms become defs
@@ -408,8 +344,6 @@ def solution_interpretations(problem, solution):
     interp = problem.macro_map()
     for t in problem.targets:
         if t.name not in solution:
-            from .core import UnboundTarget
-
             raise UnboundTarget(f"solution does not bind target {t.name!r}")
     interp.update(solution)
     return interp

@@ -7,7 +7,7 @@ from collections import Counter
 
 from sygus.core import Apply, ArityError, Hole, Let, Lit, SygusError, Term, Var, free_vars, var_equations
 from sygus.engine import Branch, Enumerator
-from sygus.semantics import Evaluator, SortMismatch, UnboundVariable, _arity_message, builtin_impl
+from sygus.semantics import SortMismatch, UnboundVariable, _arity_message, builtin_impl
 
 
 class TreeEvaluator:
@@ -15,8 +15,8 @@ class TreeEvaluator:
 
     `interpretations` maps a function name to (param names, body term),
     as for `Evaluator`.  `Evaluator`, `SourceEmitter` and the enumerator's
-    generated vector functions must give the same values and raise the
-    same error types as this walk.
+    generated vector functions (all three run code `SourceEmitter` writes)
+    must give the same values and raise the same error types as this walk.
     """
 
     def __init__(self, interpretations=None):
@@ -60,11 +60,11 @@ def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
 
 
 def ice_seed(problem, spec, state_names, budget):
-    """`engine._ice_seed` through the closure `Evaluator`, one environment
-    dict per evaluation; the generated functions must give the same
+    """`engine._ice_seed` through `TreeEvaluator`, one environment dict
+    per evaluation; the generated functions must give the same
     (pos, neg, imps)."""
     macro_map = problem.macro_map()
-    ev = Evaluator(macro_map)
+    ev = TreeEvaluator(macro_map)
     pre_params, pre_body = macro_map[spec.pre_name]
     post_params, post_body = macro_map[spec.post_name]
     trans_params, trans_body = macro_map[spec.trans_name]

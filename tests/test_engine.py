@@ -75,7 +75,7 @@ def test_pruning_preserves_the_vector_set():
 
 
 def test_pruned_representatives_evaluate_to_their_vectors():
-    ev = Evaluator()
+    ev = TreeEvaluator()
     for t, vec in Enumerator(PLUS_GRAMMAR, ENVS, max_size=6).enumerate():
         assert tuple(ev.eval(t, env) for env in ENVS) == vec
 
@@ -852,7 +852,7 @@ def _ice_inputs(bench):
 
 
 @pytest.mark.parametrize("bench", INV_BENCHES)
-def test_ice_seed_matches_the_closure_evaluator(bench):
+def test_ice_seed_matches_the_tree_walk(bench):
     p, spec, names, _ = _ice_inputs(bench)
     for seed in (0, 5):
         got = _ice_seed(p, spec, names, Budget(seed=seed))
@@ -874,7 +874,7 @@ def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypat
         m.setattr(oracle, "Derivable", lambda grammar: lambda nt, t: asked.append(t) or False)
         assert _octagon_atoms(target, bool_nt, envs) == []
     g = replace(target.grammar, start=bool_nt)
-    ev = Evaluator()
+    ev = TreeEvaluator()
     conformant = [(t, tuple(ev.eval(t, env) for env in envs))
                   for t in asked if oracle.check_conformance(t, g).kind == "valid"]
     first = {}
@@ -963,7 +963,7 @@ def test_mask_learner_grows_the_reference_tree_inside_the_solvers(name, monkeypa
 
 def test_nuggets_are_new_behaviours_at_size_k():
     sample = [{"x": v} for v in range(-5, 6)]
-    ev = Evaluator()
+    ev = TreeEvaluator()
 
     def vec(t):
         return tuple(ev.eval(t, env) for env in sample)

@@ -141,8 +141,8 @@ RIGHT_GUARDED = (
 
 
 def test_tier2_search_runs_generated_code(monkeypatch):
-    # every point of the right invariant's search runs in the generated
-    # function: no closure evaluation at all
+    # every point of the right invariant's search runs in the group's
+    # generated search function: `Evaluator.eval` is never called
     from sygus import semantics
 
     p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
