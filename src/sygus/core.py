@@ -75,33 +75,33 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(Term):
     value: object  # int, bool or str; bitvectors are masked ints
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply(Term):
     op: str
     args: tuple
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let(Term):
     bindings: tuple  # of (name, Term)
     body: Term
     sort: Sort
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hole(Term):
     """Nonterminal placeholder; legal only inside grammar templates."""
 

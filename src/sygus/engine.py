@@ -25,9 +25,13 @@ an int mask, so a split is one `&` and a class count one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
-per enumerator into one generated function that computes a candidate's
-vector over every observation point from its children's vectors; a term
-is built only for a vector pruning keeps.
+per enumerator into one generated generator: it loops over its child
+banks, computes each candidate's vector over every observation point
+inline from the template (macros expanded, BitVec builtins as Python
+operators; one expression per point over at most UNROLL_POINTS points,
+else one comprehension), counts it, reads the deadline every
+DEADLINE_STRIDE candidates, and builds and banks a term only for a
+vector pruning keeps.
 
 Every engine keeps one wallclock deadline.  The enumerator refuses a
 request for sizes it predicts cannot finish in the time left (the next
@@ -147,11 +151,27 @@ def _fill(tmpl, kids):
     return tmpl
 
 
+def _term_source(em, tmpl, kids):
+    """An expression that builds `tmpl` with its holes, in order, replaced
+    by the terms the names `kids` hold; a hole-free subterm is bound once."""
+    if isinstance(tmpl, Hole):
+        return next(kids)
+    if isinstance(tmpl, Apply) and template_holes(tmpl):
+        args = "".join(_term_source(em, a, kids) + "," for a in tmpl.args)
+        return f"{em.bind('Apply', Apply)}({tmpl.op!r}, ({args}), {em.bind(('sort', tmpl.sort), tmpl.sort)})"
+    return em.bind(("term", tmpl), tmpl)
+
+
 # A size whose build constructs at least this many candidates sets the
 # seconds-per-candidate rate that the next size's cost is predicted from.
 RATE_MIN_CANDIDATES = 1000
-# `_try_add` looks at the deadline once per this many candidates.
+# A production's generator looks at the deadline once per this many candidates.
 DEADLINE_STRIDE = 1024
+# Over at most this many points, a production's generator computes each
+# element of a candidate's vector in an expression of its own, which
+# saves the comprehension's call and loop per candidate; over more, the
+# source would grow with the points.
+UNROLL_POINTS = 16
 
 
 class Enumerator:
@@ -209,11 +229,9 @@ class Enumerator:
 
     def _prepare(self):
         """Each nonterminal's productions, in grammar order.  Every
-        production but an alias is compiled into one generated function
-        fn(*kid_vecs) -> vec over all of `envs`: the template's holes are
-        its parameters, and its variables are columns over `envs`, bound
-        once.  A leaf's function takes no arguments."""
-        em = SourceEmitter(self.interpretations)
+        production but an alias is compiled into one generator (see
+        `_production_source`); a leaf's takes no banks."""
+        em = SourceEmitter()
         prods, names, sources = {nt: [] for nt in self._nts}, [], []
         for nt in self._nts:
             for idx, tmpl in enumerate(self.grammar.prods(nt)):
@@ -223,7 +241,7 @@ class Enumerator:
                     prods[nt].append(("alias", idx, tmpl.nonterminal))
                     continue
                 names.append(em.fresh("_p"))
-                sources.append(self._vector_source(em, names[-1], tmpl))
+                sources.append(self._production_source(em, names[-1], tmpl))
                 prods[nt].append(("compile", idx, tmpl))
         fns = iter(em.build("\n".join(sources + [f"_fns = ({''.join(n + ',' for n in names)})"]), "_fns"))
         return {
@@ -231,24 +249,69 @@ class Enumerator:
             for nt, ps in prods.items()
         }
 
-    def _vector_source(self, em, name, tmpl):
-        """Source of `def name(*kid_vecs)` returning `tmpl`'s vector."""
+    def _production_source(self, em, name, tmpl):
+        """Source of the generator `name(en, nt, s, *kid_banks)`, which
+        builds the size-`s` candidates of `tmpl` for `nt` from one bank
+        per hole, in `itertools.product` order.  A candidate's vector over
+        `envs` is computed inline from the template, macros expanded (see
+        `_vector_source`).  Each candidate is counted in `en.constructed`,
+        and every DEADLINE_STRIDE-th reads the deadline.  A term is built
+        only for a vector pruning keeps; `keep` sees every composite term,
+        and the generator yields (nt, entry) after each entry it banks."""
         holes = template_holes(tmpl)
-        kids = [em.fresh() for _ in holes]
-        elems = [em.fresh() for _ in holes]
+        banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
         # A hole becomes a variable named by its position: no SyGuS symbol
         # starts with a digit, so it cannot shadow a template variable.
-        body = _fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)]))
-        names = {str(i): e for i, e in enumerate(elems)}
-        columns = []
-        for var in dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)):
-            names[var] = em.fresh()
-            elems.append(names[var])
-            columns.append(em.bind(("column", var), tuple(env[var] for env in self.envs)))
+        body = expand_macros(_fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)])),
+                             self.interpretations)
+        variables = list(dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)))
+        columns = {str(i): v for i, v in enumerate(vecs)}
+        columns.update((v, em.bind(("column", v), tuple(env[v] for env in self.envs))) for v in variables)
+        vector, unpacks = self._vector_source(em, body, columns)
+        skip = "continue" if holes else "return"
+        step = [
+            f"vec = {vector}",
+            "n += 1",
+            f"if not n % {DEADLINE_STRIDE} and deadline is not None and deadline.expired():",
+            f"    raise {em.bind('BudgetExceeded', BudgetExceeded)}(f'deadline reached while building size {{s}}')",
+            "if prune and vec in sigs:",
+            f"    {skip}",
+            f"term = {_term_source(em, tmpl, iter(terms))}",
+        ]
+        if not isinstance(tmpl, (Var, Lit)):
+            step += ["if keep is not None and not keep(nt, term, vec):", f"    {skip}"]
+        step += ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)",
+                 "en.constructed = n", "yield nt, entry"]
+        lines = [f"def {name}(en, nt, s{''.join(', ' + b for b in banks)}):",
+                 "    out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed",
+                 "    prune, keep, deadline = en.prune, en.keep, en.deadline"]
+        lines += ["    " + unpacks[v] for v in variables if v in unpacks]
+        lines.append("    try:")
+        for i, (b, t, v) in enumerate(zip(banks, terms, vecs)):
+            lines.append(f"{'    ' * (2 + i)}for {t}, {v} in {b}:")
+            if str(i) in unpacks:
+                lines.append(f"{'    ' * (3 + i)}{unpacks[str(i)]}")
+        lines += ["    " * (2 + len(holes)) + line for line in step]
+        return "\n".join(lines + ["    finally:", "        en.constructed = n"])
+
+    def _vector_source(self, em, body, columns):
+        """(expression, unpacks): the source of `body`'s vector over `envs`,
+        where `columns` maps each variable of `body` to the expression
+        holding its values, one per environment.  Over at most
+        UNROLL_POINTS environments, `unpacks` maps a variable to the line
+        that unpacks its column into one local per environment, and each
+        element of the vector is an expression of its own.  Over more,
+        one comprehension zips the columns and `unpacks` is empty."""
+        if len(self.envs) <= UNROLL_POINTS:
+            points = [{n: em.fresh() for n in columns} for _ in self.envs]
+            unpacks = {n: f"{''.join(p[n] + ',' for p in points)} = {col}" for n, col in columns.items()}
+            return f"({''.join(em.expr(body, p) + ',' for p in points)})", unpacks
+        names = {n: em.fresh() for n in columns}
+        elems, iters = list(names.values()), list(columns.values())
         if not elems:  # a constant leaf: one value per environment
-            elems, columns = ["_"], [em.bind("points", range(len(self.envs)))]
-        loop = f"for {''.join(e + ',' for e in elems)} in zip({', '.join(kids + columns)})"
-        return f"def {name}({', '.join(kids)}):\n    return tuple([{em.expr(body, names)} {loop}])"
+            elems, iters = ["_"], [em.bind("points", range(len(self.envs)))]
+        loop = f"for {''.join(e + ',' for e in elems)} in zip({', '.join(iters)})"
+        return f"tuple([{em.expr(body, names)} {loop}])", {}
 
     def bank(self, nt, size):
         """Every entry of (nt, size), the size built in full."""
@@ -372,37 +435,17 @@ class Enumerator:
                     if key in built:
                         continue
                     built.add(key)
+                    before = len(out)
                     if kind == "leaf":
-                        _, _, tmpl, fn = prod
-                        if s == template_fixed_size(tmpl) and self._try_add(nt, s, tmpl, fn, []):
-                            changed = True
-                            yield nt, out[-1]
-                        continue
-                    _, _, tmpl, hole_nts, fixed, fn = prod
-                    k = len(hole_nts)
-                    if s - fixed < k:
-                        continue
-                    for sizes in _compositions(s - fixed, k):
-                        banks = [self._bank.get((hole_nts[i], sizes[i]), []) for i in range(k)]
-                        if any(not b for b in banks):
-                            continue
-                        for combo in itertools.product(*banks):
-                            if self._try_add(nt, s, tmpl, fn, combo):
-                                changed = True
-                                yield nt, out[-1]
-
-    def _try_add(self, nt, s, tmpl, fn, combo):
-        vec = fn(*[c[1] for c in combo])
-        self.constructed += 1
-        if self.constructed % DEADLINE_STRIDE == 0 and self.deadline is not None and self.deadline.expired():
-            raise BudgetExceeded(f"deadline reached while building size {s}")
-        if self.prune and vec in self._sigs[nt]:
-            return False  # the term would be dropped: do not build it
-        term = _fill(tmpl, iter([c[0] for c in combo])) if combo else tmpl
-        if not self._admit(nt, term, vec):
-            return False
-        self._bank[(nt, s)].append((term, vec))
-        return True
+                        if s == template_fixed_size(prod[2]):
+                            yield from prod[3](self, nt, s)
+                    else:
+                        _, _, _, hole_nts, fixed, fn = prod
+                        for sizes in _compositions(s - fixed, len(hole_nts)):
+                            banks = [self._bank.get(hs, []) for hs in zip(hole_nts, sizes)]
+                            if all(banks):
+                                yield from fn(self, nt, s, *banks)
+                    changed = changed or len(out) > before
 
     def _admit(self, nt, term, vec):
         if self.keep is not None and not isinstance(term, (Var, Lit)):
@@ -983,12 +1026,11 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     # whole; sizes past the cap are never built, even when pruning has left
     # the banks empty.
     en.bank(nt, max_size)
+    # (1).__eq__ would give NotImplemented, which is truthy, on a non-int
+    select = functools.partial(operator.eq, 1) if kind == "if0" else bool
     for s in range(1, max_size + 1):
         for term, vec in en.bank(nt, s):
-            if kind == "if0":
-                bvec = tuple(v == 1 for v in vec)
-            else:
-                bvec = tuple(bool(v) for v in vec)
+            bvec = tuple(map(select, vec))
             if bvec in seen or all(bvec) or not any(bvec):
                 continue
             seen.add(bvec)

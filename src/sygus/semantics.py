@@ -163,9 +163,6 @@ _BINARY = {
     ">": operator.gt,
     ">=": operator.ge,
     "str.++": operator.add,
-    "bvand": operator.and_,
-    "bvor": operator.or_,
-    "bvxor": operator.xor,
 }
 
 
@@ -173,6 +170,16 @@ _BINARY = {
 # writes as Python operators when every argument is an Int or a Bool.
 _OPERATORS = {("=", 2): "{} == {}", ("-", 1): "- {}", ("not", 1): "not {}"} | {
     (op, 2): f"{{}} {op} {{}}" for op in ("+", "-", "*", "<", "<=", ">", ">=")}
+
+# The same for builtins whose arguments are all BitVecs.  Values are
+# canonical, so only a result that can leave 0..mask is masked; `{m}` is
+# the mask of the result's width.  `bvshl` and `bvlshr` become operators
+# only by a literal amount (`_bv_shift`).
+_BV_OPERATORS = {
+    ("=", 2): "{} == {}", ("bvand", 2): "{} & {}", ("bvor", 2): "{} | {}", ("bvxor", 2): "{} ^ {}",
+    ("bvnot", 1): "{} ^ {m}", ("bvneg", 1): "- {} & {m}",
+    ("bvadd", 2): "{} + {} & {m}", ("bvsub", 2): "{} - {} & {m}", ("bvmul", 2): "{} * {} & {m}",
+}
 
 
 def _raiser(error, message):
@@ -244,12 +251,14 @@ class SourceEmitter:
     appear in the source).  Applied functions become `defs` with
     positional parameters, except an op in `calls`, which becomes a call
     to the name `calls` maps it to.  Arithmetic, comparisons and `not`
-    over Int and Bool arguments become Python operators; other builtins
-    call `builtin_impl`'s callables, bound into `namespace`.  `and`,
-    `or`, `=>` and `ite` evaluate only the arguments they need, and
-    errors are raised only when evaluation reaches them.  Each source
-    text is compiled once per process; each emitter runs it in its own
-    namespace.
+    over Int and Bool arguments become Python operators, and so do the
+    bitwise and arithmetic BitVec builtins, masked where a result can
+    leave its width, `=` over BitVecs, and shifts by a literal amount;
+    other builtins call `builtin_impl`'s callables, bound into
+    `namespace`.  `and`, `or`, `=>` and `ite` evaluate only the arguments
+    they need, and errors are raised only when evaluation reaches them.
+    Each source text is compiled once per process; each emitter runs it
+    in its own namespace.
     """
 
     MAX_DEPTH = 100  # Python nests 200 parentheses at most; deeper subterms become defs
@@ -322,6 +331,11 @@ class SourceEmitter:
             return f"({args[1]} if {args[0]} else {args[2]})"
         if (op, len(args)) in _OPERATORS and all(a.sort in (INT, BOOL) for a in arg_terms):
             return f"({_OPERATORS[op, len(args)].format(*args)})"
+        if args and all(a.sort.kind == "BitVec" for a in arg_terms):
+            if op in ("bvshl", "bvlshr") and len(args) == 2 and isinstance(arg_terms[1], Lit):
+                return _bv_shift(op, args[0], arg_terms[1].value, sort.width)
+            if (op, len(args)) in _BV_OPERATORS:
+                return f"({_BV_OPERATORS[op, len(args)].format(*args, m=(1 << sort.width) - 1)})"
         try:
             impl = builtin_impl(op, sort)
         except KeyError:
@@ -334,6 +348,15 @@ class SourceEmitter:
         name = self.fresh("_f")
         self.defs.append(f"def {name}({', '.join(params)}): return {self.expr(t, names)}")
         return name
+
+
+def _bv_shift(op, arg, amount, width):
+    """Source of `arg` shifted by the literal `amount` at `width` bits."""
+    if amount >= width:
+        return f"({arg} & 0)"  # every bit shifted out; `arg` is still evaluated
+    if op == "bvshl":
+        return f"({arg} << {amount} & {(1 << width) - 1})"
+    return f"({arg} >> {amount})"
 
 
 def solution_interpretations(problem, solution):

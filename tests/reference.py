@@ -59,6 +59,24 @@ def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
     return [t for t, _ in en.enumerate(nt)]
 
 
+def predicate_pool(en, nt, max_size, kind="ite"):
+    """`engine._predicate_pool` with one generator expression per Boolean
+    vector; the pool built with `map` must be equal, in order."""
+    pool = []
+    seen = set()
+    for s in range(1, max_size + 1):
+        for term, vec in en.bank(nt, s):
+            if kind == "if0":
+                bvec = tuple(v == 1 for v in vec)
+            else:
+                bvec = tuple(bool(v) for v in vec)
+            if bvec in seen or all(bvec) or not any(bvec):
+                continue
+            seen.add(bvec)
+            pool.append((term, bvec))
+    return pool
+
+
 def ice_seed(problem, spec, state_names, budget):
     """`engine._ice_seed` through `TreeEvaluator`, one environment dict
     per evaluation; the generated functions must give the same

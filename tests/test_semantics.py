@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sygus.core import Apply, ArityError, BOOL, BV64, Hole, INT, Let, Lit, STRING, SygusError, Var
+from sygus.core import Apply, ArityError, BOOL, BV64, Hole, INT, Let, Lit, Sort, STRING, SygusError, Var
 from sygus.semantics import (
     Evaluator,
     SortMismatch,
@@ -174,6 +174,39 @@ def test_shl1_shr1_roundtrip_on_small_values(a):
     assert shr(shl(a, 1), 1) == a
 
 
+def _bv_operator_cases(width):
+    """(term, op, arguments, written as an operator) for each BitVec
+    builtin at `width` over the variables x = "a" and y = "b": shifts by a
+    literal are operators, and shifts by a variable and `bvashr` stay
+    callables."""
+    sort = Sort("BitVec", width)
+    x, y = Var("x", sort), Var("y", sort)
+    for op in ("bvnot", "bvneg"):
+        yield Apply(op, (x,), sort), op, ("a",), True
+    for op in ("bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvmul", "="):
+        yield Apply(op, (x, y), BOOL if op == "=" else sort), op, ("a", "b"), True
+    for op in ("bvshl", "bvlshr"):
+        for k in (0, width - 1, width, width + 1):
+            yield Apply(op, (x, Lit(k, sort)), sort), op, ("a", k), True
+        yield Apply(op, (x, y), sort), op, ("a", "b"), False
+    yield Apply("bvashr", (x, Lit(width - 1, sort)), sort), "bvashr", ("a", width - 1), False
+
+
+@pytest.mark.parametrize("width", [1, 8, 32, 64])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_emitted_bitvec_operators_match_builtin_impl(width, data):
+    mask = (1 << width) - 1
+    env = {"a": data.draw(st.integers(0, mask)), "b": data.draw(st.integers(0, mask))}
+    for term, op, args, operator in _bv_operator_cases(width):
+        em = SourceEmitter()
+        source = em.expr(term, {"x": "a", "y": "b"})
+        assert source.startswith("_k") != operator, (term, source)
+        want = builtin_impl(op, term.sort)(*[env[v] if isinstance(v, str) else v for v in args])
+        got = em.build(f"def run(a, b): return {source}", "run")(env["a"], env["b"])
+        assert (type(got), got) == (type(want), want), (term, source, env)
+
+
 def test_default_values():
     assert default_value(INT) == 0
     assert default_value(BOOL) is False
@@ -218,9 +251,13 @@ def test_emitted_deep_term_moves_into_defs():
 
 
 def test_emitter_writes_operators_for_int_and_bool_arguments_only():
+    """Int and Bool builtins, and BitVec ones over BitVec arguments, are
+    Python operators; strings, variadic `+`, `bvashr` and shifts by a
+    variable amount stay bound callables."""
     x, y, p = Var("x", INT), Var("y", INT), Var("p", BOOL)
     a, b, s, t = Var("a", BV64), Var("b", BV64), Var("s", STRING), Var("t", STRING)
     env = {"x": -7, "y": 3, "p": True, "a": 12, "b": 10, "s": "ab", "t": "c"}  # locals _v0 ... _v6
+    m = MASK
     operators = {
         Apply("+", (x, y), INT): "(_v0 + _v1)", Apply("-", (x, y), INT): "(_v0 - _v1)",
         Apply("*", (x, y), INT): "(_v0 * _v1)", Apply("-", (x,), INT): "(- _v0)",
@@ -228,9 +265,16 @@ def test_emitter_writes_operators_for_int_and_bool_arguments_only():
         Apply(">", (x, y), BOOL): "(_v0 > _v1)", Apply(">=", (x, y), BOOL): "(_v0 >= _v1)",
         Apply("=", (x, y), BOOL): "(_v0 == _v1)", Apply("=", (p, p), BOOL): "(_v2 == _v2)",
         Apply("not", (p,), BOOL): "(not _v2)",
+        Apply("bvand", (a, b), BV64): "(_v3 & _v4)", Apply("bvor", (a, b), BV64): "(_v3 | _v4)",
+        Apply("bvxor", (a, b), BV64): "(_v3 ^ _v4)", Apply("=", (a, b), BOOL): "(_v3 == _v4)",
+        Apply("bvnot", (a,), BV64): f"(_v3 ^ {m})", Apply("bvneg", (a,), BV64): f"(- _v3 & {m})",
+        Apply("bvadd", (a, b), BV64): f"(_v3 + _v4 & {m})", Apply("bvsub", (a, b), BV64): f"(_v3 - _v4 & {m})",
+        Apply("bvmul", (a, b), BV64): f"(_v3 * _v4 & {m})",
+        Apply("bvshl", (a, _bv(3)), BV64): f"(_v3 << 3 & {m})", Apply("bvlshr", (a, _bv(3)), BV64): "(_v3 >> 3)",
+        Apply("bvshl", (a, _bv(64)), BV64): "(_v3 & 0)", Apply("bvlshr", (a, _bv(70)), BV64): "(_v3 & 0)",
     }
-    callables = [Apply("bvand", (a, b), BV64), Apply("=", (a, b), BOOL), Apply("str.++", (s, t), STRING),
-                 Apply("+", (x, y, x), INT)]
+    callables = [Apply("str.++", (s, t), STRING), Apply("+", (x, y, x), INT), Apply("bvashr", (a, _bv(3)), BV64),
+                 Apply("bvshl", (a, b), BV64), Apply("bvlshr", (a, b), BV64)]
     for term in list(operators) + callables:
         em = SourceEmitter()
         source = em.expr(term, {n: em.fresh() for n in env})
