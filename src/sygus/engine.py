@@ -25,13 +25,13 @@ an int mask, so a split is one `&` and a class count one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
-per enumerator into one generated generator: it loops over its child
-banks, computes each candidate's vector over every observation point
-inline from the template (macros expanded, BitVec builtins as Python
-operators; one expression per point over at most UNROLL_POINTS points,
-else one comprehension), counts it, reads the deadline every
-DEADLINE_STRIDE candidates, and builds and banks a term only for a
-vector pruning keeps.
+per enumerator into one generated generator (every alias shares one that
+reads its source bank): it loops over its child banks, computes each
+candidate's vector over every observation point inline from the
+template (macros expanded, BitVec builtins as Python operators; one
+expression per point over at most UNROLL_POINTS points, else one
+comprehension), counts it, reads the deadline every DEADLINE_STRIDE
+candidates, and builds and banks a term only for a vector pruning keeps.
 
 Every engine keeps one wallclock deadline.  The enumerator refuses a
 request for sizes it predicts cannot finish in the time left (the next
@@ -168,10 +168,14 @@ RATE_MIN_CANDIDATES = 1000
 # A production's generator looks at the deadline once per this many candidates.
 DEADLINE_STRIDE = 1024
 # Over at most this many points, a production's generator computes each
-# element of a candidate's vector in an expression of its own, which
-# saves the comprehension's call and loop per candidate; over more, the
-# source would grow with the points.
-UNROLL_POINTS = 16
+# element of a candidate's vector in an expression of its own; over more,
+# one comprehension.  Unrolled, a candidate costs 1.1-2.8x less at every
+# count measured (4-1009 points; fig2, CLIA and ICE grammars), but the
+# source is compiled once per point count and grows with it, by about
+# 0.13 ms of compile per point: repaid after under 7k candidates up to 64
+# points, while at 1009 points it takes 0.14 s and 39 MB to compile, keeps
+# 3 MB per cached source and is repaid only after about 10k candidates.
+UNROLL_POINTS = 64
 
 
 class Enumerator:
@@ -228,26 +232,28 @@ class Enumerator:
         return env
 
     def _prepare(self):
-        """Each nonterminal's productions, in grammar order.  Every
-        production but an alias is compiled into one generator (see
-        `_production_source`); a leaf's takes no banks."""
+        """Each nonterminal's productions, in grammar order, each with its
+        compiled generator: every alias shares one that reads its source
+        bank (see `_alias_source`); every other production has its own,
+        which builds its candidates (see `_production_source`); a leaf's
+        takes no banks."""
         em = SourceEmitter()
-        prods, names, sources = {nt: [] for nt in self._nts}, [], []
+        prods, sources = {nt: [] for nt in self._nts}, {}
         for nt in self._nts:
             for idx, tmpl in enumerate(self.grammar.prods(nt)):
                 if _contains_let(tmpl):
                     continue  # let productions are not enumerated
                 if isinstance(tmpl, Hole):
-                    prods[nt].append(("alias", idx, tmpl.nonterminal))
-                    continue
-                names.append(em.fresh("_p"))
-                sources.append(self._production_source(em, names[-1], tmpl))
-                prods[nt].append(("compile", idx, tmpl))
-        fns = iter(em.build("\n".join(sources + [f"_fns = ({''.join(n + ',' for n in names)})"]), "_fns"))
-        return {
-            nt: [p if p[0] == "alias" else _production(p[1], p[2], next(fns)) for p in ps]
-            for nt, ps in prods.items()
-        }
+                    name = "_alias"
+                    if name not in sources:
+                        sources[name] = _alias_source(em, name)
+                else:
+                    name = em.fresh("_p")
+                    sources[name] = self._production_source(em, name, tmpl)
+                prods[nt].append((idx, tmpl, name))
+        fns = em.build("\n".join([*sources.values(), f"_fns = ({''.join(n + ',' for n in sources)})"]), "_fns")
+        fns = dict(zip(sources, fns))
+        return {nt: [_production(idx, tmpl, fns[name]) for idx, tmpl, name in ps] for nt, ps in prods.items()}
 
     def _production_source(self, em, name, tmpl):
         """Source of the generator `name(en, nt, s, *kid_banks)`, which
@@ -256,8 +262,8 @@ class Enumerator:
         `envs` is computed inline from the template, macros expanded (see
         `_vector_source`).  Each candidate is counted in `en.constructed`,
         and every DEADLINE_STRIDE-th reads the deadline.  A term is built
-        only for a vector pruning keeps; `keep` sees every composite term,
-        and the generator yields (nt, entry) after each entry it banks."""
+        only for a vector pruning keeps (see `_admission`), and the
+        generator yields (nt, entry) after each entry it banks."""
         holes = template_holes(tmpl)
         banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
         # A hole becomes a variable named by its position: no SyGuS symbol
@@ -274,14 +280,9 @@ class Enumerator:
             "n += 1",
             f"if not n % {DEADLINE_STRIDE} and deadline is not None and deadline.expired():",
             f"    raise {em.bind('BudgetExceeded', BudgetExceeded)}(f'deadline reached while building size {{s}}')",
-            "if prune and vec in sigs:",
-            f"    {skip}",
-            f"term = {_term_source(em, tmpl, iter(terms))}",
         ]
-        if not isinstance(tmpl, (Var, Lit)):
-            step += ["if keep is not None and not keep(nt, term, vec):", f"    {skip}"]
-        step += ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)",
-                 "en.constructed = n", "yield nt, entry"]
+        step += _admission(skip, _term_source(em, tmpl, iter(terms)), None if isinstance(tmpl, (Var, Lit)) else "")
+        step += ["en.constructed = n", "yield nt, entry"]
         lines = [f"def {name}(en, nt, s{''.join(', ' + b for b in banks)}):",
                  "    out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed",
                  "    prune, keep, deadline = en.prune, en.keep, en.deadline"]
@@ -420,43 +421,22 @@ class Enumerator:
                 out = self._bank[(nt, s)]
                 for prod in self._prods[nt]:
                     kind, key = prod[0], (nt, prod[1])
+                    before = len(out)
                     if kind == "alias":
                         src = self._bank.get((prod[2], s), [])
-                        pos = read.get(key, 0)
-                        while pos < len(src):
-                            term, vec = src[pos]
-                            pos += 1
-                            if self._admit(nt, term, vec):
-                                out.append((term, vec))
-                                changed = True
-                                yield nt, out[-1]
-                        read[key] = pos
-                        continue
-                    if key in built:
-                        continue
-                    built.add(key)
-                    before = len(out)
-                    if kind == "leaf":
-                        if s == template_fixed_size(prod[2]):
-                            yield from prod[3](self, nt, s)
-                    else:
-                        _, _, _, hole_nts, fixed, fn = prod
-                        for sizes in _compositions(s - fixed, len(hole_nts)):
-                            banks = [self._bank.get(hs, []) for hs in zip(hole_nts, sizes)]
-                            if all(banks):
-                                yield from fn(self, nt, s, *banks)
+                        read[key] = yield from prod[3](self, nt, s, src, read.get(key, 0))
+                    elif key not in built:
+                        built.add(key)
+                        if kind == "leaf":
+                            if s == template_fixed_size(prod[2]):
+                                yield from prod[3](self, nt, s)
+                        else:
+                            _, _, _, hole_nts, fixed, fn = prod
+                            for sizes in _compositions(s - fixed, len(hole_nts)):
+                                banks = [self._bank.get(hs, []) for hs in zip(hole_nts, sizes)]
+                                if all(banks):
+                                    yield from fn(self, nt, s, *banks)
                     changed = changed or len(out) > before
-
-    def _admit(self, nt, term, vec):
-        if self.keep is not None and not isinstance(term, (Var, Lit)):
-            if not self.keep(nt, term, vec):
-                return False
-        if self.prune:
-            sigs = self._sigs[nt]
-            if vec in sigs:
-                return False
-            sigs[vec] = term
-        return True
 
     def enumerate(self, nt=None):
         """Yield (term, vector) in nondecreasing size up to the size cap."""
@@ -501,7 +481,40 @@ class Enumerator:
         return go(self.grammar.start)
 
 
+def _alias_source(em, name):
+    """Source of the generator `name(en, nt, s, src, pos)`, which
+    admits the entries of the bank `src` from index `pos` on into (nt,
+    s) as `_production_source`'s generators admit a candidate, yields
+    (nt, entry) after each entry it banks and returns the index it
+    stopped at.  It counts nothing: `src`'s own build counted them."""
+    leaves = em.bind("leaves", (Var, Lit))
+    lines = [f"def {name}(en, nt, s, src, pos):",
+             "    out, sigs = en._bank[nt, s], en._sigs[nt]",
+             "    prune, keep = en.prune, en.keep",
+             "    while pos < len(src):",
+             "        term, vec = src[pos]",
+             "        pos += 1"]
+    lines += ["        " + line for line in _admission("continue", None, f"not isinstance(term, {leaves}) and ")]
+    return "\n".join(lines + ["        yield nt, entry", "    return pos"])
+
+
+def _admission(skip, build, keep_test):
+    """Generated lines that admit the candidate `vec` for `nt`: `skip`
+    when pruning has banked its vector already, else the term (made by
+    the expression `build`, when given) unless `keep` refuses it, asked
+    where `keep_test` (a condition prefix, "" for always) holds and never
+    for None; then its vector is recorded and `entry` banked in `out`."""
+    lines = ["if prune and vec in sigs:", f"    {skip}"]
+    if build is not None:
+        lines.append(f"term = {build}")
+    if keep_test is not None:
+        lines += [f"if keep is not None and {keep_test}not keep(nt, term, vec):", f"    {skip}"]
+    return lines + ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)"]
+
+
 def _production(idx, tmpl, fn):
+    if isinstance(tmpl, Hole):
+        return ("alias", idx, tmpl.nonterminal, fn)
     holes = template_holes(tmpl)
     if holes:
         return ("comp", idx, tmpl, [h.nonterminal for h in holes], template_fixed_size(tmpl), fn)

@@ -80,6 +80,33 @@ def test_pruned_representatives_evaluate_to_their_vectors():
         assert tuple(ev.eval(t, env) for env in ENVS) == vec
 
 
+def test_an_alias_admits_as_a_production_does():
+    # S reads T's bank through an alias: keep sees each composite term S
+    # admits, never a leaf, and pruning keeps one term per S vector
+    g = Grammar(
+        nonterminals=(("S", INT), ("T", INT)),
+        start="S",
+        productions=(
+            ("S", (Hole("T", INT), X)),
+            ("T", (Apply("+", (Hole("S", INT), Hole("S", INT)), INT), Lit(1, INT))),
+        ),
+    )
+    asked = []
+
+    def keep(nt, term, vec):
+        asked.append((nt, term))
+        return nt != "S" or max(vec) < 3
+
+    en = Enumerator(g, ENVS, max_size=7, keep=keep)
+    entries = [e for s in range(1, 8) for e in en.bank("S", s)]
+    assert (X, tuple(range(-3, 4))) in entries
+    assert all(max(vec) < 3 for term, vec in entries if isinstance(term, Apply))
+    assert any(isinstance(term, Apply) for term, _ in entries)
+    assert len({vec for _, vec in entries}) == len(entries)
+    assert not any(isinstance(term, (Var, Lit)) for _, term in asked)
+    assert ("S", entries[-1][0]) in asked
+
+
 def test_enumerate_all_helper_is_unpruned():
     assert len(enumerate_all(PLUS_GRAMMAR, "S", 5)) == sum(_count(s) for s in range(1, 6))
 
@@ -92,7 +119,8 @@ def _vector_cases():
     # more points than engine.UNROLL_POINTS: one comprehension per vector
     wide = sample + [{"x": (v * 0x9E3779B97F4A7C15) & (2**64 - 1)} for v in range(engine.UNROLL_POINTS)]
     yield pytest.param("fig2_bv_template.sl", lambda _p: wide, id="fig2-wide")
-    yield pytest.param("abs.sl", lambda _p: [{"x": v} for v in range(-10, 11)], id="abs-wide")
+    yield pytest.param("abs.sl", lambda _p: [{"x": v} for v in range(-engine.UNROLL_POINTS, engine.UNROLL_POINTS)],
+                       id="abs-wide")
 
 
 @pytest.mark.parametrize("bench, envs", _vector_cases())
