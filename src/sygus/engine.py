@@ -32,6 +32,9 @@ template (macros expanded, BitVec builtins as Python operators; one
 expression per point over at most UNROLL_POINTS points, else one
 comprehension), counts it, reads the deadline every DEADLINE_STRIDE
 candidates, and builds and banks a term only for a vector pruning keeps.
+Under pruning with no `keep`, a commutative `(op H H)` production is
+built as half its product: each `(op b a)` would repeat the vector of an
+`(op a b)` built before it, so only the candidates counted fall.
 
 Every engine keeps one wallclock deadline.  The enumerator refuses a
 request for sizes it predicts cannot finish in the time left (the next
@@ -176,6 +179,8 @@ DEADLINE_STRIDE = 1024
 # points, while at 1009 points it takes 0.14 s and 39 MB to compile, keeps
 # 3 MB per cached source and is repaid only after about 10k candidates.
 UNROLL_POINTS = 64
+# Operators whose value does not change when their two arguments swap.
+COMMUTATIVE = frozenset({"+", "*", "=", "and", "or", "xor", "bvand", "bvor", "bvxor", "bvadd", "bvmul"})
 
 
 class Enumerator:
@@ -185,7 +190,10 @@ class Enumerator:
     pruning on, at most one term per distinct vector is kept per
     nonterminal.  With no observation points the single default
     environment (Int 0, Bool false, BV 0, String "") still folds
-    constants.
+    constants.  With pruning on and no `keep`, both fixed at
+    construction, a commutative `(op H H)` production pairs its child
+    entries in one order only (see `_halves`): the banks are those of
+    the full product, and `constructed` counts what was built.
 
     A size is built by a generator that `ensure` drives.  With a `goal`,
     `(nt, goal(term, vec))`, the build pauses right after it banks the
@@ -243,27 +251,42 @@ class Enumerator:
             for idx, tmpl in enumerate(self.grammar.prods(nt)):
                 if _contains_let(tmpl):
                     continue  # let productions are not enumerated
+                halved = self._halves(tmpl)
                 if isinstance(tmpl, Hole):
                     name = "_alias"
                     if name not in sources:
                         sources[name] = _alias_source(em, name)
                 else:
                     name = em.fresh("_p")
-                    sources[name] = self._production_source(em, name, tmpl)
-                prods[nt].append((idx, tmpl, name))
+                    sources[name] = self._production_source(em, name, tmpl, halved)
+                prods[nt].append((idx, tmpl, name, halved))
         fns = em.build("\n".join([*sources.values(), f"_fns = ({''.join(n + ',' for n in sources)})"]), "_fns")
         fns = dict(zip(sources, fns))
-        return {nt: [_production(idx, tmpl, fns[name]) for idx, tmpl, name in ps] for nt, ps in prods.items()}
+        return {nt: [_production(idx, tmpl, fns[name], halved) for idx, tmpl, name, halved in ps]
+                for nt, ps in prods.items()}
 
-    def _production_source(self, em, name, tmpl):
+    def _halves(self, tmpl):
+        """Whether `tmpl` is built as half its product: a commutative `(op
+        H H)`, `op` not shadowed by a macro, under pruning with no `keep`.
+        Then each `(op b a)` has the vector of an `(op a b)` built before
+        it, so pruning would drop it; it is never built."""
+        return (self.prune and self.keep is None and isinstance(tmpl, Apply) and tmpl.op in COMMUTATIVE
+                and tmpl.op not in self.interpretations and len(tmpl.args) == 2
+                and all(isinstance(a, Hole) for a in tmpl.args)
+                and tmpl.args[0].nonterminal == tmpl.args[1].nonterminal)
+
+    def _production_source(self, em, name, tmpl, halved):
         """Source of the generator `name(en, nt, s, *kid_banks)`, which
         builds the size-`s` candidates of `tmpl` for `nt` from one bank
-        per hole, in `itertools.product` order.  A candidate's vector over
-        `envs` is computed inline from the template, macros expanded (see
-        `_vector_source`).  Each candidate is counted in `en.constructed`,
-        and every DEADLINE_STRIDE-th reads the deadline.  A term is built
-        only for a vector pruning keeps (see `_admission`), and the
-        generator yields (nt, entry) after each entry it banks."""
+        per hole, in `itertools.product` order.  When `halved` and given
+        one bank for both holes, the inner loop starts at the outer entry's
+        index, so that each pair is built in one order only.  A
+        candidate's vector over `envs` is computed inline from the
+        template, macros expanded (see `_vector_source`).  Each candidate
+        is counted in `en.constructed`, and every DEADLINE_STRIDE-th reads
+        the deadline.  A term is built only for a vector pruning keeps (see
+        `_admission`), and the generator yields (nt, entry) after each
+        entry it banks."""
         holes = template_holes(tmpl)
         banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
         # A hole becomes a variable named by its position: no SyGuS symbol
@@ -287,9 +310,15 @@ class Enumerator:
                  "    out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed",
                  "    prune, keep, deadline = en.prune, en.keep, en.deadline"]
         lines += ["    " + unpacks[v] for v in variables if v in unpacks]
+        loops = [f"for {t}, {v} in {b}:" for b, t, v in zip(banks, terms, vecs)]
+        if halved:
+            lines.append(f"    diagonal = {banks[0]} is {banks[1]}")
+            loops[0] = f"for k, ({terms[0]}, {vecs[0]}) in enumerate({banks[0]}):"
+            loops[1] = (f"for {terms[1]}, {vecs[1]} in "
+                        f"{em.bind('islice', itertools.islice)}({banks[1]}, k if diagonal else 0, None):")
         lines.append("    try:")
-        for i, (b, t, v) in enumerate(zip(banks, terms, vecs)):
-            lines.append(f"{'    ' * (2 + i)}for {t}, {v} in {b}:")
+        for i, loop in enumerate(loops):
+            lines.append(f"{'    ' * (2 + i)}{loop}")
             if str(i) in unpacks:
                 lines.append(f"{'    ' * (3 + i)}{unpacks[str(i)]}")
         lines += ["    " * (2 + len(holes)) + line for line in step]
@@ -395,17 +424,18 @@ class Enumerator:
     def size_cost(self, s):
         """Candidates `_build_size(s)` constructs once every smaller size
         is built: each leaf of size `s`, and for each production with
-        holes and each split of the size among them, the product of the
-        child banks' lengths."""
+        holes and each split of the size among them that it builds, the
+        product of the child banks' lengths, or m(m + 1)/2 where a halved
+        production pairs one bank of m entries with itself."""
         total = 0
         for nt in self._nts:
             for prod in self._prods[nt]:
                 if prod[0] == "leaf":
                     total += template_fixed_size(prod[2]) == s
                 elif prod[0] == "comp":
-                    _, _, _, hole_nts, fixed, _ = prod
-                    for sizes in _compositions(s - fixed, len(hole_nts)):
-                        total += math.prod(len(self._bank.get(hs, ())) for hs in zip(hole_nts, sizes))
+                    for keys in _splits(prod, s):
+                        lens = [len(self._bank.get(k, ())) for k in keys]
+                        total += lens[0] * (lens[0] + 1) // 2 if prod[6] and keys[0] == keys[1] else math.prod(lens)
         return total
 
     def _build_size(self, s):
@@ -431,11 +461,10 @@ class Enumerator:
                             if s == template_fixed_size(prod[2]):
                                 yield from prod[3](self, nt, s)
                         else:
-                            _, _, _, hole_nts, fixed, fn = prod
-                            for sizes in _compositions(s - fixed, len(hole_nts)):
-                                banks = [self._bank.get(hs, []) for hs in zip(hole_nts, sizes)]
+                            for keys in _splits(prod, s):
+                                banks = [self._bank.get(k, []) for k in keys]
                                 if all(banks):
-                                    yield from fn(self, nt, s, *banks)
+                                    yield from prod[5](self, nt, s, *banks)
                     changed = changed or len(out) > before
 
     def enumerate(self, nt=None):
@@ -512,13 +541,24 @@ def _admission(skip, build, keep_test):
     return lines + ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)"]
 
 
-def _production(idx, tmpl, fn):
+def _production(idx, tmpl, fn, halved):
     if isinstance(tmpl, Hole):
         return ("alias", idx, tmpl.nonterminal, fn)
     holes = template_holes(tmpl)
     if holes:
-        return ("comp", idx, tmpl, [h.nonterminal for h in holes], template_fixed_size(tmpl), fn)
+        return ("comp", idx, tmpl, [h.nonterminal for h in holes], template_fixed_size(tmpl), fn, halved)
     return ("leaf", idx, tmpl, fn)
+
+
+def _splits(prod, s):
+    """The bank keys, one (hole nonterminal, size) per hole, of each split
+    of size `s` among the holes of the composite production `prod` that it
+    builds: a halved one skips each split whose first size exceeds its
+    second, the mirror of a split built before it."""
+    _, _, _, hole_nts, fixed, _, halved = prod
+    for sizes in _compositions(s - fixed, len(hole_nts)):
+        if not (halved and sizes[0] > sizes[1]):
+            yield list(zip(hole_nts, sizes))
 
 
 def _contains_let(t):
@@ -1039,12 +1079,15 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     # whole; sizes past the cap are never built, even when pruning has left
     # the banks empty.
     en.bank(nt, max_size)
+    if0 = kind == "if0"
     # (1).__eq__ would give NotImplemented, which is truthy, on a non-int
-    select = functools.partial(operator.eq, 1) if kind == "if0" else bool
+    select = functools.partial(operator.eq, 1) if if0 else bool
     for s in range(1, max_size + 1):
         for term, vec in en.bank(nt, s):
+            if (1 not in vec) if if0 else not any(vec):
+                continue  # selects nowhere
             bvec = tuple(map(select, vec))
-            if bvec in seen or all(bvec) or not any(bvec):
+            if bvec in seen or all(bvec):
                 continue
             seen.add(bvec)
             pool.append((term, bvec))

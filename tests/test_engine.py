@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sygus.core import Apply, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
+from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
 from sygus import engine, oracle, semantics
 from sygus.engine import (
     Budget,
@@ -138,8 +138,9 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
 
 # The fig2 grammar's generated source over one point: one generator per
 # production, its macros expanded, its BitVec builtins written as Python
-# operators and each vector element an expression of its own; this pins
-# the source byte for byte.
+# operators, each vector element an expression of its own, and the inner
+# loop of each commutative production halved over a bank paired with
+# itself; this pins the source byte for byte.
 FIG2_VECTOR_SOURCE = '''\
 def _p0(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
@@ -317,10 +318,11 @@ def _p31(en, nt, s, _v32):
 def _p36(en, nt, s, _v37, _v38):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline = en.prune, en.keep, en.deadline
+    diagonal = _v37 is _v38
     try:
-        for _v39, _v41 in _v37:
+        for k, (_v39, _v41) in enumerate(_v37):
             _v43, = _v41
-            for _v40, _v42 in _v38:
+            for _v40, _v42 in _k45(_v38, k if diagonal else 0, None):
                 _v44, = _v42
                 vec = ((_v43 & _v44),)
                 n += 1
@@ -339,21 +341,22 @@ def _p36(en, nt, s, _v37, _v38):
                 yield nt, entry
     finally:
         en.constructed = n
-def _p45(en, nt, s, _v46, _v47):
+def _p46(en, nt, s, _v47, _v48):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline = en.prune, en.keep, en.deadline
+    diagonal = _v47 is _v48
     try:
-        for _v48, _v50 in _v46:
-            _v52, = _v50
-            for _v49, _v51 in _v47:
-                _v53, = _v51
-                vec = ((_v52 | _v53),)
+        for k, (_v49, _v51) in enumerate(_v47):
+            _v53, = _v51
+            for _v50, _v52 in _k45(_v48, k if diagonal else 0, None):
+                _v54, = _v52
+                vec = ((_v53 | _v54),)
                 n += 1
                 if not n % 1024 and deadline is not None and deadline.expired():
                     raise _k1(f'deadline reached while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvor', (_v48,_v49,), _k15)
+                term = _k14('bvor', (_v49,_v50,), _k15)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -364,21 +367,22 @@ def _p45(en, nt, s, _v46, _v47):
                 yield nt, entry
     finally:
         en.constructed = n
-def _p54(en, nt, s, _v55, _v56):
+def _p55(en, nt, s, _v56, _v57):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline = en.prune, en.keep, en.deadline
+    diagonal = _v56 is _v57
     try:
-        for _v57, _v59 in _v55:
-            _v61, = _v59
-            for _v58, _v60 in _v56:
-                _v62, = _v60
-                vec = ((_v61 ^ _v62),)
+        for k, (_v58, _v60) in enumerate(_v56):
+            _v62, = _v60
+            for _v59, _v61 in _k45(_v57, k if diagonal else 0, None):
+                _v63, = _v61
+                vec = ((_v62 ^ _v63),)
                 n += 1
                 if not n % 1024 and deadline is not None and deadline.expired():
                     raise _k1(f'deadline reached while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvxor', (_v57,_v58,), _k15)
+                term = _k14('bvxor', (_v58,_v59,), _k15)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -389,21 +393,22 @@ def _p54(en, nt, s, _v55, _v56):
                 yield nt, entry
     finally:
         en.constructed = n
-def _p63(en, nt, s, _v64, _v65):
+def _p64(en, nt, s, _v65, _v66):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline = en.prune, en.keep, en.deadline
+    diagonal = _v65 is _v66
     try:
-        for _v66, _v68 in _v64:
-            _v70, = _v68
-            for _v67, _v69 in _v65:
-                _v71, = _v69
-                vec = ((_v70 + _v71 & 18446744073709551615),)
+        for k, (_v67, _v69) in enumerate(_v65):
+            _v71, = _v69
+            for _v68, _v70 in _k45(_v66, k if diagonal else 0, None):
+                _v72, = _v70
+                vec = ((_v71 + _v72 & 18446744073709551615),)
                 n += 1
                 if not n % 1024 and deadline is not None and deadline.expired():
                     raise _k1(f'deadline reached while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvadd', (_v66,_v67,), _k15)
+                term = _k14('bvadd', (_v67,_v68,), _k15)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -414,23 +419,23 @@ def _p63(en, nt, s, _v64, _v65):
                 yield nt, entry
     finally:
         en.constructed = n
-def _p72(en, nt, s, _v73, _v74, _v75):
+def _p73(en, nt, s, _v74, _v75, _v76):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline = en.prune, en.keep, en.deadline
     try:
-        for _v76, _v79 in _v73:
-            _v82, = _v79
-            for _v77, _v80 in _v74:
-                _v83, = _v80
-                for _v78, _v81 in _v75:
-                    _v84, = _v81
-                    vec = ((_v83 if (_v82 == 1) else _v84),)
+        for _v77, _v80 in _v74:
+            _v83, = _v80
+            for _v78, _v81 in _v75:
+                _v84, = _v81
+                for _v79, _v82 in _v76:
+                    _v85, = _v82
+                    vec = ((_v84 if (_v83 == 1) else _v85),)
                     n += 1
                     if not n % 1024 and deadline is not None and deadline.expired():
                         raise _k1(f'deadline reached while building size {s}')
                     if prune and vec in sigs:
                         continue
-                    term = _k14('if0', (_v76,_v77,_v78,), _k15)
+                    term = _k14('if0', (_v77,_v78,_v79,), _k15)
                     if keep is not None and not keep(nt, term, vec):
                         continue
                     if prune:
@@ -441,7 +446,7 @@ def _p72(en, nt, s, _v73, _v74, _v75):
                     yield nt, entry
     finally:
         en.constructed = n
-_fns = (_p0,_p3,_p5,_p9,_p16,_p21,_p26,_p31,_p36,_p45,_p54,_p63,_p72,)
+_fns = (_p0,_p3,_p5,_p9,_p16,_p21,_p26,_p31,_p36,_p46,_p55,_p64,_p73,)
 '''
 
 
@@ -453,6 +458,57 @@ def test_fig2_vector_source_is_unchanged(monkeypatch):
                         lambda em, source, name: sources.append("\n".join(em.defs + [source])) or build(em, source, name))
     Enumerator(p.targets[0].grammar, [{"x": 1}], p.macro_map(), max_size=3).bank("Start", 1)
     assert sources == [FIG2_VECTOR_SOURCE.rstrip("\n")]
+
+
+def _keep_all(_nt, _term, _vec):
+    return True
+
+
+def _halving_cases():
+    fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    abs_grammar = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
+    points = [(v * 0x9E3779B97F4A7C15) & (2**64 - 1) for v in range(engine.UNROLL_POINTS + 6)]
+    bv = fig2.targets[0].grammar, fig2.macro_map()
+    yield pytest.param(*bv, [{"x": v} for v in points[:10]], 7, True, id="fig2")
+    yield pytest.param(*bv, [{"x": v} for v in points], 6, True, id="fig2-wide")
+    yield pytest.param(abs_grammar, None, ENVS, 7, True, id="abs")
+    yield pytest.param(PLUS_GRAMMAR, None, ENVS, 9, True, id="plus")
+    x, y = Var("x", INT), Var("y", INT)
+    universe = Grammar(  # criterion 9's
+        (("S", INT), ("B", BOOL)),
+        "S",
+        (("S", (x, y, Lit(0, INT), Lit(1, INT),
+                Apply("+", (Hole("S", INT), Hole("S", INT)), INT),
+                Apply("ite", (Hole("B", BOOL), Hole("S", INT), Hole("S", INT)), INT))),
+         ("B", (Apply("<=", (Hole("S", INT), Hole("S", INT)), BOOL),))),
+    )
+    yield pytest.param(universe, None, [{"x": a, "y": b} for a in (-2, 0, 1, 3) for b in (-1, 0, 2)], 7, True,
+                       id="universe")
+    # not halved: the holes of `+` have different nonterminals, or a macro
+    # shadows `+` with an operator that does not commute
+    mixed = Grammar(
+        (("S", INT), ("A", INT)),
+        "S",
+        (("S", (X, Apply("+", (Hole("S", INT), Hole("A", INT)), INT))), ("A", (X, Lit(1, INT), Lit(2, INT)))),
+    )
+    yield pytest.param(mixed, None, ENVS, 9, False, id="mixed")
+    minus = Apply("-", (Var("a", INT), Var("b", INT)), INT)
+    yield pytest.param(PLUS_GRAMMAR, {"+": (["a", "b"], minus)}, ENVS, 8, False, id="shadowed")
+
+
+@pytest.mark.parametrize("grammar, macros, envs, size, halved", _halving_cases())
+def test_halving_keeps_every_bank(grammar, macros, envs, size, halved):
+    # a keep turns halving off, and this one refuses nothing
+    en = Enumerator(grammar, envs, macros, max_size=size)
+    full = Enumerator(grammar, envs, macros, max_size=size, keep=_keep_all)
+    for s in range(1, size + 1):
+        for nt, _ in grammar.nonterminals:
+            assert en.bank(nt, s) == full.bank(nt, s), (nt, s)
+    assert any(p[0] == "comp" and p[6] for ps in en._prods.values() for p in ps) == halved
+    if halved:
+        assert en.constructed < full.constructed
+    else:
+        assert en.constructed == full.constructed
 
 
 def test_max_finite_size():
@@ -663,13 +719,25 @@ class _PassingClock(_Clock):
 
 
 def test_size_cost_counts_the_candidates_a_size_constructs():
+    # on the halved path (pruning, no keep) and on the full product
     abs_grammar = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
-    for grammar, prune in ((PLUS_GRAMMAR, False), (PLUS_GRAMMAR, True), (abs_grammar, True)):
-        en = Enumerator(grammar, ENVS, max_size=9, prune=prune)
-        for s in range(1, 10):
+    fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    bv = [{"x": v} for v in (1, 2, 4, 8, 3, 16)]
+    cases = [
+        (PLUS_GRAMMAR, ENVS, None, 9, {"prune": False}),
+        (PLUS_GRAMMAR, ENVS, None, 9, {}),
+        (PLUS_GRAMMAR, ENVS, None, 9, {"keep": _keep_all}),
+        (abs_grammar, ENVS, None, 9, {}),
+        (abs_grammar, ENVS, None, 9, {"keep": _keep_all}),
+        (fig2.targets[0].grammar, bv, fig2.macro_map(), 7, {}),
+        (fig2.targets[0].grammar, bv, fig2.macro_map(), 7, {"keep": _keep_all}),
+    ]
+    for case, (grammar, envs, macros, size, options) in enumerate(cases):
+        en = Enumerator(grammar, envs, macros, max_size=size, **options)
+        for s in range(1, size + 1):
             cost, before = en.size_cost(s), en.constructed
             en.ensure(s)
-            assert en.constructed - before == cost, (grammar.start, prune, s)
+            assert en.constructed - before == cost, (case, s)
     assert Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False).size_cost(1) == _count(1)
 
 
@@ -738,29 +806,29 @@ def test_a_refused_pool_request_builds_no_size():
     kind, cond_nt = _conditional_kind(g)
     clock = _Clock(60.0)
     en = Enumerator(g, [{"x": v} for v in (1, 2, 4, 8, 3, 16)], p.macro_map(), deadline=clock)
-    en.ensure(5)
+    en.ensure(6)  # size 5 alone, halved, builds too few candidates to set the rate
     assert en._rate is not None
     constructed = en.constructed
-    clock.left = en._rate * en.size_cost(6) * 1.01
-    with pytest.raises(BudgetExceeded, match=r"sizes 6-9 need about"):
+    clock.left = en._rate * en.size_cost(7) * 1.01
+    with pytest.raises(BudgetExceeded, match=r"sizes 7-9 need about"):
         _predicate_pool(en, cond_nt, 9, kind)
-    assert (en.constructed, en._done) == (constructed, 5)
+    assert (en.constructed, en._done) == (constructed, 6)
 
 
 def test_growth_refuses_a_pool_request_the_lower_bound_admits():
-    # counted only from the banks built so far, sizes 6-9 would fit; the
-    # growth from size 5 to size 6 predicts many more candidates for 7-9
+    # counted only from the banks built so far, sizes 7-9 would fit; the
+    # growth from size 6 to size 7 predicts many more candidates for 8-9
     p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     g = p.targets[0].grammar
     kind, cond_nt = _conditional_kind(g)
     clock = _Clock(60.0)
     en = Enumerator(g, [{"x": v} for v in (1, 2, 4, 8, 3, 16)], p.macro_map(), deadline=clock)
-    en.ensure(5)
+    en.ensure(6)
     constructed = en.constructed
-    clock.left = en._rate * sum(en.size_cost(t) for t in range(6, 10)) * 1.01
-    with pytest.raises(BudgetExceeded, match=r"sizes 6-9 need about"):
+    clock.left = en._rate * sum(en.size_cost(t) for t in range(7, 10)) * 1.01
+    with pytest.raises(BudgetExceeded, match=r"sizes 7-9 need about"):
         _predicate_pool(en, cond_nt, 9, kind)
-    assert (en.constructed, en._done) == (constructed, 5)
+    assert (en.constructed, en._done) == (constructed, 6)
 
 
 @pytest.mark.parametrize("bench, envs, size", [
