@@ -36,11 +36,9 @@ Under pruning with no `keep`, a commutative `(op H H)` production is
 built as half its product: each `(op b a)` would repeat the vector of an
 `(op a b)` built before it, so only the candidates counted fall.
 
-Every engine keeps one wallclock deadline.  The enumerator refuses a
-request for sizes it predicts cannot finish in the time left (the next
-size counted exactly, later ones from its growth over the size before),
-and stops a size the deadline overtakes; either raises BudgetExceeded,
-which `cegis_solve` and `unify_solve` turn into
+Every engine keeps one wallclock deadline.  The enumerator starts no
+size once it is reached, and stops a size the deadline overtakes; either
+raises BudgetExceeded, which `cegis_solve` and `unify_solve` turn into
 `Failure("budget-exhausted")`.
 Nothing cut short is ever read, so no other outcome depends on the
 clock.  PBE and CEGIS stop building a size at the first term they
@@ -165,9 +163,6 @@ def _term_source(em, tmpl, kids):
     return em.bind(("term", tmpl), tmpl)
 
 
-# A size whose build constructs at least this many candidates sets the
-# seconds-per-candidate rate that the next size's cost is predicted from.
-RATE_MIN_CANDIDATES = 1000
 # A production's generator looks at the deadline once per this many candidates.
 DEADLINE_STRIDE = 1024
 # Over at most this many points, a production's generator computes each
@@ -202,10 +197,10 @@ class Enumerator:
     where it paused.  Only `enumerate` and `find` read a paused size;
     `bank` always returns a complete one.
 
-    With a `deadline`, building raises BudgetExceeded: before a request
-    whose predicted cost exceeds the time left, and inside a size once
-    the deadline has passed.  A build the deadline cuts is dropped, never
-    resumed: its banks are never read, and the next `ensure` raises.
+    With a `deadline`, building raises BudgetExceeded: before a size
+    once the deadline is reached, and inside a size once it has passed.
+    A build the deadline cuts is dropped, never resumed: its banks are
+    never read, and the next `ensure` raises.
     """
 
     def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None,
@@ -223,8 +218,6 @@ class Enumerator:
         self._done = 0
         self.constructed = 0
         self.deadline = deadline
-        self._rate = None  # seconds per candidate on the last large size built
-        self._last_built = 0  # candidates the build of size _done constructed
         self.goal = None  # (nt, goal(term, vec)): pause the build at its first hit
         self.hit = None  # the entry the last pause stopped at
         self._build = None  # the generator building size _done + 1, if started
@@ -366,60 +359,30 @@ class Enumerator:
 
     def ensure(self, size):
         """Build every size up to `size`, or pause at the goal's first hit."""
-        upto = min(size, self.max_size)
-        while self._done < upto:
+        while self._done < min(size, self.max_size):
             s = self._done + 1
             if self._build is None:
-                if self.deadline is not None:
-                    self._check_fits(s, upto)
+                if self.deadline is not None and self.deadline.remaining() <= 0:
+                    raise BudgetExceeded(f"deadline reached before size {s}")
                 if self._cut:
                     raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
-                self._build, self._build_from, self._build_s = self._build_size(s), self.constructed, 0.0
-            # the rate counts building time only, not the goal's own checks
-            t0, goal_s, collecting = time.perf_counter(), 0.0, gc.isenabled()
+                self._build = self._build_size(s)
+            collecting = gc.isenabled()
             # Banked terms and vectors form no reference cycles, so the
             # cyclic collector would only rescan the growing banks.
             gc.disable()
             try:
                 for nt, entry in self._build:
-                    if self.goal is not None and nt == self.goal[0]:
-                        g0 = time.perf_counter()
-                        met = self.goal[1](*entry)
-                        goal_s += time.perf_counter() - g0
-                        if met:
-                            self.goal, self.hit = None, entry
-                            return
+                    if self.goal is not None and nt == self.goal[0] and self.goal[1](*entry):
+                        self.goal, self.hit = None, entry
+                        return
             except BaseException:  # whatever ends the generator leaves the size half built
                 self._build, self._cut = None, True
                 raise
             finally:
                 if collecting:
                     gc.enable()
-                self._build_s += time.perf_counter() - t0 - goal_s
-            built = self.constructed - self._build_from
-            if built >= RATE_MIN_CANDIDATES:
-                self._rate = self._build_s / built
-            self._build, self._done, self._last_built = None, s, built
-
-    def _check_fits(self, s, upto):
-        """Raise BudgetExceeded unless sizes `s..upto` are predicted to
-        finish in the time left.  Size `s` is counted exactly.  A later
-        size `t` is predicted from growth, as size_cost(s) * g**(t - s)
-        where g is size_cost(s) over the candidates size s - 1 built, and
-        never below size_cost(t), which counts only the candidates the
-        banks built so far imply.  With either count 0, size_cost(t)
-        alone is the prediction."""
-        left = self.deadline.remaining()
-        if left <= 0:
-            raise BudgetExceeded(f"deadline reached before size {s}")
-        if self._rate is not None:
-            first = self.size_cost(s)
-            growth = first / self._last_built if first and self._last_built else 0
-            later = sum(max(self.size_cost(t), first * growth ** (t - s)) for t in range(s + 1, upto + 1))
-            need = (first + later) * self._rate
-            if need > left:
-                what = f"size {s} needs" if upto == s else f"sizes {s}-{upto} need"
-                raise BudgetExceeded(f"{what} about {need:.3g} s, {left:.3g} s left")
+            self._build, self._done = None, s
 
     def size_cost(self, s):
         """Candidates `_build_size(s)` constructs once every smaller size
@@ -1068,17 +1031,12 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     enumeration order, dropping constant and already-seen vectors.
 
     An `if0` condition selects where it equals 1, any other condition
-    where it is truthy.  A pool `en` refuses for the deadline raises
-    BudgetExceeded, before any size when the sizes up to `max_size` are
-    predicted not to fit: a pool cut short would make the tree, and so
-    the outcome, depend on the clock.
+    where it is truthy.  Each size is read only once `en` has built it in
+    full; a size the deadline cuts raises BudgetExceeded, so no tree is
+    ever grown over a pool cut short.
     """
     pool = []
     seen = set()
-    # One request for every size up to the cap, so the deadline refuses it
-    # whole; sizes past the cap are never built, even when pruning has left
-    # the banks empty.
-    en.bank(nt, max_size)
     if0 = kind == "if0"
     # (1).__eq__ would give NotImplemented, which is truthy, on a non-int
     select = functools.partial(operator.eq, 1) if if0 else bool
@@ -1385,32 +1343,22 @@ def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_
             return Leaf(False)
         return None
 
-    curated = None
-    enum_cache = {}
-
-    def pool(stage):
-        nonlocal curated
-        if curated is None:
-            curated = _octagon_atoms(target, bool_nt, envs)
-        if stage == 0:
-            return curated
-        cap = 2 * stage + 1
-        if cap not in enum_cache:
-            en = Enumerator(grammar, envs, max_size=cap, deadline=deadline)
-            enum_cache[cap] = _predicate_pool(en, bool_nt, cap)
-        return curated + enum_cache[cap]
-
+    curated = _octagon_atoms(target, bool_nt, envs)
     max_stage = max(1, (budget.max_pred_size - 1) // 2)
+    en = None  # one enumerator for every stage, built when stage 1 needs it
     # Cheap atom pools first, and within a pool shallow trees first: a
     # depth-limited fit with richer atoms beats a deep overfit chain.
     for stage in range(0, max_stage + 1):
+        preds = curated
+        if stage:
+            en = en or Enumerator(grammar, envs, max_size=2 * max_stage + 1, deadline=deadline)
+            preds = curated + _predicate_pool(en, bool_nt, 2 * stage + 1)
+        dedup = {}
+        for t, v in preds:
+            dedup.setdefault(v, t)
+        preds = [(t, v) for v, t in dedup.items()]
         for depth in (3, 5, None):
             deadline.check()
-            preds = pool(stage)
-            dedup = {}
-            for t, v in preds:
-                dedup.setdefault(v, t)
-            preds = [(t, v) for v, t in dedup.items()]
             tree = build_decision_tree(ids, labels, leaf, preds, depth)
             if tree is not None:
                 return _dt_to_bool(tree, t_lit, f_lit)

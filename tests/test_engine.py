@@ -758,25 +758,6 @@ def test_no_time_left_builds_nothing():
     assert en.bank("S", 3) == built  # sizes already built stay readable
 
 
-def test_a_size_predicted_not_to_fit_is_never_started():
-    # unpruned, size 9 constructs 3402 candidates, enough to set the rate;
-    # size 10 has none, but the request runs to size 11, which is predicted
-    # to need more than is left, so size 10 is refused with it
-    clock = _Clock(60.0)
-    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=12, prune=False, deadline=clock)
-    en.ensure(9)
-    assert en._rate is not None
-    constructed = en.constructed
-    clock.left = 1e-9
-    with pytest.raises(BudgetExceeded, match=r"sizes 10-11 need about .* s, 1e-09 s left"):
-        en.bank("S", 11)
-    assert (en.constructed, en._done) == (constructed, 9)
-    assert en.bank("S", 10) == []  # a request for the empty size alone fits
-    with pytest.raises(BudgetExceeded, match=r"^size 11 needs about .* s, 1e-09 s left"):
-        en.bank("S", 11)
-    assert (en.constructed, en._done) == (constructed, 10)
-
-
 def test_a_size_stops_at_the_deadline():
     # sizes 1-7 construct 471 candidates; the check at the 1024th falls in size 9
     en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False, deadline=_PassingClock(60.0))
@@ -799,36 +780,18 @@ def test_a_cut_build_is_never_resumed():
     assert (en.constructed, en._done) == (1024, 8)
 
 
-def test_a_refused_pool_request_builds_no_size():
-    # the size the pool would start fits alone; the sizes up to its cap do not
+def test_a_pool_builds_every_size_while_time_is_left():
+    # however little time is left, a size starts while the deadline has not
+    # been reached, and the pool is the one built with no deadline at all
     p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     g = p.targets[0].grammar
     kind, cond_nt = _conditional_kind(g)
-    clock = _Clock(60.0)
-    en = Enumerator(g, [{"x": v} for v in (1, 2, 4, 8, 3, 16)], p.macro_map(), deadline=clock)
-    en.ensure(6)  # size 5 alone, halved, builds too few candidates to set the rate
-    assert en._rate is not None
-    constructed = en.constructed
-    clock.left = en._rate * en.size_cost(7) * 1.01
-    with pytest.raises(BudgetExceeded, match=r"sizes 7-9 need about"):
-        _predicate_pool(en, cond_nt, 9, kind)
-    assert (en.constructed, en._done) == (constructed, 6)
-
-
-def test_growth_refuses_a_pool_request_the_lower_bound_admits():
-    # counted only from the banks built so far, sizes 7-9 would fit; the
-    # growth from size 6 to size 7 predicts many more candidates for 8-9
-    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
-    g = p.targets[0].grammar
-    kind, cond_nt = _conditional_kind(g)
-    clock = _Clock(60.0)
-    en = Enumerator(g, [{"x": v} for v in (1, 2, 4, 8, 3, 16)], p.macro_map(), deadline=clock)
-    en.ensure(6)
-    constructed = en.constructed
-    clock.left = en._rate * sum(en.size_cost(t) for t in range(7, 10)) * 1.01
-    with pytest.raises(BudgetExceeded, match=r"sizes 7-9 need about"):
-        _predicate_pool(en, cond_nt, 9, kind)
-    assert (en.constructed, en._done) == (constructed, 6)
+    envs = [{"x": v} for v in (1, 2, 4, 8, 3, 16)]
+    timed = Enumerator(g, envs, p.macro_map(), deadline=_Clock(1e-9))
+    free = Enumerator(g, envs, p.macro_map())
+    pool = _predicate_pool(timed, cond_nt, 9, kind)
+    assert pool == _predicate_pool(free, cond_nt, 9, kind)
+    assert timed._done == free._done == 9 and timed.constructed == free.constructed
 
 
 @pytest.mark.parametrize("bench, envs, size", [
