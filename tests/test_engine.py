@@ -780,6 +780,18 @@ def test_a_cut_build_is_never_resumed():
     assert (en.constructed, en._done) == (1024, 8)
 
 
+def test_a_request_builds_every_size_while_time_is_left():
+    # no size is refused for what it might cost: with a nanosecond left that
+    # never runs out, one request for sizes 10-11 builds both, as with no deadline
+    clock = _Clock(60.0)
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=12, prune=False, deadline=clock)
+    en.ensure(9)
+    clock.left = 1e-9
+    free = Enumerator(PLUS_GRAMMAR, ENVS, max_size=12, prune=False)
+    assert en.bank("S", 11) == free.bank("S", 11)
+    assert (en.constructed, en._done) == (free.constructed, 11)
+
+
 def test_a_pool_builds_every_size_while_time_is_left():
     # however little time is left, a size starts while the deadline has not
     # been reached, and the pool is the one built with no deadline at all
@@ -1246,6 +1258,35 @@ def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypat
 
     seen = preds_seen(got)
     assert seen == preds_seen(conformant) and len(seen) == 9  # 3 pools x 3 depths
+
+
+@pytest.mark.parametrize("bench", INV_BENCHES)
+def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
+    # each stage's predicates are the curated atoms plus the pool that an
+    # enumerator capped at the stage's size builds, deduplicated once per stage
+    p, spec, names, target = _ice_inputs(bench)
+    pos, neg, _ = _ice_seed(p, spec, names, Budget())
+    states = sorted(pos | neg)
+    envs = [dict(zip(names, s)) for s in states]
+    bool_nt = next(n for n, s in target.grammar.nonterminals if s.kind == "Bool")
+    built, seen = [], []
+    with monkeypatch.context() as m:
+        m.setattr(engine, "Enumerator", lambda *a, **k: built.append(Enumerator(*a, **k)) or built[-1])
+        m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
+        engine._ice_tree(target, states, envs, None, pos, neg, Budget(max_pred_size=7),
+                         engine._Deadline(60), None, None)
+    assert len(built) == 1 and len(seen) == 12  # 4 pools x 3 depths
+    curated = _octagon_atoms(target, bool_nt, envs)
+    for stage in range(4):
+        preds = curated
+        if stage:
+            cap = 2 * stage + 1
+            preds = curated + _predicate_pool(Enumerator(target.grammar, envs, max_size=cap), bool_nt, cap)
+        first = {}
+        for t, v in preds:
+            first.setdefault(v, t)
+        assert seen[3 * stage] == [(t, v) for v, t in first.items()]
+        assert seen[3 * stage + 1] is seen[3 * stage] and seen[3 * stage + 2] is seen[3 * stage]
 
 
 # --- decision trees -------------------------------------------------------
