@@ -240,7 +240,8 @@ def mk_apply(table: SignatureTable, op: str, args) -> Apply:
 
 
 def term_size(t: Term) -> int:
-    """Number of nodes in the parse tree.
+    """Number of nodes in the parse tree; a hole counts as none, so a
+    template's size is the size of its fixed part.
 
     A let counts one node for the binder plus one per binding pair, plus
     the bound terms and the body.
@@ -252,7 +253,7 @@ def term_size(t: Term) -> int:
     if isinstance(t, Let):
         return 1 + len(t.bindings) + sum(term_size(e) for _, e in t.bindings) + term_size(t.body)
     if isinstance(t, Hole):
-        raise SygusError("holes have no size; templates are not terms")
+        return 0
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -291,6 +292,16 @@ def walk(t: Term):
         yield from walk(t.body)
 
 
+def rebuild(t: Term, f) -> Term:
+    """`t` with each argument, each bound term and the let body `e`
+    replaced by `f(e)`; a leaf is returned as it is."""
+    if isinstance(t, Apply):
+        return Apply(t.op, tuple(f(a) for a in t.args), t.sort)
+    if isinstance(t, Let):
+        return Let(tuple((n, f(e)) for n, e in t.bindings), f(t.body), t.sort)
+    return t
+
+
 def var_equations(terms, names):
     """Equations `(= v e)` or `(= e v)` anywhere in `terms`, where `v` is a
     variable named in `names` and `e` is not `v` itself.
@@ -327,7 +338,7 @@ def subst(t: Term, mapping: dict) -> Term:
     if isinstance(t, (Lit, Hole)):
         return t
     if isinstance(t, Apply):
-        return Apply(t.op, tuple(subst(a, mapping) for a in t.args), t.sort)
+        return rebuild(t, lambda a: subst(a, mapping))
     if isinstance(t, Let):
         new_bindings = [(n, subst(e, mapping)) for n, e in t.bindings]
         inner = {k: v for k, v in mapping.items() if k not in {n for n, _ in t.bindings}}
@@ -349,53 +360,35 @@ def subst(t: Term, mapping: dict) -> Term:
 
 
 def substitute_targets(c: Term, sol: dict, target_names=None) -> Term:
-    """Replace applications of synthesis targets by their solution bodies.
+    """Inline the solutions of the targets named in `target_names`
+    (default: every target in `sol`) through `expand_macros`, as macros.
 
     `sol` maps target name -> (param names, body term).  Formal parameters
-    are bound to the actual argument terms, capture-avoiding.
+    are bound to the actual argument terms, capture-avoiding.  An
+    application of a named target that `sol` does not bind raises
+    UnboundTarget; one whose argument count differs from its solution's
+    raises ArityError.
     """
     names = set(sol) if target_names is None else set(target_names)
-
-    def rebuild(t):
-        if isinstance(t, Apply):
-            args = tuple(rebuild(a) for a in t.args)
-            if t.op in names:
-                if t.op not in sol:
-                    raise UnboundTarget(f"no solution bound for target {t.op!r}")
-                params, body = sol[t.op]
-                if len(params) != len(args):
-                    raise ArityError(
-                        f"{t.op} applied to {len(args)} arguments, solution has {len(params)}"
-                    )
-                return subst(body, dict(zip(params, args)))
-            return Apply(t.op, args, t.sort)
-        if isinstance(t, Let):
-            return Let(
-                tuple((n, rebuild(e)) for n, e in t.bindings), rebuild(t.body), t.sort
-            )
-        return t
-
-    return rebuild(c)
+    for t in walk(c):
+        if isinstance(t, Apply) and t.op in names:
+            if t.op not in sol:
+                raise UnboundTarget(f"no solution bound for target {t.op!r}")
+            params = sol[t.op][0]
+            if len(params) != len(t.args):
+                raise ArityError(f"{t.op} applied to {len(t.args)} arguments, solution has {len(params)}")
+    return expand_macros(c, {n: sol[n] for n in names & sol.keys()})
 
 
 def expand_macros(t: Term, macros: dict, _active=frozenset()) -> Term:
     """Inline all macro applications.  `macros` maps name -> (param names, body)."""
-
-    if isinstance(t, Apply):
-        args = tuple(expand_macros(a, macros, _active) for a in t.args)
-        if t.op in macros:
-            if t.op in _active:
-                raise MacroRecursionError(f"recursive macro {t.op!r}")
-            params, body = macros[t.op]
-            body = expand_macros(body, macros, _active | {t.op})
-            return subst(body, dict(zip(params, args)))
-        return Apply(t.op, args, t.sort)
-    if isinstance(t, Let):
-        return Let(
-            tuple((n, expand_macros(e, macros, _active)) for n, e in t.bindings),
-            expand_macros(t.body, macros, _active),
-            t.sort,
-        )
+    t = rebuild(t, lambda e: expand_macros(e, macros, _active))
+    if isinstance(t, Apply) and t.op in macros:
+        if t.op in _active:
+            raise MacroRecursionError(f"recursive macro {t.op!r}")
+        params, body = macros[t.op]
+        body = expand_macros(body, macros, _active | {t.op})
+        return subst(body, dict(zip(params, t.args)))
     return t
 
 
@@ -450,24 +443,6 @@ class Grammar:
 def template_holes(tmpl: Term):
     """Holes of a template in left-to-right traversal order."""
     return [n for n in walk(tmpl) if isinstance(n, Hole)]
-
-
-def template_fixed_size(tmpl: Term) -> int:
-    """Node count of a template with holes counted as zero."""
-    if isinstance(tmpl, Hole):
-        return 0
-    if isinstance(tmpl, (Var, Lit)):
-        return 1
-    if isinstance(tmpl, Apply):
-        return 1 + sum(template_fixed_size(a) for a in tmpl.args)
-    if isinstance(tmpl, Let):
-        return (
-            1
-            + len(tmpl.bindings)
-            + sum(template_fixed_size(e) for _, e in tmpl.bindings)
-            + template_fixed_size(tmpl.body)
-        )
-    raise TypeError(f"not a template: {tmpl!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ from .core import (
     Var,
     expand_macros,
     free_vars,
+    rebuild,
     subst,
-    template_fixed_size,
     template_holes,
+    term_size,
     var_equations,
     walk,
 )
@@ -147,9 +148,7 @@ def _fill(tmpl, kids):
     """Instantiate a template, consuming `kids` in hole order."""
     if isinstance(tmpl, Hole):
         return next(kids)
-    if isinstance(tmpl, Apply):
-        return Apply(tmpl.op, tuple(_fill(a, kids) for a in tmpl.args), tmpl.sort)
-    return tmpl
+    return rebuild(tmpl, lambda a: _fill(a, kids))
 
 
 def _term_source(em, tmpl, kids):
@@ -394,7 +393,7 @@ class Enumerator:
         for nt in self._nts:
             for prod in self._prods[nt]:
                 if prod[0] == "leaf":
-                    total += template_fixed_size(prod[2]) == s
+                    total += term_size(prod[2]) == s
                 elif prod[0] == "comp":
                     for keys in _splits(prod, s):
                         lens = [len(self._bank.get(k, ())) for k in keys]
@@ -421,7 +420,7 @@ class Enumerator:
                     elif key not in built:
                         built.add(key)
                         if kind == "leaf":
-                            if s == template_fixed_size(prod[2]):
+                            if s == term_size(prod[2]):
                                 yield from prod[3](self, nt, s)
                         else:
                             for keys in _splits(prod, s):
@@ -458,7 +457,7 @@ class Enumerator:
             sizes = []
             for prod in self._prods[nt]:
                 if prod[0] == "leaf":
-                    sizes.append(template_fixed_size(prod[2]))
+                    sizes.append(term_size(prod[2]))
                 elif prod[0] == "alias":
                     sizes.append(go(prod[2]))
                 else:
@@ -509,7 +508,7 @@ def _production(idx, tmpl, fn, halved):
         return ("alias", idx, tmpl.nonterminal, fn)
     holes = template_holes(tmpl)
     if holes:
-        return ("comp", idx, tmpl, [h.nonterminal for h in holes], template_fixed_size(tmpl), fn, halved)
+        return ("comp", idx, tmpl, [h.nonterminal for h in holes], term_size(tmpl), fn, halved)
     return ("leaf", idx, tmpl, fn)
 
 
@@ -647,9 +646,7 @@ def _applications(problem, target):
 def _inline_lets(t):
     if isinstance(t, Let):
         return _inline_lets(subst(t.body, dict(t.bindings)))
-    if isinstance(t, Apply):
-        return Apply(t.op, tuple(_inline_lets(a) for a in t.args), t.sort)
-    return t
+    return rebuild(t, _inline_lets)
 
 
 def collect_envs(problem, target, points):
@@ -934,8 +931,6 @@ def _conditional_kind(grammar):
 def _flatten_dt(tree, kind, sort):
     if isinstance(tree, Leaf):
         return tree.term
-    if kind not in ("ite", "if0"):
-        raise SygusError(f"cannot flatten decision tree for conditional kind {kind!r}")
     return Apply(kind, (tree.pred, _flatten_dt(tree.then, kind, sort), _flatten_dt(tree.other, kind, sort)), sort)
 
 
@@ -1268,8 +1263,7 @@ def _ice_learn(target, state_names, pos, neg, imps, budget, deadline):
     for _ in range(1 + min(len(imps), 40)):
         states = sorted(pos_w | neg_w)
         envs = [dict(zip(state_names, s)) for s in states]
-        index = {s: i for i, s in enumerate(states)}
-        body = _ice_tree(target, states, envs, index, pos_w, neg_w, budget, deadline, t_lit, f_lit)
+        body = _ice_tree(target, states, envs, pos_w, budget, deadline, t_lit, f_lit)
         if isinstance(body, Failure):
             return body
         inv = Evaluator().compile(body)
@@ -1324,7 +1318,7 @@ def _octagon_atoms(target, bool_nt, envs):
     return [(t, v) for v, t in kept.items()]
 
 
-def _ice_tree(target, states, envs, index, pos, neg, budget, deadline, t_lit, f_lit):
+def _ice_tree(target, states, envs, pos, budget, deadline, t_lit, f_lit):
     grammar = target.grammar
     bool_nt = None
     for name, sort in grammar.nonterminals:

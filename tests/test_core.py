@@ -1,5 +1,8 @@
 """Term IR, sizes, substitution and macro expansion."""
 
+import glob
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +20,7 @@ from sygus.core import (
     MacroRecursionError,
     SignatureTable,
     SortError,
+    UnboundTarget,
     UnknownOperator,
     Var,
     expand_macros,
@@ -29,7 +33,10 @@ from sygus.core import (
     var_equations,
     walk,
 )
+from sygus.frontend import default_grammar, parse_file
 from sygus.semantics import Evaluator
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
 X = Var("x", INT)
 Y = Var("y", INT)
@@ -133,6 +140,53 @@ def test_substitute_targets():
     c = Apply("=", (Apply("f", (X,), INT), X), BOOL)
     out = substitute_targets(c, {"f": (["a"], _plus(Var("a", INT), Lit(1, INT)))}, {"f"})
     assert out == Apply("=", (_plus(X, Lit(1, INT)), X), BOOL)
+
+
+def test_substitute_targets_needs_a_solution_for_each_named_target():
+    c = Apply("=", (Apply("f", (X,), INT), Apply("g", (X,), INT)), BOOL)
+    with pytest.raises(UnboundTarget):
+        substitute_targets(c, {"f": (["a"], Var("a", INT))}, {"f", "g"})
+
+
+def test_substitute_targets_checks_the_argument_count():
+    c = Apply("=", (Apply("f", (X,), INT), X), BOOL)
+    with pytest.raises(ArityError):
+        substitute_targets(c, {"f": (["a", "b"], Var("a", INT))}, {"f"})
+
+
+def test_substitute_targets_inlines_inside_lets():
+    # both in a bound term and in the let body
+    a = Var("a", INT)
+    c = Let((("y", Apply("f", (X,), INT)),), Apply("=", (Apply("f", (Y,), INT), Y), BOOL), BOOL)
+    out = substitute_targets(c, {"f": (["a"], _plus(a, Lit(1, INT)))}, {"f"})
+    assert out == Let((("y", _plus(X, Lit(1, INT))),), Apply("=", (_plus(Y, Lit(1, INT)), Y), BOOL), BOOL)
+
+
+def _corpus_and_default_templates():
+    grammars = [t.grammar for path in sorted(glob.glob(os.path.join(BENCH, "*.sl"))) for t in parse_file(path).targets]
+    params = (("x", INT), ("y", INT), ("b", BOOL))
+    grammars += [default_grammar("LIA", params, ret) for ret in (INT, BOOL)]
+    return [tmpl for g in grammars for _, templates in g.productions for tmpl in templates]
+
+
+def _holes_to_leaves(t):
+    """`t` with each hole replaced by a variable of the hole's sort."""
+    if isinstance(t, Hole):
+        return Var("leaf", t.sort)
+    if isinstance(t, Apply):
+        return Apply(t.op, tuple(_holes_to_leaves(a) for a in t.args), t.sort)
+    if isinstance(t, Let):
+        return Let(tuple((n, _holes_to_leaves(e)) for n, e in t.bindings), _holes_to_leaves(t.body), t.sort)
+    return t
+
+
+def test_template_size_plus_one_per_hole_is_the_size_of_its_instance():
+    # the enumerator sizes a production's candidates as the template's
+    # size plus the sizes of the terms in its holes
+    templates = _corpus_and_default_templates()
+    assert any(template_holes(t) for t in templates)
+    for tmpl in templates:
+        assert term_size(tmpl) + len(template_holes(tmpl)) == term_size(_holes_to_leaves(tmpl)), tmpl
 
 
 def test_walk_is_preorder_with_let_bindings_before_body():

@@ -1073,6 +1073,11 @@ STOP_REASONS = {
         4, [{"x": 1, "y": 0}, {"x": 1, "y": 5}],
         {"unif": ("predicate-exhausted", "")},
     ),
+    # (+ x 1) is refuted at x = 3 even though it holds there
+    "repeated-counterexample": (
+        _lia_spec(OPEN_ITE, "(constraint (= (f x) (+ x 1)))"), 20, [{"x": 3}, {"x": 3}],
+        {"cegis": ("oracle-stall", "repeated counterexample"), "unif": ("oracle-stall", "repeated counterexample")},
+    ),
     "two-targets": (
         _lia_spec("", "(constraint (= (f x) (g x)))", extra="(synth-fun g ((x Int)) Int)\n"), 20, [],
         {"unif": ("no-conditional-production", "unification handles a single target")},
@@ -1252,7 +1257,7 @@ def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypat
         with monkeypatch.context() as m:
             m.setattr(engine, "_octagon_atoms", lambda *_: atoms)
             m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
-            engine._ice_tree(target, states, envs, None, pos, neg, Budget(max_pred_size=5),
+            engine._ice_tree(target, states, envs, pos, Budget(max_pred_size=5),
                              engine._Deadline(60), None, None)
         return seen
 
@@ -1273,7 +1278,7 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(engine, "Enumerator", lambda *a, **k: built.append(Enumerator(*a, **k)) or built[-1])
         m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
-        engine._ice_tree(target, states, envs, None, pos, neg, Budget(max_pred_size=7),
+        engine._ice_tree(target, states, envs, pos, Budget(max_pred_size=7),
                          engine._Deadline(60), None, None)
     assert len(built) == 1 and len(seen) == 12  # 4 pools x 3 depths
     curated = _octagon_atoms(target, bool_nt, envs)
@@ -1287,6 +1292,66 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
             first.setdefault(v, t)
         assert seen[3 * stage] == [(t, v) for v, t in first.items()]
         assert seen[3 * stage + 1] is seen[3 * stage] and seen[3 * stage + 2] is seen[3 * stage]
+
+
+# The states (50, 0), in pre, and (0, 50), outside post, lie beyond the
+# seeds' range, so the seeds label nothing and the first two proposals are
+# forced: true, then false.  trans keeps x + y, so (50, 0) reaches (0, 50).
+SPLIT_INV = (
+    "(set-logic LIA)\n(synth-inv inv ((x Int) (y Int)))\n"
+    "(declare-primed-var x Int) (declare-primed-var y Int)\n"
+    "(define-fun pre ((x Int) (y Int)) Bool (and (= x 50) (= y 0)))\n"
+    "(define-fun trans ((x Int) (y Int) (x! Int) (y! Int)) Bool (= (+ x! y!) (+ x y)))\n"
+    "(define-fun post ((x Int) (y Int)) Bool (not (and (= x 0) (= y 50))))\n"
+    "(inv-constraint inv pre trans post)\n(check-synth)"
+)
+IN, OUT = (50, 0), (0, 50)
+
+
+def _step(state, succ):
+    return {"x": state[0], "y": state[1], "x!": succ[0], "y!": succ[1]}
+
+
+@pytest.mark.parametrize("points, reason, detail, learned", [
+    # true fails post at OUT, false fails pre at IN, and the split between
+    # them fails trans from IN to OUT, which forces OUT inside as well
+    ([_step(OUT, OUT), _step(IN, IN), _step(IN, OUT)], "ice-conflict",
+     "an example is forced both inside and outside", [(set(), set()), (set(), {OUT}), ({IN}, {OUT})]),
+    # under false every constraint holds at OUT, so OUT again teaches nothing
+    ([_step(OUT, OUT), _step(OUT, OUT)], "oracle-stall", "counterexample added no new example",
+     [(set(), set()), (set(), {OUT})]),
+])
+def test_ice_counterexamples_label_states(points, reason, detail, learned, monkeypatch):
+    p = parse(SPLIT_INV)
+    seen = []
+    learn = engine._ice_learn
+
+    def spy(target, names, pos, neg, *rest):
+        seen.append((set(pos), set(neg)))
+        return learn(target, names, pos, neg, *rest)
+
+    monkeypatch.setattr(engine, "_ice_learn", spy)
+    monkeypatch.setattr(oracle, "verify", _refuting(points))
+    out = unify_solve(p, Budget(wallclock=30))
+    assert isinstance(out, Failure) and (out.reason, out.detail) == (reason, detail)
+    assert seen == learned
+
+
+@pytest.mark.parametrize("succ, want", [((0, 1), "repaired"), (OUT, "ice-conflict")])
+def test_ice_learn_repairs_a_broken_implication(succ, want, monkeypatch):
+    # the first tree separates IN from OUT and leaves `succ` outside
+    p = parse(SPLIT_INV)
+    target, names = p.targets[0], ["x", "y"]
+    calls = []
+    tree = engine._ice_tree
+    monkeypatch.setattr(engine, "_ice_tree", lambda *a: calls.append(set(a[3])) or tree(*a))
+    body = engine._ice_learn(target, names, {IN}, {OUT}, {(IN, succ)}, Budget(), engine._Deadline(30))
+    if want == "ice-conflict":
+        assert isinstance(body, Failure) and body.reason == want and calls == [{IN}]
+        return
+    assert calls == [{IN}, {IN, succ}]
+    holds = lambda s: Evaluator().eval(body, dict(zip(names, s)))
+    assert holds(IN) and holds(succ) and not holds(OUT)
 
 
 # --- decision trees -------------------------------------------------------
