@@ -4,6 +4,13 @@ Runs engines over a directory of `.sl` benchmarks under a wallclock
 limit, applies both post-processors, persists one JSON line per record
 (so a crashed run resumes), and scores outcomes with pseudo-logarithmic
 time and size buckets.
+
+`run_suite` forks its worker processes once and hands each one
+benchmark after another over a connection, replacing a worker that dies or is
+killed.  Only pure caches carry over between benchmarks (see
+`run_suite`), so a record does not depend on which worker ran it before;
+a worker's max-RSS is its high-water mark over all the benchmarks it
+ran.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import multiprocessing as mp
 import os
 import time
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, asdict
 from multiprocessing.connection import wait
 
@@ -208,7 +216,29 @@ def _worker(path, cfg, conn):
     except Exception:  # a crashing engine fails its record only
         out = ("failed", time.monotonic() - start, None, None, None)
     conn.send(out)
-    conn.close()
+
+
+def _serve(conn, inherited=()):
+    """A pool worker: solve each `(path, cfg)` received on `conn` and send
+    its outcome back, until a None sentinel or the end of `conn`.
+
+    `inherited` are the parent's ends of the workers' connections, this
+    one's included; closing them leaves the parent the only holder of the
+    other end, so a worker whose parent is gone sees the end and exits."""
+    for end in inherited:
+        end.close()
+    with conn:
+        while True:
+            try:
+                task = conn.recv()
+            except EOFError:
+                return
+            if task is None:
+                return
+            try:
+                _worker(*task, conn)  # a module global, looked up per call
+            except BrokenPipeError:  # the parent is gone
+                return
 
 
 def run_suite(bench_dir, cfg: SuiteConfig):
@@ -218,9 +248,20 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     restart, benchmarks already recorded for this engine are skipped.  A
     torn final record is cut from the file before anything is appended
     (else it would become a bad line mid-file), so its benchmark runs
-    again.  A worker that exits without replying fails its record; one
-    still running `GRACE` seconds past its budget is terminated and
-    recorded as a timeout.
+    again.
+
+    Up to `cfg.workers` worker processes are forked once per call and each
+    is handed one benchmark after another, in sorted path order, as it
+    comes free.  Between benchmarks a worker keeps only pure caches: the
+    tier-2 Int sample stream of each seed (`oracle._int_stream`), code
+    objects keyed by their source (`semantics._compiled`) and the last
+    verdict of `oracle.verify`, keyed by the identity of a problem it
+    holds.  `core.subst`'s fresh-name counter also runs on, so a let
+    binder renamed to avoid capture may get another number.  A worker
+    that exits without replying fails its record; one still running
+    `GRACE` seconds past its budget is terminated and recorded as a
+    timeout.  Either is replaced by a fresh worker while benchmarks
+    remain.  Every worker has exited before this returns or raises.
     """
     paths = sorted(
         os.path.join(bench_dir, f) for f in os.listdir(bench_dir) if f.endswith(".sl")
@@ -242,21 +283,37 @@ def run_suite(bench_dir, cfg: SuiteConfig):
             records.append(done[bench])
         else:
             pending.append(p)
+    pending.reverse()  # popped from the end, in sorted order
 
     ctx = mp.get_context("fork")
-    active = {}  # conn -> (proc, bench, start)
-    idx = 0
+    procs = []  # every worker forked, joined before returning
+    ends = []  # the parent's ends of their connections, closed in each new worker
+    idle = []  # (proc, conn) waiting for a benchmark
+    busy = {}  # conn -> (proc, bench, start)
 
-    def launch():
-        nonlocal idx
-        while idx < len(pending) and len(active) < max(1, cfg.workers):
-            path = pending[idx]
-            idx += 1
-            parent, child = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(path, cfg, child))
-            proc.start()
-            child.close()
-            active[parent] = (proc, os.path.basename(path), time.monotonic())
+    def fork():
+        conn, child = ctx.Pipe()
+        ends.append(conn)
+        proc = ctx.Process(target=_serve, args=(child, ends))
+        proc.start()
+        child.close()
+        procs.append(proc)
+        return proc, conn
+
+    def dispatch():
+        while pending and (idle or len(busy) < max(1, cfg.workers)):
+            proc, conn = idle.pop() if idle else fork()
+            try:
+                conn.send((pending[-1], cfg))
+            except OSError:  # the idle worker is gone; a fresh one takes the benchmark
+                conn.close()
+                continue
+            busy[conn] = (proc, os.path.basename(pending.pop()), time.monotonic())
+        while idle and not pending:  # let spare workers exit while the rest run
+            _, conn = idle.pop()
+            with suppress(OSError):  # a worker that is gone needs no sentinel
+                conn.send(None)
+            conn.close()
 
     def emit(record):
         records.append(record)
@@ -268,28 +325,36 @@ def run_suite(bench_dir, cfg: SuiteConfig):
             with open(os.path.join(cfg.solutions_dir, record.benchmark + ".sol"), "w") as fh:
                 fh.write(record.solution + "\n")
 
-    launch()
-    while active:
-        # sleep until a worker replies or dies, or the first kill time comes
-        kill_at = min(start for _, _, start in active.values()) + cfg.timeout + GRACE
-        for conn in wait(list(active), timeout=max(0.0, kill_at - time.monotonic())):
-            proc, bench, start = active.pop(conn)
-            try:
-                outcome, wall, cpu, size, solution = conn.recv()
-            except EOFError:  # the worker died without replying
-                outcome, wall, cpu, size, solution = ("failed", time.monotonic() - start, None, None, None)
+    try:
+        dispatch()
+        while busy:
+            # sleep until a worker replies or dies, or the first kill time comes
+            kill_at = min(start for _, _, start in busy.values()) + cfg.timeout + GRACE
+            for conn in wait(list(busy), timeout=max(0.0, kill_at - time.monotonic())):
+                proc, bench, start = busy.pop(conn)
+                try:
+                    outcome, wall, cpu, size, solution = conn.recv()
+                    idle.append((proc, conn))
+                except EOFError:  # the worker died without replying
+                    outcome, wall, cpu, size, solution = ("failed", time.monotonic() - start, None, None, None)
+                    conn.close()
+                emit(RunRecord(bench, cfg.label(), outcome, wall, size, cpu, solution))
+            now = time.monotonic()
+            for conn, (proc, bench, start) in list(busy.items()):
+                if now - start >= cfg.timeout + GRACE:
+                    proc.terminate()
+                    conn.close()
+                    del busy[conn]
+                    emit(RunRecord(bench, cfg.label(), "timeout", cfg.timeout, None, None, None))
+            dispatch()
+    finally:
+        for conn, (proc, _, _) in busy.items():
+            proc.terminate()
             conn.close()
+        pending.clear()
+        dispatch()  # stops the idle workers
+        for proc in procs:
             proc.join()
-            emit(RunRecord(bench, cfg.label(), outcome, wall, size, cpu, solution))
-        now = time.monotonic()
-        for conn, (proc, bench, start) in list(active.items()):
-            if now - start >= cfg.timeout + GRACE:
-                proc.terminate()
-                proc.join()
-                conn.close()
-                del active[conn]
-                emit(RunRecord(bench, cfg.label(), "timeout", cfg.timeout, None, None, None))
-        launch()
     return records
 
 

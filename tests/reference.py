@@ -53,6 +53,27 @@ class TreeEvaluator:
         raise TypeError(f"not a term: {t!r}")
 
 
+class PointWalk(TreeEvaluator):
+    """`TreeEvaluator` fixed to one point `env` that walks each term object
+    once there and remembers its value by identity, so banked terms, which
+    share their child objects, cost one node each.  Macro bodies and let
+    bodies run under environments of their own and are walked in full.
+    The terms walked must outlive the walk (their ids are the keys)."""
+
+    def __init__(self, interpretations, env):
+        super().__init__(interpretations)
+        self.env, self.memo = env, {}
+
+    def eval(self, t: Term, env: dict):
+        if env is not self.env:
+            return super().eval(t, env)
+        try:
+            return self.memo[id(t)]
+        except KeyError:
+            v = self.memo[id(t)] = super().eval(t, env)
+            return v
+
+
 def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
     """Unpruned brute-force enumeration; the reference for pruning checks."""
     en = Enumerator(grammar, envs, interpretations, max_size, prune=False)

@@ -37,7 +37,7 @@ from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator, eval_constraints
 
 import reference
-from reference import TreeEvaluator, enumerate_all
+from reference import PointWalk, TreeEvaluator, enumerate_all
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -128,12 +128,13 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
     p = parse_file(os.path.join(BENCH, bench))
     g, envs = p.targets[0].grammar, envs(p)
     en = Enumerator(g, envs, p.macro_map(), max_size=7)
-    ev = TreeEvaluator(p.macro_map())
-    for nt, _ in g.nonterminals:
-        for s in range(1, 8):
-            for term, vec in en.bank(nt, s):
-                want = [ev.eval(term, env) for env in envs]
-                assert [(type(v), v) for v in vec] == [(type(v), v) for v in want], term
+    entries = [e for nt, _ in g.nonterminals for s in range(1, 8) for e in en.bank(nt, s)]
+    assert all(len(vec) == len(envs) for _, vec in entries)
+    for i, env in enumerate(envs):
+        ev = PointWalk(p.macro_map(), env)
+        for term, vec in entries:
+            want = ev.eval(term, env)
+            assert (type(vec[i]), vec[i]) == (type(want), want), (term, env)
 
 
 # The fig2 grammar's generated source over one point: one generator per

@@ -1,5 +1,6 @@
 """Buckets, scoring, records and the suite runner."""
 
+import multiprocessing as mp
 import os
 import shutil
 import time
@@ -227,6 +228,121 @@ def test_run_suite_kills_a_worker_that_hangs(tmp_path, monkeypatch):
     assert time.monotonic() - t0 < 5
     assert sorted(r.benchmark for r in records) == ["a.sl", "b.sl", "c.sl"]
     assert all((r.outcome, r.wallclock, r.cpu, r.size) == ("timeout", 0.2, None, None) for r in records)
+
+
+# --- worker pool -------------------------------------------------------------
+
+
+def _by_pid(path, cfg):
+    """A stand-in solve: `solved`, with the serving worker's pid as its solution."""
+    return ("solved", 0.0, 0.0, 1, str(os.getpid()))
+
+
+def _die_on_b(path, cfg):
+    if path.endswith("b.sl"):
+        os._exit(1)
+    return _by_pid(path, cfg)
+
+
+def _pids(records):
+    return {r.benchmark: int(r.solution) for r in records if r.outcome == "solved"}
+
+
+def test_run_suite_reuses_its_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "solve_benchmark", _by_pid)
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl", "c.sl", "d.sl"))
+    records = run_suite(corpus, SuiteConfig(engine="cegis", timeout=5, workers=2))
+    pids = _pids(records)
+    assert sorted(pids) == ["a.sl", "b.sl", "c.sl", "d.sl"]
+    assert len(set(pids.values())) <= 2
+    assert os.getpid() not in pids.values()
+
+
+def test_run_suite_replaces_a_killed_worker(tmp_path, monkeypatch):
+    def hang_on_a(path, cfg):
+        if path.endswith("a.sl"):
+            time.sleep(60)
+        return _by_pid(path, cfg)
+
+    monkeypatch.setattr(harness, "solve_benchmark", hang_on_a)
+    monkeypatch.setattr(harness, "GRACE", 0.3)
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl", "c.sl"))
+    records = run_suite(corpus, SuiteConfig(engine="cegis", timeout=0.2, workers=1))
+    assert {r.benchmark: r.outcome for r in records} == {"a.sl": "timeout", "b.sl": "solved", "c.sl": "solved"}
+    pids = _pids(records)
+    assert pids["b.sl"] == pids["c.sl"]  # one fresh worker serves the rest
+
+
+def test_run_suite_replaces_a_worker_that_dies(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "solve_benchmark", _die_on_b)
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl", "c.sl", "d.sl"))
+    records = run_suite(corpus, SuiteConfig(engine="cegis", timeout=5, workers=1))
+    assert [(r.benchmark, r.outcome) for r in records] == [
+        ("a.sl", "solved"), ("b.sl", "failed"), ("c.sl", "solved"), ("d.sl", "solved")]
+    pids = _pids(records)
+    assert pids["a.sl"] != pids["c.sl"] == pids["d.sl"]
+
+
+def test_run_suite_calls_the_module_worker_once_per_record(tmp_path, monkeypatch):
+    # as perfbench's max-RSS logger does: wrap `_worker` and log after it
+    log = tmp_path / "log"
+    worker = harness._worker
+
+    def logging(path, cfg, conn):
+        worker(path, cfg, conn)
+        with open(log, "a") as fh:
+            fh.write(os.path.basename(path) + "\n")
+
+    monkeypatch.setattr(harness, "solve_benchmark", _die_on_b)
+    monkeypatch.setattr(harness, "_worker", logging)
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl", "c.sl", "d.sl"))
+    records = run_suite(corpus, SuiteConfig(engine="cegis", timeout=5, workers=2))
+    assert len(records) == 4
+    assert sorted(log.read_text().split()) == sorted(_pids(records)) == ["a.sl", "c.sl", "d.sl"]
+
+
+def test_run_suite_leaves_no_worker_when_it_returns_or_raises(tmp_path, monkeypatch):
+    def hang_on_b(path, cfg):
+        if path.endswith("b.sl"):
+            time.sleep(60)
+        return _by_pid(path, cfg)
+
+    monkeypatch.setattr(harness, "solve_benchmark", hang_on_b)
+    corpus = _tiny_corpus(tmp_path, ("a.sl", "b.sl", "c.sl"))
+    monkeypatch.setattr(harness, "GRACE", 0.3)
+    run_suite(corpus, SuiteConfig(engine="cegis", timeout=0.2, workers=2))
+    assert mp.active_children() == []
+
+    # emit raises on the first solution, with b.sl still running
+    (tmp_path / "not-a-dir").write_text("")
+    cfg = SuiteConfig(engine="cegis", timeout=30, workers=2, solutions_dir=str(tmp_path / "not-a-dir"))
+    t0 = time.monotonic()
+    with pytest.raises(OSError):
+        run_suite(corpus, cfg)
+    assert time.monotonic() - t0 < 10
+    assert mp.active_children() == []
+
+
+def test_serve_stops_at_a_sentinel_or_when_its_parent_is_gone(monkeypatch):
+    monkeypatch.setattr(harness, "solve_benchmark", _by_pid)
+    task = ("a.sl", SuiteConfig())
+
+    parent, child = mp.Pipe()
+    parent.send(task)
+    parent.send(None)
+    harness._serve(child)
+    assert parent.recv() == _by_pid(*task)
+    with pytest.raises(EOFError):  # the worker closed its end on the way out
+        parent.recv()
+
+    parent, child = mp.Pipe()
+    parent.close()
+    harness._serve(child)  # no task ever comes
+
+    parent, child = mp.Pipe()
+    parent.send(task)
+    parent.close()
+    harness._serve(child)  # its reply has nowhere to go
 
 
 def _record_line(bench, outcome="solved"):
