@@ -32,9 +32,13 @@ template (macros expanded, BitVec builtins as Python operators; one
 expression per point over at most UNROLL_POINTS points, else one
 comprehension), counts it, reads the deadline every DEADLINE_STRIDE
 candidates, and builds and banks a term only for a vector pruning keeps.
-Under pruning with no `keep`, a commutative `(op H H)` production is
-built as half its product: each `(op b a)` would repeat the vector of an
-`(op a b)` built before it, so only the candidates counted fall.
+Under pruning with no `keep`, no candidate is built whose vector pruning
+is certain to drop, so only the candidates counted fall: a commutative
+`(op H H)` production is built as half its product, since each `(op b
+a)` would repeat the vector of an `(op a b)` built before it; a
+comparison mirrored by an earlier production (`(> a b)` after `(< b a)`)
+is not built; and an `(ite C Hi Hj)` whose condition reads only hole 0
+skips each hole-0 entry on which C picks the same branch at every point.
 
 Every engine keeps one wallclock deadline.  The enumerator starts no
 size once it is reached, and stops a size the deadline overtakes; either
@@ -175,6 +179,13 @@ DEADLINE_STRIDE = 1024
 UNROLL_POINTS = 64
 # Operators whose value does not change when their two arguments swap.
 COMMUTATIVE = frozenset({"+", "*", "=", "and", "or", "xor", "bvand", "bvor", "bvxor", "bvadd", "bvmul"})
+# Each comparison with the one whose value is the same with its two
+# arguments swapped: (> a b) is (< b a).
+MIRRORS = {">": "<", "<": ">", ">=": "<=", "<=": ">="}
+# (operator, arity) of the builtins whose generated code cannot raise on
+# arguments of their sorts; see `Enumerator._one_sided`.
+TOTAL_OPS = frozenset({("=", 2), ("not", 1), ("and", 2), ("or", 2), ("=>", 2), ("xor", 2),
+                       ("<", 2), ("<=", 2), (">", 2), (">=", 2)})
 
 
 class Enumerator:
@@ -185,16 +196,27 @@ class Enumerator:
     nonterminal.  With no observation points the single default
     environment (Int 0, Bool false, BV 0, String "") still folds
     constants.  With pruning on and no `keep`, both fixed at
-    construction, a commutative `(op H H)` production pairs its child
-    entries in one order only (see `_halves`): the banks are those of
-    the full product, and `constructed` counts what was built.
+    construction, no candidate is built whose vector pruning is certain
+    to drop: a commutative `(op H H)` production pairs its child entries
+    in one order only (see `_halves`), a comparison mirrored by an
+    earlier production is not built at all (see `_mirrored`), and a
+    one-sided `(ite C Hi Hj)` builds only the condition entries that
+    select both ways (see `_one_sided`).  The banks are those of the
+    full product, and `constructed` counts what was built.
 
     A size is built by a generator that `ensure` drives.  With a `goal`,
     `(nt, goal(term, vec))`, the build pauses right after it banks the
     first `nt` entry that meets the goal: `ensure` returns early once,
     leaving the entry in `hit`, and the next `ensure` resumes the build
     where it paused.  Only `enumerate` and `find` read a paused size;
-    `bank` always returns a complete one.
+    `bank` always returns a complete one.  A paused build refers back
+    to its enumerator, a reference cycle that `close` breaks.
+
+    Banked terms, vectors and entries form no reference cycles, so the
+    cyclic collector is off while a size is built, and what the build
+    allocated is frozen (`gc.freeze`) before it is turned back on: the
+    collector never scans a bank, and reference counting still frees it.
+    A solve unfreezes every object when it returns (see `_run`).
 
     With a `deadline`, building raises BudgetExceeded: before a size
     once the deadline is reached, and inside a size once it has passed.
@@ -235,26 +257,40 @@ class Enumerator:
         """Each nonterminal's productions, in grammar order, each with its
         compiled generator: every alias shares one that reads its source
         bank (see `_alias_source`); every other production has its own,
-        which builds its candidates (see `_production_source`); a leaf's
-        takes no banks."""
+        which builds its candidates (see `_production_source`), and a
+        one-sided one also a function that picks the condition entries
+        it builds (see `_sides_source`); a leaf's takes no banks.  A
+        mirrored production is left out."""
         em = SourceEmitter()
         prods, sources = {nt: [] for nt in self._nts}, {}
         for nt in self._nts:
-            for idx, tmpl in enumerate(self.grammar.prods(nt)):
-                if _contains_let(tmpl):
-                    continue  # let productions are not enumerated
-                halved = self._halves(tmpl)
+            templates = self.grammar.prods(nt)
+            for idx, tmpl in enumerate(templates):
+                if _contains_let(tmpl) or self._mirrored(tmpl, templates[:idx]):
+                    continue  # neither let productions nor mirrored ones are enumerated
+                halved, sides = self._halves(tmpl), None
                 if isinstance(tmpl, Hole):
                     name = "_alias"
                     if name not in sources:
                         sources[name] = _alias_source(em, name)
                 else:
                     name = em.fresh("_p")
-                    sources[name] = self._production_source(em, name, tmpl, halved)
-                prods[nt].append((idx, tmpl, name, halved))
+                    # A hole becomes a variable named by its position: no SyGuS
+                    # symbol starts with a digit, so it cannot shadow a template variable.
+                    holes = template_holes(tmpl)
+                    body = expand_macros(_fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)])),
+                                         self.interpretations)
+                    cond = self._one_sided(nt, holes, body)
+                    if cond is not None:
+                        sides = em.fresh("_s")
+                        sources[sides] = self._sides_source(em, sides, cond)
+                        # hole 0's column now holds the condition's value at each point
+                        body = Apply("ite", (Var("0", BOOL), *body.args[1:]), body.sort)
+                    sources[name] = self._production_source(em, name, tmpl, body, halved, sides)
+                prods[nt].append((idx, tmpl, name, halved, sides))
         fns = em.build("\n".join([*sources.values(), f"_fns = ({''.join(n + ',' for n in sources)})"]), "_fns")
         fns = dict(zip(sources, fns))
-        return {nt: [_production(idx, tmpl, fns[name], halved) for idx, tmpl, name, halved in ps]
+        return {nt: [_production(idx, tmpl, fns[name], halved, fns.get(sides)) for idx, tmpl, name, halved, sides in ps]
                 for nt, ps in prods.items()}
 
     def _halves(self, tmpl):
@@ -267,24 +303,70 @@ class Enumerator:
                 and all(isinstance(a, Hole) for a in tmpl.args)
                 and tmpl.args[0].nonterminal == tmpl.args[1].nonterminal)
 
-    def _production_source(self, em, name, tmpl, halved):
+    def _mirrored(self, tmpl, earlier):
+        """Whether `tmpl` is never built: a comparison `(op H1 H2)` that an
+        earlier production `(mirror H2 H1)` of the same nonterminal
+        mirrors, neither op shadowed by a macro, under pruning with no
+        `keep`.  The earlier one builds every pair of the same banks at
+        the same size, each with the vector of its mirror, so pruning
+        would drop every candidate of `tmpl`."""
+        if not (self.prune and self.keep is None and isinstance(tmpl, Apply) and tmpl.op in MIRRORS):
+            return False
+        mirror = MIRRORS[tmpl.op]
+        if tmpl.op in self.interpretations or mirror in self.interpretations:
+            return False
+        return (len(tmpl.args) == 2 and all(isinstance(a, Hole) for a in tmpl.args)
+                and Apply(mirror, tmpl.args[::-1], tmpl.sort) in earlier)
+
+    def _one_sided(self, nt, holes, body):
+        """The condition C of a production for `nt` whose `body`, macros
+        expanded, is `(ite C Hi Hj)`, where C reads hole 0 only and cannot
+        raise (built from TOTAL_OPS and literals), and Hi and Hj are later
+        holes of `nt` itself; under pruning with no `keep`.  Else None.
+        Where C picks the same branch at every point, a candidate has that
+        branch's vector, banked for `nt` already, so pruning would drop
+        it: only the hole-0 entries that select both ways are built."""
+        if not (self.prune and self.keep is None and isinstance(body, Apply) and body.op == "ite"
+                and len(body.args) == 3):
+            return None
+        cond, *branches = body.args
+        own = {str(i) for i, h in enumerate(holes) if i and h.nonterminal == nt}
+        nodes = list(walk(cond))
+        never_raises = all(isinstance(n, Lit) or (isinstance(n, Var) and n.name == "0")
+                           or (isinstance(n, Apply) and (n.op, len(n.args)) in TOTAL_OPS) for n in nodes)
+        if never_raises and any(isinstance(n, Var) for n in nodes) and all(
+                isinstance(b, Var) and b.name in own for b in branches):
+            return cond
+        return None
+
+    def _sides_source(self, em, name, cond):
+        """Source of `name(bank)`, the (term, selection) of each entry of
+        `bank` that, as hole 0, makes `cond` true at some point and false
+        at another; the selection holds `cond`'s value at each point."""
+        vec = em.fresh()
+        sel, unpacks = self._vector_source(em, cond, {"0": vec})
+        lines = [f"def {name}(bank):", "    out = []", f"    for term, {vec} in bank:"]
+        lines += ["        " + line for line in unpacks.values()]
+        return "\n".join(lines + [f"        sel = {sel}", "        if any(sel) and not all(sel):",
+                                  "            out.append((term, sel))", "    return out"])
+
+    def _production_source(self, em, name, tmpl, body, halved, sides):
         """Source of the generator `name(en, nt, s, *kid_banks)`, which
         builds the size-`s` candidates of `tmpl` for `nt` from one bank
         per hole, in `itertools.product` order.  When `halved` and given
         one bank for both holes, the inner loop starts at the outer entry's
-        index, so that each pair is built in one order only.  A
-        candidate's vector over `envs` is computed inline from the
-        template, macros expanded (see `_vector_source`).  Each candidate
+        index, so that each pair is built in one order only.  With `sides`,
+        the outer loop reads only the hole-0 entries that the function of
+        that name picks, each with its selection in place of its vector.
+        A candidate's vector over `envs` is computed inline from `body`,
+        the template with its holes as variables named by position and
+        its macros expanded (see `_vector_source`).  Each candidate
         is counted in `en.constructed`, and every DEADLINE_STRIDE-th reads
         the deadline.  A term is built only for a vector pruning keeps (see
         `_admission`), and the generator yields (nt, entry) after each
         entry it banks."""
         holes = template_holes(tmpl)
         banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
-        # A hole becomes a variable named by its position: no SyGuS symbol
-        # starts with a digit, so it cannot shadow a template variable.
-        body = expand_macros(_fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)])),
-                             self.interpretations)
         variables = list(dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)))
         columns = {str(i): v for i, v in enumerate(vecs)}
         columns.update((v, em.bind(("column", v), tuple(env[v] for env in self.envs))) for v in variables)
@@ -303,6 +385,8 @@ class Enumerator:
                  "    prune, keep, deadline = en.prune, en.keep, en.deadline"]
         lines += ["    " + unpacks[v] for v in variables if v in unpacks]
         loops = [f"for {t}, {v} in {b}:" for b, t, v in zip(banks, terms, vecs)]
+        if sides:
+            loops[0] = f"for {terms[0]}, {vecs[0]} in {sides}({banks[0]}):"
         if halved:
             lines.append(f"    diagonal = {banks[0]} is {banks[1]}")
             loops[0] = f"for k, ({terms[0]}, {vecs[0]}) in enumerate({banks[0]}):"
@@ -367,8 +451,8 @@ class Enumerator:
                     raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
                 self._build = self._build_size(s)
             collecting = gc.isenabled()
-            # Banked terms and vectors form no reference cycles, so the
-            # cyclic collector would only rescan the growing banks.
+            # The collector would only rescan the growing banks, which form
+            # no reference cycles (a paused build does: see `close`).
             gc.disable()
             try:
                 for nt, entry in self._build:
@@ -380,24 +464,38 @@ class Enumerator:
                 raise
             finally:
                 if collecting:
+                    gc.freeze()  # out of every later collection's reach, until `_run` unfreezes
                     gc.enable()
             self._build, self._done = None, s
+
+    def close(self):
+        """Drop a paused build; its size is never finished.  The build's
+        generator refers back to this enumerator, so until it is dropped
+        the two form a reference cycle that only the cyclic collector
+        frees, and a frozen cycle not before it is unfrozen."""
+        if self._build is not None:
+            self._build, self._cut = None, True
 
     def size_cost(self, s):
         """Candidates `_build_size(s)` constructs once every smaller size
         is built: each leaf of size `s`, and for each production with
         holes and each split of the size among them that it builds, the
         product of the child banks' lengths, or m(m + 1)/2 where a halved
-        production pairs one bank of m entries with itself."""
+        production pairs one bank of m entries with itself.  A one-sided
+        production counts only the hole-0 entries it picks, and a
+        mirrored one is not built at all."""
         total = 0
         for nt in self._nts:
             for prod in self._prods[nt]:
                 if prod[0] == "leaf":
                     total += term_size(prod[2]) == s
                 elif prod[0] == "comp":
+                    halved, sides = prod[6:]
                     for keys in _splits(prod, s):
                         lens = [len(self._bank.get(k, ())) for k in keys]
-                        total += lens[0] * (lens[0] + 1) // 2 if prod[6] and keys[0] == keys[1] else math.prod(lens)
+                        if sides is not None:
+                            lens[0] = len(sides(self._bank.get(keys[0], ())))
+                        total += lens[0] * (lens[0] + 1) // 2 if halved and keys[0] == keys[1] else math.prod(lens)
         return total
 
     def _build_size(self, s):
@@ -503,12 +601,12 @@ def _admission(skip, build, keep_test):
     return lines + ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)"]
 
 
-def _production(idx, tmpl, fn, halved):
+def _production(idx, tmpl, fn, halved, sides):
     if isinstance(tmpl, Hole):
         return ("alias", idx, tmpl.nonterminal, fn)
     holes = template_holes(tmpl)
     if holes:
-        return ("comp", idx, tmpl, [h.nonterminal for h in holes], term_size(tmpl), fn, halved)
+        return ("comp", idx, tmpl, [h.nonterminal for h in holes], term_size(tmpl), fn, halved, sides)
     return ("leaf", idx, tmpl, fn)
 
 
@@ -517,7 +615,7 @@ def _splits(prod, s):
     of size `s` among the holes of the composite production `prod` that it
     builds: a halved one skips each split whose first size exceeds its
     second, the mirror of a split built before it."""
-    _, _, _, hole_nts, fixed, _, halved = prod
+    _, _, _, hole_nts, fixed, _, halved, _ = prod
     for sizes in _compositions(s - fixed, len(hole_nts)):
         if not (halved and sizes[0] > sizes[1]):
             yield list(zip(hole_nts, sizes))
@@ -767,6 +865,8 @@ def _run(problem, budget, solve):
         return solve(pclass, budget, deadline)
     except BudgetExceeded as e:
         return Failure("budget-exhausted", str(e))
+    finally:
+        gc.unfreeze()  # what `Enumerator.ensure` froze
 
 
 def cegis_solve(problem, budget=None, cfg=None):
@@ -792,23 +892,26 @@ def _consistent_candidate(problem, points, budget, deadline):
     check, all_ids = _point_check(problem, points, envs), frozenset(range(len(points)))
     n = len(targets)
     last = ens[-1]
-    for total in range(n, budget.max_term_size * n + 1):
-        for sizes in _compositions(total, n):
-            # a size past the cap has an empty bank
-            banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n - 1)]
-            if any(not b for b in banks):
-                continue
-            for prefix in itertools.product(*banks):
+    try:
+        for total in range(n, budget.max_term_size * n + 1):
+            for sizes in _compositions(total, n):
+                # a size past the cap has an empty bank
+                banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n - 1)]
+                if any(not b for b in banks):
+                    continue
+                for prefix in itertools.product(*banks):
 
-                def completes(term, vec, prefix=prefix):
-                    deadline.check()
-                    return check(prefix + ((term, vec),)) == all_ids
+                    def completes(term, vec, prefix=prefix):
+                        deadline.check()
+                        return check(prefix + ((term, vec),)) == all_ids
 
-                # the last target's size is built only up to its first
-                # term that completes the prefix
-                hit = last.find(last.grammar.start, sizes[-1], completes)
-                if hit is not None:
-                    return {t.name: entry[0] for t, entry in zip(targets, prefix + (hit,))}
+                    # the last target's size is built only up to its first
+                    # term that completes the prefix
+                    hit = last.find(last.grammar.start, sizes[-1], completes)
+                    if hit is not None:
+                        return {t.name: entry[0] for t, entry in zip(targets, prefix + (hit,))}
+    finally:
+        last.close()
     if all(_exhaust_reason(e).reason == "grammar-exhausted" for e in ens):
         return Failure("grammar-exhausted")
     return Failure("budget-exhausted", "size cap reached")
@@ -1013,7 +1116,10 @@ def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
     def covers(_term, vec):
         return frozenset(i for i, (v, out) in enumerate(zip(vec, expected)) if v == out)
 
-    found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, budget, deadline)
+    try:
+        found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, budget, deadline)
+    finally:
+        en.close()
     if isinstance(found, Failure):
         return found
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
@@ -1027,8 +1133,10 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
 
     An `if0` condition selects where it equals 1, any other condition
     where it is truthy.  Each size is read only once `en` has built it in
-    full; a size the deadline cuts raises BudgetExceeded, so no tree is
-    ever grown over a pool cut short.
+    full.  A size the deadline cuts raises BudgetExceeded, and so does
+    the pass over the banks once `en.deadline` has passed, read before
+    every DEADLINE_STRIDE entries: no tree is ever grown over a pool cut
+    short.
     """
     pool = []
     seen = set()
@@ -1036,14 +1144,18 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     # (1).__eq__ would give NotImplemented, which is truthy, on a non-int
     select = functools.partial(operator.eq, 1) if if0 else bool
     for s in range(1, max_size + 1):
-        for term, vec in en.bank(nt, s):
-            if (1 not in vec) if if0 else not any(vec):
-                continue  # selects nowhere
-            bvec = tuple(map(select, vec))
-            if bvec in seen or all(bvec):
-                continue
-            seen.add(bvec)
-            pool.append((term, bvec))
+        bank = en.bank(nt, s)
+        for start in range(0, len(bank), DEADLINE_STRIDE):
+            if en.deadline is not None and en.deadline.expired():
+                raise BudgetExceeded(f"deadline reached while reading the size-{s} predicates")
+            for term, vec in bank[start:start + DEADLINE_STRIDE]:
+                if (1 not in vec) if if0 else not any(vec):
+                    continue  # selects nowhere
+                bvec = tuple(map(select, vec))
+                if bvec in seen or all(bvec):
+                    continue
+                seen.add(bvec)
+                pool.append((term, bvec))
     return pool
 
 

@@ -1,10 +1,12 @@
 """Enumeration, pruning, PBE extraction, synthesis loops, nuggets."""
 
+import gc
 import glob
 import itertools
 import os
 import random
 import time
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 
@@ -31,7 +33,7 @@ from sygus.engine import (
     generate_nuggets,
     unify_solve,
 )
-from sygus.frontend import parse, parse_file
+from sygus.frontend import default_grammar, parse, parse_file
 from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
 from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator, eval_constraints
@@ -139,9 +141,10 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
 
 # The fig2 grammar's generated source over one point: one generator per
 # production, its macros expanded, its BitVec builtins written as Python
-# operators, each vector element an expression of its own, and the inner
+# operators, each vector element an expression of its own, the inner
 # loop of each commutative production halved over a bank paired with
-# itself; this pins the source byte for byte.
+# itself, and the one-sided `if0` reading only the condition entries
+# that `_s74` finds selecting both ways; this pins the source byte for byte.
 FIG2_VECTOR_SOURCE = '''\
 def _p0(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
@@ -420,23 +423,31 @@ def _p64(en, nt, s, _v65, _v66):
                 yield nt, entry
     finally:
         en.constructed = n
-def _p73(en, nt, s, _v74, _v75, _v76):
+def _s74(bank):
+    out = []
+    for term, _v75 in bank:
+        _v76, = _v75
+        sel = ((_v76 == 1),)
+        if any(sel) and not all(sel):
+            out.append((term, sel))
+    return out
+def _p73(en, nt, s, _v77, _v78, _v79):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline = en.prune, en.keep, en.deadline
     try:
-        for _v77, _v80 in _v74:
-            _v83, = _v80
-            for _v78, _v81 in _v75:
-                _v84, = _v81
-                for _v79, _v82 in _v76:
-                    _v85, = _v82
-                    vec = ((_v84 if (_v83 == 1) else _v85),)
+        for _v80, _v83 in _s74(_v77):
+            _v86, = _v83
+            for _v81, _v84 in _v78:
+                _v87, = _v84
+                for _v82, _v85 in _v79:
+                    _v88, = _v85
+                    vec = ((_v87 if _v86 else _v88),)
                     n += 1
                     if not n % 1024 and deadline is not None and deadline.expired():
                         raise _k1(f'deadline reached while building size {s}')
                     if prune and vec in sigs:
                         continue
-                    term = _k14('if0', (_v77,_v78,_v79,), _k15)
+                    term = _k14('if0', (_v80,_v81,_v82,), _k15)
                     if keep is not None and not keep(nt, term, vec):
                         continue
                     if prune:
@@ -447,7 +458,7 @@ def _p73(en, nt, s, _v74, _v75, _v76):
                     yield nt, entry
     finally:
         en.constructed = n
-_fns = (_p0,_p3,_p5,_p9,_p16,_p21,_p26,_p31,_p36,_p46,_p55,_p64,_p73,)
+_fns = (_p0,_p3,_p5,_p9,_p16,_p21,_p26,_p31,_p36,_p46,_p55,_p64,_s74,_p73,)
 '''
 
 
@@ -510,6 +521,66 @@ def test_halving_keeps_every_bank(grammar, macros, envs, size, halved):
         assert en.constructed < full.constructed
     else:
         assert en.constructed == full.constructed
+
+
+def _skip_cases():
+    """(grammar, macros, envs, size, mirrored, one_sided): a twin case,
+    with how many productions are left out as mirrored and how many are
+    built one-sided."""
+    fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    bv = fig2.targets[0].grammar, fig2.macro_map()
+    # an if0 on `x` selects at one point (x = 1), on 1 at every point and on
+    # 0 at none: some conditions select both ways and some one way only
+    yield pytest.param(*bv, [{"x": v} for v in (1, 2, 4, 8, 3, 16, 2**63, 2**64 - 1)], 7, 0, 1, id="fig2-if0")
+    # the clia specs' default grammar: `>` and `>=` mirror `<` and `<=`
+    # before them, and `(ite BoolNT IntNT IntNT)` is one-sided
+    lia = default_grammar("LIA", (("x", INT), ("y", INT)), INT)
+    yield pytest.param(lia, None, [{"x": a, "y": b} for a in (-2, 0, 3) for b in (-1, 0, 2)], 7, 2, 1, id="clia")
+    a, b = Hole("A", INT), Hole("B", INT)
+    comparisons = Grammar(  # only a mirror with its holes swapped is left out
+        (("P", BOOL), ("A", INT), ("B", INT)),
+        "P",
+        (("P", (Apply("<", (a, b), BOOL), Apply(">", (b, a), BOOL), Apply(">", (a, b), BOOL),
+                Apply(">=", (a, a), BOOL), Apply("<=", (a, a), BOOL), Apply("not", (Hole("P", BOOL),), BOOL))),
+         ("A", (X, Lit(1, INT), Apply("+", (a, b), INT))),
+         ("B", (X, Lit(0, INT), Apply("-", (b, a), INT)))),
+    )
+    yield pytest.param(comparisons, None, ENVS, 7, 2, 0, id="comparisons")
+    # qm's expansion `(ite (< a 0) b a)` has hole 0 as a branch: not one-sided
+    qm = parse_file(os.path.join(BENCH, "qm_inner.sl"))
+    yield pytest.param(qm.targets[0].grammar, qm.macro_map(), ENVS, 7, 0, 0, id="qm")
+    # `<=` shadowed by a macro mirrors nothing, and an ite whose branches
+    # have another nonterminal is not one-sided
+    s = Hole("S", INT)
+    shadowed = Grammar(
+        (("S", INT), ("B", BOOL), ("A", INT)),
+        "S",
+        (("S", (X, Lit(1, INT), Apply("+", (s, s), INT), Apply("ite", (Hole("B", BOOL), a, a), INT))),
+         ("B", (Apply(">=", (s, s), BOOL), Apply("<=", (s, s), BOOL))),
+         ("A", (X, Lit(2, INT)))),
+    )
+    le = (["p", "q"], Apply("<", (Var("p", INT), Var("q", INT)), BOOL))
+    yield pytest.param(shadowed, {"<=": le}, ENVS, 7, 0, 0, id="shadowed")
+
+
+@pytest.mark.parametrize("grammar, macros, envs, size, mirrored, one_sided", _skip_cases())
+def test_skipped_candidates_keep_every_bank(grammar, macros, envs, size, mirrored, one_sided):
+    # a keep turns every skip off, and this one refuses nothing
+    en = Enumerator(grammar, envs, macros, max_size=size)
+    full = Enumerator(grammar, envs, macros, max_size=size, keep=_keep_all)
+    for s in range(1, size + 1):
+        for twin in (en, full):
+            cost, before = twin.size_cost(s), twin.constructed
+            twin.ensure(s)
+            assert twin.constructed - before == cost, s
+        for nt, _ in grammar.nonterminals:
+            assert en.bank(nt, s) == full.bank(nt, s), (nt, s)
+    count = lambda e: sum(len(ps) for ps in e._prods.values())
+    assert count(full) - count(en) == mirrored
+    assert sum(p[0] == "comp" and p[7] is not None for ps in en._prods.values() for p in ps) == one_sided
+    assert not any(p[0] == "comp" and p[7] is not None for ps in full._prods.values() for p in ps)
+    if mirrored or one_sided:
+        assert en.constructed < full.constructed
 
 
 def test_max_finite_size():
@@ -978,11 +1049,16 @@ IF0_EXAMPLES = [(1, 0), (2, 2), (4, 4), (8, 8), (3, 3), (16, 16)] + [
 ]
 
 
-def _if0_problem():
+def _fig2_pbe(examples):
+    """The fig2 grammar with f's (input, output) `examples` as constraints."""
     with open(os.path.join(BENCH, "fig2_bv_template.sl")) as fh:
         text = fh.read()
-    examples = "".join(f"(constraint (= (f #x{i:016x}) #x{o:016x}))\n" for i, o in IF0_EXAMPLES)
+    examples = "".join(f"(constraint (= (f #x{i:016x}) #x{o:016x}))\n" for i, o in examples)
     return parse(text.replace("(check-synth)", examples + "(check-synth)"))
+
+
+def _if0_problem():
+    return _fig2_pbe(IF0_EXAMPLES)
 
 
 @pytest.mark.parametrize(
@@ -999,6 +1075,112 @@ def test_budget_overruns_stop_at_the_deadline(solve, problem, seconds):
     out = solve(p, Budget(wallclock=seconds))
     assert time.monotonic() - t0 < seconds + 0.5
     assert isinstance(out, Failure) and out.reason == "budget-exhausted" and out.detail
+
+
+class _ExpiringClock(_Clock):
+    """A deadline that passes at its `looks`-th look."""
+
+    def __init__(self, looks):
+        super().__init__(60.0)
+        self.looks = looks
+
+    def expired(self):
+        self.looks -= 1
+        return self.looks <= 0
+
+
+@pytest.mark.parametrize("late", [0, 1], ids=["cut", "in-time"])
+def test_the_pool_pass_stops_at_the_deadline(late):
+    # with every size built, the pass over the banks reads the deadline once
+    # per DEADLINE_STRIDE entries of each: a deadline that passes at its last
+    # look cuts the pass inside the largest bank; one look later, it never does
+    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    g = p.targets[0].grammar
+    kind, cond_nt = _conditional_kind(g)
+    envs = [{"x": i} for i, _ in IF0_EXAMPLES]
+    en = Enumerator(g, envs, p.macro_map())
+    banks = [en.bank(cond_nt, s) for s in range(1, 7)]
+    assert len(banks[-1]) > 2 * engine.DEADLINE_STRIDE
+    en.deadline = _ExpiringClock(sum(-(-len(b) // engine.DEADLINE_STRIDE) for b in banks) + late)
+    if late:
+        free = Enumerator(g, envs, p.macro_map())
+        assert _predicate_pool(en, cond_nt, 6, kind) == _predicate_pool(free, cond_nt, 6, kind)
+    else:
+        with pytest.raises(BudgetExceeded, match="deadline reached while reading the size-6 predicates"):
+            _predicate_pool(en, cond_nt, 6, kind)
+    assert en.deadline.looks == late
+
+
+def _paused(problem):
+    """An enumerator paused at the goal of a direct fig2 PBE `problem`."""
+    target, macros, envs, expected = problem
+    en = _pbe_enumerators(target, macros, envs, expected)[0]
+    assert _until_goal(en, expected) and en._build is not None
+    return en
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector off for the test; what the test left is collected after it."""
+    was = gc.isenabled()
+    gc.disable()
+    yield
+    if was:
+        gc.enable()
+    gc.collect()
+
+
+def test_a_paused_build_and_its_enumerator_form_a_cycle_that_close_breaks(collector_off):
+    problem = _fig2_pbe_problems()[0]
+    refs = []
+    for close in (False, True):
+        en = _paused(problem)
+        refs.append(weakref.ref(en))
+        if close:
+            en.close()
+        del en
+    assert refs[0]() is not None  # only the collector frees an unclosed one
+    assert refs[1]() is None
+
+
+def _fig2_direct_problems():
+    """Three criterion-6 style problems as fig2 PBE problems: each is solved
+    by a term that meets every example, found in a build that pauses there."""
+    return [_fig2_pbe([(env["x"], out) for env, out in zip(envs, expected)])
+            for _target, _macros, envs, expected in _fig2_pbe_problems()[:3]]
+
+
+def test_a_solve_frees_every_enumerator_it_paused(monkeypatch, collector_off):
+    refs = []
+
+    def make(*args, **kwargs):
+        en = Enumerator(*args, **kwargs)
+        refs.append(weakref.ref(en))
+        return en
+
+    monkeypatch.setattr(engine, "Enumerator", make)
+    for p in _fig2_direct_problems():
+        for solve in (unify_solve, cegis_solve):
+            refs.clear()
+            assert isinstance(solve(p, Budget(wallclock=30)), Solution)
+            assert refs and all(r() is None for r in refs)
+
+
+def test_no_object_stays_frozen_after_a_solve():
+    problems = _fig2_direct_problems()
+    tracked = []
+    for _ in range(3):
+        for p in problems:
+            for solve in (unify_solve, cegis_solve):
+                assert isinstance(solve(p, Budget(wallclock=30)), Solution)
+                assert gc.get_freeze_count() == 0
+        tracked.append(len(gc.get_objects()))
+    # a solve leaves nothing behind for a later collection to find
+    assert tracked[-1] < tracked[0] + 1000, tracked
+    assert gc.get_freeze_count() == 0
+    inv = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))  # the ICE learner
+    assert isinstance(unify_solve(inv, Budget(wallclock=30)), Solution)
+    assert gc.get_freeze_count() == 0
 
 
 # --- stop reasons ----------------------------------------------------------
