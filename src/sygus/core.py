@@ -71,37 +71,44 @@ BV64 = Sort("BitVec", 64)
 # Terms
 
 
+# Terms are immutable by contract, not by `frozen=True`: a frozen
+# dataclass's `__init__` sets each field through `object.__setattr__`,
+# and `Apply(...)` then costs about 385 ns against 126 ns (timeit, 1M
+# calls, Python 3.11 on a 2-core x86 host), paid once per entry the
+# enumerator banks.  `unsafe_hash` keeps the frozen classes' `==` and
+# their hash of the field tuple, and so every dict and set order;
+# `tests/test_core.py` checks that no module assigns a term field.
 class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
     name: str
     sort: Sort
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit(Term):
     value: object  # int, bool or str; bitvectors are masked ints
     sort: Sort
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Apply(Term):
     op: str
     args: tuple
     sort: Sort
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Let(Term):
     bindings: tuple  # of (name, Term)
     body: Term
     sort: Sort
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Hole(Term):
     """Nonterminal placeholder; legal only inside grammar templates."""
 

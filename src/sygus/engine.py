@@ -205,12 +205,13 @@ class Enumerator:
     full product, and `constructed` counts what was built.
 
     A size is built by a generator that `ensure` drives.  With a `goal`,
-    `(nt, goal(term, vec))`, the build pauses right after it banks the
-    first `nt` entry that meets the goal: `ensure` returns early once,
-    leaving the entry in `hit`, and the next `ensure` resumes the build
-    where it paused.  Only `enumerate` and `find` read a paused size;
-    `bank` always returns a complete one.  A paused build refers back
-    to its enumerator, a reference cycle that `close` breaks.
+    `(nt, goal(term, vec))`, the build tests each `nt` entry as it banks
+    it and pauses right after the first that meets the goal, the only
+    point at which it yields: it clears `goal`, leaves the entry in
+    `hit`, `ensure` returns early once, and the next `ensure` resumes
+    the build where it paused.  Only `enumerate` and `find` read a
+    paused size; `bank` always returns a complete one.  A paused build
+    refers back to its enumerator, a reference cycle that `close` breaks.
 
     Banked terms, vectors and entries form no reference cycles, so the
     cyclic collector is off while a size is built, and what the build
@@ -363,8 +364,9 @@ class Enumerator:
         its macros expanded (see `_vector_source`).  Each candidate
         is counted in `en.constructed`, and every DEADLINE_STRIDE-th reads
         the deadline.  A term is built only for a vector pruning keeps (see
-        `_admission`), and the generator yields (nt, entry) after each
-        entry it banks."""
+        `_admission`).  The generator reads `en.goal` when it starts and
+        again when it resumes, tests each entry it banks against it, and
+        yields only at a hit (see `_goal_hit`)."""
         holes = template_holes(tmpl)
         banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
         variables = list(dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)))
@@ -379,10 +381,10 @@ class Enumerator:
             f"    raise {em.bind('BudgetExceeded', BudgetExceeded)}(f'deadline reached while building size {{s}}')",
         ]
         step += _admission(skip, _term_source(em, tmpl, iter(terms)), None if isinstance(tmpl, (Var, Lit)) else "")
-        step += ["en.constructed = n", "yield nt, entry"]
+        step += _goal_hit()
         lines = [f"def {name}(en, nt, s{''.join(', ' + b for b in banks)}):",
                  "    out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed",
-                 "    prune, keep, deadline = en.prune, en.keep, en.deadline"]
+                 "    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal"]
         lines += ["    " + unpacks[v] for v in variables if v in unpacks]
         loops = [f"for {t}, {v} in {b}:" for b, t, v in zip(banks, terms, vecs)]
         if sides:
@@ -441,7 +443,8 @@ class Enumerator:
         return self.hit
 
     def ensure(self, size):
-        """Build every size up to `size`, or pause at the goal's first hit."""
+        """Build every size up to `size`, or pause at the goal's first hit:
+        the build yields only there, having left the entry in `hit`."""
         while self._done < min(size, self.max_size):
             s = self._done + 1
             if self._build is None:
@@ -455,10 +458,8 @@ class Enumerator:
             # no reference cycles (a paused build does: see `close`).
             gc.disable()
             try:
-                for nt, entry in self._build:
-                    if self.goal is not None and nt == self.goal[0] and self.goal[1](*entry):
-                        self.goal, self.hit = None, entry
-                        return
+                for _ in self._build:
+                    return  # every yield is a goal hit
             except BaseException:  # whatever ends the generator leaves the size half built
                 self._build, self._cut = None, True
                 raise
@@ -499,7 +500,7 @@ class Enumerator:
         return total
 
     def _build_size(self, s):
-        """Build size `s`, yielding (nt, entry) after each entry it banks."""
+        """Build size `s`, yielding once at each goal hit."""
         for nt in self._nts:
             self._bank[(nt, s)] = []
         built = set()  # (nt, production index): leaves and compositions are built once
@@ -574,17 +575,18 @@ def _alias_source(em, name):
     """Source of the generator `name(en, nt, s, src, pos)`, which
     admits the entries of the bank `src` from index `pos` on into (nt,
     s) as `_production_source`'s generators admit a candidate, yields
-    (nt, entry) after each entry it banks and returns the index it
-    stopped at.  It counts nothing: `src`'s own build counted them."""
+    only at a goal hit as they do, and returns the index it stopped at.
+    It counts nothing: `src`'s own build counted them."""
     leaves = em.bind("leaves", (Var, Lit))
     lines = [f"def {name}(en, nt, s, src, pos):",
              "    out, sigs = en._bank[nt, s], en._sigs[nt]",
-             "    prune, keep = en.prune, en.keep",
+             "    prune, keep, goal = en.prune, en.keep, en.goal",
              "    while pos < len(src):",
              "        term, vec = src[pos]",
              "        pos += 1"]
     lines += ["        " + line for line in _admission("continue", None, f"not isinstance(term, {leaves}) and ")]
-    return "\n".join(lines + ["        yield nt, entry", "    return pos"])
+    lines += ["        " + line for line in _goal_hit(count=False)]
+    return "\n".join(lines + ["    return pos"])
 
 
 def _admission(skip, build, keep_test):
@@ -599,6 +601,18 @@ def _admission(skip, build, keep_test):
     if keep_test is not None:
         lines += [f"if keep is not None and {keep_test}not keep(nt, term, vec):", f"    {skip}"]
     return lines + ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)"]
+
+
+def _goal_hit(count=True):
+    """Generated lines that pause a build at the banked `entry` when it
+    meets `goal`: the goal is cleared, the entry left in `en.hit` and,
+    when `count`, `n` stored in `en.constructed`; on resuming, the goal
+    is read afresh."""
+    lines = ["if goal is not None and nt == goal[0] and goal[1](term, vec):",
+             "    en.goal, en.hit = None, entry"]
+    if count:
+        lines.append("    en.constructed = n")
+    return lines + ["    yield", "    goal = en.goal"]
 
 
 def _production(idx, tmpl, fn, halved, sides):

@@ -1,5 +1,7 @@
 """Term IR, sizes, substitution and macro expansion."""
 
+import ast
+import dataclasses
 import glob
 import os
 
@@ -235,6 +237,58 @@ def test_var_equations_finds_equations_inside_let():
     xp = Var("x!", INT)
     t = Let((("d", _eq(xp, Y)),), _eq(Var("z", INT), _plus(X, X)), BOOL)
     assert var_equations([t], ["x!", "z"]) == {"x!": [Y], "z": [_plus(X, X)]}
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (Var, ("x", INT)),
+    (Lit, (3, INT)),
+    (Apply, ("+", (X, Lit(1, INT)), INT)),
+    (Let, ((("y", Lit(1, INT)),), Y, INT)),
+    (Hole, ("S", INT)),
+], ids=["Var", "Lit", "Apply", "Let", "Hole"])
+def test_terms_are_values_hashed_by_their_field_tuple(cls, fields):
+    # the hash the frozen term classes had: dict and set orders, and so
+    # every bank and every output, depend on it
+    a, b = cls(*fields), cls(*fields)
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(fields)
+    assert tuple(getattr(a, f.name) for f in dataclasses.fields(a)) == fields
+    assert a != cls(*fields[:-1], BOOL)
+    assert repr(a) == f"{cls.__name__}({', '.join(f'{f.name}={v!r}' for f, v in zip(dataclasses.fields(a), fields))})"
+
+
+TERM_FIELDS = {"op", "args", "sort", "name", "value", "bindings", "body", "nonterminal"}
+
+
+def _field_writes(source):
+    """(line, text) of each store or delete of an attribute named like a
+    term field, and of each setattr, delattr or dunder __setattr__ call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) and node.attr in TERM_FIELDS:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr"))
+                or (isinstance(node.func, ast.Attribute) and node.func.attr in ("__setattr__", "__delattr__"))):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+def test_field_writes_are_found():
+    source = "t.op = 1\na.b.sort, n = s, 2\nt.args += ()\ndel t.body\nsetattr(t, 'name', 1)\nobject.__setattr__(t, 'value', 1)\n"
+    assert [line for line, _ in _field_writes(source)] == [1, 2, 3, 4, 5, 6]
+    assert _field_writes("t.op == 1\nx = t.args\nself.goal = None\n") == []
+
+
+def test_no_module_writes_a_term_field():
+    # terms are immutable by contract only (see core.Term): nothing in the
+    # package may assign, delete or setattr a term field
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "sygus")
+    paths = sorted(glob.glob(os.path.join(src, "*.py")))
+    assert len(paths) > 5
+    for path in paths:
+        with open(path) as f:
+            assert _field_writes(f.read()) == [], os.path.basename(path)
 
 
 def test_grammar_validation():

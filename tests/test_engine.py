@@ -82,17 +82,21 @@ def test_pruned_representatives_evaluate_to_their_vectors():
         assert tuple(ev.eval(t, env) for env in ENVS) == vec
 
 
+# S reads T's bank through an alias
+ALIAS_GRAMMAR = Grammar(
+    nonterminals=(("S", INT), ("T", INT)),
+    start="S",
+    productions=(
+        ("S", (Hole("T", INT), X)),
+        ("T", (Apply("+", (Hole("S", INT), Hole("S", INT)), INT), Lit(1, INT))),
+    ),
+)
+
+
 def test_an_alias_admits_as_a_production_does():
-    # S reads T's bank through an alias: keep sees each composite term S
-    # admits, never a leaf, and pruning keeps one term per S vector
-    g = Grammar(
-        nonterminals=(("S", INT), ("T", INT)),
-        start="S",
-        productions=(
-            ("S", (Hole("T", INT), X)),
-            ("T", (Apply("+", (Hole("S", INT), Hole("S", INT)), INT), Lit(1, INT))),
-        ),
-    )
+    # keep sees each composite term S admits, never a leaf, and pruning
+    # keeps one term per S vector
+    g = ALIAS_GRAMMAR
     asked = []
 
     def keep(nt, term, vec):
@@ -143,12 +147,14 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
 # production, its macros expanded, its BitVec builtins written as Python
 # operators, each vector element an expression of its own, the inner
 # loop of each commutative production halved over a bank paired with
-# itself, and the one-sided `if0` reading only the condition entries
-# that `_s74` finds selecting both ways; this pins the source byte for byte.
+# itself, the one-sided `if0` reading only the condition entries that
+# `_s74` finds selecting both ways, and each banked entry tested against
+# the goal inline, the only point that yields; this pins the source byte
+# for byte.
 FIG2_VECTOR_SOURCE = '''\
 def _p0(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         vec = (0,)
         n += 1
@@ -161,13 +167,16 @@ def _p0(en, nt, s):
             sigs[vec] = term
         entry = term, vec
         out.append(entry)
-        en.constructed = n
-        yield nt, entry
+        if goal is not None and nt == goal[0] and goal[1](term, vec):
+            en.goal, en.hit = None, entry
+            en.constructed = n
+            yield
+            goal = en.goal
     finally:
         en.constructed = n
 def _p3(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         vec = (1,)
         n += 1
@@ -180,13 +189,16 @@ def _p3(en, nt, s):
             sigs[vec] = term
         entry = term, vec
         out.append(entry)
-        en.constructed = n
-        yield nt, entry
+        if goal is not None and nt == goal[0] and goal[1](term, vec):
+            en.goal, en.hit = None, entry
+            en.constructed = n
+            yield
+            goal = en.goal
     finally:
         en.constructed = n
 def _p5(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     _v7, = _k6
     try:
         vec = (_v7,)
@@ -200,13 +212,16 @@ def _p5(en, nt, s):
             sigs[vec] = term
         entry = term, vec
         out.append(entry)
-        en.constructed = n
-        yield nt, entry
+        if goal is not None and nt == goal[0] and goal[1](term, vec):
+            en.goal, en.hit = None, entry
+            en.constructed = n
+            yield
+            goal = en.goal
     finally:
         en.constructed = n
 def _p9(en, nt, s, _v10):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v11, _v12 in _v10:
             _v13, = _v12
@@ -223,13 +238,16 @@ def _p9(en, nt, s, _v10):
                 sigs[vec] = term
             entry = term, vec
             out.append(entry)
-            en.constructed = n
-            yield nt, entry
+            if goal is not None and nt == goal[0] and goal[1](term, vec):
+                en.goal, en.hit = None, entry
+                en.constructed = n
+                yield
+                goal = en.goal
     finally:
         en.constructed = n
 def _p16(en, nt, s, _v17):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v18, _v19 in _v17:
             _v20, = _v19
@@ -246,13 +264,16 @@ def _p16(en, nt, s, _v17):
                 sigs[vec] = term
             entry = term, vec
             out.append(entry)
-            en.constructed = n
-            yield nt, entry
+            if goal is not None and nt == goal[0] and goal[1](term, vec):
+                en.goal, en.hit = None, entry
+                en.constructed = n
+                yield
+                goal = en.goal
     finally:
         en.constructed = n
 def _p21(en, nt, s, _v22):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v23, _v24 in _v22:
             _v25, = _v24
@@ -269,13 +290,16 @@ def _p21(en, nt, s, _v22):
                 sigs[vec] = term
             entry = term, vec
             out.append(entry)
-            en.constructed = n
-            yield nt, entry
+            if goal is not None and nt == goal[0] and goal[1](term, vec):
+                en.goal, en.hit = None, entry
+                en.constructed = n
+                yield
+                goal = en.goal
     finally:
         en.constructed = n
 def _p26(en, nt, s, _v27):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v28, _v29 in _v27:
             _v30, = _v29
@@ -292,13 +316,16 @@ def _p26(en, nt, s, _v27):
                 sigs[vec] = term
             entry = term, vec
             out.append(entry)
-            en.constructed = n
-            yield nt, entry
+            if goal is not None and nt == goal[0] and goal[1](term, vec):
+                en.goal, en.hit = None, entry
+                en.constructed = n
+                yield
+                goal = en.goal
     finally:
         en.constructed = n
 def _p31(en, nt, s, _v32):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v33, _v34 in _v32:
             _v35, = _v34
@@ -315,13 +342,16 @@ def _p31(en, nt, s, _v32):
                 sigs[vec] = term
             entry = term, vec
             out.append(entry)
-            en.constructed = n
-            yield nt, entry
+            if goal is not None and nt == goal[0] and goal[1](term, vec):
+                en.goal, en.hit = None, entry
+                en.constructed = n
+                yield
+                goal = en.goal
     finally:
         en.constructed = n
 def _p36(en, nt, s, _v37, _v38):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     diagonal = _v37 is _v38
     try:
         for k, (_v39, _v41) in enumerate(_v37):
@@ -341,13 +371,16 @@ def _p36(en, nt, s, _v37, _v38):
                     sigs[vec] = term
                 entry = term, vec
                 out.append(entry)
-                en.constructed = n
-                yield nt, entry
+                if goal is not None and nt == goal[0] and goal[1](term, vec):
+                    en.goal, en.hit = None, entry
+                    en.constructed = n
+                    yield
+                    goal = en.goal
     finally:
         en.constructed = n
 def _p46(en, nt, s, _v47, _v48):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     diagonal = _v47 is _v48
     try:
         for k, (_v49, _v51) in enumerate(_v47):
@@ -367,13 +400,16 @@ def _p46(en, nt, s, _v47, _v48):
                     sigs[vec] = term
                 entry = term, vec
                 out.append(entry)
-                en.constructed = n
-                yield nt, entry
+                if goal is not None and nt == goal[0] and goal[1](term, vec):
+                    en.goal, en.hit = None, entry
+                    en.constructed = n
+                    yield
+                    goal = en.goal
     finally:
         en.constructed = n
 def _p55(en, nt, s, _v56, _v57):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     diagonal = _v56 is _v57
     try:
         for k, (_v58, _v60) in enumerate(_v56):
@@ -393,13 +429,16 @@ def _p55(en, nt, s, _v56, _v57):
                     sigs[vec] = term
                 entry = term, vec
                 out.append(entry)
-                en.constructed = n
-                yield nt, entry
+                if goal is not None and nt == goal[0] and goal[1](term, vec):
+                    en.goal, en.hit = None, entry
+                    en.constructed = n
+                    yield
+                    goal = en.goal
     finally:
         en.constructed = n
 def _p64(en, nt, s, _v65, _v66):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     diagonal = _v65 is _v66
     try:
         for k, (_v67, _v69) in enumerate(_v65):
@@ -419,8 +458,11 @@ def _p64(en, nt, s, _v65, _v66):
                     sigs[vec] = term
                 entry = term, vec
                 out.append(entry)
-                en.constructed = n
-                yield nt, entry
+                if goal is not None and nt == goal[0] and goal[1](term, vec):
+                    en.goal, en.hit = None, entry
+                    en.constructed = n
+                    yield
+                    goal = en.goal
     finally:
         en.constructed = n
 def _s74(bank):
@@ -433,7 +475,7 @@ def _s74(bank):
     return out
 def _p73(en, nt, s, _v77, _v78, _v79):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
-    prune, keep, deadline = en.prune, en.keep, en.deadline
+    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v80, _v83 in _s74(_v77):
             _v86, = _v83
@@ -454,8 +496,11 @@ def _p73(en, nt, s, _v77, _v78, _v79):
                         sigs[vec] = term
                     entry = term, vec
                     out.append(entry)
-                    en.constructed = n
-                    yield nt, entry
+                    if goal is not None and nt == goal[0] and goal[1](term, vec):
+                        en.goal, en.hit = None, entry
+                        en.constructed = n
+                        yield
+                        goal = en.goal
     finally:
         en.constructed = n
 _fns = (_p0,_p3,_p5,_p9,_p16,_p21,_p26,_p31,_p36,_p46,_p55,_p64,_s74,_p73,)
@@ -959,6 +1004,48 @@ def test_the_build_stops_at_the_goal_and_resumes_in_order(problem):
     for nt, _ in target.grammar.nonterminals:
         for s in range(1, size + 2):
             assert en.bank(nt, s) == ref.bank(nt, s), (nt, s)
+
+
+def _protocol_cases():
+    fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    sample = [{"x": v} for v in [0, 1, 2, 7, 2**63, 2**64 - 1]]
+    yield pytest.param(fig2.targets[0].grammar, fig2.macro_map(), sample, 6, "Start", id="fig2")
+    yield pytest.param(ALIAS_GRAMMAR, None, ENVS, 8, "S", id="alias")
+
+
+@pytest.mark.parametrize("grammar, macros, envs, size, _nt", _protocol_cases())
+def test_a_build_with_no_goal_yields_nothing(grammar, macros, envs, size, _nt):
+    en = Enumerator(grammar, envs, macros, max_size=size)
+    twin = Enumerator(grammar, envs, macros, max_size=size)
+    for s in range(1, size + 1):
+        assert list(en._build_size(s)) == []
+        twin.ensure(s)
+        assert en.constructed == twin.constructed
+    assert en._bank == twin._bank
+
+
+@pytest.mark.parametrize("grammar, macros, envs, size, nt", _protocol_cases())
+def test_a_build_yields_once_per_goal_hit(grammar, macros, envs, size, nt):
+    def goal(_term, vec):
+        return vec[0] % 2 == 0
+
+    en = Enumerator(grammar, envs, macros, max_size=size)
+    twin = Enumerator(grammar, envs, macros, max_size=size)
+    hits, entries = [], []
+    for s in range(1, size + 1):
+        en.goal, before = (nt, goal), en.constructed
+        for step in en._build_size(s):
+            assert step is None and en.goal is None  # the hit clears the goal
+            assert en.constructed - before >= len(en._bank[nt, s])  # each entry banked was counted
+            hits.append(en.hit)
+            en.goal = (nt, goal)  # and the resumed build reads it afresh
+        twin.ensure(s)
+        entries += twin.bank(nt, s)
+        assert hits == [e for e in entries if goal(*e)]
+        assert en.constructed == twin.constructed
+    assert 0 < len(hits) < len(entries)
+    assert en._bank == twin._bank
+    assert {k: list(v.items()) for k, v in en._sigs.items()} == {k: list(v.items()) for k, v in twin._sigs.items()}
 
 
 def test_find_returns_the_first_match_in_bank_order():
