@@ -9,13 +9,15 @@ Two strategies over the same enumeration machinery:
   ICE-style variant that learns a Boolean combination of enumerated
   atoms from positive, negative and implication examples.
 
-`classify` decides once what kind each problem is.  Plain CEGIS,
-unification and the ICE variant share one counterexample-guided loop,
-`_cegis`: propose a candidate, verify it, then learn from the
-counterexample or stall.  PBE problems skip the loop, since their
-examples are the whole specification.  PBE and unification share one
-cover-and-stitch search, `_cover_and_stitch`.  CEGIS and unification
-check a candidate with one `_point_check` per round: the constraints are
+`classify` decides once what kind each problem is, and `_run` picks the
+search from it for both engines.  Plain CEGIS, unification and the ICE
+variant share one counterexample-guided loop, `_cegis`: propose a
+candidate, verify it, then learn from the counterexample or stall.  PBE
+problems skip the loop, since their examples are the whole
+specification.  PBE and every single-target round share one search,
+`_cover_and_stitch`, which stitches only under unification; several
+targets go through a product loop, `_consistent_candidate`.  Each round
+checks a candidate with one `_point_check`: the constraints are
 compiled once over the round's points, and each target application reads
 the candidate's value from its bank vector.  Stitching and invariant
 learning grow their trees with one greedy information-gain ID3,
@@ -42,11 +44,11 @@ skips each hole-0 entry on which C picks the same branch at every point.
 
 Every engine keeps one wallclock deadline.  The enumerator starts no
 size once it is reached, and stops a size the deadline overtakes; either
-raises BudgetExceeded, which `cegis_solve` and `unify_solve` turn into
+raises BudgetExceeded, which `_run` turns into
 `Failure("budget-exhausted")`.
 Nothing cut short is ever read, so no other outcome depends on the
-clock.  PBE and CEGIS stop building a size at the first term they
-accept.
+clock.  A search for one term that holds everywhere stops building a
+size at the first it accepts.
 """
 
 from __future__ import annotations
@@ -209,9 +211,10 @@ class Enumerator:
     it and pauses right after the first that meets the goal, the only
     point at which it yields: it clears `goal`, leaves the entry in
     `hit`, `ensure` returns early once, and the next `ensure` resumes
-    the build where it paused.  Only `enumerate` and `find` read a
-    paused size; `bank` always returns a complete one.  A paused build
-    refers back to its enumerator, a reference cycle that `close` breaks.
+    the build where it paused.  Only `enumerate` reads a paused size;
+    `bank` always returns a complete one, and `first` drops the build
+    it paused.  A paused build refers back to its enumerator, a
+    reference cycle that `close` breaks.
 
     Banked terms, vectors and entries form no reference cycles, so the
     cyclic collector is off while a size is built, and what the build
@@ -427,20 +430,21 @@ class Enumerator:
             self.ensure(size)
         return self._bank.get((nt, size), [])
 
-    def find(self, nt, size, goal):
-        """The first entry of (nt, size), in bank order, that meets
-        `goal(term, vec)`, or None.  Scans what is built, then builds the
-        size no further than the entry."""
-        self.bank(nt, size - 1)
-        for entry in self._bank.get((nt, size), ()):
-            if goal(*entry):
-                return entry
-        self.goal, self.hit = (nt, goal), None
+    def first(self, goal):
+        """The first start entry, by size and bank order, that meets
+        `goal(term, vec)`, or None.  On an enumerator that has built
+        nothing, builds one size at a time up to the first hit, and drops
+        the build that hit paused (see `close`)."""
+        self.goal, self.hit = (self.grammar.start, goal), None
         try:
-            self.ensure(size)
+            for s in range(1, self.max_size + 1):
+                self.ensure(s)
+                if self.hit is not None:
+                    return self.hit
+            return None
         finally:
             self.goal = None
-        return self.hit
+            self.close()
 
     def ensure(self, size):
         """Build every size up to `size`, or pause at the goal's first hit:
@@ -867,16 +871,29 @@ def _point_cegis(problem, targets, propose, budget, deadline, cfg):
     )
 
 
-def _run(problem, budget, solve):
-    """`solve(pclass, budget, deadline)` under one wallclock deadline, on
-    the problem's class; BudgetExceeded becomes a Failure."""
+def _run(problem, budget, cfg, unify):
+    """Solve `problem` by its class under one wallclock deadline, with
+    ICE and stitching only if `unify`; BudgetExceeded becomes a Failure."""
     budget = budget or Budget()
     deadline = _Deadline(budget.wallclock)
     pclass = classify(problem)
     if pclass.conflict is not None:
         return Failure("conflicting-examples", pclass.conflict)
+    cond = pclass.cond if unify else (None, None)
+    targets = problem.targets
     try:
-        return solve(pclass, budget, deadline)
+        if unify and pclass.kind == "invariant":
+            return _ice_solve(problem, budget, deadline, cfg)
+        if pclass.kind == "pbe":
+            return _solve_pbe(problem, pclass.examples, cond, budget, deadline, cfg)
+        if unify and pclass.kind != "conditional":
+            many = len(targets) != 1
+            return Failure("no-conditional-production", "unification handles a single target" if many else "")
+        if len(targets) == 1:
+            propose = lambda points: _unify_candidate(problem, targets[0], points, cond, budget, deadline)
+        else:
+            propose = lambda points: _consistent_candidate(problem, points, budget, deadline)
+        return _point_cegis(problem, targets, propose, budget, deadline, cfg)
     except BudgetExceeded as e:
         return Failure("budget-exhausted", str(e))
     finally:
@@ -885,47 +902,34 @@ def _run(problem, budget, solve):
 
 def cegis_solve(problem, budget=None, cfg=None):
     """Enumerative CEGIS; returns Solution or Failure."""
+    return _run(problem, budget, cfg, unify=False)
 
-    def solve(pclass, budget, deadline):
-        if pclass.kind == "pbe":
-            return _solve_pbe(problem, pclass.examples, (None, None), budget, deadline, cfg)
-        return _point_cegis(
-            problem, problem.targets,
-            lambda points: _consistent_candidate(problem, points, budget, deadline),
-            budget, deadline, cfg,
-        )
 
-    return _run(problem, budget, solve)
+def unify_solve(problem, budget=None, cfg=None):
+    """Enumeration + unification; returns Solution or Failure."""
+    return _run(problem, budget, cfg, unify=True)
 
 
 def _consistent_candidate(problem, points, budget, deadline):
-    """Product enumeration of the targets' terms, ordered by combined size."""
+    """Product enumeration of two or more targets' terms, ordered by
+    combined size: the first tuple, scanning whole banks, that holds at
+    every point."""
     targets = problem.targets
     envs = [collect_envs(problem, t, points) for t in targets]
     ens = [_enum_for(problem, t, e, budget, deadline) for t, e in zip(targets, envs)]
     check, all_ids = _point_check(problem, points, envs), frozenset(range(len(points)))
     n = len(targets)
-    last = ens[-1]
-    try:
-        for total in range(n, budget.max_term_size * n + 1):
-            for sizes in _compositions(total, n):
-                # a size past the cap has an empty bank
-                banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n - 1)]
-                if any(not b for b in banks):
-                    continue
-                for prefix in itertools.product(*banks):
-
-                    def completes(term, vec, prefix=prefix):
-                        deadline.check()
-                        return check(prefix + ((term, vec),)) == all_ids
-
-                    # the last target's size is built only up to its first
-                    # term that completes the prefix
-                    hit = last.find(last.grammar.start, sizes[-1], completes)
-                    if hit is not None:
-                        return {t.name: entry[0] for t, entry in zip(targets, prefix + (hit,))}
-    finally:
-        last.close()
+    for total in range(n, budget.max_term_size * n + 1):
+        for sizes in _compositions(total, n):
+            # a size past the cap has an empty bank
+            banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n - 1)]
+            if any(not b for b in banks):
+                continue
+            banks.append(ens[-1].bank(ens[-1].grammar.start, sizes[-1]))
+            for entries in itertools.product(*banks):
+                deadline.check()
+                if check(entries) == all_ids:
+                    return {t.name: term for t, (term, _vec) in zip(targets, entries)}
     if all(_exhaust_reason(e).reason == "grammar-exhausted" for e in ens):
         return Failure("grammar-exhausted")
     return Failure("budget-exhausted", "size cap reached")
@@ -1069,14 +1073,23 @@ def _string_keep(expected_outputs):
 
 def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
     """Return the first enumerated term that `covers(term, vec)` says is
-    right on all of ids 0..n-1.  With a conditional `cond` = (kind,
-    cond_nt), terms with new covers are kept, and stitched for each new
-    one once together they cover every id; a stitched term that passes
-    `check` is returned.  Else the Failure is the last stitch's, if one
-    was tried; `cover-stall` if a finite grammar with a conditional ran
-    out; else `_exhaust_reason`."""
+    right on all of ids 0..n-1.  With no conditional, that is the first
+    hit of a goal-driven build (see `Enumerator.first`), and the Failure
+    is `_exhaust_reason`.  With a conditional `cond` = (kind, cond_nt),
+    terms with new covers are kept, and stitched for each new one once
+    together they cover every id; a stitched term that passes `check` is
+    returned.  Else the Failure is the last stitch's, if one was tried;
+    `cover-stall` if the finite grammar ran out; else `_exhaust_reason`."""
     kind, cond_nt = cond
     all_ids = frozenset(range(n))
+    if kind is None:
+
+        def whole(term, vec):
+            deadline.check()
+            return covers(term, vec) == all_ids
+
+        hit = en.first(whole)
+        return _exhaust_reason(en) if hit is None else hit[0]
     kept, seen, union = [], set(), set()
     failure = None
     for term, vec in en.enumerate():
@@ -1084,7 +1097,7 @@ def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
         cov = covers(term, vec)
         if cov == all_ids:
             return term
-        if kind is None or not cov:
+        if not cov:
             continue
         # qm chains select on the sign of the branch term, so two terms
         # with the same cover but different signs are not interchangeable.
@@ -1106,9 +1119,7 @@ def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
     if failure is not None:
         return failure
     out = _exhaust_reason(en)
-    if kind is not None and out.reason == "grammar-exhausted":
-        return Failure("cover-stall")
-    return out
+    return Failure("cover-stall") if out.reason == "grammar-exhausted" else out
 
 
 def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
@@ -1210,39 +1221,18 @@ def _stitch_qm(cover_terms, ids):
     return Failure("predicate-exhausted")
 
 
-def unify_solve(problem, budget=None, cfg=None):
-    """Enumeration + unification; returns Solution or Failure."""
-
-    def solve(pclass, budget, deadline):
-        if pclass.kind == "invariant":
-            return _ice_solve(problem, budget, deadline, cfg)
-        if pclass.kind == "pbe":
-            return _solve_pbe(problem, pclass.examples, pclass.cond, budget, deadline, cfg)
-        if pclass.kind != "conditional":
-            many = len(problem.targets) != 1
-            return Failure("no-conditional-production", "unification handles a single target" if many else "")
-        target = problem.targets[0]
-        return _point_cegis(
-            problem, [target],
-            lambda points: _unify_candidate(problem, target, points, pclass.cond, budget, deadline),
-            budget, deadline, cfg,
-        )
-
-    return _run(problem, budget, solve)
-
-
 def _unify_candidate(problem, target, points, cond, budget, deadline):
     """One round of cover-and-stitch over the current point set."""
     envs = collect_envs(problem, target, points)
     en = _enum_for(problem, target, envs, budget, deadline)
     # stitching reads environment i as point i: one application per point
-    aligned = len(_applications(problem, target)) == 1
+    dropped = cond[0] is not None and len(_applications(problem, target)) != 1
     check = _point_check(problem, points, [envs])
     found = _cover_and_stitch(
-        en, len(points), lambda term, vec: check([(term, vec)]), cond if aligned else (None, None), target.ret,
+        en, len(points), lambda term, vec: check([(term, vec)]), (None, None) if dropped else cond, target.ret,
         budget, deadline, lambda term: len(check([(term, ())])) == len(points),
     )
-    if isinstance(found, Failure) and not aligned:
+    if isinstance(found, Failure) and dropped:
         return Failure("cover-stall", "multiple target invocations per point")
     return found
 

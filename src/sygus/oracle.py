@@ -80,9 +80,10 @@ def Unknown(reason):
 class VerifyConfig:
     seed: int = 0
     smt_cmd: object = None  # argv list or command string
-    smt_timeout: float = 30.0
 
 
+# Seconds the external SMT solver is given before its answer is `unknown`.
+SMT_TIMEOUT = 30.0
 # Tier-2 search: Int grid radius, grid size cap, sample count, and the
 # String pool's size cap and longest random string.
 INT_BOUND = 64
@@ -595,7 +596,7 @@ def external_check(problem, solution, cfg=None) -> Verdict:
             input=script,
             capture_output=True,
             text=True,
-            timeout=cfg.smt_timeout,
+            timeout=SMT_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return Unknown("timeout")

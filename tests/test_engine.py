@@ -1048,34 +1048,35 @@ def test_a_build_yields_once_per_goal_hit(grammar, macros, envs, size, nt):
     assert {k: list(v.items()) for k, v in en._sigs.items()} == {k: list(v.items()) for k, v in twin._sigs.items()}
 
 
-def test_find_returns_the_first_match_in_bank_order():
+def _whole_size_first(self, goal):
+    """Reference `first`: build each whole size, then scan it."""
+    for s in range(1, self.max_size + 1):
+        hit = next((e for e in self.bank(self.grammar.start, s) if goal(*e)), None)
+        if hit is not None:
+            return hit
+    return None
+
+
+def test_first_returns_the_entry_a_whole_size_scan_finds():
     def goal(_term, vec):
         return vec == (0, 1, 2, 3, 4, 5, 6)
 
     ref = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False)
-    want = next(e for e in ref.bank("S", 7) if goal(*e))
-    assert want != ref.bank("S", 7)[0]
+    want = _whole_size_first(ref, goal)
+    assert term_size(want[0]) == 7 and want != ref.bank("S", 7)[0]
     en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False)
-    assert en.find("S", 7, goal) == want
+    assert en.first(goal) == want
     assert en._done == 6 and en.constructed < ref.constructed
-    assert en.find("S", 7, goal) == want  # the built part is scanned first
-    assert en.find("S", 7, lambda _t, vec: False) is None  # and then the rest is built
-    assert en.bank("S", 7) == ref.bank("S", 7)
+    assert (en.goal, en._build) == (None, None)  # the paused size is dropped
 
 
-def test_find_on_a_complete_bank_builds_nothing():
-    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9)
-    bank = en.bank("S", 5)
-    constructed = en.constructed
-    assert en.find("S", 5, lambda _t, vec: True) == bank[0]
-    assert en.find("S", 5, lambda _t, vec: vec == bank[-1][1]) == bank[-1]
-    assert en.find("S", 5, lambda _t, vec: False) is None
-    assert (en.constructed, en._done, en._build) == (constructed, 5, None)
-
-
-def _whole_size_find(self, nt, size, goal):
-    """Reference `find`: build the whole size, then scan it."""
-    return next((e for e in self.bank(nt, size) if goal(*e)), None)
+def test_first_with_no_hit_builds_every_size():
+    en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=5)
+    ref = Enumerator(PLUS_GRAMMAR, ENVS, max_size=5)
+    assert en.first(lambda _t, vec: False) is None
+    assert (en._done, en._build, en.goal) == (5, None, None)
+    ref.ensure(5)
+    assert (en._bank, en.constructed) == (ref._bank, ref.constructed)
 
 
 ITE_SPECS = ["(ite (<= x y) y x)", "(ite (= x y) (+ x 1) (- x y))", "(ite (< x 0) (- 0 x) (+ x y))"]
@@ -1114,7 +1115,7 @@ def test_cegis_stops_early_like_a_whole_size_scan(problem, cap, monkeypatch):
         return out.emit() if isinstance(out, Solution) else out, len(calls)
 
     got = run()
-    monkeypatch.setattr(Enumerator, "find", _whole_size_find)
+    monkeypatch.setattr(Enumerator, "first", _whole_size_first)
     assert got == run()
 
 
@@ -1313,35 +1314,35 @@ STOP_REASONS = {
     # no term up to size 4 gives f(3) = 103
     "size-cap": (
         _lia_spec(OPEN_ITE, "(constraint (= (f x) (+ x 100)))"), 4, [{"x": 3}],
-        {"unif": ("budget-exhausted", "size cap reached")},
+        {"cegis": ("budget-exhausted", "size cap reached"), "unif": ("budget-exhausted", "size cap reached")},
     ),
     "finite-ite": (
         _lia_spec(FINITE_ITE, "(constraint (= (f x) (+ x 100)))"), 20, [{"x": 3}],
-        {"unif": ("cover-stall", "")},
+        {"cegis": ("grammar-exhausted", ""), "unif": ("cover-stall", "")},
     ),
     # 0 covers x = -1 and x covers x = 2, but every condition is constant
     "predicate-exhausted": (
         _lia_spec(CONST_ITE, "(constraint (= (f x) (ite (<= x 0) 0 x)))"), 20, [{"x": -1}, {"x": 2}],
-        {"unif": ("predicate-exhausted", "")},
+        {"cegis": ("grammar-exhausted", ""), "unif": ("predicate-exhausted", "")},
     ),
     # x covers the first point and (- 0 x) the second; no term covers both
     "two-invocations": (
         _lia_spec(MINUS_ITE, "(constraint (= (f x) (+ (f y) 1)))", "(declare-var x Int) (declare-var y Int)"),
         20, [{"x": 1, "y": 0}, {"x": 2, "y": 3}],
-        {"unif": ("cover-stall", "multiple target invocations per point")},
+        {"cegis": ("grammar-exhausted", ""), "unif": ("cover-stall", "multiple target invocations per point")},
     ),
     # as many environments (x = 1, x = 0) as points, still not one per point
     "two-invocations-as-many-envs-as-points": (
         _lia_spec(MINUS_ITE, "(constraint (= (f x) (+ (f y) 1)))", "(declare-var x Int) (declare-var y Int)"),
         20, [{"x": 1, "y": 0}, {"x": 0, "y": 1}],
-        {"unif": ("cover-stall", "multiple target invocations per point")},
+        {"cegis": ("grammar-exhausted", ""), "unif": ("cover-stall", "multiple target invocations per point")},
     ),
     # one invocation, equal arguments at both points: x and (+ x 1) cover
     # them, and no predicate tells their environments apart
     "one-invocation-repeated-args": (
         _lia_spec(OPEN_ITE, "(constraint (= (f x) (ite (<= y 0) x (+ x 1))))", "(declare-var x Int) (declare-var y Int)"),
         4, [{"x": 1, "y": 0}, {"x": 1, "y": 5}],
-        {"unif": ("predicate-exhausted", "")},
+        {"cegis": ("budget-exhausted", "size cap reached"), "unif": ("predicate-exhausted", "")},
     ),
     # (+ x 1) is refuted at x = 3 even though it holds there
     "repeated-counterexample": (
@@ -1380,6 +1381,25 @@ def test_stop_reasons(name, monkeypatch):
         out = {"cegis": cegis_solve, "unif": unify_solve}[engine_name](p, Budget(wallclock=30, max_term_size=cap))
         assert isinstance(out, Failure), (engine_name, out)
         assert (out.reason, out.detail) == reason, engine_name
+
+
+COUPLED = {
+    "(= (f x) (g x))": "(define-fun f ((x Int)) Int x)\n(define-fun g ((x Int)) Int x)",
+    "(= (f x) (+ (g x) 1))": "(define-fun f ((x Int)) Int 1)\n(define-fun g ((x Int)) Int 0)",
+}
+
+
+@pytest.mark.parametrize("engine_name", ["cegis", "auto"])
+@pytest.mark.parametrize("constraint", list(COUPLED))
+def test_the_product_loop_solves_coupled_targets(constraint, engine_name):
+    # one constraint over both targets, so neither can be solved alone
+    p = parse(_lia_spec(OPEN_ITE, f"(constraint {constraint})", extra=f"(synth-fun g ((x Int)) Int {OPEN_ITE})\n"))
+    solve = _pick_solver(p, engine_name)
+    assert solve is cegis_solve
+    t0 = time.monotonic()
+    out = solve(p, Budget(wallclock=30))
+    assert time.monotonic() - t0 < 1.0
+    assert isinstance(out, Solution) and out.emit() == COUPLED[constraint]
 
 
 MAX2 = (
