@@ -2,6 +2,10 @@
 
 Verbs: solve, verify, bench, score, nuggets.  Exit codes: 0 solved/ok,
 1 failure, 2 timeout, 3 input error.
+
+`solve` and `bench` take the same engine flags and turn them into one
+`harness.SuiteConfig`; `sygus solve` runs it through `harness.solve`,
+the same call each benchmark of a batch run makes.
 """
 
 from __future__ import annotations
@@ -12,15 +16,9 @@ import random
 import sys
 
 from .core import Apply, BOOL, Lit, SygusError, Problem
-from .engine import Budget, Failure, generate_nuggets
+from .engine import Failure, generate_nuggets
 from .frontend import parse_file, parse_solution, emit_problem
-from .harness import (
-    SuiteConfig,
-    load_records,
-    run_suite,
-    score,
-    _pick_solver,
-)
+from .harness import SuiteConfig, load_records, run_suite, score, solve
 from .oracle import VerifyConfig, check_conformance, verify
 from .semantics import Evaluator, default_value
 
@@ -34,9 +32,20 @@ def _engine_flags(sp):
     sp.add_argument("--engine", choices=("cegis", "unif", "auto"), default="auto")
     sp.add_argument("--timeout", type=float, default=60.0)
     sp.add_argument("--max-size", type=int, default=20)
-    sp.add_argument("--max-pred-size", type=int, default=9)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--smt-cmd", default=None, help="external SMT solver command")
+
+
+def _suite_config(args, **extra):
+    """The SuiteConfig of the engine flags `_engine_flags` adds."""
+    return SuiteConfig(
+        engine=args.engine,
+        timeout=args.timeout,
+        max_size=args.max_size,
+        seed=args.seed,
+        smt_cmd=args.smt_cmd,
+        **extra,
+    )
 
 
 def _cmd_solve(args):
@@ -45,15 +54,7 @@ def _cmd_solve(args):
     except (OSError, SygusError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    budget = Budget(
-        wallclock=args.timeout,
-        max_term_size=args.max_size,
-        max_pred_size=args.max_pred_size,
-        seed=args.seed,
-    )
-    vcfg = VerifyConfig(seed=args.seed, smt_cmd=args.smt_cmd)
-    solver = _pick_solver(problem, args.engine)
-    result = solver(problem, budget, vcfg)
+    result = solve(problem, _suite_config(args))
     if isinstance(result, Failure):
         why = f"{result.reason} ({result.detail})" if result.detail else result.reason
         print(f"; no solution: {why}", file=sys.stderr)
@@ -94,17 +95,7 @@ def _cmd_bench(args):
     if not os.path.isdir(args.dir):
         print(f"input error: {args.dir} is not a directory", file=sys.stderr)
         return EXIT_INPUT
-    cfg = SuiteConfig(
-        engine=args.engine,
-        timeout=args.timeout,
-        workers=args.workers,
-        max_size=args.max_size,
-        max_pred_size=args.max_pred_size,
-        seed=args.seed,
-        smt_cmd=args.smt_cmd,
-        records_path=args.records,
-        solutions_dir=args.solutions,
-    )
+    cfg = _suite_config(args, workers=args.workers, records_path=args.records, solutions_dir=args.solutions)
     records = run_suite(args.dir, cfg)
     for r in records:
         size = "-" if r.size is None else str(r.size)
@@ -139,6 +130,10 @@ def _structured_inputs(sort, rng, count):
 
 
 def _cmd_nuggets(args):
+    for flag, value, least in (("--k", args.k, 1), ("--examples", args.examples, 1), ("--count", args.count, 0)):
+        if value < least:
+            print(f"input error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         problem = parse_file(args.grammar_file)
     except (OSError, SygusError) as e:

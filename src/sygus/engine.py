@@ -99,9 +99,12 @@ class BudgetExceeded(SygusError):
 class Budget:
     wallclock: float = 60.0
     max_term_size: int = 20
-    max_pred_size: int = 9
-    max_points: int = 128
-    seed: int = 0
+
+
+# The largest predicate a stitch or the ICE learner enumerates, and the
+# most counterexample points (ICE: rounds, one fewer) a CEGIS loop takes.
+MAX_PRED_SIZE = 9
+MAX_POINTS = 128
 
 
 @dataclass(frozen=True)
@@ -855,7 +858,7 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
     return Failure("budget-exhausted", "round cap reached")
 
 
-def _point_cegis(problem, targets, propose, budget, deadline, cfg):
+def _point_cegis(problem, targets, propose, deadline, cfg):
     """`_cegis` over the counterexample points themselves: `propose(points)`
     sees every point so far, and a repeated point stalls the loop."""
     points = []
@@ -867,7 +870,7 @@ def _point_cegis(problem, targets, propose, budget, deadline, cfg):
 
     return _cegis(
         problem, targets, lambda: propose(points), learn, lambda: len(points),
-        budget.max_points + 1, deadline, cfg,
+        MAX_POINTS + 1, deadline, cfg,
     )
 
 
@@ -875,6 +878,7 @@ def _run(problem, budget, cfg, unify):
     """Solve `problem` by its class under one wallclock deadline, with
     ICE and stitching only if `unify`; BudgetExceeded becomes a Failure."""
     budget = budget or Budget()
+    cfg = cfg or oracle.VerifyConfig()
     deadline = _Deadline(budget.wallclock)
     pclass = classify(problem)
     if pclass.conflict is not None:
@@ -883,7 +887,7 @@ def _run(problem, budget, cfg, unify):
     targets = problem.targets
     try:
         if unify and pclass.kind == "invariant":
-            return _ice_solve(problem, budget, deadline, cfg)
+            return _ice_solve(problem, deadline, cfg)
         if pclass.kind == "pbe":
             return _solve_pbe(problem, pclass.examples, cond, budget, deadline, cfg)
         if unify and pclass.kind != "conditional":
@@ -893,7 +897,7 @@ def _run(problem, budget, cfg, unify):
             propose = lambda points: _unify_candidate(problem, targets[0], points, cond, budget, deadline)
         else:
             propose = lambda points: _consistent_candidate(problem, points, budget, deadline)
-        return _point_cegis(problem, targets, propose, budget, deadline, cfg)
+        return _point_cegis(problem, targets, propose, deadline, cfg)
     except BudgetExceeded as e:
         return Failure("budget-exhausted", str(e))
     finally:
@@ -1071,7 +1075,7 @@ def _string_keep(expected_outputs):
     return keep
 
 
-def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
+def _cover_and_stitch(en, n, covers, cond, sort, deadline, check=None):
     """Return the first enumerated term that `covers(term, vec)` says is
     right on all of ids 0..n-1.  With no conditional, that is the first
     hit of a goal-driven build (see `Enumerator.first`), and the Failure
@@ -1109,7 +1113,7 @@ def _cover_and_stitch(en, n, covers, cond, sort, budget, deadline, check=None):
         union |= cov
         if union != all_ids:
             continue
-        stitched = _stitch(en, kept, all_ids, kind, cond_nt, sort, budget)
+        stitched = _stitch(en, kept, all_ids, kind, cond_nt, sort)
         if isinstance(stitched, Failure):
             failure = stitched
         elif check is None or check(stitched):
@@ -1142,7 +1146,7 @@ def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
         return frozenset(i for i, (v, out) in enumerate(zip(vec, expected)) if v == out)
 
     try:
-        found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, budget, deadline)
+        found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, deadline)
     finally:
         en.close()
     if isinstance(found, Failure):
@@ -1184,13 +1188,13 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     return pool
 
 
-def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort, budget):
+def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort):
     """Join (term, cover, vector) triples that together cover `all_ids`
     into one term: a qm chain, or a decision tree over the `cond_nt`
     predicates.  Returns a Term or a Failure."""
     if kind == "qm":
         return _stitch_qm(cover_terms, all_ids)
-    preds = _predicate_pool(en, cond_nt, min(budget.max_pred_size, budget.max_term_size), kind)
+    preds = _predicate_pool(en, cond_nt, min(MAX_PRED_SIZE, en.max_size), kind)
     # each id is labelled with the first term covering it
     labels = {i: next(k for k, (_, c, _) in enumerate(cover_terms) if i in c) for i in all_ids}
 
@@ -1230,7 +1234,7 @@ def _unify_candidate(problem, target, points, cond, budget, deadline):
     check = _point_check(problem, points, [envs])
     found = _cover_and_stitch(
         en, len(points), lambda term, vec: check([(term, vec)]), (None, None) if dropped else cond, target.ret,
-        budget, deadline, lambda term: len(check([(term, ())])) == len(points),
+        deadline, lambda term: len(check([(term, ())])) == len(points),
     )
     if isinstance(found, Failure) and dropped:
         return Failure("cover-stall", "multiple target invocations per point")
@@ -1241,13 +1245,15 @@ def _unify_candidate(problem, target, points, cond, budget, deadline):
 # Invariant synthesis (ICE-style decision-tree learning)
 
 
-def _ice_seed(problem, spec, state_names, budget):
+def _ice_seed(problem, spec, state_names, seed):
     """Initial ICE examples from the specification alone.
 
     Any state satisfying the pre-condition must be inside the invariant;
     any state violating the post-condition must be outside.  Implication
     pairs come from executing the transition relation on sampled states,
     all through generated functions of the state values by position.
+    The sample and the subsample of negatives are drawn from `seed`, the
+    run's `VerifyConfig.seed`.
     """
     macro_map = problem.macro_map()
     pre_params, pre_body = macro_map[spec.pre_name]
@@ -1258,7 +1264,7 @@ def _ice_seed(problem, spec, state_names, budget):
     while (2 * radius + 3) ** n <= 700:
         radius += 1
     grid = itertools.product(range(-radius, radius + 1), repeat=n)
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     states = list(grid)
     for _ in range(200):
         states.append(tuple(rng.randint(-8, 8) for _ in range(n)))
@@ -1306,12 +1312,12 @@ def _ice_seed(problem, spec, state_names, budget):
     return pos, neg, imps
 
 
-def _ice_solve(problem, budget, deadline, cfg):
+def _ice_solve(problem, deadline, cfg):
     spec = problem.invariant_spec
     target = problem.target(spec.inv_name)
     state_names = [n for n, _ in spec.state_vars]
     vc_base = len(problem.constraints) - 3
-    pos, neg, imps = _ice_seed(problem, spec, state_names, budget)
+    pos, neg, imps = _ice_seed(problem, spec, state_names, cfg.seed)
     if _ice_closure(pos, neg, imps):
         return Failure("ice-conflict", "pre/trans/post admit no invariant")
 
@@ -1343,8 +1349,8 @@ def _ice_solve(problem, budget, deadline, cfg):
     # One round fewer than point-based CEGIS: the cap counts rounds here.
     return _cegis(
         problem, [target],
-        lambda: _ice_learn(target, state_names, pos, neg, imps, budget, deadline),
-        learn, lambda: len(pos) + len(neg) + len(imps), budget.max_points, deadline, cfg,
+        lambda: _ice_learn(target, state_names, pos, neg, imps, deadline),
+        learn, lambda: len(pos) + len(neg) + len(imps), MAX_POINTS, deadline, cfg,
     )
 
 
@@ -1363,23 +1369,26 @@ def _ice_closure(pos, neg, imps):
     return bool(pos & neg)
 
 
-def _ice_learn(target, state_names, pos, neg, imps, budget, deadline):
+# The ICE learner's constant invariants, true and false.
+_TRUE = Apply("=", (Lit(0, INT), Lit(0, INT)), BOOL)
+_FALSE = Apply("<", (Lit(0, INT), Lit(0, INT)), BOOL)
+
+
+def _ice_learn(target, state_names, pos, neg, imps, deadline):
     """Boolean-combination learner over enumerated atoms.
 
     Labeled states become a true/false decision tree; unlabeled
     implication endpoints are repaired optimistically (forcing the
     successor inside) and relearned.
     """
-    t_lit = Apply("=", (Lit(0, INT), Lit(0, INT)), BOOL)
-    f_lit = Apply("<", (Lit(0, INT), Lit(0, INT)), BOOL)
     if not pos and not neg:
-        return t_lit
+        return _TRUE
 
     pos_w, neg_w = set(pos), set(neg)
     for _ in range(1 + min(len(imps), 40)):
         states = sorted(pos_w | neg_w)
         envs = [dict(zip(state_names, s)) for s in states]
-        body = _ice_tree(target, states, envs, pos_w, budget, deadline, t_lit, f_lit)
+        body = _ice_tree(target, states, envs, pos_w, deadline)
         if isinstance(body, Failure):
             return body
         inv = Evaluator().compile(body)
@@ -1434,7 +1443,7 @@ def _octagon_atoms(target, bool_nt, envs):
     return [(t, v) for v, t in kept.items()]
 
 
-def _ice_tree(target, states, envs, pos, budget, deadline, t_lit, f_lit):
+def _ice_tree(target, states, envs, pos, deadline):
     grammar = target.grammar
     bool_nt = None
     for name, sort in grammar.nonterminals:
@@ -1454,7 +1463,7 @@ def _ice_tree(target, states, envs, pos, budget, deadline, t_lit, f_lit):
         return None
 
     curated = _octagon_atoms(target, bool_nt, envs)
-    max_stage = max(1, (budget.max_pred_size - 1) // 2)
+    max_stage = max(1, (MAX_PRED_SIZE - 1) // 2)
     en = None  # one enumerator for every stage, built when stage 1 needs it
     # Cheap atom pools first, and within a pool shallow trees first: a
     # depth-limited fit with richer atoms beats a deep overfit chain.
@@ -1471,11 +1480,11 @@ def _ice_tree(target, states, envs, pos, budget, deadline, t_lit, f_lit):
             deadline.check()
             tree = build_decision_tree(ids, labels, leaf, preds, depth)
             if tree is not None:
-                return _dt_to_bool(tree, t_lit, f_lit)
+                return _dt_to_bool(tree)
     return Failure("predicate-exhausted")
 
 
-def _dt_to_bool(tree, t_lit, f_lit):
+def _dt_to_bool(tree):
     """Flatten a true/false tree into and/or/not form (the CLIA Bool
     nonterminal has no ite)."""
     paths = []
@@ -1490,11 +1499,11 @@ def _dt_to_bool(tree, t_lit, f_lit):
 
     go(tree, [])
     if not paths:
-        return f_lit
+        return _FALSE
     disjuncts = []
     for conds in paths:
         if not conds:
-            return t_lit
+            return _TRUE
         lits = [p if polarity else Apply("not", (p,), BOOL) for p, polarity in conds]
         disjuncts.append(functools.reduce(lambda a, b: Apply("and", (a, b), BOOL), lits))
     return functools.reduce(lambda a, b: Apply("or", (a, b), BOOL), disjuncts)

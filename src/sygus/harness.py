@@ -1,5 +1,10 @@
 """Batch runner and competition-style scoring.
 
+`solve` is the one mapping from a `SuiteConfig` to a solve: the engine
+it names, a `Budget` of its wallclock and size cap, and a `VerifyConfig`
+of its seed and SMT command.  `sygus solve` calls it, and so does
+`solve_benchmark` for each benchmark of a suite.
+
 Runs engines over a directory of `.sl` benchmarks under a wallclock
 limit, applies both post-processors, persists one JSON line per record
 (so a crashed run resumes), and scores outcomes with pseudo-logarithmic
@@ -152,7 +157,6 @@ class SuiteConfig:
     timeout: float = 60.0
     workers: int = 1
     max_size: int = 20
-    max_pred_size: int = 9
     seed: int = 0
     smt_cmd: object = None
     records_path: str = None
@@ -160,6 +164,9 @@ class SuiteConfig:
 
     def label(self):
         return self.engine_id or self.engine
+
+    def verify_config(self):
+        return VerifyConfig(seed=self.seed, smt_cmd=self.smt_cmd)
 
 
 def _pick_solver(problem, engine):
@@ -170,6 +177,13 @@ def _pick_solver(problem, engine):
     # auto: unification for invariant and PBE problems and for a single
     # target whose grammar has a conditional; plain enumeration otherwise.
     return cegis_solve if classify(problem).kind == "plain" else unify_solve
+
+
+def solve(problem, cfg: SuiteConfig):
+    """Solve a parsed `problem` with `cfg`'s engine, wallclock, size cap,
+    seed and SMT command; returns a Solution or a Failure."""
+    budget = Budget(wallclock=cfg.timeout, max_term_size=cfg.max_size)
+    return _pick_solver(problem, cfg.engine)(problem, budget, cfg.verify_config())
 
 
 def solve_benchmark(path, cfg: SuiteConfig):
@@ -183,15 +197,7 @@ def solve_benchmark(path, cfg: SuiteConfig):
         problem = parse_file(path)
     except Exception:
         return ("failed", time.monotonic() - t0, time.process_time() - c0, None, None)
-    budget = Budget(
-        wallclock=cfg.timeout,
-        max_term_size=cfg.max_size,
-        max_pred_size=cfg.max_pred_size,
-        seed=cfg.seed,
-    )
-    vcfg = VerifyConfig(seed=cfg.seed, smt_cmd=cfg.smt_cmd)
-    solver = _pick_solver(problem, cfg.engine)
-    result = solver(problem, budget, vcfg)
+    result = solve(problem, cfg)
     wall = time.monotonic() - t0
     cpu = time.process_time() - c0
     if isinstance(result, Failure):
@@ -200,7 +206,7 @@ def solve_benchmark(path, cfg: SuiteConfig):
     for name, fun in result.funs.items():
         if check_conformance(fun.body, problem.target(name).grammar).kind != "valid":
             return ("nonconformant", wall, cpu, None, result.emit())
-    verdict = verify(problem, result.as_map(), vcfg)
+    verdict = verify(problem, result.as_map(), cfg.verify_config())
     total = sum(term_size(f.body) for f in result.funs.values())
     if verdict.kind == "valid":
         return ("solved", wall, cpu, total, result.emit())

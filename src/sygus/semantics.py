@@ -125,7 +125,7 @@ _FIXED_IMPLS = {
     "and": lambda *xs: all(xs),
     "or": lambda *xs: any(xs),
     "=>": lambda a, b: (not a) or b,
-    "xor": lambda a, b: a != b,
+    "xor": operator.ne,
     "=": lambda *xs: all(x == xs[0] for x in xs[1:]),
     "distinct": lambda *xs: len(set(xs)) == len(xs),
     "ite": lambda c, a, b: a if c else b,
@@ -136,8 +136,8 @@ _FIXED_IMPLS = {
     "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
-    "str.++": lambda a, b: a + b,
-    "str.len": lambda s: len(s),
+    "str.++": operator.add,
+    "str.len": len,
     "str.at": _str_at,
     "str.substr": _str_substr,
     "str.indexof": _str_indexof,
@@ -150,25 +150,9 @@ _FIXED_IMPLS = {
 }
 
 
-# C-level equivalents of builtins at fixed arity, for compiled terms.
-_UNARY = {"not": operator.not_, "-": operator.neg, "str.len": len}
-_BINARY = {
-    "=": operator.eq,
-    "xor": operator.ne,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "str.++": operator.add,
-}
-
-
 # Source templates, by (op, arity), of the builtins that generated code
 # writes as Python operators when every argument is an Int or a Bool.
-_OPERATORS = {("=", 2): "{} == {}", ("-", 1): "- {}", ("not", 1): "not {}"} | {
+_OPERATORS = {("-", 1): "- {}", ("not", 1): "not {}"} | {
     (op, 2): f"{{}} {op} {{}}" for op in ("+", "-", "*", "<", "<=", ">", ">=")}
 
 # The same for builtins whose arguments are all BitVecs.  Values are
@@ -176,7 +160,7 @@ _OPERATORS = {("=", 2): "{} == {}", ("-", 1): "- {}", ("not", 1): "not {}"} | {
 # the mask of the result's width.  `bvshl` and `bvlshr` become operators
 # only by a literal amount (`_bv_shift`).
 _BV_OPERATORS = {
-    ("=", 2): "{} == {}", ("bvand", 2): "{} & {}", ("bvor", 2): "{} | {}", ("bvxor", 2): "{} ^ {}",
+    ("bvand", 2): "{} & {}", ("bvor", 2): "{} | {}", ("bvxor", 2): "{} ^ {}",
     ("bvnot", 1): "{} ^ {m}", ("bvneg", 1): "- {} & {m}",
     ("bvadd", 2): "{} + {} & {m}", ("bvsub", 2): "{} - {} & {m}", ("bvmul", 2): "{} * {} & {m}",
 }
@@ -250,13 +234,14 @@ class SourceEmitter:
     variable in scope to the local holding its value (SyGuS names never
     appear in the source).  Applied functions become `defs` with
     positional parameters, except an op in `calls`, which becomes a call
-    to the name `calls` maps it to.  Arithmetic, comparisons and `not`
-    over Int and Bool arguments become Python operators, and so do the
-    bitwise and arithmetic BitVec builtins, masked where a result can
-    leave its width, `=` over BitVecs, and shifts by a literal amount;
-    other builtins call `builtin_impl`'s callables, bound into
-    `namespace`.  `and`, `or`, `=>` and `ite` evaluate only the arguments
-    they need, and errors are raised only when evaluation reaches them.
+    to the name `calls` maps it to.  A two-argument `=` of any sort,
+    arithmetic, comparisons and `not` over Int and Bool arguments become
+    Python operators, and so do the bitwise and arithmetic BitVec
+    builtins, masked where a result can leave its width, and shifts by a
+    literal amount; other builtins call `builtin_impl`'s callables, bound
+    into `namespace`.  `and`, `or`, `=>` and `ite` evaluate only the
+    arguments they need, and errors are raised only when evaluation
+    reaches them.
     Each source text is compiled once per process; each emitter runs it
     in its own namespace.
     """
@@ -329,6 +314,8 @@ class SourceEmitter:
             return f"(not {args[0]} or {args[1]})"
         if op == "ite" and len(args) == 3:
             return f"({args[1]} if {args[0]} else {args[2]})"
+        if op == "=" and len(args) == 2:
+            return f"({args[0]} == {args[1]})"
         if (op, len(args)) in _OPERATORS and all(a.sort in (INT, BOOL) for a in arg_terms):
             return f"({_OPERATORS[op, len(args)].format(*args)})"
         if args and all(a.sort.kind == "BitVec" for a in arg_terms):
@@ -340,7 +327,6 @@ class SourceEmitter:
             impl = builtin_impl(op, sort)
         except KeyError:
             return self._fail(SortMismatch, f"no interpretation for operator {op!r}", args)
-        impl = {1: _UNARY, 2: _BINARY}.get(len(args), {}).get(op, impl)
         return f"{self.bind((op, sort, len(args)), impl)}({', '.join(args)})"
 
     def _def(self, t, names, params):

@@ -98,7 +98,7 @@ def predicate_pool(en, nt, max_size, kind="ite"):
     return pool
 
 
-def ice_seed(problem, spec, state_names, budget):
+def ice_seed(problem, spec, state_names, seed):
     """`engine._ice_seed` through `TreeEvaluator`, one environment dict
     per evaluation; the generated functions must give the same
     (pos, neg, imps)."""
@@ -112,7 +112,7 @@ def ice_seed(problem, spec, state_names, budget):
     while (2 * radius + 3) ** n <= 700:
         radius += 1
     grid = itertools.product(range(-radius, radius + 1), repeat=n)
-    rng = random.Random(budget.seed)
+    rng = random.Random(seed)
     states = list(grid)
     for _ in range(200):
         states.append(tuple(rng.randint(-8, 8) for _ in range(n)))

@@ -9,6 +9,7 @@ import pytest
 
 from sygus.cli import EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
 from sygus.frontend import parse_file
+from sygus.harness import SuiteConfig, solve_benchmark
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -45,6 +46,18 @@ def test_solve_says_why_it_stopped(capsys):
     assert main(["solve", _b("inv_loop.sl"), "--engine", "cegis", "--timeout", "1"]) == EXIT_TIMEOUT
     err = capsys.readouterr().err
     assert re.fullmatch(r"; no solution: budget-exhausted \(deadline reached.*\)\n", err), err
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(f) for f in glob.glob(_b("*.sl")) if os.path.basename(f) not in ("qm_loop.sl", "inv_loop.sl")
+))
+def test_solve_prints_what_the_harness_solves(name, capsys):
+    # one mapping from flags to a solve: `sygus solve` at its default flags
+    # and a batch run at SuiteConfig's defaults give the same solution
+    assert main(["solve", _b(name)]) == EXIT_OK
+    outcome, _, _, _, solution = solve_benchmark(_b(name), SuiteConfig())
+    assert outcome in ("solved", "unknown-verified")
+    assert capsys.readouterr().out == solution + "\n"
 
 
 CONFLICTING = (
@@ -124,3 +137,13 @@ def test_nuggets_emits_parsable_benchmarks(tmp_path, capsys):
         p = parse_file(f)
         assert len(p.constraints) == 6
         assert p.targets[0].name == "f"
+
+
+@pytest.mark.parametrize("flag, value", [("--k", "0"), ("--examples", "0"), ("--count", "-1")])
+def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "nuggets"
+    argv = {"--k": "2", "--examples": "6", "--count": "3"} | {flag: value}
+    rc = main(["nuggets", _b("fig2_bv_template.sl"), *(x for kv in argv.items() for x in kv), "--out", str(out_dir)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {flag} must be at least {int(value) + 1}, got {value}\n"
+    assert not out_dir.exists()

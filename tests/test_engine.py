@@ -35,7 +35,7 @@ from sygus.engine import (
 )
 from sygus.frontend import default_grammar, parse, parse_file
 from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
-from sygus.oracle import check_conformance
+from sygus.oracle import VerifyConfig, check_conformance
 from sygus.semantics import Evaluator, eval_constraints
 
 import reference
@@ -721,7 +721,7 @@ def test_unsolvable_reports_failure():
 
 
 def test_round_caps(monkeypatch):
-    """CEGIS and unification give up after more than `max_points`
+    """CEGIS and unification give up after more than `MAX_POINTS`
     counterexamples; the ICE learner counts rounds, one fewer."""
     from sygus import oracle
 
@@ -739,15 +739,18 @@ def test_round_caps(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "verify", refute)
+        m.setattr(engine, "MAX_POINTS", 2)
         for solve in (cegis_solve, unify_solve):
             calls.clear()
-            out = solve(p, Budget(wallclock=30, max_points=2))
+            out = solve(p, Budget(wallclock=30))
             assert isinstance(out, Failure) and out.reason == "budget-exhausted"
             assert len(calls) == 3
 
     inv = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))  # solved in one round
-    assert unify_solve(inv, Budget(wallclock=30, max_points=0)).reason == "budget-exhausted"
-    assert isinstance(unify_solve(inv, Budget(wallclock=30, max_points=1)), Solution)
+    monkeypatch.setattr(engine, "MAX_POINTS", 0)
+    assert unify_solve(inv, Budget(wallclock=30)).reason == "budget-exhausted"
+    monkeypatch.setattr(engine, "MAX_POINTS", 1)
+    assert isinstance(unify_solve(inv, Budget(wallclock=30)), Solution)
 
 
 def test_solver_determinism():
@@ -1513,15 +1516,25 @@ def _ice_inputs(bench):
 def test_ice_seed_matches_the_tree_walk(bench):
     p, spec, names, _ = _ice_inputs(bench)
     for seed in (0, 5):
-        got = _ice_seed(p, spec, names, Budget(seed=seed))
-        assert got == reference.ice_seed(p, spec, names, Budget(seed=seed))
+        got = _ice_seed(p, spec, names, seed)
+        assert got == reference.ice_seed(p, spec, names, seed)
         assert all(got)
+
+
+def test_the_run_seed_reaches_ice_seeding(monkeypatch):
+    # the run's one seed is the verifier's: ICE samples its states from it
+    seeds = []
+    ice_seed = engine._ice_seed
+    monkeypatch.setattr(engine, "_ice_seed", lambda *a: seeds.append(a[3]) or ice_seed(*a))
+    p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
+    assert isinstance(unify_solve(p, Budget(), VerifyConfig(seed=5)), Solution)
+    assert seeds == [5]
 
 
 @pytest.mark.parametrize("bench", INV_BENCHES)
 def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypatch):
     p, spec, names, target = _ice_inputs(bench)
-    pos, neg, _ = _ice_seed(p, spec, names, Budget())
+    pos, neg, _ = _ice_seed(p, spec, names, 0)
     states = sorted(pos | neg)
     envs = [dict(zip(names, s)) for s in states]
     bool_nt = next(n for n, s in target.grammar.nonterminals if s.kind == "Bool")
@@ -1547,8 +1560,8 @@ def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypat
         with monkeypatch.context() as m:
             m.setattr(engine, "_octagon_atoms", lambda *_: atoms)
             m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
-            engine._ice_tree(target, states, envs, pos, Budget(max_pred_size=5),
-                             engine._Deadline(60), None, None)
+            m.setattr(engine, "MAX_PRED_SIZE", 5)
+            engine._ice_tree(target, states, envs, pos, engine._Deadline(60))
         return seen
 
     seen = preds_seen(got)
@@ -1560,7 +1573,7 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
     # each stage's predicates are the curated atoms plus the pool that an
     # enumerator capped at the stage's size builds, deduplicated once per stage
     p, spec, names, target = _ice_inputs(bench)
-    pos, neg, _ = _ice_seed(p, spec, names, Budget())
+    pos, neg, _ = _ice_seed(p, spec, names, 0)
     states = sorted(pos | neg)
     envs = [dict(zip(names, s)) for s in states]
     bool_nt = next(n for n, s in target.grammar.nonterminals if s.kind == "Bool")
@@ -1568,8 +1581,8 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(engine, "Enumerator", lambda *a, **k: built.append(Enumerator(*a, **k)) or built[-1])
         m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
-        engine._ice_tree(target, states, envs, pos, Budget(max_pred_size=7),
-                         engine._Deadline(60), None, None)
+        m.setattr(engine, "MAX_PRED_SIZE", 7)
+        engine._ice_tree(target, states, envs, pos, engine._Deadline(60))
     assert len(built) == 1 and len(seen) == 12  # 4 pools x 3 depths
     curated = _octagon_atoms(target, bool_nt, envs)
     for stage in range(4):
@@ -1635,7 +1648,7 @@ def test_ice_learn_repairs_a_broken_implication(succ, want, monkeypatch):
     calls = []
     tree = engine._ice_tree
     monkeypatch.setattr(engine, "_ice_tree", lambda *a: calls.append(set(a[3])) or tree(*a))
-    body = engine._ice_learn(target, names, {IN}, {OUT}, {(IN, succ)}, Budget(), engine._Deadline(30))
+    body = engine._ice_learn(target, names, {IN}, {OUT}, {(IN, succ)}, engine._Deadline(30))
     if want == "ice-conflict":
         assert isinstance(body, Failure) and body.reason == want and calls == [{IN}]
         return
