@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Verbs: solve, verify, bench, score, nuggets.  Exit codes: 0 solved/ok,
-1 failure, 2 timeout, 3 input error.
+1 failure, 2 timeout, 3 input error (a bad flag or argument too).
 
 `solve` and `bench` take the same engine flags and turn them into one
 `harness.SuiteConfig`; `sygus solve` runs it through `harness.solve`,
@@ -26,6 +26,14 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_TIMEOUT = 2
 EXIT_INPUT = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
 
 
 def _engine_flags(sp):
@@ -184,7 +192,7 @@ def _cmd_nuggets(args):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(prog="sygus", description="SyGuS synthesis toolkit")
+    ap = _Parser(prog="sygus", description="SyGuS synthesis toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("solve", help="synthesize and print a solution")

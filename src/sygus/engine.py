@@ -22,8 +22,10 @@ compiled once over the round's points, and each target application reads
 the candidate's value from its bank vector.  Stitching and invariant
 learning grow their trees with one greedy information-gain ID3,
 `build_decision_tree`, over predicate pools from one builder,
-`_predicate_pool`.  It holds the ids, each class and each predicate as
-an int mask, so a split is one `&` and a class count one popcount.
+`_predicate_pool`.  Every id set, from a round's point check to the
+tree, is one int with bit i set for point or example i: the learner
+takes the covers as they are, so a split is one `&` and a class count
+one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
@@ -70,6 +72,7 @@ from .core import (
     INT,
     Let,
     Lit,
+    Macro,
     STRING,
     SygusError,
     Term,
@@ -107,17 +110,9 @@ MAX_PRED_SIZE = 9
 MAX_POINTS = 128
 
 
-@dataclass(frozen=True)
-class DefinedFun:
-    name: str
-    params: tuple  # of (name, Sort)
-    ret: object
-    body: Term
-
-
 @dataclass
 class Solution:
-    funs: dict  # name -> DefinedFun
+    funs: dict  # name -> Macro
     verdict: object = None
     points_used: int = 0
 
@@ -719,20 +714,21 @@ def classify(problem):
 
 
 def _point_check(problem, points, envs):
-    """check(entries): the ids of `points` where every constraint holds
-    with target i as entries[i] = (term, vec), `vec` being the term's
-    vector over envs[i].  The constraints are compiled once, into one
-    function over the points' columns.  An application reads its value
-    from `vec` by argument tuple; only a tuple outside envs[i] (a nested
-    application, or a stitched term passed with vec = ()) compiles `term`."""
+    """check(entries): the mask, bit i for point i, of the `points` where
+    every constraint holds with target i as entries[i] = (term, vec),
+    `vec` being the term's vector over envs[i].  The constraints are
+    compiled once, into one function over the points' columns.  An
+    application reads its value from `vec` by argument tuple; only a
+    tuple outside envs[i] (a nested application, or a stitched term
+    passed with vec = ()) compiles `term`."""
     targets, ev = problem.targets, Evaluator(problem.macro_map())
     em = SourceEmitter(problem.macro_map(), {t.name: f"_t{i}" for i, t in enumerate(targets)})
     local = {n: em.fresh() for n, _ in problem.universals}
     # everything that varies from round to round is bound, so the source repeats
-    columns = [em.bind("ids", range(len(points)))]
+    columns = [em.bind("bits", tuple(1 << i for i in range(len(points))))]
     columns += [em.bind(("column", n), tuple(p[n] for p in points)) for n in local]
     holds = " and ".join(em.expr(c, local) for c in problem.constraints) or "True"
-    run = em.build(f"def run():\n    return frozenset([_i for _i, {''.join(v + ',' for v in local.values())} in "
+    run = em.build(f"def run():\n    return sum([_b for _b, {''.join(v + ',' for v in local.values())} in "
                    f"zip({', '.join(columns)}) if {holds}])", "run")
     rows = [[tuple(env[n] for n, _ in t.params) for env in e] for t, e in zip(targets, envs)]
 
@@ -826,8 +822,8 @@ class _Deadline:
 
 
 def _defined_funs(targets, bodies):
-    """{name: DefinedFun} for `targets`, given {name: body}."""
-    return {t.name: DefinedFun(t.name, t.params, t.ret, bodies[t.name]) for t in targets}
+    """{name: Macro} for `targets`, given {name: body}."""
+    return {t.name: Macro(t.name, t.params, t.ret, bodies[t.name]) for t in targets}
 
 
 def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
@@ -921,7 +917,7 @@ def _consistent_candidate(problem, points, budget, deadline):
     targets = problem.targets
     envs = [collect_envs(problem, t, points) for t in targets]
     ens = [_enum_for(problem, t, e, budget, deadline) for t, e in zip(targets, envs)]
-    check, all_ids = _point_check(problem, points, envs), frozenset(range(len(points)))
+    check, full = _point_check(problem, points, envs), (1 << len(points)) - 1
     n = len(targets)
     for total in range(n, budget.max_term_size * n + 1):
         for sizes in _compositions(total, n):
@@ -932,7 +928,7 @@ def _consistent_candidate(problem, points, budget, deadline):
             banks.append(ens[-1].bank(ens[-1].grammar.start, sizes[-1]))
             for entries in itertools.product(*banks):
                 deadline.check()
-                if check(entries) == all_ids:
+                if check(entries) == full:
                     return {t.name: term for t, (term, _vec) in zip(targets, entries)}
     if all(_exhaust_reason(e).reason == "grammar-exhausted" for e in ens):
         return Failure("grammar-exhausted")
@@ -963,11 +959,6 @@ def _mask(bits):
     return int(bytes(bits)[::-1].translate(_DIGITS) or b"0", 2)
 
 
-def _bits(mask):
-    """The frozenset of the bit positions set in `mask`."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _entropy(counts, total):
     h = 0.0
     for c in counts:
@@ -977,36 +968,39 @@ def _entropy(counts, total):
     return h
 
 
-def build_decision_tree(ids, labels, leaf, preds, depth=None):
+def build_decision_tree(ids, covers, preds, depth=None):
     """Greedy information-gain (ID3) tree over example ids.
 
-    `labels` maps each id to its class; `leaf(ids)` returns the Leaf for
-    a frozenset of ids that need no split, else None; `preds` is a list
-    of (payload, bool vector indexed by id).  With a `depth`, no split is
+    `ids` is an int mask, bit i set for id i, and `covers` a list of
+    (payload, mask) that together hold every id.  An id's class is the
+    first cover that holds it, and a node whose ids need no split is the
+    Leaf of the first cover that holds them all.  `preds` is a list of
+    (payload, bool vector indexed by id).  With a `depth`, no split is
     made that many levels down.  The first predicate of highest gain
     wins.  Returns Leaf/Branch, or None when no predicate makes progress.
 
-    The id set, each class and each vector become int masks once, so a
-    split is one `&` and a class count one popcount.
+    Each vector becomes an int mask once, so a split is one `&` and a
+    class count one popcount.
     """
-    whole = 0
-    classes = {}
-    for i in ids:
-        whole |= 1 << i
-        classes[labels[i]] = classes.get(labels[i], 0) | 1 << i
+    classes, taken = [], 0
+    for _, c in covers:
+        own = c & ids & ~taken
+        if own:
+            classes.append(own)
+        taken |= c
     masks = []
     for payload, vec in preds:
-        m = _mask(vec) & whole
-        if m and m != whole:  # a predicate that splits no subset of ids is never chosen
+        m = _mask(vec) & ids
+        if m and m != ids:  # a predicate that splits no subset of ids is never chosen
             masks.append((payload, m))
-    return _id3(whole, list(classes.values()), leaf, masks, depth)
+    return _id3(ids, classes, covers, masks, depth)
 
 
-def _id3(ids, classes, leaf, preds, depth):
-    """`build_decision_tree` over an id mask, class masks and (payload, mask) predicates."""
-    node = leaf(_bits(ids))
-    if node is not None:
-        return node
+def _id3(ids, classes, covers, preds, depth):
+    """`build_decision_tree` over class masks and (payload, mask) predicates."""
+    for payload, c in covers:
+        if not ids & ~c:
+            return Leaf(payload)
     if depth is not None and depth <= 0:
         return None
     n = ids.bit_count()
@@ -1031,8 +1025,8 @@ def _id3(ids, classes, leaf, preds, depth):
         return None
     payload, yes = best
     sub = None if depth is None else depth - 1
-    then = _id3(yes, classes, leaf, preds, sub)
-    other = _id3(ids & ~yes, classes, leaf, preds, sub)
+    then = _id3(yes, classes, covers, preds, sub)
+    other = _id3(ids & ~yes, classes, covers, preds, sub)
     if then is None or other is None:
         return None
     return Branch(payload, then, other)
@@ -1076,16 +1070,17 @@ def _string_keep(expected_outputs):
 
 
 def _cover_and_stitch(en, n, covers, cond, sort, deadline, check=None):
-    """Return the first enumerated term that `covers(term, vec)` says is
-    right on all of ids 0..n-1.  With no conditional, that is the first
-    hit of a goal-driven build (see `Enumerator.first`), and the Failure
-    is `_exhaust_reason`.  With a conditional `cond` = (kind, cond_nt),
-    terms with new covers are kept, and stitched for each new one once
-    together they cover every id; a stitched term that passes `check` is
-    returned.  Else the Failure is the last stitch's, if one was tried;
-    `cover-stall` if the finite grammar ran out; else `_exhaust_reason`."""
+    """Return the first enumerated term that `covers(term, vec)`, a mask
+    with bit i for id i, says is right on all of ids 0..n-1.  With no
+    conditional, that is the first hit of a goal-driven build (see
+    `Enumerator.first`), and the Failure is `_exhaust_reason`.  With a
+    conditional `cond` = (kind, cond_nt), terms with new covers are kept,
+    and stitched for each new one once together they cover every id; a
+    stitched term that passes `check` is returned.  Else the Failure is
+    the last stitch's, if one was tried; `cover-stall` if the finite
+    grammar ran out; else `_exhaust_reason`."""
     kind, cond_nt = cond
-    all_ids = frozenset(range(n))
+    all_ids = (1 << n) - 1
     if kind is None:
 
         def whole(term, vec):
@@ -1094,7 +1089,7 @@ def _cover_and_stitch(en, n, covers, cond, sort, deadline, check=None):
 
         hit = en.first(whole)
         return _exhaust_reason(en) if hit is None else hit[0]
-    kept, seen, union = [], set(), set()
+    kept, seen, union = [], set(), 0
     failure = None
     for term, vec in en.enumerate():
         deadline.check()
@@ -1143,7 +1138,7 @@ def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
     en.goal = (en.grammar.start, lambda _term, vec: vec == expected)
 
     def covers(_term, vec):
-        return frozenset(i for i, (v, out) in enumerate(zip(vec, expected)) if v == out)
+        return _mask(map(operator.eq, vec, expected))
 
     try:
         found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, deadline)
@@ -1189,19 +1184,13 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
 
 
 def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort):
-    """Join (term, cover, vector) triples that together cover `all_ids`
-    into one term: a qm chain, or a decision tree over the `cond_nt`
-    predicates.  Returns a Term or a Failure."""
+    """Join (term, cover mask, vector) triples that together cover the
+    mask `all_ids` into one term: a qm chain, or a decision tree over the
+    `cond_nt` predicates.  Returns a Term or a Failure."""
     if kind == "qm":
         return _stitch_qm(cover_terms, all_ids)
     preds = _predicate_pool(en, cond_nt, min(MAX_PRED_SIZE, en.max_size), kind)
-    # each id is labelled with the first term covering it
-    labels = {i: next(k for k, (_, c, _) in enumerate(cover_terms) if i in c) for i in all_ids}
-
-    def leaf(ids):
-        return next((Leaf(t) for t, c, _ in cover_terms if ids <= c), None)
-
-    tree = build_decision_tree(all_ids, labels, leaf, preds)
+    tree = build_decision_tree(all_ids, [(t, c) for t, c, _ in cover_terms], preds)
     if tree is None:
         return Failure("predicate-exhausted")
     return _flatten_dt(tree, kind, sort)
@@ -1209,17 +1198,17 @@ def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort):
 
 def _stitch_qm(cover_terms, ids):
     """Chain of (qm t rest): t is selected wherever it is nonnegative, so a
-    branch term doubles as its own selection condition."""
-    ids = frozenset(ids)
+    branch term doubles as its own selection condition.  `ids` and each
+    cover are masks, bit i for id i."""
     for term, cover, _vec in cover_terms:
-        if ids <= cover:
+        if not ids & ~cover:
             return term
     for term, cover, vec in cover_terms:
-        selected = frozenset(i for i in ids if vec[i] >= 0)
+        selected = _mask([v >= 0 for v in vec]) & ids
         if not selected or selected == ids:
             continue
-        if selected <= cover:
-            rest = _stitch_qm(cover_terms, ids - selected)
+        if not selected & ~cover:
+            rest = _stitch_qm(cover_terms, ids & ~selected)
             if isinstance(rest, Term):
                 return Apply("qm", (term, rest), term.sort)
     return Failure("predicate-exhausted")
@@ -1231,10 +1220,10 @@ def _unify_candidate(problem, target, points, cond, budget, deadline):
     en = _enum_for(problem, target, envs, budget, deadline)
     # stitching reads environment i as point i: one application per point
     dropped = cond[0] is not None and len(_applications(problem, target)) != 1
-    check = _point_check(problem, points, [envs])
+    check, full = _point_check(problem, points, [envs]), (1 << len(points)) - 1
     found = _cover_and_stitch(
         en, len(points), lambda term, vec: check([(term, vec)]), (None, None) if dropped else cond, target.ret,
-        deadline, lambda term: len(check([(term, ())])) == len(points),
+        deadline, lambda term: check([(term, ())]) == full,
     )
     if isinstance(found, Failure) and dropped:
         return Failure("cover-stall", "multiple target invocations per point")
@@ -1452,16 +1441,9 @@ def _ice_tree(target, states, envs, pos, deadline):
             break
     if bool_nt is None:
         return Failure("no-conditional-production", "grammar has no Bool nonterminal")
-    ids = frozenset(range(len(states)))
-    labels = {i: (states[i] in pos) for i in ids}
-
-    def leaf(subset):
-        if all(labels[i] for i in subset):
-            return Leaf(True)
-        if not any(labels[i] for i in subset):
-            return Leaf(False)
-        return None
-
+    ids = (1 << len(states)) - 1
+    inside = _mask([s in pos for s in states])
+    covers = [(True, inside), (False, ids & ~inside)]
     curated = _octagon_atoms(target, bool_nt, envs)
     max_stage = max(1, (MAX_PRED_SIZE - 1) // 2)
     en = None  # one enumerator for every stage, built when stage 1 needs it
@@ -1478,7 +1460,7 @@ def _ice_tree(target, states, envs, pos, deadline):
         preds = [(t, v) for v, t in dedup.items()]
         for depth in (3, 5, None):
             deadline.check()
-            tree = build_decision_tree(ids, labels, leaf, preds, depth)
+            tree = build_decision_tree(ids, covers, preds, depth)
             if tree is not None:
                 return _dt_to_bool(tree)
     return Failure("predicate-exhausted")

@@ -147,3 +147,34 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     assert rc == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {flag} must be at least {int(value) + 1}, got {value}\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "x"], "argument --timeout: invalid float value: 'x'"),
+    (lambda tmp: ["nuggets", _b("fig2_bv_template.sl"), "--k", "three"], "argument --k: invalid int value: 'three'"),
+    (lambda tmp: ["verify", _b("abs.sl"), str(tmp / "missing.sol")], "No such file"),
+    (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun other ((x Int)) Int x)")],
+     "solution does not bind abs"),
+    (lambda tmp: ["bench", _b("abs.sl")], "is not a directory"),
+], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory"])
+def test_input_errors_exit_3(argv, says, tmp_path, capsys):
+    # a mistyped flag is an input error like any other, never exit 2 (timeout)
+    try:
+        rc = main(argv(tmp_path))
+    except SystemExit as e:  # argparse's errors leave through sys.exit
+        rc = e.code
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "input error: " in err and says in err, err
+
+
+def _solution(tmp, text):
+    path = tmp / "solution.sol"
+    path.write_text(text + "\n")
+    return str(path)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["solve", "--help"])
+    assert e.value.code == EXIT_OK and "--timeout" in capsys.readouterr().out

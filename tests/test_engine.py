@@ -692,6 +692,66 @@ def test_unify_solves_qm_inner():
         assert ev.eval(body, {params[0]: v}) == v - 1
 
 
+# qm_inner.sl with a `qm` that selects its first argument where it is
+# negative: a chain stitched on the sign of its branch terms is wrong
+QM_FLIPPED = open(os.path.join(BENCH, "qm_inner.sl")).read().replace("(ite (< a 0) b a)", "(ite (< a 0) a b)")
+
+
+def test_unify_rechecks_each_stitched_term(monkeypatch):
+    p = parse(QM_FLIPPED)
+    rechecked = []
+    cover_and_stitch = engine._cover_and_stitch
+
+    def spy(*args):
+        *rest, check = args
+
+        def recorded(term):
+            rechecked.append((term, check(term)))
+            return rechecked[-1][1]
+
+        return cover_and_stitch(*rest, recorded if check else None)
+
+    monkeypatch.setattr(engine, "_cover_and_stitch", spy)
+    out = unify_solve(p, Budget(wallclock=60))
+    # every chain fails a point of its round, and the oracle refutes each
+    assert rechecked and not any(ok for _, ok in rechecked)
+    for term, _ in rechecked:
+        assert oracle.verify(p, {"qm-inner-loop": (["x"], term)}).kind == "counterexample", term
+    assert isinstance(out, Solution) and out.verdict.kind != "counterexample"
+    assert out.emit() == "(define-fun qm-inner-loop ((x Int)) Int (- x (- 1 (- 7 (qm (- x 1) 7)))))"
+
+
+def _qm_cover_terms(terms, expected):
+    """(term, cover mask, vector) over x = 0..len(expected)-1."""
+    ev = Evaluator()
+    out = []
+    for t in terms:
+        vec = tuple(ev.eval(t, {"x": x}) for x in range(len(expected)))
+        out.append((t, engine._mask([v == e for v, e in zip(vec, expected)]), vec))
+    return out
+
+
+def test_stitch_qm_chains_terms_by_their_sign():
+    x = Var("x", INT)
+    neg_x = Apply("-", (Lit(0, INT), x), INT)  # nonnegative at x = 0 only
+    one_minus_x = Apply("-", (Lit(1, INT), x), INT)  # nonnegative at x = 0, 1
+    expected = (0, 0, 2, 3)
+    chain = engine._stitch_qm(_qm_cover_terms([neg_x, one_minus_x, x], expected), 0b1111)
+    assert chain == Apply("qm", (neg_x, Apply("qm", (one_minus_x, x), INT)), INT)
+    ev = Evaluator(parse_file(os.path.join(BENCH, "qm_inner.sl")).macro_map())
+    assert tuple(ev.eval(chain, {"x": v}) for v in range(4)) == expected
+
+
+def test_stitch_qm_needs_a_sign_split_inside_a_cover():
+    x = Var("x", INT)
+    # together the terms cover every id, but x and 5 are nonnegative at
+    # every id, and -x selects id 0 while it covers only id 2
+    cover_terms = _qm_cover_terms([x, Apply("-", (Lit(0, INT), x), INT), Lit(5, INT)], (5, 1, -2))
+    assert [c for _, c, _ in cover_terms] == [0b010, 0b100, 0b001]
+    out = engine._stitch_qm(cover_terms, 0b111)
+    assert isinstance(out, Failure) and out.reason == "predicate-exhausted"
+
+
 def test_unify_stitches_ite_max():
     p = parse(
         "(set-logic LIA)\n"
@@ -1446,11 +1506,11 @@ def test_point_covers_match_a_per_point_check(problem):
     partial = 0
     for entries in itertools.product(*banks):
         sol = {t.name: ([n for n, _ in t.params], term) for t, (term, _) in zip(p.targets, entries)}
-        want = frozenset(i for i, pt in enumerate(points) if eval_constraints(p, sol, pt))
+        want = sum(1 << i for i, pt in enumerate(points) if eval_constraints(p, sol, pt))
         assert check(entries) == want, entries
         # with no vector, as for a stitched term, every value is computed
         assert check([(term, ()) for term, _ in entries]) == want, entries
-        partial += 0 < len(want) < len(points)
+        partial += 0 < want.bit_count() < len(points)
     assert partial
 
 
@@ -1559,7 +1619,7 @@ def test_octagon_atoms_are_the_first_conformant_atom_per_vector(bench, monkeypat
         seen = []
         with monkeypatch.context() as m:
             m.setattr(engine, "_octagon_atoms", lambda *_: atoms)
-            m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
+            m.setattr(engine, "build_decision_tree", lambda ids, covers, preds, depth: seen.append(preds))
             m.setattr(engine, "MAX_PRED_SIZE", 5)
             engine._ice_tree(target, states, envs, pos, engine._Deadline(60))
         return seen
@@ -1580,7 +1640,7 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
     built, seen = [], []
     with monkeypatch.context() as m:
         m.setattr(engine, "Enumerator", lambda *a, **k: built.append(Enumerator(*a, **k)) or built[-1])
-        m.setattr(engine, "build_decision_tree", lambda ids, labels, leaf, preds, depth: seen.append(preds))
+        m.setattr(engine, "build_decision_tree", lambda ids, covers, preds, depth: seen.append(preds))
         m.setattr(engine, "MAX_PRED_SIZE", 7)
         engine._ice_tree(target, states, envs, pos, engine._Deadline(60))
     assert len(built) == 1 and len(seen) == 12  # 4 pools x 3 depths
@@ -1660,12 +1720,18 @@ def test_ice_learn_repairs_a_broken_implication(succ, want, monkeypatch):
 # --- decision trees -------------------------------------------------------
 
 
+def _id_set(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 @st.composite
 def _tree_inputs(draw):
-    """Arguments for `build_decision_tree`: ids over 2-5 classes, boolean
-    vectors with duplicates and constant ones among them, a depth, and a
-    leaf like `_stitch`'s (the first cover holding every id) or like
-    `_ice_tree`'s (one class throughout)."""
+    """The engine's arguments for `build_decision_tree` (an id mask, covers
+    as (payload, mask), preds, depth) and the reference's (ids, labels,
+    leaf, preds, depth) for one case: ids over 2-5 classes, boolean
+    vectors with duplicates and constant ones among them, a depth, and
+    covers and a leaf like `_stitch`'s (the first cover holding every id)
+    or like `_ice_tree`'s (one class throughout)."""
     n = draw(st.integers(1, 24))
     k = draw(st.integers(2, 5))
     ids = draw(st.sets(st.integers(0, n - 1), min_size=1))
@@ -1687,19 +1753,23 @@ def _tree_inputs(draw):
             return next((Leaf(c) for c in range(k) if subset <= covers[c]), None)
     else:
         labels = {i: draw(st.integers(0, k - 1)) for i in range(n)}
+        # the partition by label, as `_ice_tree`'s inside and outside
+        covers = [frozenset(i for i in range(n) if labels[i] == c) for c in range(k)]
 
         def leaf(subset):
             assert isinstance(subset, frozenset)
             found = {labels[i] for i in subset}
             return Leaf(found.pop()) if len(found) == 1 else None
 
-    return ids, labels, leaf, preds, depth
+    masks = [(c, sum(1 << i for i in cover)) for c, cover in enumerate(covers)]
+    return (sum(1 << i for i in ids), masks, preds, depth), (ids, labels, leaf, preds, depth)
 
 
 @settings(max_examples=300)
 @given(_tree_inputs())
 def test_mask_learner_grows_the_reference_tree(args):
-    assert engine.build_decision_tree(*args) == reference.build_decision_tree(*args)
+    engine_args, reference_args = args
+    assert engine.build_decision_tree(*engine_args) == reference.build_decision_tree(*reference_args)
 
 
 @pytest.mark.parametrize("name", ["inv_loop_guarded.sl", "abs.sl"])
@@ -1707,9 +1777,16 @@ def test_mask_learner_grows_the_reference_tree_inside_the_solvers(name, monkeypa
     calls = []
     learner = engine.build_decision_tree
 
-    def both(ids, labels, leaf, preds, depth=None):
-        got = learner(ids, labels, leaf, preds, depth)
-        assert got == reference.build_decision_tree(ids, labels, leaf, preds, depth)
+    def both(ids, covers, preds, depth=None):
+        got = learner(ids, covers, preds, depth)
+        # the reference's labels and leaf, from the covers by the learner's rule
+        sets = [(payload, _id_set(c)) for payload, c in covers]
+        labels = {i: next(k for k, (_, c) in enumerate(sets) if i in c) for i in _id_set(ids)}
+
+        def leaf(subset):
+            return next((Leaf(payload) for payload, c in sets if subset <= c), None)
+
+        assert got == reference.build_decision_tree(_id_set(ids), labels, leaf, preds, depth)
         calls.append(got)
         return got
 

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sygus import harness
+from sygus.core import Macro
+from sygus.engine import Solution
+from sygus.frontend import parse_file, parse_solution
 from sygus.harness import (
     DataError,
     RunRecord,
@@ -374,3 +377,20 @@ def test_resume_reruns_the_benchmark_of_a_torn_record(tmp_path):
     assert outcomes == {"a.sl": "timeout", "b.sl": "unknown-verified"}
     # the torn tail was cut, so the file parses in full afterwards
     assert sorted(load_records(str(path)), key=lambda r: r.benchmark) == sorted(records, key=lambda r: r.benchmark)
+
+
+@pytest.mark.parametrize("engine, solver", [("cegis", "cegis_solve"), ("unif", "unify_solve")])
+@pytest.mark.parametrize("body, outcome", [
+    ("(* x 17)", "nonconformant"),  # neither * nor 17 is in abs's grammar
+    ("x", "semantics-failed"),  # wrong at every negative x
+])
+def test_solve_benchmark_post_processes_what_a_solver_returns(engine, solver, body, outcome, monkeypatch):
+    path = os.path.join(BENCH, "abs.sl")
+    problem = parse_file(path)
+    target = problem.targets[0]
+    text = f"(define-fun abs ((x Int)) Int {body})"
+    _, term = parse_solution(text, problem)["abs"]
+    # a solver's Solution is only a claim: the harness checks conformance, then verifies
+    monkeypatch.setattr(harness, solver, lambda *_: Solution({"abs": Macro("abs", target.params, target.ret, term)}))
+    got, _, _, size, solution = harness.solve_benchmark(path, SuiteConfig(engine=engine, timeout=10))
+    assert (got, size, solution) == (outcome, None, text)
