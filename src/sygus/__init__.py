@@ -36,7 +36,6 @@ from .frontend import (
 )
 from .semantics import Evaluator, eval_constraints
 from .engine import (
-    Budget,
     Enumerator,
     Failure,
     Solution,

@@ -11,6 +11,7 @@ the same call each benchmark of a batch run makes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -36,10 +37,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"input error: {message}\n")
 
 
+def _seconds(text):
+    """A wallclock budget: a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds above 0, got {text!r}")
+    return value
+
+
 def _engine_flags(sp):
     sp.add_argument("--engine", choices=("cegis", "unif", "auto"), default="auto")
-    sp.add_argument("--timeout", type=float, default=60.0)
-    sp.add_argument("--max-size", type=int, default=20)
+    sp.add_argument("--timeout", type=_seconds, default=60.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--smt-cmd", default=None, help="external SMT solver command")
 
@@ -49,7 +60,6 @@ def _suite_config(args, **extra):
     return SuiteConfig(
         engine=args.engine,
         timeout=args.timeout,
-        max_size=args.max_size,
         seed=args.seed,
         smt_cmd=args.smt_cmd,
         **extra,

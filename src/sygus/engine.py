@@ -44,13 +44,13 @@ comparison mirrored by an earlier production (`(> a b)` after `(< b a)`)
 is not built; and an `(ite C Hi Hj)` whose condition reads only hole 0
 skips each hole-0 entry on which C picks the same branch at every point.
 
-Every engine keeps one wallclock deadline.  The enumerator starts no
-size once it is reached, and stops a size the deadline overtakes; either
-raises BudgetExceeded, which `_run` turns into
-`Failure("budget-exhausted")`.
-Nothing cut short is ever read, so no other outcome depends on the
-clock.  A search for one term that holds everywhere stops building a
-size at the first it accepts.
+Every engine keeps one wallclock deadline, whose `_Deadline.check` is
+the only read of the clock: the enumerator checks it before each size
+and every DEADLINE_STRIDE candidates, and `_run` turns the
+BudgetExceeded it raises into `Failure("budget-exhausted")`.  Nothing
+cut short is ever read, so no other outcome depends on the clock.  A
+search for one term that holds everywhere stops building a size at the
+first it accepts.
 """
 
 from __future__ import annotations
@@ -98,14 +98,27 @@ class BudgetExceeded(SygusError):
     pass
 
 
-@dataclass
-class Budget:
-    wallclock: float = 60.0
-    max_term_size: int = 20
+class _Deadline:
+    """A run's wallclock budget, counted from construction."""
+
+    def __init__(self, seconds):
+        self.end = time.monotonic() + seconds
+
+    def remaining(self):
+        return self.end - time.monotonic()
+
+    def check(self, where=""):
+        """Raise BudgetExceeded, saying `where`, once the deadline is reached."""
+        if self.remaining() <= 0:
+            raise BudgetExceeded(f"deadline reached {where}".rstrip())
 
 
-# The largest predicate a stitch or the ICE learner enumerates, and the
-# most counterexample points (ICE: rounds, one fewer) a CEGIS loop takes.
+NO_DEADLINE = _Deadline(math.inf)
+
+# The largest term a search enumerates and predicate a stitch or the ICE
+# learner does, and the most counterexample points (ICE: rounds, one
+# fewer) a CEGIS loop takes.
+MAX_TERM_SIZE = 20
 MAX_PRED_SIZE = 9
 MAX_POINTS = 128
 
@@ -220,14 +233,14 @@ class Enumerator:
     collector never scans a bank, and reference counting still frees it.
     A solve unfreezes every object when it returns (see `_run`).
 
-    With a `deadline`, building raises BudgetExceeded: before a size
-    once the deadline is reached, and inside a size once it has passed.
-    A build the deadline cuts is dropped, never resumed: its banks are
+    Building checks `deadline` (by default NO_DEADLINE, never reached)
+    before a size and every DEADLINE_STRIDE candidates inside one.  A
+    build the deadline cuts is dropped, never resumed: its banks are
     never read, and the next `ensure` raises.
     """
 
     def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None,
-                 deadline=None):
+                 deadline=NO_DEADLINE):
         self.grammar = grammar
         self.interpretations = dict(interpretations or {})
         self.max_size = max_size
@@ -378,8 +391,7 @@ class Enumerator:
         step = [
             f"vec = {vector}",
             "n += 1",
-            f"if not n % {DEADLINE_STRIDE} and deadline is not None and deadline.expired():",
-            f"    raise {em.bind('BudgetExceeded', BudgetExceeded)}(f'deadline reached while building size {{s}}')",
+            f"if not n % {DEADLINE_STRIDE}: deadline.check(f'while building size {{s}}')",
         ]
         step += _admission(skip, _term_source(em, tmpl, iter(terms)), None if isinstance(tmpl, (Var, Lit)) else "")
         step += _goal_hit()
@@ -450,8 +462,7 @@ class Enumerator:
         while self._done < min(size, self.max_size):
             s = self._done + 1
             if self._build is None:
-                if self.deadline is not None and self.deadline.remaining() <= 0:
-                    raise BudgetExceeded(f"deadline reached before size {s}")
+                self.deadline.check(f"before size {s}")
                 if self._cut:
                     raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
                 self._build = self._build_size(s)
@@ -788,8 +799,8 @@ def collect_envs(problem, target, points):
     return [dict(zip(param_names, vals)) for vals in rows]
 
 
-def _enum_for(problem, target, envs, budget, deadline):
-    return Enumerator(target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, deadline=deadline)
+def _enum_for(problem, target, envs, deadline):
+    return Enumerator(target.grammar, envs, problem.macro_map(), max_size=MAX_TERM_SIZE, deadline=deadline)
 
 
 def _exhaust_reason(en):
@@ -797,24 +808,6 @@ def _exhaust_reason(en):
     if finite is not None and finite <= en.max_size:
         return Failure("grammar-exhausted")
     return Failure("budget-exhausted", "size cap reached")
-
-
-class _Deadline:
-    """A run's wallclock budget, counted from construction."""
-
-    def __init__(self, seconds):
-        self.t0 = time.monotonic()
-        self.limit = seconds
-
-    def remaining(self):
-        return self.limit - (time.monotonic() - self.t0)
-
-    def expired(self):
-        return self.remaining() < 0
-
-    def check(self):
-        if self.expired():
-            raise BudgetExceeded("deadline reached")
 
 
 # ---------------------------------------------------------------------------
@@ -870,12 +863,11 @@ def _point_cegis(problem, targets, propose, deadline, cfg):
     )
 
 
-def _run(problem, budget, cfg, unify):
-    """Solve `problem` by its class under one wallclock deadline, with
-    ICE and stitching only if `unify`; BudgetExceeded becomes a Failure."""
-    budget = budget or Budget()
+def _run(problem, wallclock, cfg, unify):
+    """Solve `problem` by its class within `wallclock` seconds, with ICE
+    and stitching only if `unify`; BudgetExceeded becomes a Failure."""
     cfg = cfg or oracle.VerifyConfig()
-    deadline = _Deadline(budget.wallclock)
+    deadline = _Deadline(wallclock)
     pclass = classify(problem)
     if pclass.conflict is not None:
         return Failure("conflicting-examples", pclass.conflict)
@@ -885,14 +877,14 @@ def _run(problem, budget, cfg, unify):
         if unify and pclass.kind == "invariant":
             return _ice_solve(problem, deadline, cfg)
         if pclass.kind == "pbe":
-            return _solve_pbe(problem, pclass.examples, cond, budget, deadline, cfg)
+            return _solve_pbe(problem, pclass.examples, cond, deadline, cfg)
         if unify and pclass.kind != "conditional":
             many = len(targets) != 1
             return Failure("no-conditional-production", "unification handles a single target" if many else "")
         if len(targets) == 1:
-            propose = lambda points: _unify_candidate(problem, targets[0], points, cond, budget, deadline)
+            propose = lambda points: _unify_candidate(problem, targets[0], points, cond, deadline)
         else:
-            propose = lambda points: _consistent_candidate(problem, points, budget, deadline)
+            propose = lambda points: _consistent_candidate(problem, points, deadline)
         return _point_cegis(problem, targets, propose, deadline, cfg)
     except BudgetExceeded as e:
         return Failure("budget-exhausted", str(e))
@@ -900,26 +892,26 @@ def _run(problem, budget, cfg, unify):
         gc.unfreeze()  # what `Enumerator.ensure` froze
 
 
-def cegis_solve(problem, budget=None, cfg=None):
-    """Enumerative CEGIS; returns Solution or Failure."""
-    return _run(problem, budget, cfg, unify=False)
+def cegis_solve(problem, wallclock=60.0, cfg=None):
+    """Enumerative CEGIS within `wallclock` seconds; returns Solution or Failure."""
+    return _run(problem, wallclock, cfg, unify=False)
 
 
-def unify_solve(problem, budget=None, cfg=None):
-    """Enumeration + unification; returns Solution or Failure."""
-    return _run(problem, budget, cfg, unify=True)
+def unify_solve(problem, wallclock=60.0, cfg=None):
+    """Enumeration + unification within `wallclock` seconds; returns Solution or Failure."""
+    return _run(problem, wallclock, cfg, unify=True)
 
 
-def _consistent_candidate(problem, points, budget, deadline):
+def _consistent_candidate(problem, points, deadline):
     """Product enumeration of two or more targets' terms, ordered by
     combined size: the first tuple, scanning whole banks, that holds at
     every point."""
     targets = problem.targets
     envs = [collect_envs(problem, t, points) for t in targets]
-    ens = [_enum_for(problem, t, e, budget, deadline) for t, e in zip(targets, envs)]
+    ens = [_enum_for(problem, t, e, deadline) for t, e in zip(targets, envs)]
     check, full = _point_check(problem, points, envs), (1 << len(points)) - 1
     n = len(targets)
-    for total in range(n, budget.max_term_size * n + 1):
+    for total in range(n, MAX_TERM_SIZE * n + 1):
         for sizes in _compositions(total, n):
             # a size past the cap has an empty bank
             banks = [ens[i].bank(ens[i].grammar.start, sizes[i]) for i in range(n - 1)]
@@ -1121,7 +1113,7 @@ def _cover_and_stitch(en, n, covers, cond, sort, deadline, check=None):
     return Failure("cover-stall") if out.reason == "grammar-exhausted" else out
 
 
-def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
+def _solve_pbe(problem, examples, cond, deadline, cfg):
     """Cover-and-stitch over the examples, with `cond` as the conditional
     to stitch with; (None, None) enumerates only.  The term found is
     verified under the caller's `cfg`."""
@@ -1130,10 +1122,7 @@ def _solve_pbe(problem, examples, cond, budget, deadline, cfg):
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
     expected = tuple(ex.output for ex in examples)
     keep = _string_keep([str(o) for o in expected]) if target.ret == STRING else None
-    en = Enumerator(
-        target.grammar, envs, problem.macro_map(), max_size=budget.max_term_size, keep=keep,
-        deadline=deadline,
-    )
+    en = Enumerator(target.grammar, envs, problem.macro_map(), max_size=MAX_TERM_SIZE, keep=keep, deadline=deadline)
     # no size is built past the first term that meets every example
     en.goal = (en.grammar.start, lambda _term, vec: vec == expected)
 
@@ -1170,8 +1159,7 @@ def _predicate_pool(en, nt, max_size, kind="ite"):
     for s in range(1, max_size + 1):
         bank = en.bank(nt, s)
         for start in range(0, len(bank), DEADLINE_STRIDE):
-            if en.deadline is not None and en.deadline.expired():
-                raise BudgetExceeded(f"deadline reached while reading the size-{s} predicates")
+            en.deadline.check(f"while reading the size-{s} predicates")
             for term, vec in bank[start:start + DEADLINE_STRIDE]:
                 if (1 not in vec) if if0 else not any(vec):
                     continue  # selects nowhere
@@ -1214,10 +1202,10 @@ def _stitch_qm(cover_terms, ids):
     return Failure("predicate-exhausted")
 
 
-def _unify_candidate(problem, target, points, cond, budget, deadline):
+def _unify_candidate(problem, target, points, cond, deadline):
     """One round of cover-and-stitch over the current point set."""
     envs = collect_envs(problem, target, points)
-    en = _enum_for(problem, target, envs, budget, deadline)
+    en = _enum_for(problem, target, envs, deadline)
     # stitching reads environment i as point i: one application per point
     dropped = cond[0] is not None and len(_applications(problem, target)) != 1
     check, full = _point_check(problem, points, [envs]), (1 << len(points)) - 1

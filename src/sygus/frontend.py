@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from .core import (
     Apply,
+    ArityError,
     BOOL,
     Grammar,
     Hole,
@@ -399,7 +400,10 @@ def parse_solution(text: str, problem: Problem) -> dict:
     """Read `(define-fun ...)` forms into a solution map for `problem`.
 
     Bodies may use the problem's macros; returns name -> (param names, body).
+    A define-fun that names a target must take its parameter sorts and
+    return its sort, else ArityError or SortError.
     """
+    targets = {t.name: t for t in problem.targets}
     table = SignatureTable(problem.logic)
     for m in problem.macros:
         table.register(m.name, [s for _, s in m.params], m.ret)
@@ -419,6 +423,12 @@ def parse_solution(text: str, problem: Problem) -> dict:
         body = _parse_term(sx.items[4], dict(params), table)
         if body.sort != ret:
             raise SortError(f"solution {name!r} body has sort {body.sort}, declared {ret}")
+        target = targets.get(name)
+        if target is not None and len(params) != len(target.params):
+            raise ArityError(f"solution {name!r} takes {len(params)} arguments, the target {len(target.params)}")
+        if target is not None and ([s for _, s in params], ret) != ([s for _, s in target.params], target.ret):
+            want = " ".join(str(s) for _, s in target.params)
+            raise SortError(f"solution {name!r} differs from the target's sorts ({want}) {target.ret}")
         sols[name] = ([n for n, _ in params], body)
     return sols
 

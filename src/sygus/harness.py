@@ -1,8 +1,8 @@
 """Batch runner and competition-style scoring.
 
 `solve` is the one mapping from a `SuiteConfig` to a solve: the engine
-it names, a `Budget` of its wallclock and size cap, and a `VerifyConfig`
-of its seed and SMT command.  `sygus solve` calls it, and so does
+it names, given its wallclock in seconds and a `VerifyConfig` of its
+seed and SMT command.  `sygus solve` calls it, and so does
 `solve_benchmark` for each benchmark of a suite.
 
 Runs engines over a directory of `.sl` benchmarks under a wallclock
@@ -30,7 +30,7 @@ from dataclasses import dataclass, asdict
 from multiprocessing.connection import wait
 
 from .core import SygusError, term_size
-from .engine import Budget, Failure, cegis_solve, classify, unify_solve
+from .engine import Failure, cegis_solve, classify, unify_solve
 from .frontend import parse_file
 from .oracle import VerifyConfig, check_conformance, verify
 
@@ -156,7 +156,6 @@ class SuiteConfig:
     engine_id: str = None  # record label; defaults to the engine name
     timeout: float = 60.0
     workers: int = 1
-    max_size: int = 20
     seed: int = 0
     smt_cmd: object = None
     records_path: str = None
@@ -180,10 +179,9 @@ def _pick_solver(problem, engine):
 
 
 def solve(problem, cfg: SuiteConfig):
-    """Solve a parsed `problem` with `cfg`'s engine, wallclock, size cap,
-    seed and SMT command; returns a Solution or a Failure."""
-    budget = Budget(wallclock=cfg.timeout, max_term_size=cfg.max_size)
-    return _pick_solver(problem, cfg.engine)(problem, budget, cfg.verify_config())
+    """Solve a parsed `problem` with `cfg`'s engine, wallclock, seed and
+    SMT command; returns a Solution or a Failure."""
+    return _pick_solver(problem, cfg.engine)(problem, cfg.timeout, cfg.verify_config())
 
 
 def solve_benchmark(path, cfg: SuiteConfig):

@@ -30,7 +30,6 @@ from sygus.core import (
     term_size,
 )
 from sygus.engine import (
-    Budget,
     Enumerator,
     Solution,
     cegis_solve,
@@ -91,7 +90,7 @@ def test_criterion_1_corpus_round_trip():
 def test_criterion_2_abs():
     t0 = time.monotonic()
     p = parse_file(_b("abs.sl"))
-    sol = cegis_solve(p, Budget(wallclock=10))
+    sol = cegis_solve(p, 10)
     elapsed = time.monotonic() - t0
     solved = isinstance(sol, Solution)
     no_cex = False
@@ -120,7 +119,7 @@ def test_criterion_2_abs():
 def test_criterion_3_qm_inner():
     t0 = time.monotonic()
     p = parse_file(_b("qm_inner.sl"))
-    sol = unify_solve(p, Budget(wallclock=60))
+    sol = unify_solve(p, 60)
     elapsed = time.monotonic() - t0
     solved = isinstance(sol, Solution)
     size = conforms = semantic = False
@@ -141,7 +140,7 @@ def test_criterion_3_qm_inner():
 def test_criterion_4_flashfill_initials():
     t0 = time.monotonic()
     p = parse_file(_b("initials.sl"))
-    sol = unify_solve(p, Budget(wallclock=120))
+    sol = unify_solve(p, 120)
     elapsed = time.monotonic() - t0
     solved = isinstance(sol, Solution)
     conforms = agrees = False
@@ -162,7 +161,7 @@ def test_criterion_5_invariant():
 
     t0 = time.monotonic()
     g = parse_file(_b("inv_loop_guarded.sl"))
-    sol = unify_solve(g, Budget(wallclock=60))
+    sol = unify_solve(g, 60)
     elapsed = time.monotonic() - t0
     solved = isinstance(sol, Solution)
     tier2 = False
@@ -219,7 +218,7 @@ def test_criterion_6_bitvector_pbe_suite():
         prob = Problem(logic=p.logic, universals=(), macros=p.macros,
                        targets=(target,), constraints=constraints)
         t0 = time.monotonic()
-        sol = _pick_solver(prob, "auto")(prob, Budget(wallclock=60))
+        sol = _pick_solver(prob, "auto")(prob, 60)
         dt = time.monotonic() - t0
         worst = max(worst, dt)
         if isinstance(sol, Solution) and dt < 60.0 and verify(prob, sol.as_map()).kind == "valid":
@@ -235,7 +234,7 @@ def test_criterion_7_repeat_dedup():
     for name in ("initials.sl", "initials_repeat.sl"):
         p = parse_file(_b(name))
         t0 = time.monotonic()
-        sol = unify_solve(p, Budget(wallclock=120))
+        sol = unify_solve(p, 120)
         dt = time.monotonic() - t0
         assert isinstance(sol, Solution), name
         results[name] = (sol.emit(), dt)

@@ -156,7 +156,17 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun other ((x Int)) Int x)")],
      "solution does not bind abs"),
     (lambda tmp: ["bench", _b("abs.sl")], "is not a directory"),
-], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory"])
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "nan"], "argument --timeout: must be a finite number"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "0"], "argument --timeout: must be a finite number"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "-1"], "argument --timeout: must be a finite number"),
+    (lambda tmp: ["bench", str(tmp), "--timeout", "inf"], "argument --timeout: must be a finite number"),
+    (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int) (y Int)) Int x)")],
+     "solution 'abs' takes 2 arguments, the target 1"),
+    (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Bool true)")],
+     "solution 'abs' differs from the target's sorts (Int) Int"),
+], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
+        "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
+        "verify-wrong-arity", "verify-wrong-sort"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)
     try:

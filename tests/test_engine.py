@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
 from sygus import engine, oracle, semantics
 from sygus.engine import (
-    Budget,
     BudgetExceeded,
     ConflictingExamples,
     Enumerator,
@@ -148,7 +147,7 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
 # operators, each vector element an expression of its own, the inner
 # loop of each commutative production halved over a bank paired with
 # itself, the one-sided `if0` reading only the condition entries that
-# `_s74` finds selecting both ways, and each banked entry tested against
+# `_s73` finds selecting both ways, and each banked entry tested against
 # the goal inline, the only point that yields; this pins the source byte
 # for byte.
 FIG2_VECTOR_SOURCE = '''\
@@ -158,11 +157,10 @@ def _p0(en, nt, s):
     try:
         vec = (0,)
         n += 1
-        if not n % 1024 and deadline is not None and deadline.expired():
-            raise _k1(f'deadline reached while building size {s}')
+        if not n % 1024: deadline.check(f'while building size {s}')
         if prune and vec in sigs:
             return
-        term = _k2
+        term = _k1
         if prune:
             sigs[vec] = term
         entry = term, vec
@@ -174,17 +172,16 @@ def _p0(en, nt, s):
             goal = en.goal
     finally:
         en.constructed = n
-def _p3(en, nt, s):
+def _p2(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         vec = (1,)
         n += 1
-        if not n % 1024 and deadline is not None and deadline.expired():
-            raise _k1(f'deadline reached while building size {s}')
+        if not n % 1024: deadline.check(f'while building size {s}')
         if prune and vec in sigs:
             return
-        term = _k4
+        term = _k3
         if prune:
             sigs[vec] = term
         entry = term, vec
@@ -196,18 +193,17 @@ def _p3(en, nt, s):
             goal = en.goal
     finally:
         en.constructed = n
-def _p5(en, nt, s):
+def _p4(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
-    _v7, = _k6
+    _v6, = _k5
     try:
-        vec = (_v7,)
+        vec = (_v6,)
         n += 1
-        if not n % 1024 and deadline is not None and deadline.expired():
-            raise _k1(f'deadline reached while building size {s}')
+        if not n % 1024: deadline.check(f'while building size {s}')
         if prune and vec in sigs:
             return
-        term = _k8
+        term = _k7
         if prune:
             sigs[vec] = term
         entry = term, vec
@@ -219,19 +215,18 @@ def _p5(en, nt, s):
             goal = en.goal
     finally:
         en.constructed = n
-def _p9(en, nt, s, _v10):
+def _p8(en, nt, s, _v9):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v11, _v12 in _v10:
-            _v13, = _v12
-            vec = ((_v13 ^ 18446744073709551615),)
+        for _v10, _v11 in _v9:
+            _v12, = _v11
+            vec = ((_v12 ^ 18446744073709551615),)
             n += 1
-            if not n % 1024 and deadline is not None and deadline.expired():
-                raise _k1(f'deadline reached while building size {s}')
+            if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k14('bvnot', (_v11,), _k15)
+            term = _k13('bvnot', (_v10,), _k14)
             if keep is not None and not keep(nt, term, vec):
                 continue
             if prune:
@@ -245,19 +240,18 @@ def _p9(en, nt, s, _v10):
                 goal = en.goal
     finally:
         en.constructed = n
-def _p16(en, nt, s, _v17):
+def _p15(en, nt, s, _v16):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v18, _v19 in _v17:
-            _v20, = _v19
-            vec = ((_v20 << 1 & 18446744073709551615),)
+        for _v17, _v18 in _v16:
+            _v19, = _v18
+            vec = ((_v19 << 1 & 18446744073709551615),)
             n += 1
-            if not n % 1024 and deadline is not None and deadline.expired():
-                raise _k1(f'deadline reached while building size {s}')
+            if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k14('shl1', (_v18,), _k15)
+            term = _k13('shl1', (_v17,), _k14)
             if keep is not None and not keep(nt, term, vec):
                 continue
             if prune:
@@ -271,19 +265,18 @@ def _p16(en, nt, s, _v17):
                 goal = en.goal
     finally:
         en.constructed = n
-def _p21(en, nt, s, _v22):
+def _p20(en, nt, s, _v21):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v23, _v24 in _v22:
-            _v25, = _v24
-            vec = ((_v25 >> 1),)
+        for _v22, _v23 in _v21:
+            _v24, = _v23
+            vec = ((_v24 >> 1),)
             n += 1
-            if not n % 1024 and deadline is not None and deadline.expired():
-                raise _k1(f'deadline reached while building size {s}')
+            if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k14('shr1', (_v23,), _k15)
+            term = _k13('shr1', (_v22,), _k14)
             if keep is not None and not keep(nt, term, vec):
                 continue
             if prune:
@@ -297,19 +290,18 @@ def _p21(en, nt, s, _v22):
                 goal = en.goal
     finally:
         en.constructed = n
-def _p26(en, nt, s, _v27):
+def _p25(en, nt, s, _v26):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v28, _v29 in _v27:
-            _v30, = _v29
-            vec = ((_v30 >> 4),)
+        for _v27, _v28 in _v26:
+            _v29, = _v28
+            vec = ((_v29 >> 4),)
             n += 1
-            if not n % 1024 and deadline is not None and deadline.expired():
-                raise _k1(f'deadline reached while building size {s}')
+            if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k14('shr4', (_v28,), _k15)
+            term = _k13('shr4', (_v27,), _k14)
             if keep is not None and not keep(nt, term, vec):
                 continue
             if prune:
@@ -323,19 +315,18 @@ def _p26(en, nt, s, _v27):
                 goal = en.goal
     finally:
         en.constructed = n
-def _p31(en, nt, s, _v32):
+def _p30(en, nt, s, _v31):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v33, _v34 in _v32:
-            _v35, = _v34
-            vec = ((_v35 >> 16),)
+        for _v32, _v33 in _v31:
+            _v34, = _v33
+            vec = ((_v34 >> 16),)
             n += 1
-            if not n % 1024 and deadline is not None and deadline.expired():
-                raise _k1(f'deadline reached while building size {s}')
+            if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k14('shr16', (_v33,), _k15)
+            term = _k13('shr16', (_v32,), _k14)
             if keep is not None and not keep(nt, term, vec):
                 continue
             if prune:
@@ -349,22 +340,21 @@ def _p31(en, nt, s, _v32):
                 goal = en.goal
     finally:
         en.constructed = n
-def _p36(en, nt, s, _v37, _v38):
+def _p35(en, nt, s, _v36, _v37):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
-    diagonal = _v37 is _v38
+    diagonal = _v36 is _v37
     try:
-        for k, (_v39, _v41) in enumerate(_v37):
-            _v43, = _v41
-            for _v40, _v42 in _k45(_v38, k if diagonal else 0, None):
-                _v44, = _v42
-                vec = ((_v43 & _v44),)
+        for k, (_v38, _v40) in enumerate(_v36):
+            _v42, = _v40
+            for _v39, _v41 in _k44(_v37, k if diagonal else 0, None):
+                _v43, = _v41
+                vec = ((_v42 & _v43),)
                 n += 1
-                if not n % 1024 and deadline is not None and deadline.expired():
-                    raise _k1(f'deadline reached while building size {s}')
+                if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvand', (_v39,_v40,), _k15)
+                term = _k13('bvand', (_v38,_v39,), _k14)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -378,22 +368,21 @@ def _p36(en, nt, s, _v37, _v38):
                     goal = en.goal
     finally:
         en.constructed = n
-def _p46(en, nt, s, _v47, _v48):
+def _p45(en, nt, s, _v46, _v47):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
-    diagonal = _v47 is _v48
+    diagonal = _v46 is _v47
     try:
-        for k, (_v49, _v51) in enumerate(_v47):
-            _v53, = _v51
-            for _v50, _v52 in _k45(_v48, k if diagonal else 0, None):
-                _v54, = _v52
-                vec = ((_v53 | _v54),)
+        for k, (_v48, _v50) in enumerate(_v46):
+            _v52, = _v50
+            for _v49, _v51 in _k44(_v47, k if diagonal else 0, None):
+                _v53, = _v51
+                vec = ((_v52 | _v53),)
                 n += 1
-                if not n % 1024 and deadline is not None and deadline.expired():
-                    raise _k1(f'deadline reached while building size {s}')
+                if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvor', (_v49,_v50,), _k15)
+                term = _k13('bvor', (_v48,_v49,), _k14)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -407,22 +396,21 @@ def _p46(en, nt, s, _v47, _v48):
                     goal = en.goal
     finally:
         en.constructed = n
-def _p55(en, nt, s, _v56, _v57):
+def _p54(en, nt, s, _v55, _v56):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
-    diagonal = _v56 is _v57
+    diagonal = _v55 is _v56
     try:
-        for k, (_v58, _v60) in enumerate(_v56):
-            _v62, = _v60
-            for _v59, _v61 in _k45(_v57, k if diagonal else 0, None):
-                _v63, = _v61
-                vec = ((_v62 ^ _v63),)
+        for k, (_v57, _v59) in enumerate(_v55):
+            _v61, = _v59
+            for _v58, _v60 in _k44(_v56, k if diagonal else 0, None):
+                _v62, = _v60
+                vec = ((_v61 ^ _v62),)
                 n += 1
-                if not n % 1024 and deadline is not None and deadline.expired():
-                    raise _k1(f'deadline reached while building size {s}')
+                if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvxor', (_v58,_v59,), _k15)
+                term = _k13('bvxor', (_v57,_v58,), _k14)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -436,22 +424,21 @@ def _p55(en, nt, s, _v56, _v57):
                     goal = en.goal
     finally:
         en.constructed = n
-def _p64(en, nt, s, _v65, _v66):
+def _p63(en, nt, s, _v64, _v65):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
-    diagonal = _v65 is _v66
+    diagonal = _v64 is _v65
     try:
-        for k, (_v67, _v69) in enumerate(_v65):
-            _v71, = _v69
-            for _v68, _v70 in _k45(_v66, k if diagonal else 0, None):
-                _v72, = _v70
-                vec = ((_v71 + _v72 & 18446744073709551615),)
+        for k, (_v66, _v68) in enumerate(_v64):
+            _v70, = _v68
+            for _v67, _v69 in _k44(_v65, k if diagonal else 0, None):
+                _v71, = _v69
+                vec = ((_v70 + _v71 & 18446744073709551615),)
                 n += 1
-                if not n % 1024 and deadline is not None and deadline.expired():
-                    raise _k1(f'deadline reached while building size {s}')
+                if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k14('bvadd', (_v67,_v68,), _k15)
+                term = _k13('bvadd', (_v66,_v67,), _k14)
                 if keep is not None and not keep(nt, term, vec):
                     continue
                 if prune:
@@ -465,31 +452,30 @@ def _p64(en, nt, s, _v65, _v66):
                     goal = en.goal
     finally:
         en.constructed = n
-def _s74(bank):
+def _s73(bank):
     out = []
-    for term, _v75 in bank:
-        _v76, = _v75
-        sel = ((_v76 == 1),)
+    for term, _v74 in bank:
+        _v75, = _v74
+        sel = ((_v75 == 1),)
         if any(sel) and not all(sel):
             out.append((term, sel))
     return out
-def _p73(en, nt, s, _v77, _v78, _v79):
+def _p72(en, nt, s, _v76, _v77, _v78):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v80, _v83 in _s74(_v77):
-            _v86, = _v83
-            for _v81, _v84 in _v78:
-                _v87, = _v84
-                for _v82, _v85 in _v79:
-                    _v88, = _v85
-                    vec = ((_v87 if _v86 else _v88),)
+        for _v79, _v82 in _s73(_v76):
+            _v85, = _v82
+            for _v80, _v83 in _v77:
+                _v86, = _v83
+                for _v81, _v84 in _v78:
+                    _v87, = _v84
+                    vec = ((_v86 if _v85 else _v87),)
                     n += 1
-                    if not n % 1024 and deadline is not None and deadline.expired():
-                        raise _k1(f'deadline reached while building size {s}')
+                    if not n % 1024: deadline.check(f'while building size {s}')
                     if prune and vec in sigs:
                         continue
-                    term = _k14('if0', (_v80,_v81,_v82,), _k15)
+                    term = _k13('if0', (_v79,_v80,_v81,), _k14)
                     if keep is not None and not keep(nt, term, vec):
                         continue
                     if prune:
@@ -503,7 +489,7 @@ def _p73(en, nt, s, _v77, _v78, _v79):
                         goal = en.goal
     finally:
         en.constructed = n
-_fns = (_p0,_p3,_p5,_p9,_p16,_p21,_p26,_p31,_p36,_p46,_p55,_p64,_s74,_p73,)
+_fns = (_p0,_p2,_p4,_p8,_p15,_p20,_p25,_p30,_p35,_p45,_p54,_p63,_s73,_p72,)
 '''
 
 
@@ -672,7 +658,7 @@ def test_extract_pbe_points_rejects_non_pbe():
 
 def test_cegis_solves_abs():
     p = parse_file(os.path.join(BENCH, "abs.sl"))
-    sol = cegis_solve(p, Budget(wallclock=30))
+    sol = cegis_solve(p, 30)
     assert isinstance(sol, Solution)
     params, body = sol.as_map()["abs"]
     ev = Evaluator()
@@ -683,7 +669,7 @@ def test_cegis_solves_abs():
 
 def test_unify_solves_qm_inner():
     p = parse_file(os.path.join(BENCH, "qm_inner.sl"))
-    sol = unify_solve(p, Budget(wallclock=30))
+    sol = unify_solve(p, 30)
     assert isinstance(sol, Solution)
     params, body = sol.as_map()["qm-inner-loop"]
     ev = Evaluator(p.macro_map())
@@ -712,7 +698,7 @@ def test_unify_rechecks_each_stitched_term(monkeypatch):
         return cover_and_stitch(*rest, recorded if check else None)
 
     monkeypatch.setattr(engine, "_cover_and_stitch", spy)
-    out = unify_solve(p, Budget(wallclock=60))
+    out = unify_solve(p, 60)
     # every chain fails a point of its round, and the oracle refutes each
     assert rechecked and not any(ok for _, ok in rechecked)
     for term, _ in rechecked:
@@ -763,7 +749,7 @@ def test_unify_stitches_ite_max():
         "(constraint (= (f 2 5) 5)) (constraint (= (f 7 7) 7))\n"
         "(check-synth)"
     )
-    sol = unify_solve(p, Budget(wallclock=30))
+    sol = unify_solve(p, 30)
     assert isinstance(sol, Solution)
     params, body = sol.as_map()["f"]
     ev = Evaluator()
@@ -773,10 +759,11 @@ def test_unify_stitches_ite_max():
     assert check_conformance(body, p.targets[0].grammar).kind == "valid"
 
 
-def test_unsolvable_reports_failure():
+def test_unsolvable_reports_failure(monkeypatch):
     # 2*f(y) = 1 has no integer solution
     p = _pbe("(declare-var y Int) (constraint (= (* (f y) 2) 1))")
-    out = cegis_solve(p, Budget(wallclock=5, max_term_size=6))
+    monkeypatch.setattr(engine, "MAX_TERM_SIZE", 6)
+    out = cegis_solve(p, 5)
     assert isinstance(out, Failure)
 
 
@@ -802,21 +789,21 @@ def test_round_caps(monkeypatch):
         m.setattr(engine, "MAX_POINTS", 2)
         for solve in (cegis_solve, unify_solve):
             calls.clear()
-            out = solve(p, Budget(wallclock=30))
+            out = solve(p, 30)
             assert isinstance(out, Failure) and out.reason == "budget-exhausted"
             assert len(calls) == 3
 
     inv = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))  # solved in one round
     monkeypatch.setattr(engine, "MAX_POINTS", 0)
-    assert unify_solve(inv, Budget(wallclock=30)).reason == "budget-exhausted"
+    assert unify_solve(inv, 30).reason == "budget-exhausted"
     monkeypatch.setattr(engine, "MAX_POINTS", 1)
-    assert isinstance(unify_solve(inv, Budget(wallclock=30)), Solution)
+    assert isinstance(unify_solve(inv, 30), Solution)
 
 
 def test_solver_determinism():
     p = parse_file(os.path.join(BENCH, "qm_inner.sl"))
-    a = unify_solve(p, Budget(wallclock=30))
-    b = unify_solve(p, Budget(wallclock=30))
+    a = unify_solve(p, 30)
+    b = unify_solve(p, 30)
     assert a.emit() == b.emit()
 
 
@@ -877,25 +864,24 @@ def test_auto_keeps_the_budget_on_abs():
 # --- the wallclock budget --------------------------------------------------
 
 
-class _Clock:
+class _Clock(engine._Deadline):
     """Deadline stub: `left` seconds remain until a test sets it."""
 
     def __init__(self, left):
+        super().__init__(left)
         self.left = left
 
     def remaining(self):
         return self.left
 
-    def expired(self):
-        return self.left < 0
-
 
 class _PassingClock(_Clock):
     """A deadline that passes the first time it is checked inside a size."""
 
-    def expired(self):
-        self.left = -1.0
-        return True
+    def check(self, where=""):
+        if where.startswith("while building"):
+            self.left = -1.0
+        super().check(where)
 
 
 def test_size_cost_counts_the_candidates_a_size_constructs():
@@ -1171,10 +1157,11 @@ def test_cegis_stops_early_like_a_whole_size_scan(problem, cap, monkeypatch):
         return lambda entries: calls.append(1) or check(entries)
 
     monkeypatch.setattr(engine, "_point_check", counted)
+    monkeypatch.setattr(engine, "MAX_TERM_SIZE", cap)
 
     def run():
         calls.clear()
-        out = cegis_solve(problem(), Budget(wallclock=60, max_term_size=cap))
+        out = cegis_solve(problem(), 60)
         return out.emit() if isinstance(out, Solution) else out, len(calls)
 
     got = run()
@@ -1187,7 +1174,7 @@ def test_cegis_stops_early_like_a_whole_size_scan(problem, cap, monkeypatch):
 def test_every_solver_keeps_a_one_second_budget(path, engine):
     p = parse_file(path)
     t0 = time.monotonic()
-    _pick_solver(p, engine)(p, Budget(wallclock=1.0))
+    _pick_solver(p, engine)(p, 1.0)
     assert time.monotonic() - t0 < 1.5
 
 
@@ -1223,21 +1210,24 @@ def _if0_problem():
 def test_budget_overruns_stop_at_the_deadline(solve, problem, seconds):
     p = problem()
     t0 = time.monotonic()
-    out = solve(p, Budget(wallclock=seconds))
+    out = solve(p, seconds)
     assert time.monotonic() - t0 < seconds + 0.5
     assert isinstance(out, Failure) and out.reason == "budget-exhausted" and out.detail
 
 
 class _ExpiringClock(_Clock):
-    """A deadline that passes at its `looks`-th look."""
+    """A deadline that passes at its `looks`-th look over the predicates."""
 
     def __init__(self, looks):
         super().__init__(60.0)
         self.looks = looks
 
-    def expired(self):
-        self.looks -= 1
-        return self.looks <= 0
+    def check(self, where=""):
+        if where.endswith("predicates"):
+            self.looks -= 1
+            if self.looks <= 0:
+                self.left = 0.0
+        super().check(where)
 
 
 @pytest.mark.parametrize("late", [0, 1], ids=["cut", "in-time"])
@@ -1313,7 +1303,7 @@ def test_a_solve_frees_every_enumerator_it_paused(monkeypatch, collector_off):
     for p in _fig2_direct_problems():
         for solve in (unify_solve, cegis_solve):
             refs.clear()
-            assert isinstance(solve(p, Budget(wallclock=30)), Solution)
+            assert isinstance(solve(p, 30), Solution)
             assert refs and all(r() is None for r in refs)
 
 
@@ -1323,14 +1313,14 @@ def test_no_object_stays_frozen_after_a_solve():
     for _ in range(3):
         for p in problems:
             for solve in (unify_solve, cegis_solve):
-                assert isinstance(solve(p, Budget(wallclock=30)), Solution)
+                assert isinstance(solve(p, 30), Solution)
                 assert gc.get_freeze_count() == 0
         tracked.append(len(gc.get_objects()))
     # a solve leaves nothing behind for a later collection to find
     assert tracked[-1] < tracked[0] + 1000, tracked
     assert gc.get_freeze_count() == 0
     inv = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))  # the ICE learner
-    assert isinstance(unify_solve(inv, Budget(wallclock=30)), Solution)
+    assert isinstance(unify_solve(inv, 30), Solution)
     assert gc.get_freeze_count() == 0
 
 
@@ -1416,6 +1406,19 @@ STOP_REASONS = {
         _lia_spec("", "(constraint (= (f x) (g x)))", extra="(synth-fun g ((x Int)) Int)\n"), 20, [],
         {"unif": ("no-conditional-production", "unification handles a single target")},
     ),
+    # the product loop: no pair of finite-grammar terms gives f(3) = g(3) + 100
+    "two-targets-finite": (
+        _lia_spec(FINITE_PLAIN, "(constraint (= (f x) (+ (g x) 100)))",
+                  extra=f"(synth-fun g ((x Int)) Int {FINITE_PLAIN})\n"), 20, [{"x": 3}],
+        {"cegis": ("grammar-exhausted", "")},
+    ),
+    # the product loop: no pair of terms up to size 4 gives f(3) = g(3) + 10,
+    # though (+ x (+ x (+ x (+ 1 1)))) and 1 would
+    "two-targets-size-cap": (
+        _lia_spec(OPEN_PLAIN, "(constraint (= (f x) (+ (g x) 10)))",
+                  extra=f"(synth-fun g ((x Int)) Int {OPEN_PLAIN})\n"), 4, [{"x": 3}],
+        {"cegis": ("budget-exhausted", "size cap reached")},
+    ),
     "no-conditional": (
         _lia_spec(OPEN_PLAIN, "(constraint (= (f x) (+ x 7)))"), 20, [],
         {"unif": ("no-conditional-production", "")},
@@ -1439,9 +1442,10 @@ def _refuting(points):
 def test_stop_reasons(name, monkeypatch):
     text, cap, points, want = STOP_REASONS[name]
     p = parse(text)
+    monkeypatch.setattr(engine, "MAX_TERM_SIZE", cap)
     for engine_name, reason in want.items():
         monkeypatch.setattr(oracle, "verify", _refuting(points))
-        out = {"cegis": cegis_solve, "unif": unify_solve}[engine_name](p, Budget(wallclock=30, max_term_size=cap))
+        out = {"cegis": cegis_solve, "unif": unify_solve}[engine_name](p, 30)
         assert isinstance(out, Failure), (engine_name, out)
         assert (out.reason, out.detail) == reason, engine_name
 
@@ -1460,7 +1464,7 @@ def test_the_product_loop_solves_coupled_targets(constraint, engine_name):
     solve = _pick_solver(p, engine_name)
     assert solve is cegis_solve
     t0 = time.monotonic()
-    out = solve(p, Budget(wallclock=30))
+    out = solve(p, 30)
     assert time.monotonic() - t0 < 1.0
     assert isinstance(out, Solution) and out.emit() == COUPLED[constraint]
 
@@ -1517,7 +1521,7 @@ def test_point_covers_match_a_per_point_check(problem):
 @pytest.mark.parametrize("engine_name", ["cegis", "unif", "auto"])
 def test_a_let_bound_target_argument_is_solved(engine_name):
     p = parse(_lia_spec("", LET_ARG))
-    out = _pick_solver(p, engine_name)(p, Budget(wallclock=30))
+    out = _pick_solver(p, engine_name)(p, 30)
     assert isinstance(out, Solution), out
     assert out.emit() == "(define-fun f ((x Int)) Int (+ x 1))"
 
@@ -1587,7 +1591,7 @@ def test_the_run_seed_reaches_ice_seeding(monkeypatch):
     ice_seed = engine._ice_seed
     monkeypatch.setattr(engine, "_ice_seed", lambda *a: seeds.append(a[3]) or ice_seed(*a))
     p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
-    assert isinstance(unify_solve(p, Budget(), VerifyConfig(seed=5)), Solution)
+    assert isinstance(unify_solve(p, cfg=VerifyConfig(seed=5)), Solution)
     assert seeds == [5]
 
 
@@ -1695,7 +1699,7 @@ def test_ice_counterexamples_label_states(points, reason, detail, learned, monke
 
     monkeypatch.setattr(engine, "_ice_learn", spy)
     monkeypatch.setattr(oracle, "verify", _refuting(points))
-    out = unify_solve(p, Budget(wallclock=30))
+    out = unify_solve(p, 30)
     assert isinstance(out, Failure) and (out.reason, out.detail) == (reason, detail)
     assert seen == learned
 
@@ -1791,7 +1795,7 @@ def test_mask_learner_grows_the_reference_tree_inside_the_solvers(name, monkeypa
         return got
 
     monkeypatch.setattr(engine, "build_decision_tree", both)
-    assert unify_solve(parse_file(os.path.join(BENCH, name)), Budget(wallclock=60)).verdict.kind != "counterexample"
+    assert unify_solve(parse_file(os.path.join(BENCH, name)), 60).verdict.kind != "counterexample"
     assert any(t is not None for t in calls)
 
 

@@ -24,7 +24,7 @@ import os
 
 import pytest
 
-from sygus.engine import Budget, Failure, cegis_solve, unify_solve
+from sygus.engine import Failure, cegis_solve, unify_solve
 from sygus.frontend import parse, parse_file, parse_solution
 from sygus.harness import _pick_solver
 from sygus.oracle import verify
@@ -151,7 +151,7 @@ def _problem(name):
 def test_golden_solution(name, engine):
     problem = _problem(name)
     solver = {"cegis": cegis_solve, "unif": unify_solve}.get(engine) or _pick_solver(problem, engine)
-    result = solver(problem, Budget(wallclock=30))
+    result = solver(problem, 30)
     expected = GOLDEN[(name, engine)]
     if isinstance(expected, str):
         assert isinstance(result, Failure)

@@ -9,7 +9,7 @@ import stat
 import pytest
 
 from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, Sort, STRING, Var
-from sygus.engine import Budget, cegis_solve, unify_solve
+from sygus.engine import cegis_solve, unify_solve
 from sygus.frontend import parse, parse_file, parse_solution
 from sygus import harness, oracle
 from sygus.oracle import (
@@ -90,7 +90,7 @@ def test_shared_derivation_memo_agrees_with_fresh_checks():
 def test_solver_outputs_conform_to_their_grammars():
     for name, solver in (("abs.sl", cegis_solve), ("initials.sl", unify_solve)):
         p = parse_file(os.path.join(BENCH, name))
-        sol = solver(p, Budget(wallclock=60))
+        sol = solver(p, 60)
         for t in p.targets:
             _, body = sol.as_map()[t.name]
             assert check_conformance(body, t.grammar).kind == "valid", name
@@ -101,7 +101,7 @@ def test_solver_outputs_conform_to_their_grammars():
 
 def test_verify_pbe_valid_and_counterexample():
     p = parse_file(os.path.join(BENCH, "initials.sl"))
-    sol = unify_solve(p, Budget(wallclock=60))
+    sol = unify_solve(p, 60)
     assert verify(p, sol.as_map()).kind == "valid"
     wrong = {"f": (["name"], Lit("N.F.", STRING))}
     assert verify(p, wrong).kind == "counterexample"
@@ -117,7 +117,7 @@ def test_verify_finds_universal_counterexample():
 
 def test_verify_unverified_without_solver():
     p = parse_file(os.path.join(BENCH, "abs.sl"))
-    sol = cegis_solve(p, Budget(wallclock=30))
+    sol = cegis_solve(p, 30)
     v = verify(p, sol.as_map())
     assert v.kind == "unknown"
     assert "unverified" in v.reason
@@ -320,7 +320,7 @@ def _fake_solver(tmp_path, body):
 
 def test_external_check_unsat_is_valid(tmp_path):
     p = parse_file(os.path.join(BENCH, "abs.sl"))
-    sol = cegis_solve(p, Budget(wallclock=30)).as_map()
+    sol = cegis_solve(p, 30).as_map()
     cfg = VerifyConfig(smt_cmd=_fake_solver(tmp_path, "echo unsat\n"))
     assert external_check(p, sol, cfg).kind == "valid"
 
@@ -338,7 +338,7 @@ def test_external_check_sat_model_counterexample(tmp_path):
 
 def test_external_check_bogus_model_is_unknown(tmp_path):
     p = parse_file(os.path.join(BENCH, "abs.sl"))
-    sol = cegis_solve(p, Budget(wallclock=30)).as_map()
+    sol = cegis_solve(p, 30).as_map()
     # claims sat against a correct solution; the model cannot re-check
     cmd = _fake_solver(tmp_path, "echo sat\necho '((define-fun x () Int 7))'\n")
     assert external_check(p, sol, cfg=VerifyConfig(smt_cmd=cmd)).kind == "unknown"
