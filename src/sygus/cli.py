@@ -37,6 +37,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"input error: {message}\n")
 
 
+class _InputError(Exception):
+    """Outside input a verb cannot use; `main` prints it and exits 3."""
+
+
+def _input(fn, *args):
+    """`fn(*args)` on outside input, its OSError or SygusError an _InputError."""
+    try:
+        return fn(*args)
+    except (OSError, SygusError) as e:
+        raise _InputError(e) from e
+
+
 def _seconds(text):
     """A wallclock budget: a finite number of seconds above 0."""
     try:
@@ -67,11 +79,7 @@ def _suite_config(args, **extra):
 
 
 def _cmd_solve(args):
-    try:
-        problem = parse_file(args.file)
-    except (OSError, SygusError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    problem = _input(parse_file, args.file)
     result = solve(problem, _suite_config(args))
     if isinstance(result, Failure):
         why = f"{result.reason} ({result.detail})" if result.detail else result.reason
@@ -84,20 +92,14 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    try:
-        problem = parse_file(args.file)
-        with open(args.solution) as fh:
-            sols = parse_solution(fh.read(), problem)
-    except (OSError, SygusError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    problem = _input(parse_file, args.file)
+    with _input(open, args.solution) as fh:
+        sols = _input(parse_solution, fh.read(), problem)
     for t in problem.targets:
         if t.name not in sols:
-            print(f"input error: solution does not bind {t.name}", file=sys.stderr)
-            return EXIT_INPUT
+            raise _InputError(f"solution does not bind {t.name}")
     for t in problem.targets:
-        _, body = sols[t.name]
-        v = check_conformance(body, t.grammar)
+        v = check_conformance(sols[t.name][1], t.grammar)
         if v.kind != "valid":
             print(f"nonconformant: {t.name} at path {list(v.path)}")
             return EXIT_FAILURE
@@ -111,8 +113,9 @@ def _cmd_verify(args):
 
 def _cmd_bench(args):
     if not os.path.isdir(args.dir):
-        print(f"input error: {args.dir} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"{args.dir} is not a directory")
+    if args.records and os.path.exists(args.records):
+        _input(load_records, args.records)
     cfg = _suite_config(args, workers=args.workers, records_path=args.records, solutions_dir=args.solutions)
     records = run_suite(args.dir, cfg)
     for r in records:
@@ -122,12 +125,7 @@ def _cmd_bench(args):
 
 
 def _cmd_score(args):
-    try:
-        records = load_records(args.records)
-        report = score(records)
-    except (OSError, SygusError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    report = _input(score, _input(load_records, args.records))
     print(report.to_json())
     return EXIT_OK
 
@@ -150,13 +148,8 @@ def _structured_inputs(sort, rng, count):
 def _cmd_nuggets(args):
     for flag, value, least in (("--k", args.k, 1), ("--examples", args.examples, 1), ("--count", args.count, 0)):
         if value < least:
-            print(f"input error: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        problem = parse_file(args.grammar_file)
-    except (OSError, SygusError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+            raise _InputError(f"{flag} must be at least {least}, got {value}")
+    problem = _input(parse_file, args.grammar_file)
     target = problem.targets[0]
     rng = random.Random(args.seed)
     sample = []
@@ -239,7 +232,11 @@ def main(argv=None):
     sp.set_defaults(fn=_cmd_nuggets)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

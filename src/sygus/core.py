@@ -329,15 +329,11 @@ def var_equations(terms, names):
     return defs
 
 
-_fresh_counter = itertools.count()
-
-
-def _fresh(name):
-    return f"{name}%{next(_fresh_counter)}"
-
-
 def subst(t: Term, mapping: dict) -> Term:
-    """Capture-avoiding substitution of free variables by terms."""
+    """Capture-avoiding substitution of free variables by terms.  A let
+    binder that would capture becomes the first `name%k` (k = 0, 1, ...)
+    free in neither the let body nor a substituted term, and no binder or
+    substituted name."""
     if not mapping:
         return t
     if isinstance(t, Var):
@@ -347,20 +343,20 @@ def subst(t: Term, mapping: dict) -> Term:
     if isinstance(t, Apply):
         return rebuild(t, lambda a: subst(a, mapping))
     if isinstance(t, Let):
+        binders = {n for n, _ in t.bindings}
         new_bindings = [(n, subst(e, mapping)) for n, e in t.bindings]
-        inner = {k: v for k, v in mapping.items() if k not in {n for n, _ in t.bindings}}
-        clash = set()
-        for v in inner.values():
-            clash |= free_vars(v)
+        inner = {k: v for k, v in mapping.items() if k not in binders}
+        clash = set().union(*(free_vars(v) for v in inner.values()))
+        taken = clash | free_vars(t.body) | binders | inner.keys()
         renames = {}
         fixed = []
         for n, e in new_bindings:
             if n in clash:
-                n2 = _fresh(n)
+                n2 = next(c for c in (f"{n}%{k}" for k in itertools.count()) if c not in taken)
+                taken.add(n2)
                 renames[n] = Var(n2, e.sort)
-                fixed.append((n2, e))
-            else:
-                fixed.append((n, e))
+                n = n2
+            fixed.append((n, e))
         body = subst(t.body, renames) if renames else t.body
         return Let(tuple(fixed), subst(body, inner), t.sort)
     raise TypeError(f"not a term: {t!r}")

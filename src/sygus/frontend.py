@@ -29,6 +29,7 @@ from .core import (
     Term,
     Var,
     mk_apply,
+    subst,
 )
 from .sexpr import (
     HexTok,
@@ -274,6 +275,21 @@ def _parse_grammar(sx, params, table):
     )
 
 
+def _define_fun(sx, table, what) -> Macro:
+    """The Macro of a `(define-fun name params sort body)` form whose body
+    is read over `table`; `what` names the form in a sort error."""
+    rest = sx.items[1:]
+    if len(rest) != 4 or not isinstance(rest[0], Symbol):
+        raise ParseError(f"malformed define-fun {to_text(sx)}")
+    name = rest[0].name
+    params = _parse_params(rest[1])
+    ret = _parse_sort(rest[2])
+    body = _parse_term(rest[3], dict(params), table)
+    if body.sort != ret:
+        raise SortError(f"{what} {name!r} body has sort {body.sort}, declared {ret}")
+    return Macro(name, params, ret, body)
+
+
 def parse(text: str) -> Problem:
     """Parse SyGuS-IF text into a validated Problem."""
     logic = None
@@ -306,16 +322,9 @@ def parse(text: str) -> Problem:
         if table is None:
             raise ParseError(f"({head} ...) before set-logic")
         if head == "define-fun":
-            if len(rest) != 4 or not isinstance(rest[0], Symbol):
-                raise ParseError(f"malformed define-fun {to_text(sx)}")
-            name = rest[0].name
-            params = _parse_params(rest[1])
-            ret = _parse_sort(rest[2])
-            body = _parse_term(rest[3], dict(params), table)
-            if body.sort != ret:
-                raise SortError(f"define-fun {name!r} body has sort {body.sort}, declared {ret}")
-            macros.append(Macro(name, params, ret, body))
-            table.register(name, [s for _, s in params], ret)
+            macro = _define_fun(sx, table, "define-fun")
+            macros.append(macro)
+            table.register(macro.name, [s for _, s in macro.params], macro.ret)
         elif head == "synth-fun":
             if len(rest) not in (3, 4) or not isinstance(rest[0], Symbol):
                 raise ParseError(f"malformed synth-fun {to_text(sx)}")
@@ -397,39 +406,32 @@ def parse_file(path) -> Problem:
 
 
 def parse_solution(text: str, problem: Problem) -> dict:
-    """Read `(define-fun ...)` forms into a solution map for `problem`.
-
-    Bodies may use the problem's macros; returns name -> (param names, body).
-    A define-fun that names a target must take its parameter sorts and
-    return its sort, else ArityError or SortError.
-    """
+    """Read `(define-fun ...)` forms, as `parse` does, into a solution map
+    name -> (param names, body) for `problem`'s targets.  A form naming no
+    target is read and dropped, so it cannot redefine a macro.  A target's
+    takes its sorts (else ArityError or SortError) and comes once (else
+    ParseError); its parameters are renamed to the target's."""
     targets = {t.name: t for t in problem.targets}
     table = SignatureTable(problem.logic)
     for m in problem.macros:
         table.register(m.name, [s for _, s in m.params], m.ret)
     sols = {}
     for sx in parse_sexprs(text):
-        if not (
-            isinstance(sx, SList)
-            and len(sx.items) == 5
-            and isinstance(sx.items[0], Symbol)
-            and sx.items[0].name == "define-fun"
-            and isinstance(sx.items[1], Symbol)
-        ):
+        if not (isinstance(sx, SList) and sx.items and sx.items[0] == Symbol("define-fun")):
             raise ParseError(f"expected define-fun, got {to_text(sx)}")
-        name = sx.items[1].name
-        params = _parse_params(sx.items[2])
-        ret = _parse_sort(sx.items[3])
-        body = _parse_term(sx.items[4], dict(params), table)
-        if body.sort != ret:
-            raise SortError(f"solution {name!r} body has sort {body.sort}, declared {ret}")
-        target = targets.get(name)
-        if target is not None and len(params) != len(target.params):
-            raise ArityError(f"solution {name!r} takes {len(params)} arguments, the target {len(target.params)}")
-        if target is not None and ([s for _, s in params], ret) != ([s for _, s in target.params], target.ret):
+        fun = _define_fun(sx, table, "solution")
+        target = targets.get(fun.name)
+        if target is None:
+            continue
+        if fun.name in sols:
+            raise ParseError(f"solution {fun.name!r} is defined twice")
+        if len(fun.params) != len(target.params):
+            raise ArityError(f"solution {fun.name!r} takes {len(fun.params)} arguments, the target {len(target.params)}")
+        if ([s for _, s in fun.params], fun.ret) != ([s for _, s in target.params], target.ret):
             want = " ".join(str(s) for _, s in target.params)
-            raise SortError(f"solution {name!r} differs from the target's sorts ({want}) {target.ret}")
-        sols[name] = ([n for n, _ in params], body)
+            raise SortError(f"solution {fun.name!r} differs from the target's sorts ({want}) {target.ret}")
+        renames = {n: Var(tn, s) for (n, _), (tn, s) in zip(fun.params, target.params) if n != tn}
+        sols[fun.name] = ([n for n, _ in target.params], subst(fun.body, renames))
     return sols
 
 

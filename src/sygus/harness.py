@@ -21,6 +21,7 @@ ran.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing as mp
 import os
 import time
@@ -161,6 +162,10 @@ class SuiteConfig:
     records_path: str = None
     solutions_dir: str = None
 
+    def __post_init__(self):
+        if not 0 < self.timeout < math.inf:  # false for nan too
+            raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout!r}")
+
     def label(self):
         return self.engine_id or self.engine
 
@@ -260,12 +265,11 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     tier-2 Int sample stream of each seed (`oracle._int_stream`), code
     objects keyed by their source (`semantics._compiled`) and the last
     verdict of `oracle.verify`, keyed by the identity of a problem it
-    holds.  `core.subst`'s fresh-name counter also runs on, so a let
-    binder renamed to avoid capture may get another number.  A worker
-    that exits without replying fails its record; one still running
-    `GRACE` seconds past its budget is terminated and recorded as a
-    timeout.  Either is replaced by a fresh worker while benchmarks
-    remain.  Every worker has exited before this returns or raises.
+    holds.  A worker that exits without replying fails its record; one
+    still running `GRACE` seconds past its budget is terminated and
+    recorded as a timeout.  Either is replaced by a fresh worker while
+    benchmarks remain.  Every worker has exited before this returns or
+    raises.
     """
     paths = sorted(
         os.path.join(bench_dir, f) for f in os.listdir(bench_dir) if f.endswith(".sl")

@@ -348,13 +348,13 @@ def _bv_shift(op, arg, amount, width):
 def solution_interpretations(problem, solution):
     """Combine a problem's macros with a solution's target bindings.
 
-    `solution` maps target name -> (param names, body term).
+    `solution` maps target name -> (param names, body term); no other entry is read.
     """
     interp = problem.macro_map()
     for t in problem.targets:
         if t.name not in solution:
             raise UnboundTarget(f"solution does not bind target {t.name!r}")
-    interp.update(solution)
+        interp[t.name] = solution[t.name]
     return interp
 
 

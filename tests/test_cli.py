@@ -100,6 +100,41 @@ def test_verify_nonconformant_body(tmp_path, capsys):
     assert "nonconformant" in capsys.readouterr().out
 
 
+def test_verify_reads_a_solution_under_any_parameter_names(tmp_path, capsys):
+    printed = []
+    for param in ("x", "y"):
+        sol_path = tmp_path / f"abs_{param}.sol"
+        sol_path.write_text(f"(define-fun abs (({param} Int)) Int (ite (< {param} 0) (- 0 {param}) {param}))\n")
+        assert main(["verify", _b("abs.sl"), str(sol_path)]) == EXIT_FAILURE
+        printed.append(capsys.readouterr().out)
+    assert printed == ["unknown: unverified-beyond-bound\n"] * 2
+
+
+SHR1_PBE = """
+(set-logic BV)
+(define-fun shr1 ((x (BitVec 64))) (BitVec 64) (bvlshr x #x0000000000000001))
+(synth-fun f ((x (BitVec 64))) (BitVec 64)
+  ((Start (BitVec 64) (#x0000000000000001 x (shr1 Start) (bvadd Start Start)))))
+(constraint (= (f #x0000000000000004) #x0000000000000008))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("problem, solution", [
+    # `(shr1 x)` is wrong for f(4) = 8 unless the file may redefine shr1
+    (lambda tmp: _problem(tmp, SHR1_PBE),
+     "(define-fun shr1 ((x (BitVec 64))) (BitVec 64) (bvadd x x))\n"
+     "(define-fun f ((x (BitVec 64))) (BitVec 64) (shr1 x))"),
+    # `(>= i 0)` does not give the post-condition unless the file may weaken it
+    (lambda tmp: _b("inv_loop_guarded.sl"),
+     "(define-fun post-f ((i Int) (j Int) (i0 Int) (j0 Int)) Bool (= i i))\n"
+     "(define-fun inv-f ((i Int) (j Int) (i0 Int) (j0 Int)) Bool (>= i 0))"),
+], ids=["shr1", "post-f"])
+def test_verify_ignores_a_macro_the_solution_redefines(problem, solution, tmp_path, capsys):
+    assert main(["verify", problem(tmp_path), _solution(tmp_path, solution)]) == EXIT_FAILURE
+    assert capsys.readouterr().out.startswith("counterexample\npoint: ")
+
+
 def test_bench_score_pipeline(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -164,9 +199,13 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
      "solution 'abs' takes 2 arguments, the target 1"),
     (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Bool true)")],
      "solution 'abs' differs from the target's sorts (Int) Int"),
+    (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Int (ite (< x 0) (- 0 x) x))\n"
+                                                         "(define-fun abs ((x Int)) Int x)")],
+     "solution 'abs' is defined twice"),
+    (lambda tmp: ["bench", BENCH, "--records", _corrupt_records(tmp)], "unparsable record on line 1"),
 ], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
-        "verify-wrong-arity", "verify-wrong-sort"])
+        "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)
     try:
@@ -181,6 +220,18 @@ def test_input_errors_exit_3(argv, says, tmp_path, capsys):
 def _solution(tmp, text):
     path = tmp / "solution.sol"
     path.write_text(text + "\n")
+    return str(path)
+
+
+def _problem(tmp, text):
+    path = tmp / "problem.sl"
+    path.write_text(text)
+    return str(path)
+
+
+def _corrupt_records(tmp):
+    path = tmp / "records.jsonl"
+    path.write_text("not a record\n{}\n")
     return str(path)
 
 

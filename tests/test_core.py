@@ -115,6 +115,19 @@ def test_subst_capture_avoidance():
     assert ev.eval(out, {"x": 10}) == 21
 
 
+def test_subst_renames_a_binder_the_same_way_every_time():
+    t = Let((("x", _plus(Y, Lit(1, INT))),), _plus(X, Y), INT)
+    assert subst(t, {"y": X}) == subst(t, {"y": X})
+
+
+def test_subst_renames_a_binder_past_a_free_variable_of_the_body():
+    # the body's free `x%0` must not be captured by the renamed binder
+    t = Let((("x", _plus(Y, Lit(1, INT))),), _plus(X, Var("x%0", INT)), INT)
+    out = subst(t, {"y": X})
+    # with y:=x, the result at x=10, x%0=100 is (10+1) + 100 = 111
+    assert Evaluator().eval(out, {"x": 10, "x%0": 100}) == 111
+
+
 QM = {"qm": (["a", "b"], Apply("ite", (Apply("<", (Var("a", INT), Lit(0, INT)), BOOL), Var("b", INT), Var("a", INT)), INT))}
 
 

@@ -104,6 +104,15 @@ def test_emit_term_negative_numbers():
     assert emit_term(t) == "(+ x -3)"
 
 
+def test_emit_term_of_a_let_parses_back():
+    p = _bench("abs.sl")
+    sols = parse_solution("(define-fun abs ((x Int)) Int (let ((y (+ x 1)) (z x)) (ite (< z 0) (- 0 z) (- y 1))))", p)
+    _, body = sols["abs"]
+    text = f"(define-fun abs ((x Int)) Int {emit_term(body)})"
+    assert "(let ((y (+ x 1)) (z x))" in text
+    assert parse_solution(text, p)["abs"][1] == body
+
+
 def test_parse_solution():
     p = _bench("qm_inner.sl")
     sols = parse_solution(

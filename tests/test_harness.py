@@ -168,6 +168,16 @@ def test_run_suite_and_resume(tmp_path):
     assert load_records(records_path) == records
 
 
+@pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0, -1])
+def test_suite_config_rejects_a_timeout_run_suite_cannot_keep(timeout):
+    with pytest.raises(ValueError, match="timeout must be a finite number of seconds above 0"):
+        SuiteConfig(timeout=timeout)
+
+
+def test_suite_config_takes_a_short_timeout():
+    assert SuiteConfig(timeout=0.2).timeout == 0.2
+
+
 def test_run_suite_timeout(tmp_path):
     d = tmp_path / "corpus"
     d.mkdir()

@@ -8,7 +8,7 @@ import stat
 
 import pytest
 
-from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, Sort, STRING, Var
+from sygus.core import Apply, BOOL, BV64, Grammar, Hole, INT, Let, Lit, Sort, STRING, Var
 from sygus.engine import cegis_solve, unify_solve
 from sygus.frontend import parse, parse_file, parse_solution
 from sygus import harness, oracle
@@ -66,6 +66,20 @@ def test_conformance_through_alias_chains():
     assert check_conformance(Lit(0, INT), g).kind == "nonconformant"
 
 
+def test_conformance_through_a_let_production():
+    s = Hole("S", INT)
+    y = Var("y", INT)
+    g = Grammar(
+        nonterminals=(("S", INT),),
+        start="S",
+        productions=(("S", (X, Lit(1, INT), Apply("+", (s, s), INT), Let((("y", s),), Apply("+", (y, y), INT), INT))),),
+    )
+    bound = Apply("+", (X, Lit(1, INT)), INT)
+    assert check_conformance(Let((("y", bound),), Apply("+", (y, y), INT), INT), g).kind == "valid"
+    z = Var("z", INT)
+    assert check_conformance(Let((("z", bound),), Apply("+", (z, z), INT), INT), g).kind == "nonconformant"
+
+
 def test_shared_derivation_memo_agrees_with_fresh_checks():
     # S -> A | B, A -> S, B -> x | (+ S S): deciding (S, x) cuts A -> S
     # short, which must not leave (A, x) refused for the next question
@@ -113,6 +127,27 @@ def test_verify_finds_universal_counterexample():
     v = verify(p, wrong)
     assert v.kind == "counterexample"
     assert v.point["x"] < 0
+
+
+SHR1_PBE = """
+(set-logic BV)
+(define-fun shr1 ((x (BitVec 64))) (BitVec 64) (bvlshr x #x0000000000000001))
+(synth-fun f ((x (BitVec 64))) (BitVec 64)
+  ((Start (BitVec 64) (#x0000000000000001 x (shr1 Start) (bvadd Start Start)))))
+(constraint (= (f #x0000000000000004) #x0000000000000008))
+(check-synth)
+"""
+
+
+def test_verify_reads_no_macro_from_the_solution():
+    # an entry named like a macro must not redefine it: `(shr1 x)` is wrong
+    # for f(4) = 8 whatever `shr1` the solution brings along
+    p = parse(SHR1_PBE)
+    x = Var("x", BV64)
+    f = (["x"], Apply("shr1", (x,), BV64))
+    alone = verify(p, {"f": f})
+    assert alone.kind == "counterexample"
+    assert verify(p, {"f": f, "shr1": (["x"], Apply("bvadd", (x, x), BV64))}) == alone
 
 
 def test_verify_unverified_without_solver():
