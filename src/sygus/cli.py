@@ -114,6 +114,8 @@ def _cmd_verify(args):
 def _cmd_bench(args):
     if not os.path.isdir(args.dir):
         raise _InputError(f"{args.dir} is not a directory")
+    if args.workers < 1:
+        raise _InputError(f"--workers must be at least 1, got {args.workers}")
     if args.records and os.path.exists(args.records):
         _input(load_records, args.records)
     cfg = _suite_config(args, workers=args.workers, records_path=args.records, solutions_dir=args.solutions)

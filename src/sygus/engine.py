@@ -152,6 +152,10 @@ class Failure:
 
 def _compositions(total, k):
     """All k-tuples of positive ints summing to total."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
     if k == 1:
         if total >= 1:
             yield (total,)
@@ -492,18 +496,16 @@ class Enumerator:
 
     def size_cost(self, s):
         """Candidates `_build_size(s)` constructs once every smaller size
-        is built: each leaf of size `s`, and for each production with
-        holes and each split of the size among them that it builds, the
-        product of the child banks' lengths, or m(m + 1)/2 where a halved
+        is built: for each production and each split of the size among
+        its holes that it builds, the product of the child banks' lengths
+        (1 for a hole-free one of size `s`), or m(m + 1)/2 where a halved
         production pairs one bank of m entries with itself.  A one-sided
         production counts only the hole-0 entries it picks, and a
         mirrored one is not built at all."""
         total = 0
         for nt in self._nts:
             for prod in self._prods[nt]:
-                if prod[0] == "leaf":
-                    total += term_size(prod[2]) == s
-                elif prod[0] == "comp":
+                if prod[0] == "comp":
                     halved, sides = prod[6:]
                     for keys in _splits(prod, s):
                         lens = [len(self._bank.get(k, ())) for k in keys]
@@ -531,14 +533,10 @@ class Enumerator:
                         read[key] = yield from prod[3](self, nt, s, src, read.get(key, 0))
                     elif key not in built:
                         built.add(key)
-                        if kind == "leaf":
-                            if s == term_size(prod[2]):
-                                yield from prod[3](self, nt, s)
-                        else:
-                            for keys in _splits(prod, s):
-                                banks = [self._bank.get(k, []) for k in keys]
-                                if all(banks):
-                                    yield from prod[5](self, nt, s, *banks)
+                        for keys in _splits(prod, s):
+                            banks = [self._bank.get(k, []) for k in keys]
+                            if all(banks):
+                                yield from prod[5](self, nt, s, *banks)
                     changed = changed or len(out) > before
 
     def enumerate(self, nt=None):
@@ -568,9 +566,7 @@ class Enumerator:
             visiting.add(nt)
             sizes = []
             for prod in self._prods[nt]:
-                if prod[0] == "leaf":
-                    sizes.append(term_size(prod[2]))
-                elif prod[0] == "alias":
+                if prod[0] == "alias":
                     sizes.append(go(prod[2]))
                 else:
                     subs = [go(h) for h in prod[3]]
@@ -631,10 +627,8 @@ def _goal_hit(count=True):
 def _production(idx, tmpl, fn, halved, sides):
     if isinstance(tmpl, Hole):
         return ("alias", idx, tmpl.nonterminal, fn)
-    holes = template_holes(tmpl)
-    if holes:
-        return ("comp", idx, tmpl, [h.nonterminal for h in holes], term_size(tmpl), fn, halved, sides)
-    return ("leaf", idx, tmpl, fn)
+    hole_nts = [h.nonterminal for h in template_holes(tmpl)]
+    return ("comp", idx, tmpl, hole_nts, term_size(tmpl), fn, halved, sides)
 
 
 def _splits(prod, s):
@@ -1061,14 +1055,15 @@ def _string_keep(expected_outputs):
     return keep
 
 
-def _cover_and_stitch(en, n, covers, cond, sort, deadline, check=None):
+def _cover_and_stitch(en, n, covers, cond, sort, deadline, check):
     """Return the first enumerated term that `covers(term, vec)`, a mask
     with bit i for id i, says is right on all of ids 0..n-1.  With no
     conditional, that is the first hit of a goal-driven build (see
     `Enumerator.first`), and the Failure is `_exhaust_reason`.  With a
     conditional `cond` = (kind, cond_nt), terms with new covers are kept,
     and stitched for each new one once together they cover every id; a
-    stitched term that passes `check` is returned.  Else the Failure is
+    stitched term is returned once it is in `en.grammar` and `check(term)`
+    says it is right on every id, as a direct hit is.  Else the Failure is
     the last stitch's, if one was tried; `cover-stall` if the finite
     grammar ran out; else `_exhaust_reason`."""
     kind, cond_nt = cond
@@ -1103,7 +1098,9 @@ def _cover_and_stitch(en, n, covers, cond, sort, deadline, check=None):
         stitched = _stitch(en, kept, all_ids, kind, cond_nt, sort)
         if isinstance(stitched, Failure):
             failure = stitched
-        elif check is None or check(stitched):
+        elif oracle.check_conformance(stitched, en.grammar).kind != "valid":
+            failure = Failure("cover-stall", "stitched candidate is not in the grammar")
+        elif check(stitched):
             return stitched
         else:
             failure = Failure("cover-stall", "stitched candidate fails a point")
@@ -1125,12 +1122,14 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
     en = Enumerator(target.grammar, envs, problem.macro_map(), max_size=MAX_TERM_SIZE, keep=keep, deadline=deadline)
     # no size is built past the first term that meets every example
     en.goal = (en.grammar.start, lambda _term, vec: vec == expected)
+    ev = Evaluator(problem.macro_map())
 
     def covers(_term, vec):
         return _mask(map(operator.eq, vec, expected))
 
     try:
-        found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, deadline)
+        found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, deadline,
+                                  lambda term: tuple(map(ev.compile(term), envs)) == expected)
     finally:
         en.close()
     if isinstance(found, Failure):

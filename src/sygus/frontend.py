@@ -110,7 +110,7 @@ def _parse_params(sx):
 
 
 def _parse_term(sx, scope, table, nts=None):
-    """Parse a term; symbols in `nts` become grammar holes."""
+    """Parse a term from a token or SList; symbols in `nts` become grammar holes."""
     if isinstance(sx, IntTok):
         return Lit(sx.value, INT)
     if isinstance(sx, StrTok):
@@ -128,28 +128,26 @@ def _parse_term(sx, scope, table, nts=None):
         if name == "false":
             return Lit(False, BOOL)
         raise ParseError(f"unbound symbol {name!r} at {sx.pos[0]}:{sx.pos[1]}")
-    if isinstance(sx, SList):
-        if not sx.items or not isinstance(sx.items[0], Symbol):
-            raise ParseError(f"malformed term {to_text(sx)}")
-        head = sx.items[0].name
-        if head == "let":
-            if len(sx.items) != 3 or not isinstance(sx.items[1], SList):
-                raise ParseError(f"malformed let {to_text(sx)}")
-            bindings = []
-            for b in sx.items[1].items:
-                if not (isinstance(b, SList) and len(b.items) == 2 and isinstance(b.items[0], Symbol)):
-                    raise ParseError(f"malformed let binding {to_text(b)}")
-                bindings.append((b.items[0].name, _parse_term(b.items[1], scope, table, nts)))
-            inner = dict(scope)
-            for n, e in bindings:
-                inner[n] = e.sort
-            body = _parse_term(sx.items[2], inner, table, nts)
-            return Let(tuple(bindings), body, body.sort)
-        args = [_parse_term(a, scope, table, nts) for a in sx.items[1:]]
-        if not table.known(head):
-            raise ParseError(f"unknown operator {head!r} at {sx.pos[0]}:{sx.pos[1]}")
-        return mk_apply(table, head, args)
-    raise ParseError(f"malformed term {sx!r}")
+    if not sx.items or not isinstance(sx.items[0], Symbol):
+        raise ParseError(f"malformed term {to_text(sx)}")
+    head = sx.items[0].name
+    if head == "let":
+        if len(sx.items) != 3 or not isinstance(sx.items[1], SList):
+            raise ParseError(f"malformed let {to_text(sx)}")
+        bindings = []
+        for b in sx.items[1].items:
+            if not (isinstance(b, SList) and len(b.items) == 2 and isinstance(b.items[0], Symbol)):
+                raise ParseError(f"malformed let binding {to_text(b)}")
+            bindings.append((b.items[0].name, _parse_term(b.items[1], scope, table, nts)))
+        inner = dict(scope)
+        for n, e in bindings:
+            inner[n] = e.sort
+        body = _parse_term(sx.items[2], inner, table, nts)
+        return Let(tuple(bindings), body, body.sort)
+    args = [_parse_term(a, scope, table, nts) for a in sx.items[1:]]
+    if not table.known(head):
+        raise ParseError(f"unknown operator {head!r} at {sx.pos[0]}:{sx.pos[1]}")
+    return mk_apply(table, head, args)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not 0 < self.timeout < math.inf:  # false for nan too
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers!r}")
 
     def label(self):
         return self.engine_id or self.engine
@@ -309,7 +311,7 @@ def run_suite(bench_dir, cfg: SuiteConfig):
         return proc, conn
 
     def dispatch():
-        while pending and (idle or len(busy) < max(1, cfg.workers)):
+        while pending and (idle or len(busy) < cfg.workers):
             proc, conn = idle.pop() if idle else fork()
             try:
                 conn.send((pending[-1], cfg))

@@ -1,12 +1,16 @@
 """S-expression reader and writer for SyGuS/SMT-LIB surface syntax.
 
-Tokens carry line/column information so parse errors can point at the
-offending input.  Hex literals remember their digit count because the
-bit-width of a bitvector literal is four bits per digit.
+The lexer is one token table, `_TOKEN`: a regular expression with one
+named alternative per token kind.  A numeral is an optional `-` and
+Unicode decimal digits (what `int` reads), a symbol a run of characters
+`str.isalnum` accepts or of `_~!@$%^&*-+=<>.?/`, and whitespace what
+`str.isspace` accepts but the newline.  Tokens carry their line and
+column; hex literals their digit count too, for four bits per digit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .core import SygusError
@@ -54,91 +58,45 @@ class SList:
     pos: tuple = field(default=(0, 0), compare=False)
 
 
-_SYMBOL_EXTRA = set("~!@$%^&*_-+=<>.?/")
-
-
-def _is_symbol_char(c):
-    return c.isalnum() or c in _SYMBOL_EXTRA
+_TOKEN = re.compile(r"""
+    (?P<space>[^\S\n]+)
+  | (?P<newline>\n)
+  | (?P<comment>;[^\n]*)
+  | (?P<paren>[()])
+  | (?P<numeral>-?\d+)
+  | (?P<symbol>[\w~!@$%^&*\-+=<>.?/]+)
+  | (?P<string>"(?:[^"]|"")*"(?!"))
+  | (?P<hex>\#x[0-9a-fA-F]+)
+  | (?P<error>.)
+""", re.VERBOSE)
+_LEX_ERRORS = {'"': "unterminated string literal", "#": "unsupported '#' literal"}
 
 
 def tokenize(text):
-    """Yield (token, kind) pairs; kind is 'atom', '(' or ')'."""
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    """Yield (token, pos) pairs: "(" or ")" for a parenthesis, else the atom's
+    token, at pos (line, column) from 1; a newline in a string starts no line."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space" or kind == "comment":
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        pos = (line, col)
-        if c == "(":
-            yield "(", pos
-            i += 1
-            col += 1
-            continue
-        if c == ")":
-            yield ")", pos
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while True:
-                if j >= n:
-                    raise LexError("unterminated string literal", *pos)
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        out.append('"')
-                        j += 2
-                        continue
-                    break
-                out.append(text[j])
-                j += 1
-            col += j + 1 - i
-            i = j + 1
-            yield StrTok("".join(out), pos), pos
-            continue
-        if c == "#":
-            if i + 1 < n and text[i + 1] == "x":
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    raise LexError("empty hex literal", *pos)
-                digits = j - i - 2
-                yield HexTok(int(text[i + 2 : j], 16), digits, pos), pos
-                col += j - i
-                i = j
-                continue
-            raise LexError("unsupported '#' literal", *pos)
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            yield IntTok(int(text[i:j]), pos), pos
-            col += j - i
-            i = j
-            continue
-        if _is_symbol_char(c):
-            j = i
-            while j < n and _is_symbol_char(text[j]):
-                j += 1
-            yield Symbol(text[i:j], pos), pos
-            col += j - i
-            i = j
-            continue
-        raise LexError(f"unexpected character {c!r}", *pos)
+        tok, start = m.group(), m.start()
+        pos = (line, start - line_start + 1)
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
+        elif kind == "paren":
+            yield tok, pos
+        elif kind == "symbol":
+            yield Symbol(tok, pos), pos
+        elif kind == "numeral":
+            yield IntTok(int(tok), pos), pos
+        elif kind == "string":
+            yield StrTok(tok[1:-1].replace('""', '"'), pos), pos
+        elif kind == "hex":
+            yield HexTok(int(tok[2:], 16), len(tok) - 2, pos), pos
+        else:  # a character that starts no token
+            why = "empty hex literal" if text.startswith("#x", start) else _LEX_ERRORS.get(tok)
+            raise LexError(why or f"unexpected character {tok!r}", *pos)
 
 
 def parse_sexprs(text):

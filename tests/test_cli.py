@@ -203,9 +203,13 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
                                                          "(define-fun abs ((x Int)) Int x)")],
      "solution 'abs' is defined twice"),
     (lambda tmp: ["bench", BENCH, "--records", _corrupt_records(tmp)], "unparsable record on line 1"),
+    (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(declare-var x Int)\n(constraint (= x ²))\n(check-synth)")],
+     "unbound symbol '²' at 3:18"),
+    (lambda tmp: ["bench", str(tmp), "--workers", "0"], "--workers must be at least 1, got 0"),
 ], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
-        "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records"])
+        "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
+        "solve-superscript-digit", "bench-workers-0"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)
     try:
@@ -225,7 +229,7 @@ def _solution(tmp, text):
 
 def _problem(tmp, text):
     path = tmp / "problem.sl"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 

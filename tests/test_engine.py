@@ -707,6 +707,32 @@ def test_unify_rechecks_each_stitched_term(monkeypatch):
     assert out.emit() == "(define-fun qm-inner-loop ((x Int)) Int (- x (- 1 (- 7 (qm (- x 1) 7)))))"
 
 
+# fig2 with an `if0` that selects where its condition is 0, and examples
+# that a tree stitched on conditions equal to 1 gets wrong at x = 1
+IF0_ON_ZERO = (
+    open(os.path.join(BENCH, "fig2_bv_template.sl")).read()
+    .replace("(ite (= x #x0000000000000001) y z)", "(ite (= x #x0000000000000000) y z)")
+    .replace("(check-synth)", "".join(f"(constraint (= (f #x{i:016x}) #x{o:016x}))\n"
+                                      for i, o in [(1, 0), (2, 2), (4, 4), (8, 8), (3, 3), (16, 16)]) + "(check-synth)")
+)
+
+
+def test_unify_pbe_returns_no_stitched_term_that_fails_an_example():
+    p = parse(IF0_ON_ZERO)
+    sol = unify_solve(p, 30)
+    assert isinstance(sol, Solution) and sol.verdict.kind == "valid"
+    assert sol.emit() == "(define-fun f ((x (BitVec 64))) (BitVec 64) (if0 (shr1 x) #x0000000000000000 x))"
+
+
+def test_unify_returns_no_stitched_term_outside_the_grammar():
+    # the ite's branches derive only x and 0, so (ite (<= x 0) 0 (+ x 1)) is no answer
+    p = parse(_lia_spec("((Start Int (x 0 1 (+ Start Start) (ite B L L))) (L Int (x 0)) (B Bool ((<= Start Start))))",
+                        "(constraint (= (f x) (ite (<= x 0) 0 (+ x 1))))"))
+    out = unify_solve(p, 30)
+    assert isinstance(out, Failure)
+    assert (out.reason, out.detail) == ("cover-stall", "stitched candidate is not in the grammar")
+
+
 def _qm_cover_terms(terms, expected):
     """(term, cover mask, vector) over x = 0..len(expected)-1."""
     ev = Evaluator()

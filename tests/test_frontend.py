@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sygus.core import Apply, BOOL, INT, Lit, SygusError, Var, expand_macros, term_size
+from sygus.core import Apply, ArityError, BOOL, INT, Lit, Sort, SortError, SygusError, Var, expand_macros, term_size
 from sygus.frontend import (
     DesugarError,
     default_grammar,
@@ -14,9 +14,11 @@ from sygus.frontend import (
     parse,
     parse_file,
     parse_solution,
+    UnsupportedDefaultGrammar,
+    UnsupportedLogic,
 )
 from sygus.oracle import check_conformance
-from sygus.sexpr import ParseError
+from sygus.sexpr import LexError, ParseError, parse_sexprs
 
 BENCH = os.path.join(os.path.dirname(__file__), "..", "benchmarks")
 
@@ -152,3 +154,135 @@ def test_duplicate_hex_digits_width():
     p = _bench("fig2_bv_template.sl")
     out = emit_problem(p)
     assert "#x0000000000000001" in out
+
+
+_INV = """(set-logic LIA)
+(synth-inv inv ((x Int)))
+(synth-inv other ((y Int)))
+(declare-primed-var x Int)
+(define-fun pre ((x Int)) Bool (= x 0))
+(define-fun trans ((x Int) (x! Int)) Bool (= x! (+ x 1)))
+(define-fun post ((x Int)) Bool (>= x 0))
+(define-fun two ((x Int) (y Int)) Bool (= x y))
+"""
+
+
+def _abs_solution(text):
+    return parse_solution(text, _bench("abs.sl"))
+
+
+# One row per raise site of the reader: sexpr.tokenize and parse_sexprs,
+# then frontend's parse (with the helpers it calls) and parse_solution.
+_READER_ERRORS = [
+    # tokenize
+    (parse_sexprs, '(f "abc)', LexError, "unterminated string literal at 1:4"),
+    (parse_sexprs, '(f\n  "a""b" "c"")', LexError, "unterminated string literal at 2:10"),
+    (parse_sexprs, "(f #x)", LexError, "empty hex literal at 1:4"),
+    (parse_sexprs, "(f #xg1)", LexError, "empty hex literal at 1:4"),
+    (parse_sexprs, "(f #b01)", LexError, "unsupported '#' literal at 1:4"),
+    (parse_sexprs, "(f ; c\n\t| x)", LexError, "unexpected character '|' at 2:2"),
+    (parse_sexprs, "(f {x})", LexError, "unexpected character '{' at 1:4"),
+    # parse_sexprs
+    (parse_sexprs, "a) b", ParseError, "unbalanced ')' at 1:2"),
+    (parse_sexprs, "(a\n (b c)", ParseError, "unbalanced '(' at 1:1"),
+    # a Unicode digit that is no numeral reads as a symbol
+    (parse, "(set-logic LIA)\n(declare-var x Int)\n(constraint (= x ²))\n(check-synth)",
+     ParseError, "unbound symbol '²' at 3:18"),
+    # _parse_sort
+    (parse, "(set-logic LIA) (declare-var x Real) (check-synth)", ParseError, "unknown sort 'Real'"),
+    (parse, "(set-logic BV) (declare-var x (BitVec y)) (check-synth)", ParseError, "malformed sort (BitVec y)"),
+    (parse, "(set-logic BV) (declare-var x (_ BitVec)) (check-synth)", ParseError, "malformed sort (_ BitVec)"),
+    # _parse_params
+    (parse, "(set-logic LIA) (synth-fun f x Int) (check-synth)", ParseError, "expected a parameter list"),
+    (parse, "(set-logic LIA) (synth-fun f ((x)) Int) (check-synth)", ParseError, "malformed parameter (x)"),
+    # _parse_term
+    (parse, "(set-logic LIA)\n(constraint (= y 1)) (check-synth)", ParseError, "unbound symbol 'y' at 2:16"),
+    (parse, "(set-logic LIA) (constraint ()) (check-synth)", ParseError, "malformed term ()"),
+    (parse, "(set-logic LIA) (constraint (1 2)) (check-synth)", ParseError, "malformed term (1 2)"),
+    (parse, "(set-logic LIA) (constraint (let x true)) (check-synth)", ParseError, "malformed let (let x true)"),
+    (parse, "(set-logic LIA) (constraint (let ((x)) true)) (check-synth)", ParseError, "malformed let binding (x)"),
+    (parse, "(set-logic LIA) (constraint (foo 1)) (check-synth)", ParseError, "unknown operator 'foo' at 1:29"),
+    # default_grammar
+    (parse, "(set-logic BV) (synth-fun f ((x (BitVec 4))) (BitVec 4)) (check-synth)", UnsupportedDefaultGrammar,
+     "no default grammar for logic 'BV'"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) String) (check-synth)", UnsupportedDefaultGrammar,
+     "no default grammar at sort String"),
+    # desugar_invariant
+    (parse, _INV + "(inv-constraint inv pre0 trans post) (check-synth)", DesugarError, "pre macro 'pre0' is not defined"),
+    (parse, _INV + "(inv-constraint inv pre trans0 post) (check-synth)", DesugarError,
+     "trans macro 'trans0' is not defined"),
+    (parse, _INV + "(inv-constraint inv pre trans post0) (check-synth)", DesugarError,
+     "post macro 'post0' is not defined"),
+    (parse, _INV + "(inv-constraint inv two trans post) (check-synth)", DesugarError, "'two' arity != |state vars|"),
+    (parse, _INV + "(inv-constraint inv pre trans two) (check-synth)", DesugarError, "'two' arity != |state vars|"),
+    (parse, _INV + "(inv-constraint inv pre post post) (check-synth)", DesugarError, "'post' arity != 2*|state vars|"),
+    (parse, _INV + "(inv-constraint other pre trans post) (check-synth)", DesugarError,
+     "state variable 'y' lacks a declared primed twin"),
+    # _parse_grammar
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ()) (check-synth)", ParseError, "malformed grammar ()"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((Start Int))) (check-synth)", ParseError,
+     "malformed grammar group (Start Int)"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((S Int (x)) (S Int (0)))) (check-synth)", ParseError,
+     "duplicate nonterminal in grammar"),
+    # _define_fun
+    (parse, "(set-logic LIA) (define-fun f ((x Int)) Int) (check-synth)", ParseError,
+     "malformed define-fun (define-fun f ((x Int)) Int)"),
+    (parse, "(set-logic LIA) (define-fun f ((x Int)) Int true) (check-synth)", SortError,
+     "define-fun 'f' body has sort Bool, declared Int"),
+    # parse
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int) (check-synth) (check-synth)", ParseError,
+     "directives after (check-synth)"),
+    (parse, "(set-logic LIA) x (check-synth)", ParseError, "malformed directive x"),
+    (parse, "(set-logic LIA) (set-logic LIA) (check-synth)", ParseError, "duplicate set-logic"),
+    (parse, "(set-logic) (check-synth)", ParseError, "malformed set-logic"),
+    (parse, "(set-logic NIA) (check-synth)", UnsupportedLogic, "unsupported logic 'NIA'"),
+    (parse, "(constraint (= 1 1)) (check-synth)", ParseError, "(constraint ...) before set-logic"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int))) (check-synth)", ParseError,
+     "malformed synth-fun (synth-fun f ((x Int)))"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((B Bool (true)))) (check-synth)", SortError,
+     "grammar start sort differs from return sort of 'f'"),
+    (parse, "(set-logic LIA) (synth-inv inv) (check-synth)", ParseError, "malformed synth-inv (synth-inv inv)"),
+    (parse, "(set-logic LIA) (declare-var x) (check-synth)", ParseError, "malformed declare-var (declare-var x)"),
+    (parse, "(set-logic LIA) (declare-primed-var 1 Int) (check-synth)", ParseError,
+     "malformed declare-primed-var (declare-primed-var 1 Int)"),
+    (parse, "(set-logic LIA) (constraint (= 1 1) (= 2 2)) (check-synth)", ParseError,
+     "constraint takes exactly one term: (constraint (= 1 1) (= 2 2))"),
+    (parse, "(set-logic LIA) (constraint (+ 1 2)) (check-synth)", SortError, "constraint has sort Int, expected Bool"),
+    (parse, _INV + "(inv-constraint inv pre trans) (check-synth)", ParseError,
+     "malformed inv-constraint (inv-constraint inv pre trans)"),
+    (parse, _INV + "(inv-constraint inv pre trans post) (inv-constraint inv pre trans post) (check-synth)",
+     ParseError, "duplicate inv-constraint"),
+    (parse, "(set-logic LIA) (check-synth now)", ParseError, "malformed check-synth"),
+    (parse, "(set-logic LIA) (get-model) (check-synth)", ParseError, "unknown directive 'get-model'"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int)", ParseError, "input does not end with (check-synth)"),
+    (parse, "(set-logic LIA) (declare-var x Int) (check-synth)", ParseError, "no synth-fun or synth-inv to synthesize"),
+    (parse, _INV + "(inv-constraint nope pre trans post) (check-synth)", DesugarError,
+     "inv-constraint names unknown invariant 'nope'"),
+    # parse_solution
+    (_abs_solution, "(abs x)", ParseError, "expected define-fun, got (abs x)"),
+    (_abs_solution, "(define-fun abs ((x Int)) Int x) (define-fun abs ((x Int)) Int 0)", ParseError,
+     "solution 'abs' is defined twice"),
+    (_abs_solution, "(define-fun abs () Int 0)", ArityError, "solution 'abs' takes 0 arguments, the target 1"),
+    (_abs_solution, "(define-fun abs ((x Bool)) Int 0)", SortError,
+     "solution 'abs' differs from the target's sorts (Int) Int"),
+]
+
+
+@pytest.mark.parametrize("read, text, error, message", _READER_ERRORS, ids=[row[-1] for row in _READER_ERRORS])
+def test_reader_errors_name_the_fault(read, text, error, message):
+    with pytest.raises(SygusError) as ei:
+        read(text)
+    assert type(ei.value) is error and str(ei.value) == message
+
+
+def test_indexed_bitvec_sort_parses():
+    p = parse(
+        "(set-logic BV)\n"
+        "(synth-fun f ((x (_ BitVec 64))) (_ BitVec 64) ((Start (_ BitVec 64) (x #x0000000000000001 (bvadd Start Start)))))\n"
+        "(declare-var x (_ BitVec 64))\n"
+        "(constraint (= (f x) (bvadd x #x0000000000000001)))\n"
+        "(check-synth)"
+    )
+    (t,) = p.targets
+    assert t.params == (("x", Sort("BitVec", 64)),) and t.ret == Sort("BitVec", 64)
+    assert p.universals == (("x", Sort("BitVec", 64)),)

@@ -174,6 +174,12 @@ def test_suite_config_rejects_a_timeout_run_suite_cannot_keep(timeout):
         SuiteConfig(timeout=timeout)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_suite_config_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        SuiteConfig(workers=workers)
+
+
 def test_suite_config_takes_a_short_timeout():
     assert SuiteConfig(timeout=0.2).timeout == 0.2
 
