@@ -118,6 +118,11 @@ def _cmd_bench(args):
         raise _InputError(f"--workers must be at least 1, got {args.workers}")
     if args.records and os.path.exists(args.records):
         _input(load_records, args.records)
+    # both outputs must be writable before the first benchmark runs
+    if args.records:
+        _input(open, args.records, "a").close()
+    if args.solutions:
+        _input(lambda: os.makedirs(args.solutions, exist_ok=True))
     cfg = _suite_config(args, workers=args.workers, records_path=args.records, solutions_dir=args.solutions)
     records = run_suite(args.dir, cfg)
     for r in records:
@@ -151,6 +156,7 @@ def _cmd_nuggets(args):
     for flag, value, least in (("--k", args.k, 1), ("--examples", args.examples, 1), ("--count", args.count, 0)):
         if value < least:
             raise _InputError(f"{flag} must be at least {least}, got {value}")
+    _input(lambda: os.makedirs(args.out, exist_ok=True))
     problem = _input(parse_file, args.grammar_file)
     target = problem.targets[0]
     rng = random.Random(args.seed)
@@ -167,7 +173,6 @@ def _cmd_nuggets(args):
         return EXIT_FAILURE
     rng.shuffle(nuggets)
     nuggets = nuggets[: args.count]
-    os.makedirs(args.out, exist_ok=True)
     ev = Evaluator(problem.macro_map())
     params = [n for n, _ in target.params]
     stem = os.path.splitext(os.path.basename(args.grammar_file))[0]

@@ -17,15 +17,18 @@ problems skip the loop, since their examples are the whole
 specification.  PBE and every single-target round share one search,
 `_cover_and_stitch`, which stitches only under unification; several
 targets go through a product loop, `_consistent_candidate`.  Each round
-checks a candidate with one `_point_check`: the constraints are
-compiled once over the round's points, and each target application reads
-the candidate's value from its bank vector.  Stitching and invariant
+checks a candidate with one `_point_check`: the constraints are compiled
+once over the round's points, and each target application reads the
+candidate's value from its bank vector.  A stitch joins terms by the
+production `_conditional` picks by its meaning, whatever its name: a
+body, macros expanded, that is an `ite` selecting on hole 0
+(`_selector`, which pruning reads too).  Stitching and invariant
 learning grow their trees with one greedy information-gain ID3,
 `build_decision_tree`, over predicate pools from one builder,
-`_predicate_pool`.  Every id set, from a round's point check to the
-tree, is one int with bit i set for point or example i: the learner
-takes the covers as they are, so a split is one `&` and a class count
-one popcount.
+`_predicate_pool`, selecting through `Enumerator.sides`.  Every id set,
+from a round's point check to the tree, is one int with bit i set for
+point or example i: the learner takes the covers as they are, so a split
+is one `&` and a class count one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
@@ -172,6 +175,29 @@ def _fill(tmpl, kids):
     return rebuild(tmpl, lambda a: _fill(a, kids))
 
 
+def _body(tmpl, macros):
+    """`tmpl` with `macros` expanded and each hole a variable named by its
+    position, which no SyGuS symbol (none starts with a digit) shadows."""
+    holes = template_holes(tmpl)
+    return expand_macros(_fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)])), macros)
+
+
+def _selector(body):
+    """(C, i, j) when `body`, as `_body` gives it, is `(ite C Hi Hj)`: C
+    reads hole 0 and no other variable and cannot raise (it is built from
+    TOTAL_OPS and literals), and Hi and Hj are holes i and j; else None."""
+    if not (isinstance(body, Apply) and body.op == "ite" and len(body.args) == 3):
+        return None
+    cond, *branches = body.args
+    nodes = list(walk(cond))
+    if (all(isinstance(n, Lit) or (isinstance(n, Var) and n.name == "0")
+            or (isinstance(n, Apply) and (n.op, len(n.args)) in TOTAL_OPS) for n in nodes)
+            and any(isinstance(n, Var) for n in nodes)
+            and all(isinstance(b, Var) and b.name.isdecimal() for b in branches)):
+        return cond, *(int(b.name) for b in branches)
+    return None
+
+
 def _term_source(em, tmpl, kids):
     """An expression that builds `tmpl` with its holes, in order, replaced
     by the terms the names `kids` hold; a hole-free subterm is bound once."""
@@ -200,7 +226,7 @@ COMMUTATIVE = frozenset({"+", "*", "=", "and", "or", "xor", "bvand", "bvor", "bv
 # arguments swapped: (> a b) is (< b a).
 MIRRORS = {">": "<", "<": ">", ">=": "<=", "<=": ">="}
 # (operator, arity) of the builtins whose generated code cannot raise on
-# arguments of their sorts; see `Enumerator._one_sided`.
+# arguments of their sorts; see `_selector`.
 TOTAL_OPS = frozenset({("=", 2), ("not", 1), ("and", 2), ("or", 2), ("=>", 2), ("xor", 2),
                        ("<", 2), ("<=", 2), (">", 2), (">=", 2)})
 
@@ -293,13 +319,8 @@ class Enumerator:
                     if name not in sources:
                         sources[name] = _alias_source(em, name)
                 else:
-                    name = em.fresh("_p")
-                    # A hole becomes a variable named by its position: no SyGuS
-                    # symbol starts with a digit, so it cannot shadow a template variable.
-                    holes = template_holes(tmpl)
-                    body = expand_macros(_fill(tmpl, iter([Var(str(i), h.sort) for i, h in enumerate(holes)])),
-                                         self.interpretations)
-                    cond = self._one_sided(nt, holes, body)
+                    name, body = em.fresh("_p"), _body(tmpl, self.interpretations)
+                    cond = self._one_sided(nt, template_holes(tmpl), body)
                     if cond is not None:
                         sides = em.fresh("_s")
                         sources[sides] = self._sides_source(em, sides, cond)
@@ -338,25 +359,21 @@ class Enumerator:
                 and Apply(mirror, tmpl.args[::-1], tmpl.sort) in earlier)
 
     def _one_sided(self, nt, holes, body):
-        """The condition C of a production for `nt` whose `body`, macros
-        expanded, is `(ite C Hi Hj)`, where C reads hole 0 only and cannot
-        raise (built from TOTAL_OPS and literals), and Hi and Hj are later
+        """The condition C of a production for `nt` whose `body` is a
+        selector `(ite C Hi Hj)` (see `_selector`) whose branches are later
         holes of `nt` itself; under pruning with no `keep`.  Else None.
         Where C picks the same branch at every point, a candidate has that
         branch's vector, banked for `nt` already, so pruning would drop
         it: only the hole-0 entries that select both ways are built."""
-        if not (self.prune and self.keep is None and isinstance(body, Apply) and body.op == "ite"
-                and len(body.args) == 3):
-            return None
-        cond, *branches = body.args
-        own = {str(i) for i, h in enumerate(holes) if i and h.nonterminal == nt}
-        nodes = list(walk(cond))
-        never_raises = all(isinstance(n, Lit) or (isinstance(n, Var) and n.name == "0")
-                           or (isinstance(n, Apply) and (n.op, len(n.args)) in TOTAL_OPS) for n in nodes)
-        if never_raises and any(isinstance(n, Var) for n in nodes) and all(
-                isinstance(b, Var) and b.name in own for b in branches):
-            return cond
+        sel = _selector(body) if self.prune and self.keep is None else None
+        if sel is not None and all(i and holes[i].nonterminal == nt for i in sel[1:]):
+            return sel[0]
         return None
+
+    def sides(self, cond):
+        """The compiled `_sides_source` function for `cond`."""
+        em = SourceEmitter()
+        return em.build(self._sides_source(em, "sides", cond), "sides")
 
     def _sides_source(self, em, name, cond):
         """Source of `name(bank)`, the (term, selection) of each entry of
@@ -691,13 +708,13 @@ def extract_pbe_points(problem):
 
 @dataclass(frozen=True)
 class ProblemClass:
-    """`kind` is "invariant", "pbe" (with its `examples`), "conditional"
-    (a single target whose `_conditional_kind` is `cond`) or "plain".
-    Examples in `conflict` leave the problem classed by its grammar."""
+    """`kind` is "invariant", "pbe" (with its `examples`), "conditional" or
+    "plain"; `cond` is a single target's `_conditional`.  Examples in
+    `conflict` leave the problem classed by its grammar."""
 
     kind: str
     examples: list = None
-    cond: tuple = (None, None)
+    cond: tuple = None
     conflict: str = None
 
 
@@ -705,12 +722,12 @@ def classify(problem):
     """The one place that decides what kind of problem `problem` is."""
     if problem.invariant_spec is not None:
         return ProblemClass("invariant")
-    cond = _conditional_kind(problem.targets[0].grammar) if len(problem.targets) == 1 else (None, None)
+    cond = _conditional(problem.targets[0].grammar, problem.macro_map()) if len(problem.targets) == 1 else None
     try:
         examples, conflict = extract_pbe_points(problem), None
     except ConflictingExamples as e:
         examples, conflict = None, str(e)
-    kind = "pbe" if examples is not None else "plain" if cond[0] is None else "conditional"
+    kind = "pbe" if examples is not None else "plain" if cond is None else "conditional"
     return ProblemClass(kind, examples, cond, conflict)
 
 
@@ -865,7 +882,7 @@ def _run(problem, wallclock, cfg, unify):
     pclass = classify(problem)
     if pclass.conflict is not None:
         return Failure("conflicting-examples", pclass.conflict)
-    cond = pclass.cond if unify else (None, None)
+    cond = pclass.cond if unify else None
     targets = problem.targets
     try:
         if unify and pclass.kind == "invariant":
@@ -932,7 +949,7 @@ class Leaf:
 
 @dataclass
 class Branch:
-    pred: object  # payload understood by the flattener
+    pred: object  # the stitched term's hole 0, or an ICE atom
     then: object
     other: object
 
@@ -1018,25 +1035,27 @@ def _id3(ids, classes, covers, preds, depth):
     return Branch(payload, then, other)
 
 
-def _conditional_kind(grammar):
-    """(kind, cond_nt) where kind in {"ite", "if0", "qm", None}: the first
-    production of the first of those kinds the grammar has."""
-    found = {}
+def _conditional(grammar, macros):
+    """(tmpl, cond, then, other), the template of `grammar` a stitch joins
+    with, whose body under `macros` is `(ite cond H<then> H<other>)` (see
+    `_selector`) over two more holes, or one in a chain such as `qm`'s
+    `(ite (< h0 0) h1 h0)`; or None.  The first, in grammar order, of the
+    first rank: cond is hole 0; cond is computed from hole 0; a chain."""
+    found = []
     for _, templates in grammar.productions:
-        for t in templates:
-            if not isinstance(t, Apply):
-                continue
-            if t.op in ("ite", "if0") and len(t.args) == 3 and isinstance(t.args[0], Hole):
-                found.setdefault(t.op, t.args[0].nonterminal)
-            elif t.op == "qm" and len(t.args) == 2:
-                found.setdefault("qm", None)
-    return next(((k, found[k]) for k in ("ite", "if0", "qm") if k in found), (None, None))
+        for tmpl in templates:
+            sel = _selector(_body(tmpl, macros))
+            if sel is not None and sel[1] != sel[2] and len(template_holes(tmpl)) == len({0, *sel[1:]}):
+                found.append((tmpl, *sel))
+    return min(found, key=lambda c: 2 if 0 in c[2:] else not isinstance(c[1], Var), default=None)
 
 
-def _flatten_dt(tree, kind, sort):
-    if isinstance(tree, Leaf):
-        return tree.term
-    return Apply(kind, (tree.pred, _flatten_dt(tree.then, kind, sort), _flatten_dt(tree.other, kind, sort)), sort)
+def _join(cond, h0, then, other):
+    """`cond`'s template with `h0` at hole 0, `then` and `other` at its
+    branch holes; in a chain, hole 0 holds `h0`."""
+    tmpl, _, i, j = cond
+    kids = {i: then, j: other, 0: h0}
+    return _fill(tmpl, map(kids.get, range(len(kids))))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,20 +1074,20 @@ def _string_keep(expected_outputs):
     return keep
 
 
-def _cover_and_stitch(en, n, covers, cond, sort, deadline, check):
+def _cover_and_stitch(en, n, covers, cond, deadline, check):
     """Return the first enumerated term that `covers(term, vec)`, a mask
     with bit i for id i, says is right on all of ids 0..n-1.  With no
     conditional, that is the first hit of a goal-driven build (see
-    `Enumerator.first`), and the Failure is `_exhaust_reason`.  With a
-    conditional `cond` = (kind, cond_nt), terms with new covers are kept,
-    and stitched for each new one once together they cover every id; a
-    stitched term is returned once it is in `en.grammar` and `check(term)`
-    says it is right on every id, as a direct hit is.  Else the Failure is
-    the last stitch's, if one was tried; `cover-stall` if the finite
-    grammar ran out; else `_exhaust_reason`."""
-    kind, cond_nt = cond
+    `Enumerator.first`), and the Failure is `_exhaust_reason`.  With the
+    conditional production `cond` (see `_conditional`), terms with new
+    covers (in a chain, with new selections: see `_stitch_chain`) are
+    kept and stitched for each new one once together they cover every
+    id; a stitched term is returned once it is in `en.grammar` and
+    `check(term)` says it is right on every id, as a direct hit is.  Else
+    the Failure is the last stitch's, if one was tried; `cover-stall` if
+    the finite grammar ran out; else `_exhaust_reason`."""
     all_ids = (1 << n) - 1
-    if kind is None:
+    if cond is None:
 
         def whole(term, vec):
             deadline.check()
@@ -1076,8 +1095,10 @@ def _cover_and_stitch(en, n, covers, cond, sort, deadline, check):
 
         hit = en.first(whole)
         return _exhaust_reason(en) if hit is None else hit[0]
-    kept, seen, union = [], set(), 0
-    failure = None
+    _, test, then, other = cond
+    # a tree's predicate selects, and a chain's term is taken, where this holds
+    sides = en.sides(test if other else Apply("not", (test,), BOOL))
+    kept, seen, union, failure = [], set(), 0, None
     for term, vec in en.enumerate():
         deadline.check()
         cov = covers(term, vec)
@@ -1085,17 +1106,17 @@ def _cover_and_stitch(en, n, covers, cond, sort, deadline, check):
             return term
         if not cov:
             continue
-        # qm chains select on the sign of the branch term, so two terms
-        # with the same cover but different signs are not interchangeable.
-        key = (cov, tuple(v >= 0 for v in vec)) if kind == "qm" else cov
+        # a term that selects one way only is never a chain's inner link
+        picked = sides([(term, vec)]) if 0 in (then, other) else ()
+        key = (cov, _mask(picked[0][1]) if picked else 0)
         if key in seen:
             continue
         seen.add(key)
-        kept.append((term, cov, vec))
+        kept.append((term, *key))
         union |= cov
         if union != all_ids:
             continue
-        stitched = _stitch(en, kept, all_ids, kind, cond_nt, sort)
+        stitched = _stitch(en, kept, all_ids, cond, sides)
         if isinstance(stitched, Failure):
             failure = stitched
         elif oracle.check_conformance(stitched, en.grammar).kind != "valid":
@@ -1112,7 +1133,7 @@ def _cover_and_stitch(en, n, covers, cond, sort, deadline, check):
 
 def _solve_pbe(problem, examples, cond, deadline, cfg):
     """Cover-and-stitch over the examples, with `cond` as the conditional
-    to stitch with; (None, None) enumerates only.  The term found is
+    production to stitch with; None enumerates only.  The term found is
     verified under the caller's `cfg`."""
     target = problem.targets[0]
     params = [n for n, _ in target.params]
@@ -1128,7 +1149,7 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
         return _mask(map(operator.eq, vec, expected))
 
     try:
-        found = _cover_and_stitch(en, len(examples), covers, cond, target.ret, deadline,
+        found = _cover_and_stitch(en, len(examples), covers, cond, deadline,
                                   lambda term: tuple(map(ev.compile(term), envs)) == expected)
     finally:
         en.close()
@@ -1139,65 +1160,61 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
     return sol
 
 
-def _predicate_pool(en, nt, max_size, kind="ite"):
-    """(term, bool vector) for the `nt` terms up to `max_size`, in
-    enumeration order, dropping constant and already-seen vectors.
+def _predicate_pool(en, nt, max_size, sides):
+    """(term, selection) for the `nt` terms up to `max_size`, in
+    enumeration order, as `sides` (see `Enumerator.sides`) reads each
+    chunk of a bank, dropping a selection seen before.
 
-    An `if0` condition selects where it equals 1, any other condition
-    where it is truthy.  Each size is read only once `en` has built it in
-    full.  A size the deadline cuts raises BudgetExceeded, and so does
-    the pass over the banks once `en.deadline` has passed, read before
-    every DEADLINE_STRIDE entries: no tree is ever grown over a pool cut
-    short.
+    Each size is read only once `en` has built it in full.  A size the
+    deadline cuts raises BudgetExceeded, and so does the pass over the
+    banks once `en.deadline` has passed, read before every
+    DEADLINE_STRIDE entries: no tree is ever grown over a pool cut short.
     """
-    pool = []
-    seen = set()
-    if0 = kind == "if0"
-    # (1).__eq__ would give NotImplemented, which is truthy, on a non-int
-    select = functools.partial(operator.eq, 1) if if0 else bool
+    pool, seen = [], set()
     for s in range(1, max_size + 1):
         bank = en.bank(nt, s)
         for start in range(0, len(bank), DEADLINE_STRIDE):
             en.deadline.check(f"while reading the size-{s} predicates")
-            for term, vec in bank[start:start + DEADLINE_STRIDE]:
-                if (1 not in vec) if if0 else not any(vec):
-                    continue  # selects nowhere
-                bvec = tuple(map(select, vec))
-                if bvec in seen or all(bvec):
-                    continue
-                seen.add(bvec)
-                pool.append((term, bvec))
+            for term, sel in sides(bank[start:start + DEADLINE_STRIDE]):
+                if sel not in seen:
+                    seen.add(sel)
+                    pool.append((term, sel))
     return pool
 
 
-def _stitch(en, cover_terms, all_ids, kind, cond_nt, sort):
-    """Join (term, cover mask, vector) triples that together cover the
-    mask `all_ids` into one term: a qm chain, or a decision tree over the
-    `cond_nt` predicates.  Returns a Term or a Failure."""
-    if kind == "qm":
-        return _stitch_qm(cover_terms, all_ids)
-    preds = _predicate_pool(en, cond_nt, min(MAX_PRED_SIZE, en.max_size), kind)
+def _stitch(en, cover_terms, all_ids, cond, sides):
+    """Join (term, cover mask, selection mask) triples that together cover
+    the mask `all_ids` into one term by the conditional production
+    `cond`: a chain, or a decision tree over the predicates of hole 0's
+    nonterminal, as `sides` selects on them.  Returns a Term or a Failure."""
+    tmpl, _, then, other = cond
+    if 0 in (then, other):
+        return _stitch_chain(cover_terms, all_ids, cond)
+    preds = _predicate_pool(en, template_holes(tmpl)[0].nonterminal, min(MAX_PRED_SIZE, en.max_size), sides)
     tree = build_decision_tree(all_ids, [(t, c) for t, c, _ in cover_terms], preds)
-    if tree is None:
-        return Failure("predicate-exhausted")
-    return _flatten_dt(tree, kind, sort)
+
+    def join(node):
+        return node.term if isinstance(node, Leaf) else _join(cond, node.pred, join(node.then), join(node.other))
+
+    return Failure("predicate-exhausted") if tree is None else join(tree)
 
 
-def _stitch_qm(cover_terms, ids):
-    """Chain of (qm t rest): t is selected wherever it is nonnegative, so a
-    branch term doubles as its own selection condition.  `ids` and each
-    cover are masks, bit i for id i."""
-    for term, cover, _vec in cover_terms:
+def _stitch_chain(cover_terms, ids, cond):
+    """A chain of the production `cond`, each link a term t at hole 0 and
+    the rest of the chain at its other branch: t is taken at the ids of
+    its selection, where the condition on t's own vector picks hole 0.
+    `ids` and each cover and selection are masks, bit i for id i."""
+    for term, cover, _sel in cover_terms:
         if not ids & ~cover:
             return term
-    for term, cover, vec in cover_terms:
-        selected = _mask([v >= 0 for v in vec]) & ids
+    for term, cover, sel in cover_terms:
+        selected = sel & ids
         if not selected or selected == ids:
             continue
         if not selected & ~cover:
-            rest = _stitch_qm(cover_terms, ids & ~selected)
+            rest = _stitch_chain(cover_terms, ids & ~selected, cond)
             if isinstance(rest, Term):
-                return Apply("qm", (term, rest), term.sort)
+                return _join(cond, term, rest, rest)
     return Failure("predicate-exhausted")
 
 
@@ -1206,10 +1223,10 @@ def _unify_candidate(problem, target, points, cond, deadline):
     envs = collect_envs(problem, target, points)
     en = _enum_for(problem, target, envs, deadline)
     # stitching reads environment i as point i: one application per point
-    dropped = cond[0] is not None and len(_applications(problem, target)) != 1
+    dropped = cond is not None and len(_applications(problem, target)) != 1
     check, full = _point_check(problem, points, [envs]), (1 << len(points)) - 1
     found = _cover_and_stitch(
-        en, len(points), lambda term, vec: check([(term, vec)]), (None, None) if dropped else cond, target.ret,
+        en, len(points), lambda term, vec: check([(term, vec)]), None if dropped else cond,
         deadline, lambda term: check([(term, ())]) == full,
     )
     if isinstance(found, Failure) and dropped:
@@ -1421,11 +1438,7 @@ def _octagon_atoms(target, bool_nt, envs):
 
 def _ice_tree(target, states, envs, pos, deadline):
     grammar = target.grammar
-    bool_nt = None
-    for name, sort in grammar.nonterminals:
-        if sort == BOOL:
-            bool_nt = name
-            break
+    bool_nt = next((name for name, sort in grammar.nonterminals if sort == BOOL), None)
     if bool_nt is None:
         return Failure("no-conditional-production", "grammar has no Bool nonterminal")
     ids = (1 << len(states)) - 1
@@ -1440,7 +1453,7 @@ def _ice_tree(target, states, envs, pos, deadline):
         preds = curated
         if stage:
             en = en or Enumerator(grammar, envs, max_size=2 * max_stage + 1, deadline=deadline)
-            preds = curated + _predicate_pool(en, bool_nt, 2 * stage + 1)
+            preds = curated + _predicate_pool(en, bool_nt, 2 * stage + 1, en.sides(Var("0", BOOL)))
         dedup = {}
         for t, v in preds:
             dedup.setdefault(v, t)

@@ -74,7 +74,8 @@ _LEX_ERRORS = {'"': "unterminated string literal", "#": "unsupported '#' literal
 
 def tokenize(text):
     """Yield (token, pos) pairs: "(" or ")" for a parenthesis, else the atom's
-    token, at pos (line, column) from 1; a newline in a string starts no line."""
+    token, at pos (line, column) from 1; a newline in a string starts a
+    line, as one outside does."""
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
@@ -92,6 +93,8 @@ def tokenize(text):
             yield IntTok(int(tok), pos), pos
         elif kind == "string":
             yield StrTok(tok[1:-1].replace('""', '"'), pos), pos
+            if "\n" in tok:  # the next token's line starts after the string's last newline
+                line, line_start = line + tok.count("\n"), start + tok.rindex("\n") + 1
         elif kind == "hex":
             yield HexTok(int(tok[2:], 16), len(tok) - 2, pos), pos
         else:  # a character that starts no token

@@ -80,17 +80,16 @@ def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
     return [t for t, _ in en.enumerate(nt)]
 
 
-def predicate_pool(en, nt, max_size, kind="ite"):
-    """`engine._predicate_pool` with one generator expression per Boolean
-    vector; the pool built with `map` must be equal, in order."""
+def predicate_pool(en, nt, max_size, cond):
+    """`engine._predicate_pool` with the condition `cond`, whose hole 0 is
+    the variable "0", walked on each element of each vector; the pool the
+    generated `Enumerator.sides` selects must be equal, in order."""
     pool = []
     seen = set()
+    ev = TreeEvaluator()
     for s in range(1, max_size + 1):
         for term, vec in en.bank(nt, s):
-            if kind == "if0":
-                bvec = tuple(v == 1 for v in vec)
-            else:
-                bvec = tuple(bool(v) for v in vec)
+            bvec = tuple(ev.eval(cond, {"0": v}) for v in vec)
             if bvec in seen or all(bvec) or not any(bvec):
                 continue
             seen.add(bvec)

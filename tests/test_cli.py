@@ -206,10 +206,14 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(declare-var x Int)\n(constraint (= x ²))\n(check-synth)")],
      "unbound symbol '²' at 3:18"),
     (lambda tmp: ["bench", str(tmp), "--workers", "0"], "--workers must be at least 1, got 0"),
+    (lambda tmp: ["bench", str(tmp), "--solutions", _solution(tmp, "")], "File exists"),
+    (lambda tmp: ["bench", str(tmp), "--records", str(tmp / "missing" / "r.jsonl")], "No such file"),
+    (lambda tmp: ["nuggets", _b("fig2_bv_template.sl"), "--k", "2", "--out", _solution(tmp, "")], "File exists"),
 ], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
         "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
-        "solve-superscript-digit", "bench-workers-0"])
+        "solve-superscript-digit", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
+        "nuggets-out-a-file"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)
     try:

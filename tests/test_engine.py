@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var, subst, term_size
+from sygus.core import Apply, BOOL, Grammar, Hole, INT, Lit, STRING, Var, subst, template_holes, term_size
 from sygus import engine, oracle, semantics
 from sygus.engine import (
     BudgetExceeded,
@@ -22,7 +22,7 @@ from sygus.engine import (
     Failure,
     Leaf,
     Solution,
-    _conditional_kind,
+    _conditional,
     _ice_seed,
     _octagon_atoms,
     _predicate_pool,
@@ -679,12 +679,11 @@ def test_unify_solves_qm_inner():
 
 
 # qm_inner.sl with a `qm` that selects its first argument where it is
-# negative: a chain stitched on the sign of its branch terms is wrong
+# negative: a chain stitched on the sign of its branch terms would be wrong
 QM_FLIPPED = open(os.path.join(BENCH, "qm_inner.sl")).read().replace("(ite (< a 0) b a)", "(ite (< a 0) a b)")
 
 
 def test_unify_rechecks_each_stitched_term(monkeypatch):
-    p = parse(QM_FLIPPED)
     rechecked = []
     cover_and_stitch = engine._cover_and_stitch
 
@@ -698,13 +697,18 @@ def test_unify_rechecks_each_stitched_term(monkeypatch):
         return cover_and_stitch(*rest, recorded if check else None)
 
     monkeypatch.setattr(engine, "_cover_and_stitch", spy)
-    out = unify_solve(p, 60)
-    # every chain fails a point of its round, and the oracle refutes each
-    assert rechecked and not any(ok for _, ok in rechecked)
-    for term, _ in rechecked:
-        assert oracle.verify(p, {"qm-inner-loop": (["x"], term)}).kind == "counterexample", term
+    # each chain takes a term where the flipped `qm` does, so each holds at
+    # every point of its round; here every right value is nonnegative, so
+    # none is ever taken, and the answer is a direct hit
+    out = unify_solve(parse(QM_FLIPPED), 60)
+    assert all(ok for _, ok in rechecked)
     assert isinstance(out, Solution) and out.verdict.kind != "counterexample"
     assert out.emit() == "(define-fun qm-inner-loop ((x Int)) Int (- x (- 1 (- 7 (qm (- x 1) 7)))))"
+    # with the right values negated, the answer is a chain
+    out = unify_solve(parse(QM_FLIPPED.replace("(ite (= x 0) 7 (- x 1))", "(ite (= x 0) (- 0 7) (- 0 x))")), 60)
+    assert rechecked and all(ok for _, ok in rechecked)
+    assert isinstance(out, Solution) and out.verdict.kind != "counterexample"
+    assert out.emit() == "(define-fun qm-inner-loop ((x Int)) Int (qm (- 0 x) (- x 7)))"
 
 
 # fig2 with an `if0` that selects where its condition is 0, and examples
@@ -733,13 +737,18 @@ def test_unify_returns_no_stitched_term_outside_the_grammar():
     assert (out.reason, out.detail) == ("cover-stall", "stitched candidate is not in the grammar")
 
 
+QM_INNER = parse_file(os.path.join(BENCH, "qm_inner.sl"))
+
+
 def _qm_cover_terms(terms, expected):
-    """(term, cover mask, vector) over x = 0..len(expected)-1."""
-    ev = Evaluator()
+    """(term, cover mask, selection mask) over x = 0..len(expected)-1: the
+    selection holds where `(qm t b)`, with b any other value, is t."""
+    ev = Evaluator(QM_INNER.macro_map())
     out = []
     for t in terms:
         vec = tuple(ev.eval(t, {"x": x}) for x in range(len(expected)))
-        out.append((t, engine._mask([v == e for v, e in zip(vec, expected)]), vec))
+        taken = [ev.eval(Apply("qm", (Lit(v, INT), Lit(v + 1, INT)), INT), {}) == v for v in vec]
+        out.append((t, engine._mask([v == e for v, e in zip(vec, expected)]), engine._mask(taken)))
     return out
 
 
@@ -748,9 +757,10 @@ def test_stitch_qm_chains_terms_by_their_sign():
     neg_x = Apply("-", (Lit(0, INT), x), INT)  # nonnegative at x = 0 only
     one_minus_x = Apply("-", (Lit(1, INT), x), INT)  # nonnegative at x = 0, 1
     expected = (0, 0, 2, 3)
-    chain = engine._stitch_qm(_qm_cover_terms([neg_x, one_minus_x, x], expected), 0b1111)
+    cond = _conditional(QM_INNER.targets[0].grammar, QM_INNER.macro_map())
+    chain = engine._stitch_chain(_qm_cover_terms([neg_x, one_minus_x, x], expected), 0b1111, cond)
     assert chain == Apply("qm", (neg_x, Apply("qm", (one_minus_x, x), INT)), INT)
-    ev = Evaluator(parse_file(os.path.join(BENCH, "qm_inner.sl")).macro_map())
+    ev = Evaluator(QM_INNER.macro_map())
     assert tuple(ev.eval(chain, {"x": v}) for v in range(4)) == expected
 
 
@@ -760,7 +770,7 @@ def test_stitch_qm_needs_a_sign_split_inside_a_cover():
     # every id, and -x selects id 0 while it covers only id 2
     cover_terms = _qm_cover_terms([x, Apply("-", (Lit(0, INT), x), INT), Lit(5, INT)], (5, 1, -2))
     assert [c for _, c, _ in cover_terms] == [0b010, 0b100, 0b001]
-    out = engine._stitch_qm(cover_terms, 0b111)
+    out = engine._stitch_chain(cover_terms, 0b111, _conditional(QM_INNER.targets[0].grammar, QM_INNER.macro_map()))
     assert isinstance(out, Failure) and out.reason == "predicate-exhausted"
 
 
@@ -836,14 +846,21 @@ def test_solver_determinism():
 # --- predicate pools -------------------------------------------------------
 
 
-def _enumerated_pool(en, nt, max_size, kind):
+def _pool_args(p):
+    """Hole 0's nonterminal and the condition of `p`'s conditional production."""
+    tmpl, cond, _, _ = _conditional(p.targets[0].grammar, p.macro_map())
+    return template_holes(tmpl)[0].nonterminal, cond
+
+
+def _enumerated_pool(en, nt, max_size, cond):
     """Reference pool, read off `enumerate` up to the first term past the
-    cap; `_predicate_pool` gives the same pool without building past it."""
-    pool, seen = [], set()
+    cap, with `cond` evaluated on each element by the tree walk;
+    `_predicate_pool` gives the same pool without building past it."""
+    pool, seen, ev = [], set(), TreeEvaluator()
     for term, vec in en.enumerate(nt):
         if term_size(term) > max_size:
             break
-        bvec = tuple(v == 1 if kind == "if0" else bool(v) for v in vec)
+        bvec = tuple(ev.eval(cond, {"0": v}) for v in vec)
         if bvec in seen or all(bvec) or not any(bvec):
             continue
         seen.add(bvec)
@@ -854,10 +871,10 @@ def _enumerated_pool(en, nt, max_size, kind):
 def test_predicate_pool_stops_at_its_cap():
     # one point makes every Bool vector constant, so pruning empties the
     # Bool banks and no term past the cap is ever reached
-    g = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
-    kind, cond_nt = _conditional_kind(g)
-    en = Enumerator(g, [{"x": 0}], max_size=20)
-    assert _predicate_pool(en, cond_nt, 9, kind) == []
+    p = parse_file(os.path.join(BENCH, "abs.sl"))
+    cond_nt, cond = _pool_args(p)
+    en = Enumerator(p.targets[0].grammar, [{"x": 0}], max_size=20)
+    assert _predicate_pool(en, cond_nt, 9, en.sides(cond)) == []
     assert en._done == 9
 
 
@@ -872,9 +889,10 @@ def test_predicate_pool_stops_at_its_cap():
 def test_predicate_pool_matches_enumeration(bench, envs, cap):
     p = parse_file(os.path.join(BENCH, bench))
     g = p.targets[0].grammar
-    kind, cond_nt = _conditional_kind(g)
-    want = _enumerated_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
-    got = _predicate_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, kind)
+    cond_nt, cond = _pool_args(p)
+    want = _enumerated_pool(Enumerator(g, envs, p.macro_map(), max_size=cap + 2), cond_nt, cap, cond)
+    en = Enumerator(g, envs, p.macro_map(), max_size=cap + 2)
+    got = _predicate_pool(en, cond_nt, cap, en.sides(cond))
     assert got == want and want
 
 
@@ -989,12 +1007,12 @@ def test_a_pool_builds_every_size_while_time_is_left():
     # been reached, and the pool is the one built with no deadline at all
     p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     g = p.targets[0].grammar
-    kind, cond_nt = _conditional_kind(g)
+    cond_nt, cond = _pool_args(p)
     envs = [{"x": v} for v in (1, 2, 4, 8, 3, 16)]
     timed = Enumerator(g, envs, p.macro_map(), deadline=_Clock(1e-9))
     free = Enumerator(g, envs, p.macro_map())
-    pool = _predicate_pool(timed, cond_nt, 9, kind)
-    assert pool == _predicate_pool(free, cond_nt, 9, kind)
+    pool = _predicate_pool(timed, cond_nt, 9, timed.sides(cond))
+    assert pool == _predicate_pool(free, cond_nt, 9, free.sides(cond))
     assert timed._done == free._done == 9 and timed.constructed == free.constructed
 
 
@@ -1005,12 +1023,12 @@ def test_a_pool_builds_every_size_while_time_is_left():
 def test_predicate_pool_matches_the_reference(bench, envs, size):
     p = parse_file(os.path.join(BENCH, bench))
     g = p.targets[0].grammar
-    kind, cond_nt = _conditional_kind(g)
-    assert kind == ("if0" if bench.startswith("fig2") else "ite")
+    cond_nt, cond = _pool_args(p)
+    assert isinstance(cond, Var) == (bench == "abs.sl")  # (ite B S S) selects on B itself, if0 on (= C 1)
     en = Enumerator(g, envs, p.macro_map())
-    pool = _predicate_pool(en, cond_nt, size, kind)
+    pool = _predicate_pool(en, cond_nt, size, en.sides(cond))
     assert len(pool) > 20  # not a vacuous comparison
-    assert pool == reference.predicate_pool(en, cond_nt, size, kind)
+    assert pool == reference.predicate_pool(en, cond_nt, size, cond)
     assert all(type(b) is bool for _, bvec in pool for b in bvec)
 
 
@@ -1213,16 +1231,50 @@ IF0_EXAMPLES = [(1, 0), (2, 2), (4, 4), (8, 8), (3, 3), (16, 16)] + [
 ]
 
 
-def _fig2_pbe(examples):
+def _fig2_pbe_text(examples):
     """The fig2 grammar with f's (input, output) `examples` as constraints."""
     with open(os.path.join(BENCH, "fig2_bv_template.sl")) as fh:
         text = fh.read()
     examples = "".join(f"(constraint (= (f #x{i:016x}) #x{o:016x}))\n" for i, o in examples)
-    return parse(text.replace("(check-synth)", examples + "(check-synth)"))
+    return text.replace("(check-synth)", examples + "(check-synth)")
+
+
+def _fig2_pbe(examples):
+    return parse(_fig2_pbe_text(examples))
 
 
 def _if0_problem():
     return _fig2_pbe(IF0_EXAMPLES)
+
+
+# The conditional macros renamed, in their define-fun and their
+# applications only (`qm-inner-loop` keeps its name).
+RENAMES = (("if0", "sel"), ("qm", "pick"))
+
+
+def _renamed(text, back=False):
+    for name, new in RENAMES:
+        old, new = (new, name) if back else (name, new)
+        text = text.replace(f"(define-fun {old} ", f"(define-fun {new} ").replace(f"({old} ", f"({new} ")
+    return text
+
+
+@pytest.mark.parametrize("engine_name", ["unif", "auto"])
+def test_a_renamed_conditional_stitches_the_same(engine_name):
+    # the stitcher reads a conditional production by its meaning, so a
+    # problem whose conditional macro has another name has the same answer
+    texts = {"qm_inner.sl": open(os.path.join(BENCH, "qm_inner.sl")).read(), "if0-on-zero": IF0_ON_ZERO}
+    for i, (_target, _macros, envs, expected) in enumerate(_fig2_pbe_problems()):
+        texts[f"fig2-pbe-{i}"] = _fig2_pbe_text([(env["x"], out) for env, out in zip(envs, expected)])
+    for name, text in texts.items():
+        assert _renamed(text) != text, name
+        outs = []
+        for t in (text, _renamed(text)):
+            p = parse(t)
+            out = _pick_solver(p, engine_name)(p, 30)
+            assert isinstance(out, Solution), (name, out)
+            outs.append(out.emit())
+        assert _renamed(outs[1], back=True) == outs[0], name
 
 
 @pytest.mark.parametrize(
@@ -1263,7 +1315,7 @@ def test_the_pool_pass_stops_at_the_deadline(late):
     # look cuts the pass inside the largest bank; one look later, it never does
     p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     g = p.targets[0].grammar
-    kind, cond_nt = _conditional_kind(g)
+    cond_nt, cond = _pool_args(p)
     envs = [{"x": i} for i, _ in IF0_EXAMPLES]
     en = Enumerator(g, envs, p.macro_map())
     banks = [en.bank(cond_nt, s) for s in range(1, 7)]
@@ -1271,10 +1323,10 @@ def test_the_pool_pass_stops_at_the_deadline(late):
     en.deadline = _ExpiringClock(sum(-(-len(b) // engine.DEADLINE_STRIDE) for b in banks) + late)
     if late:
         free = Enumerator(g, envs, p.macro_map())
-        assert _predicate_pool(en, cond_nt, 6, kind) == _predicate_pool(free, cond_nt, 6, kind)
+        assert _predicate_pool(en, cond_nt, 6, en.sides(cond)) == _predicate_pool(free, cond_nt, 6, free.sides(cond))
     else:
         with pytest.raises(BudgetExceeded, match="deadline reached while reading the size-6 predicates"):
-            _predicate_pool(en, cond_nt, 6, kind)
+            _predicate_pool(en, cond_nt, 6, en.sides(cond))
     assert en.deadline.looks == late
 
 
@@ -1557,18 +1609,23 @@ def test_a_let_bound_target_argument_is_solved(engine_name):
     [
         ("(qm S S) (if0 S S S) (ite B S S) (ite D S S)", ("ite", "B")),
         ("(qm S S) (if0 C S S) (if0 S S S)", ("if0", "C")),
-        ("(qm S S) (ite true S S)", ("qm", None)),
+        ("(qm S S) (ite true S S)", ("qm", "S")),
         ("(+ S S)", (None, None)),
     ],
 )
 def test_conditional_kind_prefers_ite_then_if0_then_qm(prods, want):
+    # (op, hole 0's nonterminal) of the production picked: a condition that
+    # is hole 0, then one computed from it, then a chain; an ite whose
+    # condition reads no hole is none of them
     p = parse(
         "(set-logic LIA)\n(define-fun qm ((a Int) (b Int)) Int (ite (< a 0) b a))\n"
         "(define-fun if0 ((c Int) (a Int) (b Int)) Int (ite (= c 1) a b))\n"
         f"(synth-fun f ((x Int)) Int ((S Int (x {prods})) (B Bool ((<= S S))) (C Int (x 1)) (D Bool ((< S S)))))\n"
         "(check-synth)"
     )
-    assert _conditional_kind(p.targets[0].grammar) == want
+    cond = _conditional(p.targets[0].grammar, p.macro_map())
+    got = (None, None) if cond is None else (cond[0].op, template_holes(cond[0])[0].nonterminal)
+    assert got == want
 
 
 CONFLICTING ="(constraint (= (f 1) 2)) (constraint (= (f 1) 3))"
@@ -1679,7 +1736,8 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
         preds = curated
         if stage:
             cap = 2 * stage + 1
-            preds = curated + _predicate_pool(Enumerator(target.grammar, envs, max_size=cap), bool_nt, cap)
+            en = Enumerator(target.grammar, envs, max_size=cap)
+            preds = curated + _predicate_pool(en, bool_nt, cap, en.sides(Var("0", BOOL)))
         first = {}
         for t, v in preds:
             first.setdefault(v, t)

@@ -197,6 +197,9 @@ _READER_ERRORS = [
     (parse, "(set-logic LIA) (synth-fun f ((x)) Int) (check-synth)", ParseError, "malformed parameter (x)"),
     # _parse_term
     (parse, "(set-logic LIA)\n(constraint (= y 1)) (check-synth)", ParseError, "unbound symbol 'y' at 2:16"),
+    # a string that spans lines: the next token's line starts after its last newline
+    (parse, '(set-logic SLIA)\n(synth-fun f ((s String)) String ((Start String (s))))\n\n(constraint (= (f "a\nb") zz))'
+     "\n(check-synth)", ParseError, "unbound symbol 'zz' at 5:5"),
     (parse, "(set-logic LIA) (constraint ()) (check-synth)", ParseError, "malformed term ()"),
     (parse, "(set-logic LIA) (constraint (1 2)) (check-synth)", ParseError, "malformed term (1 2)"),
     (parse, "(set-logic LIA) (constraint (let x true)) (check-synth)", ParseError, "malformed let (let x true)"),

@@ -24,6 +24,10 @@ def test_tokenize_basic():
     assert isinstance(toks[3], IntTok) and toks[3].value == 12
 
 
+def test_a_string_that_spans_lines_moves_the_line_count():
+    assert [pos for _tok, pos in tokenize('(f "a\nb" y)')] == [(1, 1), (1, 2), (1, 4), (2, 4), (2, 5)]
+
+
 def test_comments_ignored():
     (sx,) = parse_sexprs("; header\n(a b) ; trailing\n")
     assert isinstance(sx, SList)
