@@ -32,7 +32,7 @@ is one `&` and a class count one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
-per enumerator into one generated generator (every alias shares one that
+per enumerator into one generated function (every alias shares one that
 reads its source bank): it loops over its child banks, computes each
 candidate's vector over every observation point inline from the
 template (macros expanded, BitVec builtins as Python operators; one
@@ -52,8 +52,8 @@ the only read of the clock: the enumerator checks it before each size
 and every DEADLINE_STRIDE candidates, and `_run` turns the
 BudgetExceeded it raises into `Failure("budget-exhausted")`.  Nothing
 cut short is ever read, so no other outcome depends on the clock.  A
-search for one term that holds everywhere stops building a size at the
-first it accepts.
+search for one term that holds everywhere stops building a size for good
+at the first it accepts, and returns that term.
 """
 
 from __future__ import annotations
@@ -209,9 +209,9 @@ def _term_source(em, tmpl, kids):
     return em.bind(("term", tmpl), tmpl)
 
 
-# A production's generator looks at the deadline once per this many candidates.
+# A production's function looks at the deadline once per this many candidates.
 DEADLINE_STRIDE = 1024
-# Over at most this many points, a production's generator computes each
+# Over at most this many points, a production's function computes each
 # element of a candidate's vector in an expression of its own; over more,
 # one comprehension.  Unrolled, a candidate costs 1.1-2.8x less at every
 # count measured (4-1009 points; fig2, CLIA and ICE grammars), but the
@@ -247,26 +247,20 @@ class Enumerator:
     select both ways (see `_one_sided`).  The banks are those of the
     full product, and `constructed` counts what was built.
 
-    A size is built by a generator that `ensure` drives.  With a `goal`,
-    `(nt, goal(term, vec))`, the build tests each `nt` entry as it banks
-    it and pauses right after the first that meets the goal, the only
-    point at which it yields: it clears `goal`, leaves the entry in
-    `hit`, `ensure` returns early once, and the next `ensure` resumes
-    the build where it paused.  Only `enumerate` reads a paused size;
-    `bank` always returns a complete one, and `first` drops the build
-    it paused.  A paused build refers back to its enumerator, a
-    reference cycle that `close` breaks.
+    With a `goal`, `(nt, goal(term, vec))`, a build tests each `nt`
+    entry as it banks it and stops for good at the first that meets the
+    goal, left in `hit`.  Building checks `deadline` (by default
+    NO_DEADLINE, never reached) before a size and every DEADLINE_STRIDE
+    candidates inside one.  A size a hit or the deadline stops is never
+    finished: its banks are never read, and the next `ensure` past it
+    raises.  `first` and `enumerate` read such a size only for its hit;
+    `bank` always returns a complete one.
 
     Banked terms, vectors and entries form no reference cycles, so the
     cyclic collector is off while a size is built, and what the build
     allocated is frozen (`gc.freeze`) before it is turned back on: the
     collector never scans a bank, and reference counting still frees it.
     A solve unfreezes every object when it returns (see `_run`).
-
-    Building checks `deadline` (by default NO_DEADLINE, never reached)
-    before a size and every DEADLINE_STRIDE candidates inside one.  A
-    build the deadline cuts is dropped, never resumed: its banks are
-    never read, and the next `ensure` raises.
     """
 
     def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None,
@@ -284,10 +278,9 @@ class Enumerator:
         self._done = 0
         self.constructed = 0
         self.deadline = deadline
-        self.goal = None  # (nt, goal(term, vec)): pause the build at its first hit
-        self.hit = None  # the entry the last pause stopped at
-        self._build = None  # the generator building size _done + 1, if started
-        self._cut = False  # a build was cut short; its size is never finished
+        self.goal = None  # (nt, goal(term, vec)): stop the build at its first hit
+        self.hit = None  # the entry a build stopped at
+        self._cut = False  # a build stopped short; its size is never finished
 
     def _default_env(self):
         env = {}
@@ -300,7 +293,7 @@ class Enumerator:
 
     def _prepare(self):
         """Each nonterminal's productions, in grammar order, each with its
-        compiled generator: every alias shares one that reads its source
+        compiled function: every alias shares one that reads its source
         bank (see `_alias_source`); every other production has its own,
         which builds its candidates (see `_production_source`), and a
         one-sided one also a function that picks the condition entries
@@ -387,7 +380,7 @@ class Enumerator:
                                   "            out.append((term, sel))", "    return out"])
 
     def _production_source(self, em, name, tmpl, body, halved, sides):
-        """Source of the generator `name(en, nt, s, *kid_banks)`, which
+        """Source of the function `name(en, nt, s, *kid_banks)`, which
         builds the size-`s` candidates of `tmpl` for `nt` from one bank
         per hole, in `itertools.product` order.  When `halved` and given
         one bank for both holes, the inner loop starts at the outer entry's
@@ -399,9 +392,9 @@ class Enumerator:
         its macros expanded (see `_vector_source`).  Each candidate
         is counted in `en.constructed`, and every DEADLINE_STRIDE-th reads
         the deadline.  A term is built only for a vector pruning keeps (see
-        `_admission`).  The generator reads `en.goal` when it starts and
-        again when it resumes, tests each entry it banks against it, and
-        yields only at a hit (see `_goal_hit`)."""
+        `_admission`).  The function reads `en.goal` when it starts, tests
+        each entry it banks against it, and returns at a hit (see
+        `_goal_hit`)."""
         holes = template_holes(tmpl)
         banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
         variables = list(dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)))
@@ -457,59 +450,43 @@ class Enumerator:
 
     def bank(self, nt, size):
         """Every entry of (nt, size), the size built in full."""
-        while self._done < min(size, self.max_size):
-            self.ensure(size)
+        self.ensure(size)
         return self._bank.get((nt, size), [])
 
     def first(self, goal):
         """The first start entry, by size and bank order, that meets
         `goal(term, vec)`, or None.  On an enumerator that has built
-        nothing, builds one size at a time up to the first hit, and drops
-        the build that hit paused (see `close`)."""
-        self.goal, self.hit = (self.grammar.start, goal), None
+        nothing, builds one size at a time up to the first hit."""
+        self.goal = (self.grammar.start, goal)
         try:
             for s in range(1, self.max_size + 1):
                 self.ensure(s)
-                if self.hit is not None:
+                if self._done < s:
                     return self.hit
             return None
         finally:
             self.goal = None
-            self.close()
 
     def ensure(self, size):
-        """Build every size up to `size`, or pause at the goal's first hit:
-        the build yields only there, having left the entry in `hit`."""
+        """Build every size up to `size`, or stop for good at the goal's
+        first hit, left in `hit`."""
         while self._done < min(size, self.max_size):
             s = self._done + 1
-            if self._build is None:
-                self.deadline.check(f"before size {s}")
-                if self._cut:
-                    raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
-                self._build = self._build_size(s)
+            self.deadline.check(f"before size {s}")
+            if self._cut:
+                raise BudgetExceeded(f"size {s} was cut short and cannot be resumed")
+            self._cut = True  # until the size is built in full
             collecting = gc.isenabled()
-            # The collector would only rescan the growing banks, which form
-            # no reference cycles (a paused build does: see `close`).
-            gc.disable()
+            gc.disable()  # the collector would only rescan the growing banks
             try:
-                for _ in self._build:
-                    return  # every yield is a goal hit
-            except BaseException:  # whatever ends the generator leaves the size half built
-                self._build, self._cut = None, True
-                raise
+                self._build_size(s)
             finally:
                 if collecting:
                     gc.freeze()  # out of every later collection's reach, until `_run` unfreezes
                     gc.enable()
-            self._build, self._done = None, s
-
-    def close(self):
-        """Drop a paused build; its size is never finished.  The build's
-        generator refers back to this enumerator, so until it is dropped
-        the two form a reference cycle that only the cyclic collector
-        frees, and a frozen cycle not before it is unfrozen."""
-        if self._build is not None:
-            self._build, self._cut = None, True
+            if self.hit is not None:
+                return
+            self._done, self._cut = s, False
 
     def size_cost(self, s):
         """Candidates `_build_size(s)` constructs once every smaller size
@@ -532,7 +509,7 @@ class Enumerator:
         return total
 
     def _build_size(self, s):
-        """Build size `s`, yielding once at each goal hit."""
+        """Build size `s`, or return at the goal's first hit."""
         for nt in self._nts:
             self._bank[(nt, s)] = []
         built = set()  # (nt, production index): leaves and compositions are built once
@@ -547,28 +524,37 @@ class Enumerator:
                     before = len(out)
                     if kind == "alias":
                         src = self._bank.get((prod[2], s), [])
-                        read[key] = yield from prod[3](self, nt, s, src, read.get(key, 0))
+                        read[key] = prod[3](self, nt, s, src, read.get(key, 0))
+                        if self.hit is not None:
+                            return
                     elif key not in built:
                         built.add(key)
                         for keys in _splits(prod, s):
                             banks = [self._bank.get(k, []) for k in keys]
                             if all(banks):
-                                yield from prod[5](self, nt, s, *banks)
+                                prod[5](self, nt, s, *banks)
+                                if self.hit is not None:
+                                    return
                     changed = changed or len(out) > before
 
     def enumerate(self, nt=None):
-        """Yield (term, vector) in nondecreasing size up to the size cap."""
-        nt = nt or self.grammar.start
+        """Yield (term, vector) in nondecreasing size up to the size cap.
+        The goal set when the first term is asked for applies only to the
+        sizes this call builds, and is cleared before each yield, so a
+        build made meanwhile (say, by `bank`) runs whole.  A size that
+        stopped at the goal's hit yields only the hit, and ends the
+        enumeration."""
+        nt, goal = nt or self.grammar.start, self.goal
         for s in range(1, self.max_size + 1):
-            i = 0
-            while True:  # a paused size is read as far as it is built
+            self.goal = goal
+            try:
                 self.ensure(s)
-                out = self._bank.get((nt, s), [])
-                while i < len(out):
-                    yield out[i]
-                    i += 1
-                if self._done >= s:
-                    break
+            finally:
+                self.goal = None
+            if self._done < s:
+                yield self.hit
+                return
+            yield from self._bank.get((nt, s), [])
 
     def max_finite_size(self):
         """Largest derivable term size if the grammar is acyclic, else None."""
@@ -598,11 +584,11 @@ class Enumerator:
 
 
 def _alias_source(em, name):
-    """Source of the generator `name(en, nt, s, src, pos)`, which
-    admits the entries of the bank `src` from index `pos` on into (nt,
-    s) as `_production_source`'s generators admit a candidate, yields
-    only at a goal hit as they do, and returns the index it stopped at.
-    It counts nothing: `src`'s own build counted them."""
+    """Source of the function `name(en, nt, s, src, pos)`, which admits
+    the entries of the bank `src` from index `pos` on into (nt, s) as
+    `_production_source`'s functions admit a candidate, returns at a
+    goal hit as they do, and else returns the index it stopped at.  It
+    counts nothing: `src`'s own build counted them."""
     leaves = em.bind("leaves", (Var, Lit))
     lines = [f"def {name}(en, nt, s, src, pos):",
              "    out, sigs = en._bank[nt, s], en._sigs[nt]",
@@ -611,7 +597,7 @@ def _alias_source(em, name):
              "        term, vec = src[pos]",
              "        pos += 1"]
     lines += ["        " + line for line in _admission("continue", None, f"not isinstance(term, {leaves}) and ")]
-    lines += ["        " + line for line in _goal_hit(count=False)]
+    lines += ["        " + line for line in _goal_hit()]
     return "\n".join(lines + ["    return pos"])
 
 
@@ -629,16 +615,10 @@ def _admission(skip, build, keep_test):
     return lines + ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)"]
 
 
-def _goal_hit(count=True):
-    """Generated lines that pause a build at the banked `entry` when it
-    meets `goal`: the goal is cleared, the entry left in `en.hit` and,
-    when `count`, `n` stored in `en.constructed`; on resuming, the goal
-    is read afresh."""
-    lines = ["if goal is not None and nt == goal[0] and goal[1](term, vec):",
-             "    en.goal, en.hit = None, entry"]
-    if count:
-        lines.append("    en.constructed = n")
-    return lines + ["    yield", "    goal = en.goal"]
+def _goal_hit():
+    """Generated lines that stop a build at the banked `entry` when it
+    meets `goal`, leaving the entry in `en.hit`."""
+    return ["if goal is not None and nt == goal[0] and goal[1](term, vec):", "    en.hit = entry", "    return"]
 
 
 def _production(idx, tmpl, fn, halved, sides):
@@ -1074,7 +1054,7 @@ def _string_keep(expected_outputs):
     return keep
 
 
-def _cover_and_stitch(en, n, covers, cond, deadline, check):
+def _cover_and_stitch(en, n, covers, cond, deadline, check, goal=None):
     """Return the first enumerated term that `covers(term, vec)`, a mask
     with bit i for id i, says is right on all of ids 0..n-1.  With no
     conditional, that is the first hit of a goal-driven build (see
@@ -1085,7 +1065,10 @@ def _cover_and_stitch(en, n, covers, cond, deadline, check):
     id; a stitched term is returned once it is in `en.grammar` and
     `check(term)` says it is right on every id, as a direct hit is.  Else
     the Failure is the last stitch's, if one was tried; `cover-stall` if
-    the finite grammar ran out; else `_exhaust_reason`."""
+    the finite grammar ran out; else `_exhaust_reason`.  A `goal(term,
+    vec)`, true only of a term right on every id, stops the size that
+    `en.enumerate` builds at its first hit, which is then returned
+    before any stitch over the entries ahead of it in that size."""
     all_ids = (1 << n) - 1
     if cond is None:
 
@@ -1099,6 +1082,7 @@ def _cover_and_stitch(en, n, covers, cond, deadline, check):
     # a tree's predicate selects, and a chain's term is taken, where this holds
     sides = en.sides(test if other else Apply("not", (test,), BOOL))
     kept, seen, union, failure = [], set(), 0, None
+    en.goal = None if goal is None else (en.grammar.start, goal)
     for term, vec in en.enumerate():
         deadline.check()
         cov = covers(term, vec)
@@ -1141,18 +1125,15 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
     expected = tuple(ex.output for ex in examples)
     keep = _string_keep([str(o) for o in expected]) if target.ret == STRING else None
     en = Enumerator(target.grammar, envs, problem.macro_map(), max_size=MAX_TERM_SIZE, keep=keep, deadline=deadline)
-    # no size is built past the first term that meets every example
-    en.goal = (en.grammar.start, lambda _term, vec: vec == expected)
     ev = Evaluator(problem.macro_map())
 
     def covers(_term, vec):
         return _mask(map(operator.eq, vec, expected))
 
-    try:
-        found = _cover_and_stitch(en, len(examples), covers, cond, deadline,
-                                  lambda term: tuple(map(ev.compile(term), envs)) == expected)
-    finally:
-        en.close()
+    # no size is built past the first term that meets every example
+    found = _cover_and_stitch(en, len(examples), covers, cond, deadline,
+                              lambda term: tuple(map(ev.compile(term), envs)) == expected,
+                              lambda _term, vec: vec == expected)
     if isinstance(found, Failure):
         return found
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))

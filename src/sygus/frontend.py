@@ -101,12 +101,15 @@ def _parse_sort(sx):
 def _parse_params(sx):
     if not isinstance(sx, SList):
         raise ParseError("expected a parameter list")
-    params = []
+    params = {}
     for p in sx.items:
         if not (isinstance(p, SList) and len(p.items) == 2 and isinstance(p.items[0], Symbol)):
             raise ParseError(f"malformed parameter {to_text(p)}")
-        params.append((p.items[0].name, _parse_sort(p.items[1])))
-    return tuple(params)
+        name = p.items[0]
+        if name.name in params:
+            raise ParseError(f"duplicate parameter {name.name!r} at {name.pos[0]}:{name.pos[1]}")
+        params[name.name] = _parse_sort(p.items[1])
+    return tuple(params.items())
 
 
 def _parse_term(sx, scope, table, nts=None):
@@ -197,18 +200,21 @@ def default_grammar(logic, params, ret):
 
 
 def desugar_invariant(spec: InvariantSpec, problem: Problem) -> Problem:
-    """Append the three verification conditions implied by `inv-constraint`."""
+    """Append the three verification conditions implied by `inv-constraint`.
+    Pre and post take the state sorts, trans the state sorts twice (the
+    state, then its primed twin), and each returns Bool."""
     macros = {m.name: m for m in problem.macros}
     for role, name in (("pre", spec.pre_name), ("trans", spec.trans_name), ("post", spec.post_name)):
         if name not in macros:
             raise DesugarError(f"{role} macro {name!r} is not defined")
-    n = len(spec.state_vars)
-    if len(macros[spec.pre_name].params) != n:
-        raise DesugarError(f"{spec.pre_name!r} arity != |state vars|")
-    if len(macros[spec.post_name].params) != n:
-        raise DesugarError(f"{spec.post_name!r} arity != |state vars|")
-    if len(macros[spec.trans_name].params) != 2 * n:
-        raise DesugarError(f"{spec.trans_name!r} arity != 2*|state vars|")
+    state = [s for _, s in spec.state_vars]
+    for name, want, arity in ((spec.pre_name, state, "|state vars|"), (spec.trans_name, state + state, "2*|state vars|"),
+                              (spec.post_name, state, "|state vars|")):
+        m = macros[name]
+        if len(m.params) != len(want):
+            raise DesugarError(f"{name!r} arity != {arity}")
+        if [s for _, s in m.params] != want or m.ret != BOOL:
+            raise DesugarError(f"{name!r} differs from the invariant's sorts ({' '.join(map(str, want))}) Bool")
     universal_sorts = dict(problem.universals)
     plain = []
     primed = []
@@ -298,7 +304,15 @@ def parse(text: str) -> Problem:
     constraints = []
     inv_directive = None
     inv_params = {}
+    declared = set()
     finished = False
+
+    def declare(sym, suffix=""):
+        """Refuse a name declared before, by any directive."""
+        name = sym.name + suffix
+        if name in declared:
+            raise ParseError(f"{name!r} is declared twice at {sym.pos[0]}:{sym.pos[1]}")
+        declared.add(name)
 
     for sx in parse_sexprs(text):
         if finished:
@@ -321,11 +335,13 @@ def parse(text: str) -> Problem:
             raise ParseError(f"({head} ...) before set-logic")
         if head == "define-fun":
             macro = _define_fun(sx, table, "define-fun")
+            declare(rest[0])
             macros.append(macro)
             table.register(macro.name, [s for _, s in macro.params], macro.ret)
         elif head == "synth-fun":
             if len(rest) not in (3, 4) or not isinstance(rest[0], Symbol):
                 raise ParseError(f"malformed synth-fun {to_text(sx)}")
+            declare(rest[0])
             name = rest[0].name
             params = _parse_params(rest[1])
             ret = _parse_sort(rest[2])
@@ -342,6 +358,7 @@ def parse(text: str) -> Problem:
         elif head == "synth-inv":
             if len(rest) != 2 or not isinstance(rest[0], Symbol):
                 raise ParseError(f"malformed synth-inv {to_text(sx)}")
+            declare(rest[0])
             name = rest[0].name
             params = _parse_params(rest[1])
             grammar = default_grammar(logic, params, BOOL)
@@ -351,10 +368,13 @@ def parse(text: str) -> Problem:
         elif head == "declare-var":
             if len(rest) != 2 or not isinstance(rest[0], Symbol):
                 raise ParseError(f"malformed declare-var {to_text(sx)}")
+            declare(rest[0])
             universals.append((rest[0].name, _parse_sort(rest[1])))
         elif head == "declare-primed-var":
             if len(rest) != 2 or not isinstance(rest[0], Symbol):
                 raise ParseError(f"malformed declare-primed-var {to_text(sx)}")
+            declare(rest[0])
+            declare(rest[0], "!")
             sort = _parse_sort(rest[1])
             universals.append((rest[0].name, sort))
             universals.append((rest[0].name + "!", sort))

@@ -4,8 +4,10 @@ The lexer is one token table, `_TOKEN`: a regular expression with one
 named alternative per token kind.  A numeral is an optional `-` and
 Unicode decimal digits (what `int` reads), a symbol a run of characters
 `str.isalnum` accepts or of `_~!@$%^&*-+=<>.?/`, and whitespace what
-`str.isspace` accepts but the newline.  Tokens carry their line and
-column; hex literals their digit count too, for four bits per digit.
+`str.isspace` accepts but the newline.  A numeral or hex literal that
+runs into a symbol character (`7y`, `1.5`, `#x1g`) is one malformed
+atom, an error.  Tokens carry their line and column; hex literals their
+digit count too, for four bits per digit.
 """
 
 from __future__ import annotations
@@ -58,17 +60,19 @@ class SList:
     pos: tuple = field(default=(0, 0), compare=False)
 
 
+_SYMBOL_CHAR = r"[\w~!@$%^&*\-+=<>.?/]"
 _TOKEN = re.compile(r"""
     (?P<space>[^\S\n]+)
   | (?P<newline>\n)
   | (?P<comment>;[^\n]*)
   | (?P<paren>[()])
-  | (?P<numeral>-?\d+)
-  | (?P<symbol>[\w~!@$%^&*\-+=<>.?/]+)
+  | (?P<numeral>-?\d+(?!{S}))
+  | (?P<hex>\#x[0-9a-fA-F]+(?!{S}))
+  | (?P<malformed>(?:-?\d|\#x[0-9a-fA-F]){S}*)
+  | (?P<symbol>{S}+)
   | (?P<string>"(?:[^"]|"")*"(?!"))
-  | (?P<hex>\#x[0-9a-fA-F]+)
   | (?P<error>.)
-""", re.VERBOSE)
+""".format(S=_SYMBOL_CHAR), re.VERBOSE)
 _LEX_ERRORS = {'"': "unterminated string literal", "#": "unsupported '#' literal"}
 
 
@@ -97,6 +101,8 @@ def tokenize(text):
                 line, line_start = line + tok.count("\n"), start + tok.rindex("\n") + 1
         elif kind == "hex":
             yield HexTok(int(tok[2:], 16), len(tok) - 2, pos), pos
+        elif kind == "malformed":
+            raise LexError(f"malformed literal {tok!r}", *pos)
         else:  # a character that starts no token
             why = "empty hex literal" if text.startswith("#x", start) else _LEX_ERRORS.get(tok)
             raise LexError(why or f"unexpected character {tok!r}", *pos)

@@ -205,6 +205,16 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["bench", BENCH, "--records", _corrupt_records(tmp)], "unparsable record on line 1"),
     (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(declare-var x Int)\n(constraint (= x ²))\n(check-synth)")],
      "unbound symbol '²' at 3:18"),
+    (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(synth-fun f ((x Int) (y Int)) Int ((Start Int (x 0 7y))))\n"
+                                        "(check-synth)")], "malformed literal '7y' at 2:53"),
+    (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var x Int)\n"
+                                        "(declare-var x Bool)\n(constraint (= (f x) x))\n(check-synth)")],
+     "'x' is declared twice at 4:14"),
+    (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(synth-inv inv ((i Int)))\n(declare-primed-var i Int)\n"
+                                        "(define-fun pre ((i Int)) Int i)\n(define-fun trans ((i Int) (i! Int)) Bool true)\n"
+                                        "(define-fun post ((i Int)) Bool true)\n(inv-constraint inv pre trans post)\n"
+                                        "(check-synth)")],
+     "'pre' differs from the invariant's sorts (Int) Bool"),
     (lambda tmp: ["bench", str(tmp), "--workers", "0"], "--workers must be at least 1, got 0"),
     (lambda tmp: ["bench", str(tmp), "--solutions", _solution(tmp, "")], "File exists"),
     (lambda tmp: ["bench", str(tmp), "--records", str(tmp / "missing" / "r.jsonl")], "No such file"),
@@ -212,7 +222,8 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
 ], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
         "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
-        "solve-superscript-digit", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
+        "solve-superscript-digit", "solve-malformed-literal", "solve-name-declared-twice",
+        "solve-invariant-macro-sorts", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
         "nuggets-out-a-file"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)

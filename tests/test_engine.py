@@ -142,14 +142,14 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
             assert (type(vec[i]), vec[i]) == (type(want), want), (term, env)
 
 
-# The fig2 grammar's generated source over one point: one generator per
+# The fig2 grammar's generated source over one point: one function per
 # production, its macros expanded, its BitVec builtins written as Python
 # operators, each vector element an expression of its own, the inner
 # loop of each commutative production halved over a bank paired with
 # itself, the one-sided `if0` reading only the condition entries that
 # `_s73` finds selecting both ways, and each banked entry tested against
-# the goal inline, the only point that yields; this pins the source byte
-# for byte.
+# the goal inline, returning at a hit; this pins the source byte for
+# byte.
 FIG2_VECTOR_SOURCE = '''\
 def _p0(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
@@ -166,10 +166,8 @@ def _p0(en, nt, s):
         entry = term, vec
         out.append(entry)
         if goal is not None and nt == goal[0] and goal[1](term, vec):
-            en.goal, en.hit = None, entry
-            en.constructed = n
-            yield
-            goal = en.goal
+            en.hit = entry
+            return
     finally:
         en.constructed = n
 def _p2(en, nt, s):
@@ -187,10 +185,8 @@ def _p2(en, nt, s):
         entry = term, vec
         out.append(entry)
         if goal is not None and nt == goal[0] and goal[1](term, vec):
-            en.goal, en.hit = None, entry
-            en.constructed = n
-            yield
-            goal = en.goal
+            en.hit = entry
+            return
     finally:
         en.constructed = n
 def _p4(en, nt, s):
@@ -209,10 +205,8 @@ def _p4(en, nt, s):
         entry = term, vec
         out.append(entry)
         if goal is not None and nt == goal[0] and goal[1](term, vec):
-            en.goal, en.hit = None, entry
-            en.constructed = n
-            yield
-            goal = en.goal
+            en.hit = entry
+            return
     finally:
         en.constructed = n
 def _p8(en, nt, s, _v9):
@@ -234,10 +228,8 @@ def _p8(en, nt, s, _v9):
             entry = term, vec
             out.append(entry)
             if goal is not None and nt == goal[0] and goal[1](term, vec):
-                en.goal, en.hit = None, entry
-                en.constructed = n
-                yield
-                goal = en.goal
+                en.hit = entry
+                return
     finally:
         en.constructed = n
 def _p15(en, nt, s, _v16):
@@ -259,10 +251,8 @@ def _p15(en, nt, s, _v16):
             entry = term, vec
             out.append(entry)
             if goal is not None and nt == goal[0] and goal[1](term, vec):
-                en.goal, en.hit = None, entry
-                en.constructed = n
-                yield
-                goal = en.goal
+                en.hit = entry
+                return
     finally:
         en.constructed = n
 def _p20(en, nt, s, _v21):
@@ -284,10 +274,8 @@ def _p20(en, nt, s, _v21):
             entry = term, vec
             out.append(entry)
             if goal is not None and nt == goal[0] and goal[1](term, vec):
-                en.goal, en.hit = None, entry
-                en.constructed = n
-                yield
-                goal = en.goal
+                en.hit = entry
+                return
     finally:
         en.constructed = n
 def _p25(en, nt, s, _v26):
@@ -309,10 +297,8 @@ def _p25(en, nt, s, _v26):
             entry = term, vec
             out.append(entry)
             if goal is not None and nt == goal[0] and goal[1](term, vec):
-                en.goal, en.hit = None, entry
-                en.constructed = n
-                yield
-                goal = en.goal
+                en.hit = entry
+                return
     finally:
         en.constructed = n
 def _p30(en, nt, s, _v31):
@@ -334,10 +320,8 @@ def _p30(en, nt, s, _v31):
             entry = term, vec
             out.append(entry)
             if goal is not None and nt == goal[0] and goal[1](term, vec):
-                en.goal, en.hit = None, entry
-                en.constructed = n
-                yield
-                goal = en.goal
+                en.hit = entry
+                return
     finally:
         en.constructed = n
 def _p35(en, nt, s, _v36, _v37):
@@ -362,10 +346,8 @@ def _p35(en, nt, s, _v36, _v37):
                 entry = term, vec
                 out.append(entry)
                 if goal is not None and nt == goal[0] and goal[1](term, vec):
-                    en.goal, en.hit = None, entry
-                    en.constructed = n
-                    yield
-                    goal = en.goal
+                    en.hit = entry
+                    return
     finally:
         en.constructed = n
 def _p45(en, nt, s, _v46, _v47):
@@ -390,10 +372,8 @@ def _p45(en, nt, s, _v46, _v47):
                 entry = term, vec
                 out.append(entry)
                 if goal is not None and nt == goal[0] and goal[1](term, vec):
-                    en.goal, en.hit = None, entry
-                    en.constructed = n
-                    yield
-                    goal = en.goal
+                    en.hit = entry
+                    return
     finally:
         en.constructed = n
 def _p54(en, nt, s, _v55, _v56):
@@ -418,10 +398,8 @@ def _p54(en, nt, s, _v55, _v56):
                 entry = term, vec
                 out.append(entry)
                 if goal is not None and nt == goal[0] and goal[1](term, vec):
-                    en.goal, en.hit = None, entry
-                    en.constructed = n
-                    yield
-                    goal = en.goal
+                    en.hit = entry
+                    return
     finally:
         en.constructed = n
 def _p63(en, nt, s, _v64, _v65):
@@ -446,10 +424,8 @@ def _p63(en, nt, s, _v64, _v65):
                 entry = term, vec
                 out.append(entry)
                 if goal is not None and nt == goal[0] and goal[1](term, vec):
-                    en.goal, en.hit = None, entry
-                    en.constructed = n
-                    yield
-                    goal = en.goal
+                    en.hit = entry
+                    return
     finally:
         en.constructed = n
 def _s73(bank):
@@ -483,10 +459,8 @@ def _p72(en, nt, s, _v76, _v77, _v78):
                     entry = term, vec
                     out.append(entry)
                     if goal is not None and nt == goal[0] and goal[1](term, vec):
-                        en.goal, en.hit = None, entry
-                        en.constructed = n
-                        yield
-                        goal = en.goal
+                        en.hit = entry
+                        return
     finally:
         en.constructed = n
 _fns = (_p0,_p2,_p4,_p8,_p15,_p20,_p25,_p30,_p35,_p45,_p54,_p63,_s73,_p72,)
@@ -501,6 +475,17 @@ def test_fig2_vector_source_is_unchanged(monkeypatch):
                         lambda em, source, name: sources.append("\n".join(em.defs + [source])) or build(em, source, name))
     Enumerator(p.targets[0].grammar, [{"x": 1}], p.macro_map(), max_size=3).bank("Start", 1)
     assert sources == [FIG2_VECTOR_SOURCE.rstrip("\n")]
+
+
+def test_no_generated_build_function_yields(monkeypatch):
+    # a build stops at a goal hit by returning, so nothing pauses to be
+    # resumed: neither a production's function nor the shared alias one
+    sources = []
+    build = semantics.SourceEmitter.build
+    monkeypatch.setattr(semantics.SourceEmitter, "build",
+                        lambda em, source, name: sources.append(source) or build(em, source, name))
+    Enumerator(ALIAS_GRAMMAR, ENVS, max_size=3).bank("S", 1)
+    assert "def _alias(" in sources[0] and "def _p" in sources[0] and "yield" not in sources[0]
 
 
 def _keep_all(_nt, _term, _vec):
@@ -1084,18 +1069,20 @@ def _until_goal(en, expected):
 @pytest.mark.parametrize("problem", _fig2_pbe_problems() + [_initials_problem()],
                          ids=[f"fig2-{i}" for i in range(6)] + ["initials"])
 def test_the_build_stops_at_the_goal_and_resumes_in_order(problem):
+    # the enumeration runs in order up to the size of the goal's first hit,
+    # which stops that size for good and yields only the hit
     target, _macros, _envs, expected = problem
     en, ref = _pbe_enumerators(*problem)
-    seq = _until_goal(en, expected)
-    assert seq == _until_goal(ref, expected)
-    size = term_size(seq[-1][0])
-    assert en._done == size - 1 and en._build is not None  # paused inside the size
+    want = _until_goal(ref, expected)
+    seq = list(itertools.islice(en.enumerate(), len(want) + 1))
+    size = term_size(want[-1][0])
+    assert seq == [e for e in want if term_size(e[0]) < size] + want[-1:]
+    assert (en._done, en.hit, en.goal) == (size - 1, want[-1], None)  # stopped inside the size
     assert en.constructed <= ref.constructed
-    en.bank(target.grammar.start, size + 1)  # resumes, and builds on past the pause
-    ref.bank(target.grammar.start, size + 1)
-    assert en.constructed == ref.constructed
+    with pytest.raises(BudgetExceeded, match=f"size {size} was cut short"):
+        en.bank(target.grammar.start, size + 1)  # nothing resumes the stopped size
     for nt, _ in target.grammar.nonterminals:
-        for s in range(1, size + 2):
+        for s in range(1, size):
             assert en.bank(nt, s) == ref.bank(nt, s), (nt, s)
 
 
@@ -1111,7 +1098,8 @@ def test_a_build_with_no_goal_yields_nothing(grammar, macros, envs, size, _nt):
     en = Enumerator(grammar, envs, macros, max_size=size)
     twin = Enumerator(grammar, envs, macros, max_size=size)
     for s in range(1, size + 1):
-        assert list(en._build_size(s)) == []
+        en._build_size(s)
+        assert en.hit is None
         twin.ensure(s)
         assert en.constructed == twin.constructed
     assert en._bank == twin._bank
@@ -1119,26 +1107,31 @@ def test_a_build_with_no_goal_yields_nothing(grammar, macros, envs, size, _nt):
 
 @pytest.mark.parametrize("grammar, macros, envs, size, nt", _protocol_cases())
 def test_a_build_yields_once_per_goal_hit(grammar, macros, envs, size, nt):
+    # a size built with a goal stops for good at its first hit, having
+    # built a prefix of what a goal-free build of the size holds
     def goal(_term, vec):
         return vec[0] % 2 == 0
 
-    en = Enumerator(grammar, envs, macros, max_size=size)
     twin = Enumerator(grammar, envs, macros, max_size=size)
-    hits, entries = [], []
+    stops = 0
     for s in range(1, size + 1):
-        en.goal, before = (nt, goal), en.constructed
-        for step in en._build_size(s):
-            assert step is None and en.goal is None  # the hit clears the goal
-            assert en.constructed - before >= len(en._bank[nt, s])  # each entry banked was counted
-            hits.append(en.hit)
-            en.goal = (nt, goal)  # and the resumed build reads it afresh
-        twin.ensure(s)
-        entries += twin.bank(nt, s)
-        assert hits == [e for e in entries if goal(*e)]
-        assert en.constructed == twin.constructed
-    assert 0 < len(hits) < len(entries)
-    assert en._bank == twin._bank
-    assert {k: list(v.items()) for k, v in en._sigs.items()} == {k: list(v.items()) for k, v in twin._sigs.items()}
+        before = twin.constructed
+        hits = [e for e in twin.bank(nt, s) if goal(*e)]
+        en = Enumerator(grammar, envs, macros, max_size=size)
+        en.ensure(s - 1)
+        en.goal = (nt, goal)
+        en.ensure(s)
+        if not hits:
+            assert (en._done, en.hit, en.constructed) == (s, None, twin.constructed)
+            continue
+        stops += 1
+        assert (en._done, en.hit) == (s - 1, hits[0]) and en._bank[nt, s][-1] is en.hit
+        assert before + len(en._bank[nt, s]) <= en.constructed <= twin.constructed  # each entry banked was counted
+        assert all(bank == twin._bank[k][:len(bank)] for k, bank in en._bank.items())
+        assert all(list(sigs.items()) == list(twin._sigs[k].items())[:len(sigs)] for k, sigs in en._sigs.items())
+        with pytest.raises(BudgetExceeded, match=f"size {s} was cut short"):
+            en.ensure(s)
+    assert stops
 
 
 def _whole_size_first(self, goal):
@@ -1159,15 +1152,14 @@ def test_first_returns_the_entry_a_whole_size_scan_finds():
     assert term_size(want[0]) == 7 and want != ref.bank("S", 7)[0]
     en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=9, prune=False)
     assert en.first(goal) == want
-    assert en._done == 6 and en.constructed < ref.constructed
-    assert (en.goal, en._build) == (None, None)  # the paused size is dropped
+    assert en._done == 6 and en.constructed < ref.constructed and en.goal is None
 
 
 def test_first_with_no_hit_builds_every_size():
     en = Enumerator(PLUS_GRAMMAR, ENVS, max_size=5)
     ref = Enumerator(PLUS_GRAMMAR, ENVS, max_size=5)
     assert en.first(lambda _t, vec: False) is None
-    assert (en._done, en._build, en.goal) == (5, None, None)
+    assert (en._done, en.goal) == (5, None)
     ref.ensure(5)
     assert (en._bank, en.constructed) == (ref._bank, ref.constructed)
 
@@ -1330,11 +1322,11 @@ def test_the_pool_pass_stops_at_the_deadline(late):
     assert en.deadline.looks == late
 
 
-def _paused(problem):
-    """An enumerator paused at the goal of a direct fig2 PBE `problem`."""
+def _stopped(problem):
+    """An enumerator stopped at the goal of a direct fig2 PBE `problem`."""
     target, macros, envs, expected = problem
     en = _pbe_enumerators(target, macros, envs, expected)[0]
-    assert _until_goal(en, expected) and en._build is not None
+    assert _until_goal(en, expected) and en._done < term_size(en.hit[0])
     return en
 
 
@@ -1349,22 +1341,50 @@ def collector_off():
     gc.collect()
 
 
-def test_a_paused_build_and_its_enumerator_form_a_cycle_that_close_breaks(collector_off):
-    problem = _fig2_pbe_problems()[0]
-    refs = []
-    for close in (False, True):
-        en = _paused(problem)
-        refs.append(weakref.ref(en))
-        if close:
-            en.close()
-        del en
-    assert refs[0]() is not None  # only the collector frees an unclosed one
-    assert refs[1]() is None
+def test_an_enumerator_stopped_at_its_goal_is_freed_by_reference_counting(collector_off):
+    for problem in _fig2_pbe_problems():
+        ref = weakref.ref(_stopped(problem))
+        assert ref() is None  # it is in no reference cycle
+
+
+def test_a_bank_read_while_a_goal_enumeration_waits_is_whole():
+    # the goal applies only to the sizes the enumeration builds, so a size
+    # built for `bank` meanwhile, as a stitch's predicate pool builds it,
+    # is whole, and the enumeration goes on over whole sizes to the hit
+    for problem in _fig2_pbe_problems():
+        target, _macros, _envs, expected = problem
+        en, ref = _pbe_enumerators(*problem)
+        want = _until_goal(ref, expected)
+        size = term_size(want[-1][0])
+        seq = en.enumerate()
+        got = [next(seq)]
+        for s in range(1, size + 2):
+            for nt, _ in target.grammar.nonterminals:
+                assert en.bank(nt, s) == ref.bank(nt, s), (nt, s)
+        assert en.constructed == ref.constructed
+        while got[-1][1] != expected:
+            got.append(next(seq))
+        assert got == want
+
+
+# Criterion-6 program #11: its covers complete in size 5 ahead of the
+# direct hit in that size, which a stopped size yields alone.
+SHL1_REFERENCE = "(shl1 (bvnot (bvxor #x0000000000000001 x)))"
+SHL1_INPUTS = (0x0, 0x1, 0xffffffffffffffff, 0x100000000, 0xffffffff, 0xb4ca01423b239fd8, 0x7a31a27cced4dd7c,
+               0x7d5e121623a35ae, 0x14c30b503d0daad0, 0x1932263c4eec95b0)
+
+
+@pytest.mark.parametrize("engine_name", ["unif", "auto"])
+def test_a_direct_hit_beats_a_stitch_in_its_own_size(engine_name):
+    mask = (1 << 64) - 1
+    p = _fig2_pbe([(x, ((1 ^ x) ^ mask) << 1 & mask) for x in SHL1_INPUTS])
+    out = _pick_solver(p, engine_name)(p, 30)
+    assert isinstance(out, Solution) and out.emit().endswith(f" {SHL1_REFERENCE})")
 
 
 def _fig2_direct_problems():
     """Three criterion-6 style problems as fig2 PBE problems: each is solved
-    by a term that meets every example, found in a build that pauses there."""
+    by a term that meets every example, found in a build that stops there."""
     return [_fig2_pbe([(env["x"], out) for env, out in zip(envs, expected)])
             for _target, _macros, envs, expected in _fig2_pbe_problems()[:3]]
 

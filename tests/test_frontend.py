@@ -182,6 +182,15 @@ _READER_ERRORS = [
     (parse_sexprs, "(f #b01)", LexError, "unsupported '#' literal at 1:4"),
     (parse_sexprs, "(f ; c\n\t| x)", LexError, "unexpected character '|' at 2:2"),
     (parse_sexprs, "(f {x})", LexError, "unexpected character '{' at 1:4"),
+    # a numeral or hex literal that runs into a symbol character is one atom
+    (parse_sexprs, "7y", LexError, "malformed literal '7y' at 1:1"),
+    (parse_sexprs, "(f 1abc x-1 #x1g)", LexError, "malformed literal '1abc' at 1:4"),
+    (parse_sexprs, "(f x-1 #x1g)", LexError, "malformed literal '#x1g' at 1:8"),
+    (parse_sexprs, "(f 1.5)", LexError, "malformed literal '1.5' at 1:4"),
+    (parse_sexprs, "(f -1x)", LexError, "malformed literal '-1x' at 1:4"),
+    (parse_sexprs, "(f #x0_)", LexError, "malformed literal '#x0_' at 1:4"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int) (y Int)) Int ((Start Int (x 0 7y)))) (check-synth)", LexError,
+     "malformed literal '7y' at 1:69"),
     # parse_sexprs
     (parse_sexprs, "a) b", ParseError, "unbalanced ')' at 1:2"),
     (parse_sexprs, "(a\n (b c)", ParseError, "unbalanced '(' at 1:1"),
@@ -195,6 +204,8 @@ _READER_ERRORS = [
     # _parse_params
     (parse, "(set-logic LIA) (synth-fun f x Int) (check-synth)", ParseError, "expected a parameter list"),
     (parse, "(set-logic LIA) (synth-fun f ((x)) Int) (check-synth)", ParseError, "malformed parameter (x)"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int) (x Int)) Int) (check-synth)", ParseError,
+     "duplicate parameter 'x' at 1:40"),
     # _parse_term
     (parse, "(set-logic LIA)\n(constraint (= y 1)) (check-synth)", ParseError, "unbound symbol 'y' at 2:16"),
     # a string that spans lines: the next token's line starts after its last newline
@@ -221,6 +232,14 @@ _READER_ERRORS = [
     (parse, _INV + "(inv-constraint inv pre post post) (check-synth)", DesugarError, "'post' arity != 2*|state vars|"),
     (parse, _INV + "(inv-constraint other pre trans post) (check-synth)", DesugarError,
      "state variable 'y' lacks a declared primed twin"),
+    (parse, _INV + "(define-fun ipre ((x Int)) Int x) (inv-constraint inv ipre trans post) (check-synth)",
+     DesugarError, "'ipre' differs from the invariant's sorts (Int) Bool"),
+    (parse, _INV + "(define-fun bpre ((x Bool)) Bool x) (inv-constraint inv bpre trans post) (check-synth)",
+     DesugarError, "'bpre' differs from the invariant's sorts (Int) Bool"),
+    (parse, _INV + "(define-fun btrans ((x Int) (x! Bool)) Bool x!) (inv-constraint inv pre btrans post) (check-synth)",
+     DesugarError, "'btrans' differs from the invariant's sorts (Int Int) Bool"),
+    (parse, _INV + "(define-fun ipost ((x Int)) Int x) (inv-constraint inv pre trans ipost) (check-synth)",
+     DesugarError, "'ipost' differs from the invariant's sorts (Int) Bool"),
     # _parse_grammar
     (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ()) (check-synth)", ParseError, "malformed grammar ()"),
     (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((Start Int))) (check-synth)", ParseError,
@@ -248,6 +267,19 @@ _READER_ERRORS = [
     (parse, "(set-logic LIA) (declare-var x) (check-synth)", ParseError, "malformed declare-var (declare-var x)"),
     (parse, "(set-logic LIA) (declare-primed-var 1 Int) (check-synth)", ParseError,
      "malformed declare-primed-var (declare-primed-var 1 Int)"),
+    # a name is declared once, by any directive
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int) (declare-var x Int) (declare-var x Bool) (check-synth)",
+     ParseError, "'x' is declared twice at 1:78"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int) (synth-fun f ((x Int)) Int) (check-synth)", ParseError,
+     "'f' is declared twice at 1:56"),
+    (parse, "(set-logic LIA) (define-fun g () Int 0) (define-fun g () Int 1) (synth-fun f ((x Int)) Int) (check-synth)",
+     ParseError, "'g' is declared twice at 1:53"),
+    (parse, "(set-logic LIA) (define-fun f ((x Int)) Int x) (synth-fun f ((x Int)) Int) (check-synth)", ParseError,
+     "'f' is declared twice at 1:59"),
+    (parse, "(set-logic LIA) (synth-inv inv ((x Int))) (synth-inv inv ((x Int))) (check-synth)", ParseError,
+     "'inv' is declared twice at 1:54"),
+    (parse, "(set-logic LIA) (synth-inv inv ((x Int))) (declare-primed-var x Int) (declare-var x! Int) (check-synth)",
+     ParseError, "'x!' is declared twice at 1:83"),
     (parse, "(set-logic LIA) (constraint (= 1 1) (= 2 2)) (check-synth)", ParseError,
      "constraint takes exactly one term: (constraint (= 1 1) (= 2 2))"),
     (parse, "(set-logic LIA) (constraint (+ 1 2)) (check-synth)", SortError, "constraint has sort Int, expected Bool"),
@@ -266,6 +298,7 @@ _READER_ERRORS = [
     (_abs_solution, "(define-fun abs ((x Int)) Int x) (define-fun abs ((x Int)) Int 0)", ParseError,
      "solution 'abs' is defined twice"),
     (_abs_solution, "(define-fun abs () Int 0)", ArityError, "solution 'abs' takes 0 arguments, the target 1"),
+    (_abs_solution, "(define-fun abs ((x Int) (x Int)) Int x)", ParseError, "duplicate parameter 'x' at 1:27"),
     (_abs_solution, "(define-fun abs ((x Bool)) Int 0)", SortError,
      "solution 'abs' differs from the target's sorts (Int) Int"),
 ]

@@ -42,6 +42,17 @@ def test_negative_int_and_symbol_minus():
     assert isinstance(x, Symbol)
 
 
+@pytest.mark.parametrize("text, atoms", [
+    ("12", [IntTok(12)]), ("-3", [IntTok(-3)]), ("#xFF", [HexTok(255, 2)]), ("x1", [Symbol("x1")]),
+    ("x-1", [Symbol("x-1")]), ("-x", [Symbol("-x")]), ("(- 5)", ["(", Symbol("-"), IntTok(5), ")"]),
+    ("12)", [IntTok(12), ")"]),
+])
+def test_a_literal_ends_at_a_delimiter(text, atoms):
+    # a numeral or hex literal that runs into a symbol character is an
+    # error (see test_frontend's reader-error table); these are not
+    assert [tok for tok, _pos in tokenize(text)] == atoms
+
+
 def test_string_with_escaped_quote():
     # SMT-LIB escapes a quote by doubling it.
     (sx,) = parse_sexprs('(f "a""b")')
