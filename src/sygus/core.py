@@ -61,6 +61,11 @@ class Sort:
         return self.kind
 
 
+def sorts_text(sorts):
+    """`sorts` written as a SyGuS signature writes them: `(Int Bool)`."""
+    return f"({' '.join(map(str, sorts))})"
+
+
 INT = Sort("Int")
 BOOL = Sort("Bool")
 STRING = Sort("String")
@@ -190,18 +195,18 @@ class SignatureTable:
             if len(arg_sorts) != 3:
                 raise ArityError(f"ite expects 3 arguments, got {len(arg_sorts)}")
             if arg_sorts[0] != BOOL or arg_sorts[1] != arg_sorts[2]:
-                raise SortError(f"ill-sorted ite over {arg_sorts}")
+                raise SortError(f"ill-sorted ite over {sorts_text(arg_sorts)}")
             return arg_sorts[1]
         if op in ("=", "distinct"):
             if len(arg_sorts) < 2 or len(set(arg_sorts)) != 1:
-                raise SortError(f"{op} needs >= 2 arguments of one sort, got {arg_sorts}")
+                raise SortError(f"{op} needs >= 2 arguments of one sort, got {sorts_text(arg_sorts)}")
             return BOOL
         if op in self.defined:
             params, ret = self.defined[op]
             if arg_sorts != params:
                 if len(arg_sorts) != len(params):
                     raise ArityError(f"{op} expects {len(params)} arguments, got {len(arg_sorts)}")
-                raise SortError(f"{op} expects {params}, got {arg_sorts}")
+                raise SortError(f"{op} expects {sorts_text(params)}, got {sorts_text(arg_sorts)}")
             return ret
         entry = self.fixed.get(op)
         if entry is None:
@@ -210,15 +215,15 @@ class SignatureTable:
         # accept arity >= 1 rather than the textbook >= 2.
         if entry == "variadic-bool":
             if len(arg_sorts) < 1 or any(s != BOOL for s in arg_sorts):
-                raise SortError(f"{op} needs Bool arguments, got {arg_sorts}")
+                raise SortError(f"{op} needs Bool arguments, got {sorts_text(arg_sorts)}")
             return BOOL
         if entry == "variadic-int":
             if len(arg_sorts) < 1 or any(s != INT for s in arg_sorts):
-                raise SortError(f"{op} needs Int arguments, got {arg_sorts}")
+                raise SortError(f"{op} needs Int arguments, got {sorts_text(arg_sorts)}")
             return INT
         if entry == "bv1":
             if len(arg_sorts) != 1 or arg_sorts[0].kind != "BitVec":
-                raise SortError(f"{op} expects one bitvector, got {arg_sorts}")
+                raise SortError(f"{op} expects one bitvector, got {sorts_text(arg_sorts)}")
             return arg_sorts[0]
         if entry == "bv2":
             if (
@@ -226,14 +231,14 @@ class SignatureTable:
                 or arg_sorts[0].kind != "BitVec"
                 or arg_sorts[0] != arg_sorts[1]
             ):
-                raise SortError(f"{op} expects two equal-width bitvectors, got {arg_sorts}")
+                raise SortError(f"{op} expects two equal-width bitvectors, got {sorts_text(arg_sorts)}")
             return arg_sorts[0]
         for params, ret in entry:
             if arg_sorts == params:
                 return ret
         if all(len(arg_sorts) != len(p) for p, _ in entry):
             raise ArityError(f"{op} does not take {len(arg_sorts)} arguments")
-        raise SortError(f"{op} not applicable to {arg_sorts}")
+        raise SortError(f"{op} not applicable to {sorts_text(arg_sorts)}")
 
 
 def mk_apply(table: SignatureTable, op: str, args) -> Apply:

@@ -35,17 +35,16 @@ index, then recursive argument order.  Each production is compiled once
 per enumerator into one generated function (every alias shares one that
 reads its source bank): it loops over its child banks, computes each
 candidate's vector over every observation point inline from the
-template (macros expanded, BitVec builtins as Python operators; one
-expression per point over at most UNROLL_POINTS points, else one
-comprehension), counts it, reads the deadline every DEADLINE_STRIDE
+template, one expression per point (macros expanded, BitVec builtins as
+Python operators), counts it, reads the deadline every DEADLINE_STRIDE
 candidates, and builds and banks a term only for a vector pruning keeps.
-Under pruning with no `keep`, no candidate is built whose vector pruning
-is certain to drop, so only the candidates counted fall: a commutative
-`(op H H)` production is built as half its product, since each `(op b
-a)` would repeat the vector of an `(op a b)` built before it; a
-comparison mirrored by an earlier production (`(> a b)` after `(< b a)`)
-is not built; and an `(ite C Hi Hj)` whose condition reads only hole 0
-skips each hole-0 entry on which C picks the same branch at every point.
+Under pruning, no candidate is built whose vector pruning is certain to
+drop, so only the candidates counted fall: a commutative `(op H H)`
+production is built as half its product, since each `(op b a)` would
+repeat the vector of an `(op a b)` built before it; a comparison
+mirrored by an earlier production (`(> a b)` after `(< b a)`) is not
+built; and an `(ite C Hi Hj)` whose condition reads only hole 0 skips
+each hole-0 entry on which C picks the same branch at every point.
 
 Every engine keeps one wallclock deadline, whose `_Deadline.check` is
 the only read of the clock: the enumerator checks it before each size
@@ -211,15 +210,6 @@ def _term_source(em, tmpl, kids):
 
 # A production's function looks at the deadline once per this many candidates.
 DEADLINE_STRIDE = 1024
-# Over at most this many points, a production's function computes each
-# element of a candidate's vector in an expression of its own; over more,
-# one comprehension.  Unrolled, a candidate costs 1.1-2.8x less at every
-# count measured (4-1009 points; fig2, CLIA and ICE grammars), but the
-# source is compiled once per point count and grows with it, by about
-# 0.13 ms of compile per point: repaid after under 7k candidates up to 64
-# points, while at 1009 points it takes 0.14 s and 39 MB to compile, keeps
-# 3 MB per cached source and is repaid only after about 10k candidates.
-UNROLL_POINTS = 64
 # Operators whose value does not change when their two arguments swap.
 COMMUTATIVE = frozenset({"+", "*", "=", "and", "or", "xor", "bvand", "bvor", "bvxor", "bvadd", "bvmul"})
 # Each comparison with the one whose value is the same with its two
@@ -238,14 +228,15 @@ class Enumerator:
     pruning on, at most one term per distinct vector is kept per
     nonterminal.  With no observation points the single default
     environment (Int 0, Bool false, BV 0, String "") still folds
-    constants.  With pruning on and no `keep`, both fixed at
-    construction, no candidate is built whose vector pruning is certain
-    to drop: a commutative `(op H H)` production pairs its child entries
-    in one order only (see `_halves`), a comparison mirrored by an
-    earlier production is not built at all (see `_mirrored`), and a
-    one-sided `(ite C Hi Hj)` builds only the condition entries that
-    select both ways (see `_one_sided`).  The banks are those of the
-    full product, and `constructed` counts what was built.
+    constants.  With pruning on, fixed at construction, no candidate is
+    built whose vector pruning is certain to drop: a commutative `(op H
+    H)` production pairs its child entries in one order only (see
+    `_halves`), a comparison mirrored by an earlier production is not
+    built at all (see `_mirrored`), and a one-sided `(ite C Hi Hj)`
+    builds only the condition entries that select both ways (see
+    `_one_sided`).  A `keep(nt, vec)` sees a skipped candidate's
+    nonterminal and vector in the one it repeats, so the banks are those
+    of the full product, and `constructed` counts what was built.
 
     With a `goal`, `(nt, goal(term, vec))`, a build tests each `nt`
     entry as it banks it and stops for good at the first that meets the
@@ -260,7 +251,7 @@ class Enumerator:
     cyclic collector is off while a size is built, and what the build
     allocated is frozen (`gc.freeze`) before it is turned back on: the
     collector never scans a bank, and reference counting still frees it.
-    A solve unfreezes every object when it returns (see `_run`).
+    A solve or `generate_nuggets` unfreezes every object when it returns.
     """
 
     def __init__(self, grammar: Grammar, envs=None, interpretations=None, max_size=12, prune=True, keep=None,
@@ -304,7 +295,7 @@ class Enumerator:
         for nt in self._nts:
             templates = self.grammar.prods(nt)
             for idx, tmpl in enumerate(templates):
-                if _contains_let(tmpl) or self._mirrored(tmpl, templates[:idx]):
+                if any(isinstance(n, Let) for n in walk(tmpl)) or self._mirrored(tmpl, templates[:idx]):
                     continue  # neither let productions nor mirrored ones are enumerated
                 halved, sides = self._halves(tmpl), None
                 if isinstance(tmpl, Hole):
@@ -328,10 +319,10 @@ class Enumerator:
 
     def _halves(self, tmpl):
         """Whether `tmpl` is built as half its product: a commutative `(op
-        H H)`, `op` not shadowed by a macro, under pruning with no `keep`.
-        Then each `(op b a)` has the vector of an `(op a b)` built before
-        it, so pruning would drop it; it is never built."""
-        return (self.prune and self.keep is None and isinstance(tmpl, Apply) and tmpl.op in COMMUTATIVE
+        H H)`, `op` not shadowed by a macro, under pruning.  Then each
+        `(op b a)` has the vector of an `(op a b)` built before it, so
+        pruning would drop it; it is never built."""
+        return (self.prune and isinstance(tmpl, Apply) and tmpl.op in COMMUTATIVE
                 and tmpl.op not in self.interpretations and len(tmpl.args) == 2
                 and all(isinstance(a, Hole) for a in tmpl.args)
                 and tmpl.args[0].nonterminal == tmpl.args[1].nonterminal)
@@ -339,11 +330,11 @@ class Enumerator:
     def _mirrored(self, tmpl, earlier):
         """Whether `tmpl` is never built: a comparison `(op H1 H2)` that an
         earlier production `(mirror H2 H1)` of the same nonterminal
-        mirrors, neither op shadowed by a macro, under pruning with no
-        `keep`.  The earlier one builds every pair of the same banks at
-        the same size, each with the vector of its mirror, so pruning
-        would drop every candidate of `tmpl`."""
-        if not (self.prune and self.keep is None and isinstance(tmpl, Apply) and tmpl.op in MIRRORS):
+        mirrors, neither op shadowed by a macro, under pruning.  The
+        earlier one builds every pair of the same banks at the same size,
+        each with the vector of its mirror, so pruning would drop every
+        candidate of `tmpl`."""
+        if not (self.prune and isinstance(tmpl, Apply) and tmpl.op in MIRRORS):
             return False
         mirror = MIRRORS[tmpl.op]
         if tmpl.op in self.interpretations or mirror in self.interpretations:
@@ -354,11 +345,11 @@ class Enumerator:
     def _one_sided(self, nt, holes, body):
         """The condition C of a production for `nt` whose `body` is a
         selector `(ite C Hi Hj)` (see `_selector`) whose branches are later
-        holes of `nt` itself; under pruning with no `keep`.  Else None.
-        Where C picks the same branch at every point, a candidate has that
-        branch's vector, banked for `nt` already, so pruning would drop
-        it: only the hole-0 entries that select both ways are built."""
-        sel = _selector(body) if self.prune and self.keep is None else None
+        holes of `nt` itself; under pruning.  Else None.  Where C picks
+        the same branch at every point, a candidate has that branch's
+        vector, banked for `nt` already, so pruning would drop it: only
+        the hole-0 entries that select both ways are built."""
+        sel = _selector(body) if self.prune else None
         if sel is not None and all(i and holes[i].nonterminal == nt for i in sel[1:]):
             return sel[0]
         return None
@@ -412,7 +403,7 @@ class Enumerator:
         lines = [f"def {name}(en, nt, s{''.join(', ' + b for b in banks)}):",
                  "    out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed",
                  "    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal"]
-        lines += ["    " + unpacks[v] for v in variables if v in unpacks]
+        lines += ["    " + unpacks[v] for v in variables]
         loops = [f"for {t}, {v} in {b}:" for b, t, v in zip(banks, terms, vecs)]
         if sides:
             loops[0] = f"for {terms[0]}, {vecs[0]} in {sides}({banks[0]}):"
@@ -423,30 +414,19 @@ class Enumerator:
                         f"{em.bind('islice', itertools.islice)}({banks[1]}, k if diagonal else 0, None):")
         lines.append("    try:")
         for i, loop in enumerate(loops):
-            lines.append(f"{'    ' * (2 + i)}{loop}")
-            if str(i) in unpacks:
-                lines.append(f"{'    ' * (3 + i)}{unpacks[str(i)]}")
+            lines += [f"{'    ' * (2 + i)}{loop}", f"{'    ' * (3 + i)}{unpacks[str(i)]}"]
         lines += ["    " * (2 + len(holes)) + line for line in step]
         return "\n".join(lines + ["    finally:", "        en.constructed = n"])
 
     def _vector_source(self, em, body, columns):
         """(expression, unpacks): the source of `body`'s vector over `envs`,
-        where `columns` maps each variable of `body` to the expression
-        holding its values, one per environment.  Over at most
-        UNROLL_POINTS environments, `unpacks` maps a variable to the line
-        that unpacks its column into one local per environment, and each
-        element of the vector is an expression of its own.  Over more,
-        one comprehension zips the columns and `unpacks` is empty."""
-        if len(self.envs) <= UNROLL_POINTS:
-            points = [{n: em.fresh() for n in columns} for _ in self.envs]
-            unpacks = {n: f"{''.join(p[n] + ',' for p in points)} = {col}" for n, col in columns.items()}
-            return f"({''.join(em.expr(body, p) + ',' for p in points)})", unpacks
-        names = {n: em.fresh() for n in columns}
-        elems, iters = list(names.values()), list(columns.values())
-        if not elems:  # a constant leaf: one value per environment
-            elems, iters = ["_"], [em.bind("points", range(len(self.envs)))]
-        loop = f"for {''.join(e + ',' for e in elems)} in zip({', '.join(iters)})"
-        return f"tuple([{em.expr(body, names)} {loop}])", {}
+        one expression per environment, where `columns` maps each variable
+        of `body` to the expression holding its values, and `unpacks` each
+        variable to the line that unpacks its column into one local per
+        environment."""
+        points = [{n: em.fresh() for n in columns} for _ in self.envs]
+        unpacks = {n: f"{''.join(p[n] + ',' for p in points)} = {col}" for n, col in columns.items()}
+        return f"({''.join(em.expr(body, p) + ',' for p in points)})", unpacks
 
     def bank(self, nt, size):
         """Every entry of (nt, size), the size built in full."""
@@ -603,15 +583,15 @@ def _alias_source(em, name):
 
 def _admission(skip, build, keep_test):
     """Generated lines that admit the candidate `vec` for `nt`: `skip`
-    when pruning has banked its vector already, else the term (made by
-    the expression `build`, when given) unless `keep` refuses it, asked
-    where `keep_test` (a condition prefix, "" for always) holds and never
-    for None; then its vector is recorded and `entry` banked in `out`."""
+    when pruning has banked its vector already, or when `keep` refuses
+    it, asked where `keep_test` (a condition prefix, "" for always) holds
+    and never for None; else the term is made by the expression `build`,
+    when given, its vector recorded and `entry` banked in `out`."""
     lines = ["if prune and vec in sigs:", f"    {skip}"]
+    if keep_test is not None:
+        lines += [f"if keep is not None and {keep_test}not keep(nt, vec):", f"    {skip}"]
     if build is not None:
         lines.append(f"term = {build}")
-    if keep_test is not None:
-        lines += [f"if keep is not None and {keep_test}not keep(nt, term, vec):", f"    {skip}"]
     return lines + ["if prune:", "    sigs[vec] = term", "entry = term, vec", "out.append(entry)"]
 
 
@@ -637,10 +617,6 @@ def _splits(prod, s):
     for sizes in _compositions(s - fixed, len(hole_nts)):
         if not (halved and sizes[0] > sizes[1]):
             yield list(zip(hole_nts, sizes))
-
-
-def _contains_let(t):
-    return any(isinstance(n, Let) for n in walk(t))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,19 +1018,20 @@ def _join(cond, h0, then, other):
 # Unification (enumeration + decision-tree learning)
 
 
-def _string_keep(expected_outputs):
-    """Pruning hook for string PBE: composite string-sorted terms must
-    evaluate to a substring of the example output at every point."""
+def _string_keep(nonterminals, expected_outputs):
+    """Pruning hook for string PBE: composite terms of a String
+    nonterminal, `nonterminals` mapping each to its sort, must evaluate
+    to a substring of the example output at every point."""
 
-    def keep(nt, term, vec):
-        if term.sort != STRING:
+    def keep(nt, vec):
+        if nonterminals[nt] != STRING:
             return True
         return all(isinstance(v, str) and v in out for v, out in zip(vec, expected_outputs))
 
     return keep
 
 
-def _cover_and_stitch(en, n, covers, cond, deadline, check, goal=None):
+def _cover_and_stitch(en, n, covers, cond, check, goal=None):
     """Return the first enumerated term that `covers(term, vec)`, a mask
     with bit i for id i, says is right on all of ids 0..n-1.  With no
     conditional, that is the first hit of a goal-driven build (see
@@ -1073,7 +1050,7 @@ def _cover_and_stitch(en, n, covers, cond, deadline, check, goal=None):
     if cond is None:
 
         def whole(term, vec):
-            deadline.check()
+            en.deadline.check()
             return covers(term, vec) == all_ids
 
         hit = en.first(whole)
@@ -1084,7 +1061,7 @@ def _cover_and_stitch(en, n, covers, cond, deadline, check, goal=None):
     kept, seen, union, failure = [], set(), 0, None
     en.goal = None if goal is None else (en.grammar.start, goal)
     for term, vec in en.enumerate():
-        deadline.check()
+        en.deadline.check()
         cov = covers(term, vec)
         if cov == all_ids:
             return term
@@ -1123,7 +1100,7 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
     params = [n for n, _ in target.params]
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
     expected = tuple(ex.output for ex in examples)
-    keep = _string_keep([str(o) for o in expected]) if target.ret == STRING else None
+    keep = _string_keep(dict(target.grammar.nonterminals), [str(o) for o in expected]) if target.ret == STRING else None
     en = Enumerator(target.grammar, envs, problem.macro_map(), max_size=MAX_TERM_SIZE, keep=keep, deadline=deadline)
     ev = Evaluator(problem.macro_map())
 
@@ -1131,7 +1108,7 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
         return _mask(map(operator.eq, vec, expected))
 
     # no size is built past the first term that meets every example
-    found = _cover_and_stitch(en, len(examples), covers, cond, deadline,
+    found = _cover_and_stitch(en, len(examples), covers, cond,
                               lambda term: tuple(map(ev.compile(term), envs)) == expected,
                               lambda _term, vec: vec == expected)
     if isinstance(found, Failure):
@@ -1208,7 +1185,7 @@ def _unify_candidate(problem, target, points, cond, deadline):
     check, full = _point_check(problem, points, [envs]), (1 << len(points)) - 1
     found = _cover_and_stitch(
         en, len(points), lambda term, vec: check([(term, vec)]), None if dropped else cond,
-        deadline, lambda term: check([(term, ())]) == full,
+        lambda term: check([(term, ())]) == full,
     )
     if isinstance(found, Failure) and dropped:
         return Failure("cover-stall", "multiple target invocations per point")
@@ -1486,10 +1463,13 @@ def generate_nuggets(grammar, k, input_sample, interpretations=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     en = Enumerator(grammar, input_sample, interpretations, max_size=k, prune=False)
-    for s in range(1, k + 1):
-        # unpruned, every candidate is banked: refuse a size before building it
-        if en.constructed + en.size_cost(s) > MAX_NUGGET_BANK:
-            raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms up to size {s}")
-        en.ensure(s)
+    try:
+        for s in range(1, k + 1):
+            # unpruned, every candidate is banked: refuse a size before building it
+            if en.constructed + en.size_cost(s) > MAX_NUGGET_BANK:
+                raise BudgetExceeded(f"more than {MAX_NUGGET_BANK} terms up to size {s}")
+            en.ensure(s)
+    finally:
+        gc.unfreeze()  # what `Enumerator.ensure` froze
     seen = {vec for s in range(1, k) for _, vec in en.bank(grammar.start, s)}
     return [term for term, vec in en.bank(grammar.start, k) if vec not in seen]

@@ -29,6 +29,7 @@ from .core import (
     Term,
     Var,
     mk_apply,
+    sorts_text,
     subst,
 )
 from .sexpr import (
@@ -150,7 +151,10 @@ def _parse_term(sx, scope, table, nts=None):
     args = [_parse_term(a, scope, table, nts) for a in sx.items[1:]]
     if not table.known(head):
         raise ParseError(f"unknown operator {head!r} at {sx.pos[0]}:{sx.pos[1]}")
-    return mk_apply(table, head, args)
+    try:
+        return mk_apply(table, head, args)
+    except (ArityError, SortError) as e:
+        raise type(e)(f"{e} at {sx.pos[0]}:{sx.pos[1]}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def desugar_invariant(spec: InvariantSpec, problem: Problem) -> Problem:
         if len(m.params) != len(want):
             raise DesugarError(f"{name!r} arity != {arity}")
         if [s for _, s in m.params] != want or m.ret != BOOL:
-            raise DesugarError(f"{name!r} differs from the invariant's sorts ({' '.join(map(str, want))}) Bool")
+            raise DesugarError(f"{name!r} differs from the invariant's sorts {sorts_text(want)} Bool")
     universal_sorts = dict(problem.universals)
     plain = []
     primed = []
@@ -446,8 +450,8 @@ def parse_solution(text: str, problem: Problem) -> dict:
         if len(fun.params) != len(target.params):
             raise ArityError(f"solution {fun.name!r} takes {len(fun.params)} arguments, the target {len(target.params)}")
         if ([s for _, s in fun.params], fun.ret) != ([s for _, s in target.params], target.ret):
-            want = " ".join(str(s) for _, s in target.params)
-            raise SortError(f"solution {fun.name!r} differs from the target's sorts ({want}) {target.ret}")
+            want = sorts_text(s for _, s in target.params)
+            raise SortError(f"solution {fun.name!r} differs from the target's sorts {want} {target.ret}")
         renames = {n: Var(tn, s) for (n, _), (tn, s) in zip(fun.params, target.params) if n != tn}
         sols[fun.name] = ([n for n, _ in target.params], subst(fun.body, renames))
     return sols

@@ -80,6 +80,22 @@ def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
     return [t for t, _ in en.enumerate(nt)]
 
 
+class FullProduct(Enumerator):
+    """`Enumerator` with none of its pruning shortcuts: every production
+    builds its whole product, halving, mirroring and one-sided selection
+    all off.  Pruning and `keep` act as in `Enumerator`, whose banks, in
+    order, must equal this one's."""
+
+    def _halves(self, tmpl):
+        return False
+
+    def _mirrored(self, tmpl, earlier):
+        return False
+
+    def _one_sided(self, nt, holes, body):
+        return None
+
+
 def predicate_pool(en, nt, max_size, cond):
     """`engine._predicate_pool` with the condition `cond`, whose hole 0 is
     the variable "0", walked on each element of each vector; the pool the

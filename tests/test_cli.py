@@ -215,6 +215,9 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
                                         "(define-fun post ((i Int)) Bool true)\n(inv-constraint inv pre trans post)\n"
                                         "(check-synth)")],
      "'pre' differs from the invariant's sorts (Int) Bool"),
+    (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var y Bool)\n"
+                                        "(constraint (= (f y) 1))\n(check-synth)")],
+     "f expects (Int), got (Bool) at 4:16"),
     (lambda tmp: ["bench", str(tmp), "--workers", "0"], "--workers must be at least 1, got 0"),
     (lambda tmp: ["bench", str(tmp), "--solutions", _solution(tmp, "")], "File exists"),
     (lambda tmp: ["bench", str(tmp), "--records", str(tmp / "missing" / "r.jsonl")], "No such file"),
@@ -223,7 +226,7 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
         "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
         "solve-superscript-digit", "solve-malformed-literal", "solve-name-declared-twice",
-        "solve-invariant-macro-sorts", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
+        "solve-invariant-macro-sorts", "solve-argument-sort", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
         "nuggets-out-a-file"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)

@@ -5,6 +5,7 @@ import glob
 import itertools
 import os
 import random
+import re
 import time
 import weakref
 from dataclasses import replace
@@ -93,13 +94,13 @@ ALIAS_GRAMMAR = Grammar(
 
 
 def test_an_alias_admits_as_a_production_does():
-    # keep sees each composite term S admits, never a leaf, and pruning
-    # keeps one term per S vector
+    # keep is asked about each composite entry S admits, never a leaf,
+    # and pruning keeps one term per S vector
     g = ALIAS_GRAMMAR
     asked = []
 
-    def keep(nt, term, vec):
-        asked.append((nt, term))
+    def keep(nt, vec):
+        asked.append((nt, vec))
         return nt != "S" or max(vec) < 3
 
     en = Enumerator(g, ENVS, max_size=7, keep=keep)
@@ -108,8 +109,9 @@ def test_an_alias_admits_as_a_production_does():
     assert all(max(vec) < 3 for term, vec in entries if isinstance(term, Apply))
     assert any(isinstance(term, Apply) for term, _ in entries)
     assert len({vec for _, vec in entries}) == len(entries)
-    assert not any(isinstance(term, (Var, Lit)) for _, term in asked)
-    assert ("S", entries[-1][0]) in asked
+    # x, banked for S, and 1, for T and read into S, are leaves
+    assert not {("S", tuple(range(-3, 4))), ("S", (1,) * 7), ("T", (1,) * 7)} & set(asked)
+    assert ("S", entries[-1][1]) in asked
 
 
 def test_enumerate_all_helper_is_unpruned():
@@ -121,11 +123,10 @@ def _vector_cases():
     yield pytest.param("fig2_bv_template.sl", lambda _p: sample, id="fig2")  # macro productions
     yield pytest.param("abs.sl", lambda _p: ENVS, id="abs")
     yield pytest.param("initials.sl", lambda p: [{"name": ex.inputs[0]} for ex in extract_pbe_points(p)], id="initials")
-    # more points than engine.UNROLL_POINTS: one comprehension per vector
-    wide = sample + [{"x": (v * 0x9E3779B97F4A7C15) & (2**64 - 1)} for v in range(engine.UNROLL_POINTS)]
+    # wide, as many-example PBE is: 70 and 128 points
+    wide = sample + [{"x": (v * 0x9E3779B97F4A7C15) & (2**64 - 1)} for v in range(64)]
     yield pytest.param("fig2_bv_template.sl", lambda _p: wide, id="fig2-wide")
-    yield pytest.param("abs.sl", lambda _p: [{"x": v} for v in range(-engine.UNROLL_POINTS, engine.UNROLL_POINTS)],
-                       id="abs-wide")
+    yield pytest.param("abs.sl", lambda _p: [{"x": v} for v in range(-64, 64)], id="abs-wide")
 
 
 @pytest.mark.parametrize("bench, envs", _vector_cases())
@@ -220,9 +221,9 @@ def _p8(en, nt, s, _v9):
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k13('bvnot', (_v10,), _k14)
-            if keep is not None and not keep(nt, term, vec):
+            if keep is not None and not keep(nt, vec):
                 continue
+            term = _k13('bvnot', (_v10,), _k14)
             if prune:
                 sigs[vec] = term
             entry = term, vec
@@ -243,9 +244,9 @@ def _p15(en, nt, s, _v16):
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k13('shl1', (_v17,), _k14)
-            if keep is not None and not keep(nt, term, vec):
+            if keep is not None and not keep(nt, vec):
                 continue
+            term = _k13('shl1', (_v17,), _k14)
             if prune:
                 sigs[vec] = term
             entry = term, vec
@@ -266,9 +267,9 @@ def _p20(en, nt, s, _v21):
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k13('shr1', (_v22,), _k14)
-            if keep is not None and not keep(nt, term, vec):
+            if keep is not None and not keep(nt, vec):
                 continue
+            term = _k13('shr1', (_v22,), _k14)
             if prune:
                 sigs[vec] = term
             entry = term, vec
@@ -289,9 +290,9 @@ def _p25(en, nt, s, _v26):
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k13('shr4', (_v27,), _k14)
-            if keep is not None and not keep(nt, term, vec):
+            if keep is not None and not keep(nt, vec):
                 continue
+            term = _k13('shr4', (_v27,), _k14)
             if prune:
                 sigs[vec] = term
             entry = term, vec
@@ -312,9 +313,9 @@ def _p30(en, nt, s, _v31):
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
                 continue
-            term = _k13('shr16', (_v32,), _k14)
-            if keep is not None and not keep(nt, term, vec):
+            if keep is not None and not keep(nt, vec):
                 continue
+            term = _k13('shr16', (_v32,), _k14)
             if prune:
                 sigs[vec] = term
             entry = term, vec
@@ -338,9 +339,9 @@ def _p35(en, nt, s, _v36, _v37):
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k13('bvand', (_v38,_v39,), _k14)
-                if keep is not None and not keep(nt, term, vec):
+                if keep is not None and not keep(nt, vec):
                     continue
+                term = _k13('bvand', (_v38,_v39,), _k14)
                 if prune:
                     sigs[vec] = term
                 entry = term, vec
@@ -364,9 +365,9 @@ def _p45(en, nt, s, _v46, _v47):
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k13('bvor', (_v48,_v49,), _k14)
-                if keep is not None and not keep(nt, term, vec):
+                if keep is not None and not keep(nt, vec):
                     continue
+                term = _k13('bvor', (_v48,_v49,), _k14)
                 if prune:
                     sigs[vec] = term
                 entry = term, vec
@@ -390,9 +391,9 @@ def _p54(en, nt, s, _v55, _v56):
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k13('bvxor', (_v57,_v58,), _k14)
-                if keep is not None and not keep(nt, term, vec):
+                if keep is not None and not keep(nt, vec):
                     continue
+                term = _k13('bvxor', (_v57,_v58,), _k14)
                 if prune:
                     sigs[vec] = term
                 entry = term, vec
@@ -416,9 +417,9 @@ def _p63(en, nt, s, _v64, _v65):
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
                     continue
-                term = _k13('bvadd', (_v66,_v67,), _k14)
-                if keep is not None and not keep(nt, term, vec):
+                if keep is not None and not keep(nt, vec):
                     continue
+                term = _k13('bvadd', (_v66,_v67,), _k14)
                 if prune:
                     sigs[vec] = term
                 entry = term, vec
@@ -451,9 +452,9 @@ def _p72(en, nt, s, _v76, _v77, _v78):
                     if not n % 1024: deadline.check(f'while building size {s}')
                     if prune and vec in sigs:
                         continue
-                    term = _k13('if0', (_v79,_v80,_v81,), _k14)
-                    if keep is not None and not keep(nt, term, vec):
+                    if keep is not None and not keep(nt, vec):
                         continue
+                    term = _k13('if0', (_v79,_v80,_v81,), _k14)
                     if prune:
                         sigs[vec] = term
                     entry = term, vec
@@ -477,6 +478,22 @@ def test_fig2_vector_source_is_unchanged(monkeypatch):
     assert sources == [FIG2_VECTOR_SOURCE.rstrip("\n")]
 
 
+@pytest.mark.parametrize("points", [1, 65, 200])
+def test_every_point_count_unrolls_its_vectors(monkeypatch, points):
+    # each element of a vector is an expression of its own at any point
+    # count: no comprehension zips the columns
+    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    sources = []
+    build = semantics.SourceEmitter.build
+    monkeypatch.setattr(semantics.SourceEmitter, "build",
+                        lambda em, source, name: sources.append(source) or build(em, source, name))
+    envs = [{"x": (v * 0x9E3779B97F4A7C15) & (2**64 - 1)} for v in range(points)]
+    Enumerator(p.targets[0].grammar, envs, p.macro_map(), max_size=3).bank("Start", 1)
+    assert "zip(" not in sources[0] and "tuple(" not in sources[0]
+    # the leaf x unpacks its column into one local per point
+    assert re.search(rf"^ +(_v\d+,){{{points}}} = _k\d+$", sources[0], re.M)
+
+
 def test_no_generated_build_function_yields(monkeypatch):
     # a build stops at a goal hit by returning, so nothing pauses to be
     # resumed: neither a production's function nor the shared alias one
@@ -488,19 +505,31 @@ def test_no_generated_build_function_yields(monkeypatch):
     assert "def _alias(" in sources[0] and "def _p" in sources[0] and "yield" not in sources[0]
 
 
-def _keep_all(_nt, _term, _vec):
-    return True
+def _initials_problem():
+    p = parse_file(os.path.join(BENCH, "initials.sl"))
+    target = p.targets[0]
+    examples = extract_pbe_points(p)
+    return target, p.macro_map(), [{"name": ex.inputs[0]} for ex in examples], tuple(ex.output for ex in examples)
+
+
+def _pbe_keep(target, expected):
+    """The keep `_solve_pbe` gives a PBE problem with these outputs."""
+    return _string_keep(dict(target.grammar.nonterminals), [str(o) for o in expected]) if target.ret == STRING else None
 
 
 def _halving_cases():
+    """(grammar, macros, envs, size, keep, halved)."""
     fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     abs_grammar = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
-    points = [(v * 0x9E3779B97F4A7C15) & (2**64 - 1) for v in range(engine.UNROLL_POINTS + 6)]
+    points = [(v * 0x9E3779B97F4A7C15) & (2**64 - 1) for v in range(70)]
     bv = fig2.targets[0].grammar, fig2.macro_map()
-    yield pytest.param(*bv, [{"x": v} for v in points[:10]], 7, True, id="fig2")
-    yield pytest.param(*bv, [{"x": v} for v in points], 6, True, id="fig2-wide")
-    yield pytest.param(abs_grammar, None, ENVS, 7, True, id="abs")
-    yield pytest.param(PLUS_GRAMMAR, None, ENVS, 9, True, id="plus")
+    yield pytest.param(*bv, [{"x": v} for v in points[:10]], 7, None, True, id="fig2")
+    yield pytest.param(*bv, [{"x": v} for v in points], 6, None, True, id="fig2-wide")
+    yield pytest.param(abs_grammar, None, ENVS, 7, None, True, id="abs")
+    yield pytest.param(PLUS_GRAMMAR, None, ENVS, 9, None, True, id="plus")
+    # `(+ ntInt ntInt)` is halved while keep refuses String candidates
+    target, macros, envs, expected = _initials_problem()
+    yield pytest.param(target.grammar, macros, envs, 8, _pbe_keep(target, expected), True, id="initials")
     x, y = Var("x", INT), Var("y", INT)
     universe = Grammar(  # criterion 9's
         (("S", INT), ("B", BOOL)),
@@ -510,7 +539,7 @@ def _halving_cases():
                 Apply("ite", (Hole("B", BOOL), Hole("S", INT), Hole("S", INT)), INT))),
          ("B", (Apply("<=", (Hole("S", INT), Hole("S", INT)), BOOL),))),
     )
-    yield pytest.param(universe, None, [{"x": a, "y": b} for a in (-2, 0, 1, 3) for b in (-1, 0, 2)], 7, True,
+    yield pytest.param(universe, None, [{"x": a, "y": b} for a in (-2, 0, 1, 3) for b in (-1, 0, 2)], 7, None, True,
                        id="universe")
     # not halved: the holes of `+` have different nonterminals, or a macro
     # shadows `+` with an operator that does not commute
@@ -519,16 +548,16 @@ def _halving_cases():
         "S",
         (("S", (X, Apply("+", (Hole("S", INT), Hole("A", INT)), INT))), ("A", (X, Lit(1, INT), Lit(2, INT)))),
     )
-    yield pytest.param(mixed, None, ENVS, 9, False, id="mixed")
+    yield pytest.param(mixed, None, ENVS, 9, None, False, id="mixed")
     minus = Apply("-", (Var("a", INT), Var("b", INT)), INT)
-    yield pytest.param(PLUS_GRAMMAR, {"+": (["a", "b"], minus)}, ENVS, 8, False, id="shadowed")
+    yield pytest.param(PLUS_GRAMMAR, {"+": (["a", "b"], minus)}, ENVS, 8, None, False, id="shadowed")
 
 
-@pytest.mark.parametrize("grammar, macros, envs, size, halved", _halving_cases())
-def test_halving_keeps_every_bank(grammar, macros, envs, size, halved):
-    # a keep turns halving off, and this one refuses nothing
-    en = Enumerator(grammar, envs, macros, max_size=size)
-    full = Enumerator(grammar, envs, macros, max_size=size, keep=_keep_all)
+@pytest.mark.parametrize("grammar, macros, envs, size, keep, halved", _halving_cases())
+def test_halving_keeps_every_bank(grammar, macros, envs, size, keep, halved):
+    # the full product under the same keep banks the same entries in order
+    en = Enumerator(grammar, envs, macros, max_size=size, keep=keep)
+    full = reference.FullProduct(grammar, envs, macros, max_size=size, keep=keep)
     for s in range(1, size + 1):
         for nt, _ in grammar.nonterminals:
             assert en.bank(nt, s) == full.bank(nt, s), (nt, s)
@@ -540,18 +569,22 @@ def test_halving_keeps_every_bank(grammar, macros, envs, size, halved):
 
 
 def _skip_cases():
-    """(grammar, macros, envs, size, mirrored, one_sided): a twin case,
-    with how many productions are left out as mirrored and how many are
-    built one-sided."""
+    """(grammar, macros, envs, size, keep, mirrored, one_sided): a twin
+    case, with how many productions are left out as mirrored and how many
+    are built one-sided."""
     fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     bv = fig2.targets[0].grammar, fig2.macro_map()
     # an if0 on `x` selects at one point (x = 1), on 1 at every point and on
     # 0 at none: some conditions select both ways and some one way only
-    yield pytest.param(*bv, [{"x": v} for v in (1, 2, 4, 8, 3, 16, 2**63, 2**64 - 1)], 7, 0, 1, id="fig2-if0")
+    yield pytest.param(*bv, [{"x": v} for v in (1, 2, 4, 8, 3, 16, 2**63, 2**64 - 1)], 7, None, 0, 1, id="fig2-if0")
     # the clia specs' default grammar: `>` and `>=` mirror `<` and `<=`
     # before them, and `(ite BoolNT IntNT IntNT)` is one-sided
     lia = default_grammar("LIA", (("x", INT), ("y", INT)), INT)
-    yield pytest.param(lia, None, [{"x": a, "y": b} for a in (-2, 0, 3) for b in (-1, 0, 2)], 7, 2, 1, id="clia")
+    lia_envs = [{"x": a, "y": b} for a in (-2, 0, 3) for b in (-1, 0, 2)]
+    yield pytest.param(lia, None, lia_envs, 7, None, 2, 1, id="clia")
+    # a keep that refuses some vectors of each nonterminal, skipped candidates' too
+    refuse = lambda nt, vec: sum(vec) % 5 != 0
+    yield pytest.param(lia, None, lia_envs, 7, refuse, 2, 1, id="clia-keep")
     a, b = Hole("A", INT), Hole("B", INT)
     comparisons = Grammar(  # only a mirror with its holes swapped is left out
         (("P", BOOL), ("A", INT), ("B", INT)),
@@ -561,10 +594,10 @@ def _skip_cases():
          ("A", (X, Lit(1, INT), Apply("+", (a, b), INT))),
          ("B", (X, Lit(0, INT), Apply("-", (b, a), INT)))),
     )
-    yield pytest.param(comparisons, None, ENVS, 7, 2, 0, id="comparisons")
+    yield pytest.param(comparisons, None, ENVS, 7, None, 2, 0, id="comparisons")
     # qm's expansion `(ite (< a 0) b a)` has hole 0 as a branch: not one-sided
     qm = parse_file(os.path.join(BENCH, "qm_inner.sl"))
-    yield pytest.param(qm.targets[0].grammar, qm.macro_map(), ENVS, 7, 0, 0, id="qm")
+    yield pytest.param(qm.targets[0].grammar, qm.macro_map(), ENVS, 7, None, 0, 0, id="qm")
     # `<=` shadowed by a macro mirrors nothing, and an ite whose branches
     # have another nonterminal is not one-sided
     s = Hole("S", INT)
@@ -576,14 +609,29 @@ def _skip_cases():
          ("A", (X, Lit(2, INT)))),
     )
     le = (["p", "q"], Apply("<", (Var("p", INT), Var("q", INT)), BOOL))
-    yield pytest.param(shadowed, {"<=": le}, ENVS, 7, 0, 0, id="shadowed")
+    yield pytest.param(shadowed, {"<=": le}, ENVS, 7, None, 0, 0, id="shadowed")
 
 
-@pytest.mark.parametrize("grammar, macros, envs, size, mirrored, one_sided", _skip_cases())
-def test_skipped_candidates_keep_every_bank(grammar, macros, envs, size, mirrored, one_sided):
-    # a keep turns every skip off, and this one refuses nothing
-    en = Enumerator(grammar, envs, macros, max_size=size)
-    full = Enumerator(grammar, envs, macros, max_size=size, keep=_keep_all)
+def test_string_keep_takes_every_shortcut_on_initials():
+    # `_solve_pbe`'s build for initials stops at the full product's hit,
+    # every size before it banked alike, from fewer candidates
+    target, macros, envs, expected = _initials_problem()
+    keep = _pbe_keep(target, expected)
+    ens = [cls(target.grammar, envs, macros, max_size=20, keep=keep) for cls in (Enumerator, reference.FullProduct)]
+    hits = [en.first(lambda _term, vec: vec == expected) for en in ens]
+    assert hits[0] == hits[1] is not None
+    assert ens[0]._done == ens[1]._done
+    for s in range(1, ens[0]._done + 1):
+        for nt, _ in target.grammar.nonterminals:
+            assert ens[0].bank(nt, s) == ens[1].bank(nt, s), (nt, s)
+    assert [en.constructed for en in ens] == [79_334, 86_843]
+
+
+@pytest.mark.parametrize("grammar, macros, envs, size, keep, mirrored, one_sided", _skip_cases())
+def test_skipped_candidates_keep_every_bank(grammar, macros, envs, size, keep, mirrored, one_sided):
+    # the full product under the same keep banks the same entries in order
+    en = Enumerator(grammar, envs, macros, max_size=size, keep=keep)
+    full = reference.FullProduct(grammar, envs, macros, max_size=size, keep=keep)
     for s in range(1, size + 1):
         for twin in (en, full):
             cost, before = twin.size_cost(s), twin.constructed
@@ -914,21 +962,26 @@ class _PassingClock(_Clock):
 
 
 def test_size_cost_counts_the_candidates_a_size_constructs():
-    # on the halved path (pruning, no keep) and on the full product
+    # on the shortcut path (pruning, with or without keep) and on the full product
     abs_grammar = parse_file(os.path.join(BENCH, "abs.sl")).targets[0].grammar
     fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
     bv = [{"x": v} for v in (1, 2, 4, 8, 3, 16)]
+    initials, initials_macros, initials_envs, expected = _initials_problem()
+    keep = _pbe_keep(initials, expected)
+    full = reference.FullProduct
     cases = [
-        (PLUS_GRAMMAR, ENVS, None, 9, {"prune": False}),
-        (PLUS_GRAMMAR, ENVS, None, 9, {}),
-        (PLUS_GRAMMAR, ENVS, None, 9, {"keep": _keep_all}),
-        (abs_grammar, ENVS, None, 9, {}),
-        (abs_grammar, ENVS, None, 9, {"keep": _keep_all}),
-        (fig2.targets[0].grammar, bv, fig2.macro_map(), 7, {}),
-        (fig2.targets[0].grammar, bv, fig2.macro_map(), 7, {"keep": _keep_all}),
+        (Enumerator, PLUS_GRAMMAR, ENVS, None, 9, {"prune": False}),
+        (Enumerator, PLUS_GRAMMAR, ENVS, None, 9, {}),
+        (full, PLUS_GRAMMAR, ENVS, None, 9, {}),
+        (Enumerator, abs_grammar, ENVS, None, 9, {}),
+        (full, abs_grammar, ENVS, None, 9, {}),
+        (Enumerator, fig2.targets[0].grammar, bv, fig2.macro_map(), 7, {}),
+        (full, fig2.targets[0].grammar, bv, fig2.macro_map(), 7, {}),
+        (Enumerator, initials.grammar, initials_envs, initials_macros, 8, {"keep": keep}),
+        (full, initials.grammar, initials_envs, initials_macros, 8, {"keep": keep}),
     ]
-    for case, (grammar, envs, macros, size, options) in enumerate(cases):
-        en = Enumerator(grammar, envs, macros, max_size=size, **options)
+    for case, (cls, grammar, envs, macros, size, options) in enumerate(cases):
+        en = cls(grammar, envs, macros, max_size=size, **options)
         for s in range(1, size + 1):
             cost, before = en.size_cost(s), en.constructed
             en.ensure(s)
@@ -1043,16 +1096,9 @@ def _fig2_pbe_problems():
     return out
 
 
-def _initials_problem():
-    p = parse_file(os.path.join(BENCH, "initials.sl"))
-    target = p.targets[0]
-    examples = extract_pbe_points(p)
-    return target, p.macro_map(), [{"name": ex.inputs[0]} for ex in examples], tuple(ex.output for ex in examples)
-
-
 def _pbe_enumerators(target, macros, envs, expected):
     """The enumerator `_solve_pbe` builds, with its goal, and a goal-free twin."""
-    keep = _string_keep([str(o) for o in expected]) if target.ret == STRING else None
+    keep = _pbe_keep(target, expected)
     ens = [Enumerator(target.grammar, envs, macros, max_size=16, keep=keep) for _ in range(2)]
     ens[0].goal = (target.grammar.start, lambda _term, vec: vec == expected)
     return ens
@@ -1382,6 +1428,27 @@ def test_a_direct_hit_beats_a_stitch_in_its_own_size(engine_name):
     assert isinstance(out, Solution) and out.emit().endswith(f" {SHL1_REFERENCE})")
 
 
+# A size-6 fig2 program over 200 examples, three times as many points as
+# any CEGIS round here reaches.
+WIDE_REFERENCE = "(bvadd x (shl1 (shr4 x)))"
+
+
+def _wide_pbe():
+    mask = (1 << 64) - 1
+    rng = random.Random(200)
+    inputs = [0, 1, mask] + [rng.getrandbits(64) for _ in range(197)]
+    return _fig2_pbe([(x, (x + ((x >> 4) << 1)) & mask) for x in inputs])
+
+
+@pytest.mark.parametrize("engine_name", ["cegis", "auto"])
+def test_many_example_pbe_finds_its_term(engine_name):
+    p = _wide_pbe()
+    assert len(extract_pbe_points(p)) == 200
+    out = _pick_solver(p, engine_name)(p, 30)
+    assert isinstance(out, Solution) and out.emit().endswith(f" {WIDE_REFERENCE})")
+    assert out.verdict.kind == "valid"
+
+
 def _fig2_direct_problems():
     """Three criterion-6 style problems as fig2 PBE problems: each is solved
     by a term that meets every example, found in a build that stops there."""
@@ -1419,6 +1486,10 @@ def test_no_object_stays_frozen_after_a_solve():
     assert gc.get_freeze_count() == 0
     inv = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))  # the ICE learner
     assert isinstance(unify_solve(inv, 30), Solution)
+    assert gc.get_freeze_count() == 0
+    fig2 = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    sample = [{"x": v} for v in range(10)]
+    assert generate_nuggets(fig2.targets[0].grammar, 3, sample, fig2.macro_map())
     assert gc.get_freeze_count() == 0
 
 

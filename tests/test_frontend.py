@@ -167,6 +167,10 @@ _INV = """(set-logic LIA)
 """
 
 
+# f takes an Int, y is a Bool: every application below is ill-sorted
+_BOOL_Y = "(set-logic LIA) (synth-fun f ((x Int)) Int) (declare-var y Bool) "
+
+
 def _abs_solution(text):
     return parse_solution(text, _bench("abs.sl"))
 
@@ -216,6 +220,19 @@ _READER_ERRORS = [
     (parse, "(set-logic LIA) (constraint (let x true)) (check-synth)", ParseError, "malformed let (let x true)"),
     (parse, "(set-logic LIA) (constraint (let ((x)) true)) (check-synth)", ParseError, "malformed let binding (x)"),
     (parse, "(set-logic LIA) (constraint (foo 1)) (check-synth)", ParseError, "unknown operator 'foo' at 1:29"),
+    # an application's sorts, written as SyGuS writes them, and its position
+    (parse, _BOOL_Y + "(constraint (= (f y) 1)) (check-synth)", SortError, "f expects (Int), got (Bool) at 1:81"),
+    (parse, _BOOL_Y + "(constraint (= (f 1 2) 1)) (check-synth)", ArityError, "f expects 1 arguments, got 2 at 1:81"),
+    (parse, _BOOL_Y + "(constraint (= (+ y 1) 1)) (check-synth)", SortError,
+     "+ needs Int arguments, got (Bool Int) at 1:81"),
+    (parse, _BOOL_Y + "(constraint (= (ite y 1 y) 1)) (check-synth)", SortError,
+     "ill-sorted ite over (Bool Int Bool) at 1:81"),
+    (parse, _BOOL_Y + "(constraint (= y 1)) (check-synth)", SortError,
+     "= needs >= 2 arguments of one sort, got (Bool Int) at 1:78"),
+    (parse, "(set-logic BV) (declare-var x (BitVec 8)) (declare-var y (BitVec 4)) (constraint (= (bvadd x y) x)) "
+     "(check-synth)", SortError, "bvadd expects two equal-width bitvectors, got ((BitVec 8) (BitVec 4)) at 1:85"),
+    (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((Start Int (x (ite Start Start Start))))) (check-synth)",
+     SortError, "ill-sorted ite over (Int Int Int) at 1:59"),
     # default_grammar
     (parse, "(set-logic BV) (synth-fun f ((x (BitVec 4))) (BitVec 4)) (check-synth)", UnsupportedDefaultGrammar,
      "no default grammar for logic 'BV'"),
