@@ -44,7 +44,7 @@ from .engine import (
     generate_nuggets,
     unify_solve,
 )
-from .oracle import VerifyConfig, check_conformance, external_check, verify
+from .oracle import check_conformance, external_check, verify
 from .harness import (
     RunRecord,
     ScoreReport,

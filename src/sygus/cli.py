@@ -14,13 +14,14 @@ import argparse
 import math
 import os
 import random
+import shlex
 import sys
 
 from .core import Apply, BOOL, Lit, SygusError, Problem
 from .engine import Failure, generate_nuggets
 from .frontend import parse_file, parse_solution, emit_problem
-from .harness import SuiteConfig, load_records, run_suite, score, solve
-from .oracle import VerifyConfig, check_conformance, verify
+from .harness import ENGINES, SuiteConfig, load_records, run_suite, score, solve
+from .oracle import SEED, check_conformance, verify
 from .semantics import Evaluator, default_value
 
 EXIT_OK = 0
@@ -60,22 +61,23 @@ def _seconds(text):
     return value
 
 
+def _argv(text):
+    """A command line, split once into its argv list as a POSIX shell would."""
+    try:
+        return shlex.split(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{e}: {text!r}") from None
+
+
 def _engine_flags(sp):
-    sp.add_argument("--engine", choices=("cegis", "unif", "auto"), default="auto")
+    sp.add_argument("--engine", choices=ENGINES, default="auto")
     sp.add_argument("--timeout", type=_seconds, default=60.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--smt-cmd", default=None, help="external SMT solver command")
+    sp.add_argument("--smt-cmd", type=_argv, default=None, help="external SMT solver command")
 
 
 def _suite_config(args, **extra):
     """The SuiteConfig of the engine flags `_engine_flags` adds."""
-    return SuiteConfig(
-        engine=args.engine,
-        timeout=args.timeout,
-        seed=args.seed,
-        smt_cmd=args.smt_cmd,
-        **extra,
-    )
+    return SuiteConfig(engine=args.engine, timeout=args.timeout, smt_cmd=args.smt_cmd, **extra)
 
 
 def _cmd_solve(args):
@@ -103,8 +105,7 @@ def _cmd_verify(args):
         if v.kind != "valid":
             print(f"nonconformant: {t.name} at path {list(v.path)}")
             return EXIT_FAILURE
-    vcfg = VerifyConfig(seed=args.seed, smt_cmd=args.smt_cmd)
-    verdict = verify(problem, sols, vcfg)
+    verdict = verify(problem, sols, args.smt_cmd)
     print(verdict.kind if not verdict.reason else f"{verdict.kind}: {verdict.reason}")
     if verdict.kind == "counterexample":
         print(f"point: {verdict.point}")
@@ -159,7 +160,7 @@ def _cmd_nuggets(args):
     _input(lambda: os.makedirs(args.out, exist_ok=True))
     problem = _input(parse_file, args.grammar_file)
     target = problem.targets[0]
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     sample = []
     cols = {n: _structured_inputs(s, rng, args.examples) for n, s in target.params}
     for i in range(args.examples):
@@ -213,8 +214,7 @@ def main(argv=None):
     sp = sub.add_parser("verify", help="check a solution file against a benchmark")
     sp.add_argument("file")
     sp.add_argument("solution")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--smt-cmd", default=None)
+    sp.add_argument("--smt-cmd", type=_argv, default=None)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("bench", help="run a benchmark directory")
@@ -234,7 +234,6 @@ def main(argv=None):
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--examples", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="nuggets_out")
     sp.set_defaults(fn=_cmd_nuggets)
 

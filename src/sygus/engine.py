@@ -786,7 +786,7 @@ def _defined_funs(targets, bodies):
     return {t.name: Macro(t.name, t.params, t.ret, bodies[t.name]) for t in targets}
 
 
-def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
+def _cegis(problem, targets, propose, learn, used, rounds, deadline, smt_cmd):
     """The counterexample-guided loop that every engine runs.
 
     Each round `propose()` returns a Failure, {name: body}, or a single
@@ -804,7 +804,7 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
             cand = {targets[0].name: cand}
         sol = Solution(_defined_funs(targets, cand))
         sol_map = sol.as_map()
-        verdict = oracle.verify(problem, sol_map, cfg)
+        verdict = oracle.verify(problem, sol_map, smt_cmd)
         if verdict.kind != "counterexample":
             sol.verdict, sol.points_used = verdict, used()
             return sol
@@ -814,7 +814,7 @@ def _cegis(problem, targets, propose, learn, used, rounds, deadline, cfg):
     return Failure("budget-exhausted", "round cap reached")
 
 
-def _point_cegis(problem, targets, propose, deadline, cfg):
+def _point_cegis(problem, targets, propose, deadline, smt_cmd):
     """`_cegis` over the counterexample points themselves: `propose(points)`
     sees every point so far, and a repeated point stalls the loop."""
     points = []
@@ -826,14 +826,14 @@ def _point_cegis(problem, targets, propose, deadline, cfg):
 
     return _cegis(
         problem, targets, lambda: propose(points), learn, lambda: len(points),
-        MAX_POINTS + 1, deadline, cfg,
+        MAX_POINTS + 1, deadline, smt_cmd,
     )
 
 
-def _run(problem, wallclock, cfg, unify):
+def _run(problem, wallclock, smt_cmd, unify):
     """Solve `problem` by its class within `wallclock` seconds, with ICE
-    and stitching only if `unify`; BudgetExceeded becomes a Failure."""
-    cfg = cfg or oracle.VerifyConfig()
+    and stitching only if `unify`, verifying with `smt_cmd` (an argv list
+    or None); BudgetExceeded becomes a Failure."""
     deadline = _Deadline(wallclock)
     pclass = classify(problem)
     if pclass.conflict is not None:
@@ -842,9 +842,9 @@ def _run(problem, wallclock, cfg, unify):
     targets = problem.targets
     try:
         if unify and pclass.kind == "invariant":
-            return _ice_solve(problem, deadline, cfg)
+            return _ice_solve(problem, deadline, smt_cmd)
         if pclass.kind == "pbe":
-            return _solve_pbe(problem, pclass.examples, cond, deadline, cfg)
+            return _solve_pbe(problem, pclass.examples, cond, deadline, smt_cmd)
         if unify and pclass.kind != "conditional":
             many = len(targets) != 1
             return Failure("no-conditional-production", "unification handles a single target" if many else "")
@@ -852,21 +852,21 @@ def _run(problem, wallclock, cfg, unify):
             propose = lambda points: _unify_candidate(problem, targets[0], points, cond, deadline)
         else:
             propose = lambda points: _consistent_candidate(problem, points, deadline)
-        return _point_cegis(problem, targets, propose, deadline, cfg)
+        return _point_cegis(problem, targets, propose, deadline, smt_cmd)
     except BudgetExceeded as e:
         return Failure("budget-exhausted", str(e))
     finally:
         gc.unfreeze()  # what `Enumerator.ensure` froze
 
 
-def cegis_solve(problem, wallclock=60.0, cfg=None):
+def cegis_solve(problem, wallclock=60.0, smt_cmd=None):
     """Enumerative CEGIS within `wallclock` seconds; returns Solution or Failure."""
-    return _run(problem, wallclock, cfg, unify=False)
+    return _run(problem, wallclock, smt_cmd, unify=False)
 
 
-def unify_solve(problem, wallclock=60.0, cfg=None):
+def unify_solve(problem, wallclock=60.0, smt_cmd=None):
     """Enumeration + unification within `wallclock` seconds; returns Solution or Failure."""
-    return _run(problem, wallclock, cfg, unify=True)
+    return _run(problem, wallclock, smt_cmd, unify=True)
 
 
 def _consistent_candidate(problem, points, deadline):
@@ -1092,10 +1092,10 @@ def _cover_and_stitch(en, n, covers, cond, check, goal=None):
     return Failure("cover-stall") if out.reason == "grammar-exhausted" else out
 
 
-def _solve_pbe(problem, examples, cond, deadline, cfg):
+def _solve_pbe(problem, examples, cond, deadline, smt_cmd):
     """Cover-and-stitch over the examples, with `cond` as the conditional
     production to stitch with; None enumerates only.  The term found is
-    verified under the caller's `cfg`."""
+    verified with the caller's `smt_cmd`."""
     target = problem.targets[0]
     params = [n for n, _ in target.params]
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
@@ -1114,7 +1114,7 @@ def _solve_pbe(problem, examples, cond, deadline, cfg):
     if isinstance(found, Failure):
         return found
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
-    sol.verdict = oracle.verify(problem, sol.as_map(), cfg)
+    sol.verdict = oracle.verify(problem, sol.as_map(), smt_cmd)
     return sol
 
 
@@ -1203,8 +1203,8 @@ def _ice_seed(problem, spec, state_names, seed):
     any state violating the post-condition must be outside.  Implication
     pairs come from executing the transition relation on sampled states,
     all through generated functions of the state values by position.
-    The sample and the subsample of negatives are drawn from `seed`, the
-    run's `VerifyConfig.seed`.
+    The sample and the subsample of negatives are drawn from `seed`;
+    `_ice_solve` passes `oracle.SEED`, the verifier's.
     """
     macro_map = problem.macro_map()
     pre_params, pre_body = macro_map[spec.pre_name]
@@ -1263,12 +1263,12 @@ def _ice_seed(problem, spec, state_names, seed):
     return pos, neg, imps
 
 
-def _ice_solve(problem, deadline, cfg):
+def _ice_solve(problem, deadline, smt_cmd):
     spec = problem.invariant_spec
     target = problem.target(spec.inv_name)
     state_names = [n for n, _ in spec.state_vars]
     vc_base = len(problem.constraints) - 3
-    pos, neg, imps = _ice_seed(problem, spec, state_names, cfg.seed)
+    pos, neg, imps = _ice_seed(problem, spec, state_names, oracle.SEED)
     if _ice_closure(pos, neg, imps):
         return Failure("ice-conflict", "pre/trans/post admit no invariant")
 
@@ -1301,7 +1301,7 @@ def _ice_solve(problem, deadline, cfg):
     return _cegis(
         problem, [target],
         lambda: _ice_learn(target, state_names, pos, neg, imps, deadline),
-        learn, lambda: len(pos) + len(neg) + len(imps), MAX_POINTS, deadline, cfg,
+        learn, lambda: len(pos) + len(neg) + len(imps), MAX_POINTS, deadline, smt_cmd,
     )
 
 

@@ -1,9 +1,9 @@
 """Batch runner and competition-style scoring.
 
 `solve` is the one mapping from a `SuiteConfig` to a solve: the engine
-it names, given its wallclock in seconds and a `VerifyConfig` of its
-seed and SMT command.  `sygus solve` calls it, and so does
-`solve_benchmark` for each benchmark of a suite.
+it names, given its wallclock in seconds and its SMT command.  `sygus
+solve` calls it, and so does `solve_benchmark` for each benchmark of a
+suite.  Every run samples from the one fixed `oracle.SEED`.
 
 Runs engines over a directory of `.sl` benchmarks under a wallclock
 limit, applies both post-processors, persists one JSON line per record
@@ -33,8 +33,9 @@ from multiprocessing.connection import wait
 from .core import SygusError, term_size
 from .engine import Failure, cegis_solve, classify, unify_solve
 from .frontend import parse_file
-from .oracle import VerifyConfig, check_conformance, verify
+from .oracle import check_conformance, verify
 
+ENGINES = ("cegis", "unif", "auto")
 TIME_EDGES = (1, 3, 10, 30, 100, 300, 1000, 3600)
 SIZE_EDGES = (10, 30, 100, 300, 1000)
 GRACE = 5.0  # wallclock slack past the budget before run_suite terminates a worker
@@ -153,16 +154,17 @@ def score(records) -> ScoreReport:
 
 @dataclass
 class SuiteConfig:
-    engine: str = "auto"  # "cegis" | "unif" | "auto"
+    engine: str = "auto"  # one of ENGINES
     engine_id: str = None  # record label; defaults to the engine name
     timeout: float = 60.0
     workers: int = 1
-    seed: int = 0
-    smt_cmd: object = None
+    smt_cmd: list = None  # argv of an external SMT solver
     records_path: str = None
     solutions_dir: str = None
 
     def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {', '.join(ENGINES)}, got {self.engine!r}")
         if not 0 < self.timeout < math.inf:  # false for nan too
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout!r}")
         if self.workers < 1:
@@ -170,9 +172,6 @@ class SuiteConfig:
 
     def label(self):
         return self.engine_id or self.engine
-
-    def verify_config(self):
-        return VerifyConfig(seed=self.seed, smt_cmd=self.smt_cmd)
 
 
 def _pick_solver(problem, engine):
@@ -186,9 +185,9 @@ def _pick_solver(problem, engine):
 
 
 def solve(problem, cfg: SuiteConfig):
-    """Solve a parsed `problem` with `cfg`'s engine, wallclock, seed and
-    SMT command; returns a Solution or a Failure."""
-    return _pick_solver(problem, cfg.engine)(problem, cfg.timeout, cfg.verify_config())
+    """Solve a parsed `problem` with `cfg`'s engine, wallclock and SMT
+    command; returns a Solution or a Failure."""
+    return _pick_solver(problem, cfg.engine)(problem, cfg.timeout, cfg.smt_cmd)
 
 
 def solve_benchmark(path, cfg: SuiteConfig):
@@ -211,7 +210,7 @@ def solve_benchmark(path, cfg: SuiteConfig):
     for name, fun in result.funs.items():
         if check_conformance(fun.body, problem.target(name).grammar).kind != "valid":
             return ("nonconformant", wall, cpu, None, result.emit())
-    verdict = verify(problem, result.as_map(), cfg.verify_config())
+    verdict = verify(problem, result.as_map(), cfg.smt_cmd)
     total = sum(term_size(f.body) for f in result.funs.values())
     if verdict.kind == "valid":
         return ("solved", wall, cpu, total, result.emit())
@@ -264,14 +263,13 @@ def run_suite(bench_dir, cfg: SuiteConfig):
     Up to `cfg.workers` worker processes are forked once per call and each
     is handed one benchmark after another, in sorted path order, as it
     comes free.  Between benchmarks a worker keeps only pure caches: the
-    tier-2 Int sample stream of each seed (`oracle._int_stream`), code
-    objects keyed by their source (`semantics._compiled`) and the last
-    verdict of `oracle.verify`, keyed by the identity of a problem it
-    holds.  A worker that exits without replying fails its record; one
-    still running `GRACE` seconds past its budget is terminated and
-    recorded as a timeout.  Either is replaced by a fresh worker while
-    benchmarks remain.  Every worker has exited before this returns or
-    raises.
+    tier-2 Int sample streams (`oracle._int_stream`), code objects keyed
+    by their source (`semantics._compiled`) and the last verdict of
+    `oracle.verify`, keyed by the identity of a problem it holds.  A
+    worker that exits without replying fails its record; one still
+    running `GRACE` seconds past its budget is terminated and recorded as
+    a timeout.  Either is replaced by a fresh worker while benchmarks
+    remain.  Every worker has exited before this returns or raises.
     """
     paths = sorted(
         os.path.join(bench_dir, f) for f in os.listdir(bench_dir) if f.endswith(".sl")

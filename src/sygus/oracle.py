@@ -7,10 +7,11 @@ solver spoken to over SMT-LIB2 text on stdin/stdout.  The second tier
 runs each constraint group's whole point loop in one generated and
 compiled Python function, drawing all-Int samples once per process; an
 `Evaluator` decides the first tier in one evaluation and re-checks every
-counterexample.  `verify` keeps its last answer: the same question asked
-again (the same problem object, an equal solution and an equal config)
-is answered from it without a search, so the harness's check of the
-solution an engine has just verified costs nothing.
+counterexample.  Every draw comes from the one fixed `SEED`.  `verify`
+keeps its last answer: the same question asked again (the same problem
+object, an equal solution and an equal SMT command) is answered from it
+without a search, so the harness's check of the solution an engine has
+just verified costs nothing.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import shlex
 import subprocess
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     Apply,
@@ -76,12 +76,9 @@ def Unknown(reason):
     return Verdict("unknown", reason=reason)
 
 
-@dataclass
-class VerifyConfig:
-    seed: int = 0
-    smt_cmd: object = None  # argv list or command string
-
-
+# The seed of every sampled draw: tier 2's points, ICE's sampled states
+# and the nuggets' example inputs.
+SEED = 0
 # Seconds the external SMT solver is given before its answer is `unknown`.
 SMT_TIMEOUT = 30.0
 # Tier-2 search: Int grid radius, grid size cap, sample count, and the
@@ -161,12 +158,13 @@ def check_conformance(term: Term, grammar: Grammar) -> Verdict:
 
 
 def _offending_path(grammar, nt, term, derivable):
-    """Best-effort path to a subterm no production can derive."""
+    """Best-effort path to a subterm no production can derive, reading the
+    templates of `nt` and of every nonterminal its aliases reach."""
     if isinstance(term, Apply):
-        for tmpl in grammar.prods(nt):
-            if isinstance(tmpl, Hole):
-                if not derivable(tmpl.nonterminal, term):
-                    continue
+        nts = [nt]
+        for n in nts:  # grows as it is read: the alias closure
+            nts += [t.nonterminal for t in grammar.prods(n) if isinstance(t, Hole) and t.nonterminal not in nts]
+        for tmpl in (t for n in nts for t in grammar.prods(n)):
             if (
                 isinstance(tmpl, Apply)
                 and tmpl.op == term.op
@@ -396,7 +394,7 @@ def _derived_choices(constraints, sub, problem):
     return derived
 
 
-def _search_group(problem, interps, constraints, sub, seed):
+def _search_group(problem, interps, constraints, sub):
     """Tier-2 search for one group of constraints sharing free variables:
     each base point with every combination of choices (an expression or a
     free draw) for the derived variables, all in one generated function.
@@ -411,9 +409,9 @@ def _search_group(problem, interps, constraints, sub, seed):
     cap = max(1000, EXHAUSTIVE_CAP // len(combos))
     samples = max(1000, SAMPLES // len(combos))
     if all(sorts[n] == INT for n, _ in derived):
-        drawers = dict.fromkeys(dict(derived), iter(_int_stream(seed + 1)).__next__)
+        drawers = dict.fromkeys(dict(derived), iter(_int_stream(SEED + 1)).__next__)
     else:
-        rng = random.Random(seed + 1)
+        rng = random.Random(SEED + 1)
         pools = {n: _value_pool(sorts[n], problem, rng) for n, _ in derived}
         drawers = {n: _drawer(sorts[n], pools[n], rng) for n, _ in derived}
 
@@ -438,32 +436,33 @@ def _search_group(problem, interps, constraints, sub, seed):
         lines.append(f"            if not ({checks}): return ({','.join(local.values())},)")
         lines.append("            break")
     search = em.build("\n".join(lines), "search")
-    found = search(_search_points([(n, sorts[n]) for n in base], problem, seed, cap, samples))
+    found = search(_search_points([(n, sorts[n]) for n in base], problem, SEED, cap, samples))
     return None if found is None else dict(zip(local, found))
 
 
-_last = None  # (problem, solution key, config, verdict) of the last verify that returned
+_last = None  # (problem, solution key, SMT argv, verdict) of the last verify that returned
 
 
-def verify(problem, solution, cfg=None) -> Verdict:
+def verify(problem, solution, smt_cmd=None) -> Verdict:
     """Search for a falsifying point; `solution` maps target name ->
-    (param names, body).
+    (param names, body).  `smt_cmd`, an argv list or None, is the external
+    solver asked when the search finds none.
 
     The last verdict returned is kept, keyed by the problem object, the
-    solution as {name: (params tuple, body)} and an equal `cfg`; that
+    solution as {name: (params tuple, body)} and an equal `smt_cmd`; that
     question asked again returns it at once.  An exception is not kept.
     """
     global _last
-    cfg = cfg or VerifyConfig()
     key = {name: (tuple(params), body) for name, (params, body) in solution.items()}
-    if _last is not None and _last[0] is problem and _last[1] == key and _last[2] == cfg:
+    argv = tuple(smt_cmd or ())
+    if _last is not None and _last[0] is problem and _last[1] == key and _last[2] == argv:
         return _last[3]
-    verdict = _verify(problem, solution, cfg)
-    _last = (problem, key, replace(cfg), verdict)
+    verdict = _verify(problem, solution, smt_cmd)
+    _last = (problem, key, argv, verdict)
     return verdict
 
 
-def _verify(problem, solution, cfg):
+def _verify(problem, solution, smt_cmd):
     """`verify` without its memo: ground constraints, then the search of
     each group, then the SMT command if one is set."""
     interps = solution_interpretations(problem, solution)
@@ -485,7 +484,7 @@ def _verify(problem, solution, cfg):
                 return _checked_cex(problem, solution, defaults)
             continue
         sub = [(n, s) for n, s in problem.universals if n in key]
-        cex = _search_group(problem, interps, cs, sub, cfg.seed)
+        cex = _search_group(problem, interps, cs, sub)
         if cex is not None:
             full = dict(defaults)
             full.update(cex)
@@ -493,8 +492,8 @@ def _verify(problem, solution, cfg):
 
     if not any(groups):  # every constraint was ground
         return Valid()
-    if cfg.smt_cmd:
-        return external_check(problem, solution, cfg)
+    if smt_cmd:
+        return external_check(problem, solution, smt_cmd)
     return Unknown("unverified-beyond-bound")
 
 
@@ -582,17 +581,15 @@ def parse_model(text, universals):
     return point
 
 
-def external_check(problem, solution, cfg=None) -> Verdict:
-    """Ask the configured SMT solver; Valid on unsat, Counterexample on a
-    model that re-checks, Unknown otherwise."""
-    cfg = cfg or VerifyConfig()
-    if not cfg.smt_cmd:
+def external_check(problem, solution, smt_cmd=None) -> Verdict:
+    """Ask the SMT solver that `smt_cmd`, an argv list, runs; Valid on
+    unsat, Counterexample on a model that re-checks, Unknown otherwise."""
+    if not smt_cmd:
         return Unknown("no external solver configured")
-    argv = cfg.smt_cmd if isinstance(cfg.smt_cmd, (list, tuple)) else shlex.split(cfg.smt_cmd)
     script = build_smt_script(problem, solution)
     try:
         proc = subprocess.run(
-            list(argv),
+            list(smt_cmd),
             input=script,
             capture_output=True,
             text=True,

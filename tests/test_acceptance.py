@@ -46,7 +46,7 @@ from sygus.harness import (
     size_bucket,
     time_bucket,
 )
-from sygus.oracle import VerifyConfig, check_conformance, external_check, verify
+from sygus.oracle import check_conformance, external_check, verify
 from sygus.semantics import Evaluator, eval_constraints
 
 from reference import enumerate_all
@@ -108,7 +108,7 @@ def test_criterion_2_abs():
         )
         cmd = _smt_cmd()
         if cmd:
-            v = external_check(p, sols, VerifyConfig(smt_cmd=cmd))
+            v = external_check(p, sols, cmd)
             tier3_ok = v.kind == "valid"
             tier3 = f"external verdict {v.kind}"
     ok = solved and no_cex and tier3_ok and elapsed < 10.0
@@ -172,7 +172,7 @@ def test_criterion_5_invariant():
         tier2 = v.kind in ("valid", "unknown")  # no counterexample found
         cmd = _smt_cmd()
         if cmd:
-            ev = external_check(g, sol.as_map(), VerifyConfig(smt_cmd=cmd))
+            ev = external_check(g, sol.as_map(), cmd)
             tier3_ok = ev.kind == "valid"
             tier3 = f"external verdict {ev.kind}"
     ok = shape and verbatim and solved and tier2 and tier3_ok and elapsed < 60.0

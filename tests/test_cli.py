@@ -222,12 +222,21 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["bench", str(tmp), "--solutions", _solution(tmp, "")], "File exists"),
     (lambda tmp: ["bench", str(tmp), "--records", str(tmp / "missing" / "r.jsonl")], "No such file"),
     (lambda tmp: ["nuggets", _b("fig2_bv_template.sl"), "--k", "2", "--out", _solution(tmp, "")], "File exists"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (lambda tmp: ["bench", str(tmp), "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Int x)"), "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (lambda tmp: ["nuggets", _b("fig2_bv_template.sl"), "--k", "2", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--smt-cmd", "z3 'x"], "argument --smt-cmd: No closing quotation"),
+    (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Int x)"), "--smt-cmd", "z3 'x"],
+     "argument --smt-cmd: No closing quotation"),
 ], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
         "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
         "solve-superscript-digit", "solve-malformed-literal", "solve-name-declared-twice",
         "solve-invariant-macro-sorts", "solve-argument-sort", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
-        "nuggets-out-a-file"])
+        "nuggets-out-a-file", "solve-seed", "bench-seed", "verify-seed", "nuggets-seed", "solve-smt-cmd-quote",
+        "verify-smt-cmd-quote"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)
     try:

@@ -35,7 +35,8 @@ from sygus.engine import (
 )
 from sygus.frontend import default_grammar, parse, parse_file
 from sygus.harness import SuiteConfig, _pick_solver, solve_benchmark
-from sygus.oracle import VerifyConfig, check_conformance
+from sygus import oracle
+from sygus.oracle import check_conformance
 from sygus.semantics import Evaluator, eval_constraints
 
 import reference
@@ -1759,14 +1760,18 @@ def test_ice_seed_matches_the_tree_walk(bench):
         assert all(got)
 
 
-def test_the_run_seed_reaches_ice_seeding(monkeypatch):
-    # the run's one seed is the verifier's: ICE samples its states from it
-    seeds = []
-    ice_seed = engine._ice_seed
-    monkeypatch.setattr(engine, "_ice_seed", lambda *a: seeds.append(a[3]) or ice_seed(*a))
+def test_ice_seeding_and_tier_2_read_the_seed_constant(monkeypatch):
+    # one seed for the whole run: ICE samples its states from the
+    # verifier's constant, and tier 2 draws its points from it
+    ice_seeds, search_seeds = [], []
+    ice_seed, search_points = engine._ice_seed, oracle._search_points
+    monkeypatch.setattr(engine, "_ice_seed", lambda *a: ice_seeds.append(a[3]) or ice_seed(*a))
+    monkeypatch.setattr(oracle, "_search_points", lambda *a: search_seeds.append(a[2]) or search_points(*a))
+    monkeypatch.setattr(oracle, "SEED", 5)
     p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
-    assert isinstance(unify_solve(p, cfg=VerifyConfig(seed=5)), Solution)
-    assert seeds == [5]
+    assert isinstance(unify_solve(p), Solution)
+    assert ice_seeds == [5]
+    assert search_seeds and set(search_seeds) == {5}
 
 
 @pytest.mark.parametrize("bench", INV_BENCHES)

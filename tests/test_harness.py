@@ -180,6 +180,13 @@ def test_suite_config_rejects_fewer_than_one_worker(workers):
         SuiteConfig(workers=workers)
 
 
+@pytest.mark.parametrize("engine", ["unify", "AUTO", ""])
+def test_suite_config_rejects_an_unknown_engine(engine):
+    # a name outside ENGINES would run the auto policy under its own label
+    with pytest.raises(ValueError, match=f"engine must be one of cegis, unif, auto, got {engine!r}"):
+        SuiteConfig(engine=engine)
+
+
 def test_suite_config_takes_a_short_timeout():
     assert SuiteConfig(timeout=0.2).timeout == 0.2
 

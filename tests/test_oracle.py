@@ -14,7 +14,6 @@ from sygus.frontend import parse, parse_file, parse_solution
 from sygus import harness, oracle
 from sygus.oracle import (
     Derivable,
-    VerifyConfig,
     build_smt_script,
     check_conformance,
     external_check,
@@ -54,6 +53,15 @@ def test_conformance_offending_path():
     v = check_conformance(bad, SUB)
     assert v.kind == "nonconformant"
     assert v.path[:1] == (1,)
+    # E -> x | (+ E E) | (- E 1), with or without Start -> E in front: the
+    # product under argument 1 of (+ x (* x 2)) is not derivable
+    e = Hole("E", INT)
+    prods = (("E", (X, Apply("+", (e, e), INT), Apply("-", (e, Lit(1, INT)), INT))),)
+    bare = Grammar(nonterminals=(("E", INT),), start="E", productions=prods)
+    alias = Grammar(nonterminals=(("Start", INT), ("E", INT)), start="Start", productions=(("Start", (e,)),) + prods)
+    bad = Apply("+", (X, Apply("*", (X, Lit(2, INT)), INT)), INT)
+    for g in (bare, alias):
+        assert check_conformance(bad, g) == oracle.NonConformant((1,))
 
 
 def test_conformance_through_alias_chains():
@@ -252,14 +260,14 @@ def test_interleaved_and_abandoned_stream_readers_see_the_reference():
     assert list(itertools.islice(iter(stream), n)) == want
 
 
-def test_a_second_identical_verify_draws_nothing_new():
+def test_a_second_identical_verify_draws_nothing_new(monkeypatch):
     # the right invariant reads every point its groups search
     p = parse_file(os.path.join(BENCH, "inv_loop_guarded.sl"))
     sol = parse_solution(RIGHT_GUARDED, p)
-    cfg = VerifyConfig(seed=1234)
-    first = verify(p, sol, cfg)
+    monkeypatch.setattr(oracle, "SEED", 1234)  # a stream no other test has drawn
+    first = verify(p, sol)
     drawn = [len(oracle._int_stream(s).chunks) for s in (1234, 1235)]
-    assert verify(p, sol, cfg) == first and first.kind == "unknown"
+    assert verify(p, sol) == first and first.kind == "unknown"
     assert [len(oracle._int_stream(s).chunks) for s in (1234, 1235)] == drawn and min(drawn) > 0
 
 
@@ -290,10 +298,10 @@ def test_wrong_candidates_get_the_counterexamples_of_fresh_draws(name, monkeypat
     # a grid of the origin alone leaves the other counterexamples to the
     # samples
     monkeypatch.setattr(oracle, "INT_BOUND", 0)
-    cfg = VerifyConfig(seed=9)
-    cached = [verify(p, {target.name: (params, t)}, cfg) for t in candidates]
+    monkeypatch.setattr(oracle, "SEED", 9)
+    cached = [verify(p, {target.name: (params, t)}) for t in candidates]
     monkeypatch.setattr(oracle, "_int_stream", _FreshDraws)
-    fresh = [verify(p, {target.name: (params, t)}, cfg) for t in candidates]
+    fresh = [verify(p, {target.name: (params, t)}) for t in candidates]
     assert cached == fresh
     points = [v.point for v in cached if v.kind == "counterexample"]
     beyond = [pt for pt in points if any(pt.values())]
@@ -356,8 +364,8 @@ def _fake_solver(tmp_path, body):
 def test_external_check_unsat_is_valid(tmp_path):
     p = parse_file(os.path.join(BENCH, "abs.sl"))
     sol = cegis_solve(p, 30).as_map()
-    cfg = VerifyConfig(smt_cmd=_fake_solver(tmp_path, "echo unsat\n"))
-    assert external_check(p, sol, cfg).kind == "valid"
+    cmd = _fake_solver(tmp_path, "echo unsat\n")
+    assert external_check(p, sol, cmd).kind == "valid"
 
 
 def test_external_check_sat_model_counterexample(tmp_path):
@@ -366,7 +374,7 @@ def test_external_check_sat_model_counterexample(tmp_path):
     cmd = _fake_solver(
         tmp_path, "echo sat\necho '((define-fun x () Int (- 5)))'\n"
     )
-    v = external_check(p, wrong, VerifyConfig(smt_cmd=cmd))
+    v = external_check(p, wrong, cmd)
     assert v.kind == "counterexample"
     assert v.point == {"x": -5}
 
@@ -376,20 +384,20 @@ def test_external_check_bogus_model_is_unknown(tmp_path):
     sol = cegis_solve(p, 30).as_map()
     # claims sat against a correct solution; the model cannot re-check
     cmd = _fake_solver(tmp_path, "echo sat\necho '((define-fun x () Int 7))'\n")
-    assert external_check(p, sol, cfg=VerifyConfig(smt_cmd=cmd)).kind == "unknown"
+    assert external_check(p, sol, smt_cmd=cmd).kind == "unknown"
 
 
 def test_external_check_garbage_is_unknown(tmp_path):
     p = parse_file(os.path.join(BENCH, "abs.sl"))
     sol = {"abs": (["x"], Var("x", INT))}
     cmd = _fake_solver(tmp_path, "echo segfault lol\n")
-    assert external_check(p, sol, VerifyConfig(smt_cmd=cmd)).kind == "unknown"
+    assert external_check(p, sol, cmd).kind == "unknown"
 
 
 def test_external_check_missing_binary_is_unknown():
     p = parse_file(os.path.join(BENCH, "abs.sl"))
     sol = {"abs": (["x"], Var("x", INT))}
-    v = external_check(p, sol, VerifyConfig(smt_cmd=["/nonexistent/solver"]))
+    v = external_check(p, sol, ["/nonexistent/solver"])
     assert v.kind == "unknown"
     assert "io" in v.reason
 
@@ -408,27 +416,30 @@ def test_the_harness_question_is_answered_from_the_memo(name, monkeypatch):
     asked = []
     harness_verify = harness.verify
 
-    def counted(problem, solution, cfg):
+    def counted(problem, solution, smt_cmd):
         before = len(searches)
-        verdict = harness_verify(problem, solution, cfg)
-        asked.append((problem, solution, cfg, verdict, len(searches) - before))
+        verdict = harness_verify(problem, solution, smt_cmd)
+        asked.append((problem, solution, smt_cmd, verdict, len(searches) - before))
         return verdict
 
     monkeypatch.setattr(harness, "verify", counted)
     path = os.path.join(BENCH, name)
     assert harness.solve_benchmark(path, harness.SuiteConfig(timeout=60))[0] in ("solved", "unknown-verified")
-    ((problem, solution, cfg, verdict, added),) = asked
+    ((problem, solution, smt_cmd, verdict, added),) = asked
     assert added == 0 and searches  # the engine searched; the harness's verify did not
 
     def searched(*question):
+        """Whether `verify` searched to answer `question`, and its verdict."""
         before = len(searches)
-        assert verify(*question) == verdict
-        return len(searches) > before
+        got = verify(*question)
+        return len(searches) > before, got
 
     (fname, (params, body)), = solution.items()
     same_meaning = Apply("ite", (Lit(True, BOOL), body, body), body.sort)
-    assert searched(problem, {fname: (params, same_meaning)}, cfg)
-    assert searched(problem, solution, replace(cfg, seed=cfg.seed + 1))
+    assert searched(problem, {fname: (params, same_meaning)}, smt_cmd) == (True, verdict)
+    other = ["/nonexistent/solver"]
+    assert searched(problem, solution, other)[0]  # another SMT command is another question
+    assert not searched(problem, solution, list(other))[0]  # an equal argv is the same one
     again = parse_file(path)
-    assert searched(again, solution, cfg)
-    assert not searched(again, dict(solution), replace(cfg))  # an equal question is not searched again
+    assert searched(again, solution, smt_cmd) == (True, verdict)
+    assert searched(again, dict(solution), smt_cmd) == (False, verdict)  # an equal question is not searched again
