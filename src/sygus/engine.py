@@ -27,17 +27,20 @@ learning grow their trees with one greedy information-gain ID3,
 `build_decision_tree`, over predicate pools from one builder,
 `_predicate_pool`, selecting through `Enumerator.sides`.  Every id set,
 from a round's point check to the tree, is one int with bit i set for
-point or example i: the learner takes the covers as they are, so a split
-is one `&` and a class count one popcount.
+point or example i: the learner takes the covers and the selections
+`Enumerator.sides` gives as they are, so a split is one `&` and a class
+count one popcount.
 
 Enumeration order is total and reproducible: by size, then production
 index, then recursive argument order.  Each production is compiled once
 per enumerator into one generated function (every alias shares one that
 reads its source bank): it loops over its child banks, computes each
 candidate's vector over every observation point inline from the
-template, one expression per point (macros expanded, BitVec builtins as
-Python operators), counts it, reads the deadline every DEADLINE_STRIDE
-candidates, and builds and banks a term only for a vector pruning keeps.
+template, macros expanded (see `_VectorSource`: a BitVec vector is one
+int with a lane per point, computed by whole-word operations; any other
+is a tuple, one expression per point), counts it, reads the deadline
+every DEADLINE_STRIDE candidates, and builds and banks a term only for a
+vector pruning keeps.
 Under pruning, no candidate is built whose vector pruning is certain to
 drop, so only the candidates counted fall: a commutative `(op H H)`
 production is built as half its product, since each `(op b a)` would
@@ -76,6 +79,7 @@ from .core import (
     Lit,
     Macro,
     STRING,
+    Sort,
     SygusError,
     Term,
     Var,
@@ -221,20 +225,172 @@ TOTAL_OPS = frozenset({("=", 2), ("not", 1), ("and", 2), ("or", 2), ("=>", 2), (
                        ("<", 2), ("<=", 2), (">", 2), (">=", 2)})
 
 
+class _Lanes:
+    """The layout of a packed BitVec vector: the values of `n` points,
+    `width` bits each, in one int, point i in bits [width·i, width·(i+1)).
+    A whole-word operation then acts on every point at once: SWAR, "SIMD
+    within a register" (Warren, *Hacker's Delight*, 2nd ed., ch. 2)."""
+
+    def __init__(self, width, n):
+        self.width, self.n = width, n
+        self.lane = (1 << width) - 1
+        self.ones = ((1 << width * n) - 1) // self.lane  # bit 0 of every lane
+        self.all = self.lane * self.ones
+        self.high = self.ones << width - 1  # the top bit of every lane
+        self.low = self.all ^ self.high  # every other bit
+
+    def pack(self, values):
+        return sum(v << self.width * i for i, v in enumerate(values))
+
+    def unpack(self, word):
+        return tuple(word >> self.width * i & self.lane for i in range(self.n))
+
+    def zeros(self, x):
+        """The word with the top bit of each lane of `x` that is 0: the low
+        bits of a nonzero lane carry into its top bit, and no further."""
+        return ((x & self.low) + self.low | x) & self.high ^ self.high
+
+    def ids(self, top):
+        """The id mask, bit i for point i, of a word that sets only top bits."""
+        return top if self.width == 1 else int(format(top, f"0{self.width * self.n}b")[::self.width], 2)
+
+    def select(self, bools):
+        """The lane mask, every bit of lane i set where bools[i] holds."""
+        return sum(self.lane << self.width * i for i, b in enumerate(bools) if b)
+
+
+_lanes = functools.lru_cache(maxsize=None)(_Lanes)
+
+
+class _VectorSource:
+    """Source of the vectors of terms over `n` points.  A BitVec-sorted
+    term's vector is one packed word (see `_Lanes`): `bvand`, `bvor`,
+    `bvxor` and `bvnot` are one operation each, a shift by a literal is
+    a shift and a lane mask, `bvadd` adds the low bits of every lane and
+    sets each top bit apart, and `ite` selects through a lane mask
+    (`mask`).  Any other operator's values are computed point by point,
+    each lane unpacked, and packed again.  A term of any other sort has
+    the tuple of its values, one expression per point.
+
+    `columns` maps each variable to the expression holding its vector
+    and `sorts` to its sort.  A variable in `selections` is a Bool whose
+    column is a lane mask, every bit of lane i set where it holds at
+    point i; it is read only as an `ite`'s condition.  `unpacks()` gives
+    each variable read point by point the line that unpacks its column
+    into the locals `points` name, one per point."""
+
+    def __init__(self, em, n, columns, sorts, selections=()):
+        self.em, self.n, self.columns, self.sorts = em, n, columns, sorts
+        self.selections = set(selections)
+        self.points = [{v: em.fresh() for v in columns} for _ in range(n)]
+        self.read = {}  # the variables read point by point, in order
+
+    def vector(self, t):
+        return self.word(t) if t.sort.kind == "BitVec" else f"({''.join(v + ',' for v in self.values(t))})"
+
+    def values(self, t):
+        """One expression per point for the value of `t` there."""
+        self.read.update(dict.fromkeys(sorted(free_vars(t) & self.columns.keys())))
+        return [self.em.expr(t, p) for p in self.points]
+
+    def unpacks(self):
+        lines = {}
+        for v in self.read:
+            col, sort = self.columns[v], self.sorts[v]
+            if sort.kind == "BitVec":
+                lanes = _lanes(sort.width, self.n)
+                col = "".join(f"{col} >> {lanes.width * i} & {hex(lanes.lane)}," for i in range(self.n))
+            lines[v] = f"{''.join(p[v] + ',' for p in self.points)} = {col}"
+        return lines
+
+    def _twice(self, src):
+        """(first, again): `src` for its first use, binding a local when
+        it is not a name or a literal, and what reads it again."""
+        if src.isidentifier() or src.isalnum():
+            return src, src
+        name = self.em.fresh("_w")
+        return f"({name} := {src})", name
+
+    def word(self, t):
+        """Source of the packed word of the BitVec-sorted `t`."""
+        lanes = _lanes(t.sort.width, self.n)
+        if isinstance(t, Var) and t.name in self.columns:
+            return self.columns[t.name]
+        if isinstance(t, Lit):
+            return hex(t.value * lanes.ones)
+        op, args = (t.op, t.args) if isinstance(t, Apply) else (None, ())
+        if op == "ite" and len(args) == 3:
+            then, (other, again) = self.word(args[1]), self._twice(self.word(args[2]))
+            return f"({other} ^ ({then} ^ {again}) & {self.mask(args[0], lanes)})"
+        if op in ("bvand", "bvor", "bvxor") and len(args) == 2:
+            return f"({self.word(args[0])} {_BITWISE[op]} {self.word(args[1])})"
+        if op == "bvnot" and len(args) == 1:
+            return f"({self.word(args[0])} ^ {hex(lanes.all)})"
+        if op in ("bvshl", "bvlshr") and len(args) == 2 and isinstance(args[1], Lit):
+            amount = args[1].value
+            if amount >= lanes.width:
+                return f"({self.word(args[0])} & 0)"  # every bit shifted out
+            kept = lanes.lane << amount & lanes.lane if op == "bvshl" else lanes.lane >> amount
+            return f"({self.word(args[0])} {'<<' if op == 'bvshl' else '>>'} {amount} & {hex(kept * lanes.ones)})"
+        if op == "bvadd" and len(args) == 2:
+            (a, a2), (b, b2) = (self._twice(self.word(x)) for x in args)
+            low, high = hex(lanes.low), hex(lanes.high)
+            return f"(({a} & {low}) + ({b} & {low}) ^ ({a2} ^ {b2}) & {high})"
+        values = self.values(t)
+        return f"({' | '.join([values[0]] + [f'{v} << {lanes.width * i}' for i, v in enumerate(values) if i])})"
+
+    def mask(self, cond, lanes):
+        """Source of the lane mask at `lanes`' width where the Bool `cond` holds."""
+        if isinstance(cond, Var) and cond.name in self.selections:
+            return self.columns[cond.name]
+        top = self.top(cond, lanes)
+        if top is None:
+            select = self.em.bind(("select", lanes.width, self.n), lanes.select)
+            return f"{select}(({''.join(v + ',' for v in self.values(cond))}))"
+        return self.spread(top, lanes)
+
+    @staticmethod
+    def spread(top, lanes):
+        """Source of the lane mask of the word `top`, which sets top bits only."""
+        return top if lanes.width == 1 else f"(({top}) >> {lanes.width - 1}) * {hex(lanes.lane)}"
+
+    def top(self, cond, lanes):
+        """Source of the word that sets the top bit of lane i where the Bool
+        `cond` holds at point i, and no other bit; None unless `cond` is
+        `=` of two BitVecs of `lanes`' width (see `_Lanes.zeros`) or its
+        `not`."""
+        if not isinstance(cond, Apply):
+            return None
+        if cond.op == "not" and len(cond.args) == 1:
+            inner = self.top(cond.args[0], lanes)
+            return None if inner is None else f"({inner} ^ {hex(lanes.high)})"
+        if cond.op == "=" and len(cond.args) == 2 and all(a.sort == Sort("BitVec", lanes.width) for a in cond.args):
+            x, again = self._twice(f"({self.word(cond.args[0])} ^ {self.word(cond.args[1])})")
+            low, high = hex(lanes.low), hex(lanes.high)
+            return f"((({x} & {low}) + {low} | {again}) & {high} ^ {high})"
+        return None
+
+
+_BITWISE = {"bvand": "&", "bvor": "|", "bvxor": "^"}
+
+
 class Enumerator:
     """Per-grammar term banks, one per (nonterminal, size).
 
-    Every banked term carries its evaluation vector over `envs`; with
-    pruning on, at most one term per distinct vector is kept per
-    nonterminal.  With no observation points the single default
-    environment (Int 0, Bool false, BV 0, String "") still folds
-    constants.  With pruning on, fixed at construction, no candidate is
-    built whose vector pruning is certain to drop: a commutative `(op H
-    H)` production pairs its child entries in one order only (see
-    `_halves`), a comparison mirrored by an earlier production is not
-    built at all (see `_mirrored`), and a one-sided `(ite C Hi Hj)`
-    builds only the condition entries that select both ways (see
-    `_one_sided`).  A `keep(nt, vec)` sees a skipped candidate's
+    Every banked term carries its evaluation vector over `envs`: for a
+    nonterminal of a BitVec sort, one int that packs the values of every
+    point, point i's in bits [w·i, w·(i+1)) for the sort's width w (see
+    `_Lanes`); for any other sort, the tuple of its values.  Packing is a
+    bijection, so either form decides pruning alike.  With pruning on, at
+    most one term per distinct vector is kept per nonterminal.  With no
+    observation points the single default environment (Int 0, Bool
+    false, BV 0, String "") still folds constants.  With pruning on,
+    fixed at construction, no candidate is built whose vector pruning is
+    certain to drop: a commutative `(op H H)` production pairs its child
+    entries in one order only (see `_halves`), a comparison mirrored by
+    an earlier production is not built at all (see `_mirrored`), and a
+    one-sided `(ite C Hi Hj)` builds only the condition entries that
+    select both ways (see `_one_sided`).  A `keep(nt, vec)` sees a skipped candidate's
     nonterminal and vector in the one it repeats, so the banks are those
     of the full product, and `constructed` counts what was built.
 
@@ -307,8 +463,8 @@ class Enumerator:
                     cond = self._one_sided(nt, template_holes(tmpl), body)
                     if cond is not None:
                         sides = em.fresh("_s")
-                        sources[sides] = self._sides_source(em, sides, cond)
-                        # hole 0's column now holds the condition's value at each point
+                        sources[sides] = self._sides_source(em, sides, cond, body.sort)
+                        # hole 0's column now holds the condition's selection
                         body = Apply("ite", (Var("0", BOOL), *body.args[1:]), body.sort)
                     sources[name] = self._production_source(em, name, tmpl, body, halved, sides)
                 prods[nt].append((idx, tmpl, name, halved, sides))
@@ -359,16 +515,40 @@ class Enumerator:
         em = SourceEmitter()
         return em.build(self._sides_source(em, "sides", cond), "sides")
 
-    def _sides_source(self, em, name, cond):
+    def _sides_source(self, em, name, cond, branches=None):
         """Source of `name(bank)`, the (term, selection) of each entry of
         `bank` that, as hole 0, makes `cond` true at some point and false
-        at another; the selection holds `cond`'s value at each point."""
-        vec = em.fresh()
-        sel, unpacks = self._vector_source(em, cond, {"0": vec})
+        at another.  The selection is the id mask, bit i set where `cond`
+        holds at point i.  For a one-sided production whose branches have
+        the sort `branches`, it is instead the lane mask of that width
+        when they are BitVecs (see `_VectorSource`), and else the tuple of
+        `cond`'s values.  Over a BitVec hole 0 as wide as what it selects,
+        the test reads one word of top bits, and only an entry kept is
+        widened."""
+        vec, n = em.fresh(), len(self.envs)
+        hole = next(v.sort for v in walk(cond) if isinstance(v, Var) and v.name == "0")
+        code = _VectorSource(em, n, {"0": vec}, {"0": hole})
+        lanes = _lanes(hole.width, n) if hole.kind == "BitVec" and branches in (None, hole) else None
+        top = None if lanes is None else code.top(cond, lanes)
+        if top is not None:
+            test = [f"top = {top}", f"if top and top != {hex(lanes.high)}:"]
+            sel = code.spread("top", lanes) if branches else f"{em.bind(('ids', lanes.width, n), lanes.ids)}(top)"
+        else:
+            test = [f"sel = ({''.join(v + ',' for v in code.values(cond))})", "if any(sel) and not all(sel):"]
+            if branches is None:
+                sel = f"{em.bind('mask', _mask)}(sel)"
+            elif branches.kind == "BitVec":
+                sel = f"{em.bind(('select', branches.width, n), _lanes(branches.width, n).select)}(sel)"
+            else:
+                sel = "sel"
         lines = [f"def {name}(bank):", "    out = []", f"    for term, {vec} in bank:"]
-        lines += ["        " + line for line in unpacks.values()]
-        return "\n".join(lines + [f"        sel = {sel}", "        if any(sel) and not all(sel):",
-                                  "            out.append((term, sel))", "    return out"])
+        lines += ["        " + line for line in [*code.unpacks().values(), *test]]
+        return "\n".join(lines + [f"            out.append((term, {sel}))", "    return out"])
+
+    def _column(self, name, sort):
+        """The vector of the variable `name` over `envs`."""
+        values = tuple(env[name] for env in self.envs)
+        return _lanes(sort.width, len(values)).pack(values) if sort.kind == "BitVec" else values
 
     def _production_source(self, em, name, tmpl, body, halved, sides):
         """Source of the function `name(en, nt, s, *kid_banks)`, which
@@ -380,7 +560,7 @@ class Enumerator:
         that name picks, each with its selection in place of its vector.
         A candidate's vector over `envs` is computed inline from `body`,
         the template with its holes as variables named by position and
-        its macros expanded (see `_vector_source`).  Each candidate
+        its macros expanded (see `_VectorSource`).  Each candidate
         is counted in `en.constructed`, and every DEADLINE_STRIDE-th reads
         the deadline.  A term is built only for a vector pruning keeps (see
         `_admission`).  The function reads `en.goal` when it starts, tests
@@ -388,10 +568,17 @@ class Enumerator:
         `_goal_hit`)."""
         holes = template_holes(tmpl)
         banks, terms, vecs = ([em.fresh() for _ in holes] for _ in range(3))
-        variables = list(dict.fromkeys(n.name for n in walk(tmpl) if isinstance(n, Var)))
+        variables = dict((n.name, n.sort) for n in walk(tmpl) if isinstance(n, Var))
         columns = {str(i): v for i, v in enumerate(vecs)}
-        columns.update((v, em.bind(("column", v), tuple(env[v] for env in self.envs))) for v in variables)
-        vector, unpacks = self._vector_source(em, body, columns)
+        columns.update((v, em.bind(("column", v), self._column(v, sort))) for v, sort in variables.items())
+        sorts = {str(i): h.sort for i, h in enumerate(holes)} | variables
+        selections = ()
+        if sides:
+            sorts["0"] = BOOL
+            selections = ("0",) if body.sort.kind == "BitVec" else ()
+        code = _VectorSource(em, len(self.envs), columns, sorts, selections)
+        vector = code.vector(body)
+        unpacks = code.unpacks()
         skip = "continue" if holes else "return"
         step = [
             f"vec = {vector}",
@@ -403,7 +590,7 @@ class Enumerator:
         lines = [f"def {name}(en, nt, s{''.join(', ' + b for b in banks)}):",
                  "    out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed",
                  "    prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal"]
-        lines += ["    " + unpacks[v] for v in variables]
+        lines += ["    " + unpacks[v] for v in variables if v in unpacks]
         loops = [f"for {t}, {v} in {b}:" for b, t, v in zip(banks, terms, vecs)]
         if sides:
             loops[0] = f"for {terms[0]}, {vecs[0]} in {sides}({banks[0]}):"
@@ -414,19 +601,11 @@ class Enumerator:
                         f"{em.bind('islice', itertools.islice)}({banks[1]}, k if diagonal else 0, None):")
         lines.append("    try:")
         for i, loop in enumerate(loops):
-            lines += [f"{'    ' * (2 + i)}{loop}", f"{'    ' * (3 + i)}{unpacks[str(i)]}"]
+            lines.append(f"{'    ' * (2 + i)}{loop}")
+            if str(i) in unpacks:
+                lines.append(f"{'    ' * (3 + i)}{unpacks[str(i)]}")
         lines += ["    " * (2 + len(holes)) + line for line in step]
         return "\n".join(lines + ["    finally:", "        en.constructed = n"])
-
-    def _vector_source(self, em, body, columns):
-        """(expression, unpacks): the source of `body`'s vector over `envs`,
-        one expression per environment, where `columns` maps each variable
-        of `body` to the expression holding its values, and `unpacks` each
-        variable to the line that unpacks its column into one local per
-        environment."""
-        points = [{n: em.fresh() for n in columns} for _ in self.envs]
-        unpacks = {n: f"{''.join(p[n] + ',' for p in points)} = {col}" for n, col in columns.items()}
-        return f"({''.join(em.expr(body, p) + ',' for p in points)})", unpacks
 
     def bank(self, nt, size):
         """Every entry of (nt, size), the size built in full."""
@@ -694,11 +873,12 @@ def classify(problem):
 def _point_check(problem, points, envs):
     """check(entries): the mask, bit i for point i, of the `points` where
     every constraint holds with target i as entries[i] = (term, vec),
-    `vec` being the term's vector over envs[i].  The constraints are
-    compiled once, into one function over the points' columns.  An
-    application reads its value from `vec` by argument tuple; only a
-    tuple outside envs[i] (a nested application, or a stitched term
-    passed with vec = ()) compiles `term`."""
+    `vec` being the term's vector over envs[i], packed for a BitVec
+    target (see `_Lanes`).  The constraints are compiled once, into one
+    function over the points' columns.  An application reads its value
+    from `vec` by argument tuple; only a tuple outside envs[i] (a nested
+    application, or a stitched term passed with vec = None) compiles
+    `term`."""
     targets, ev = problem.targets, Evaluator(problem.macro_map())
     em = SourceEmitter(problem.macro_map(), {t.name: f"_t{i}" for i, t in enumerate(targets)})
     local = {n: em.fresh() for n, _ in problem.universals}
@@ -709,6 +889,7 @@ def _point_check(problem, points, envs):
     run = em.build(f"def run():\n    return sum([_b for _b, {''.join(v + ',' for v in local.values())} in "
                    f"zip({', '.join(columns)}) if {holds}])", "run")
     rows = [[tuple(env[n] for n, _ in t.params) for env in e] for t, e in zip(targets, envs)]
+    values = [_lanes(t.ret.width, len(e)).unpack if t.ret.kind == "BitVec" else tuple for t, e in zip(targets, envs)]
 
     def bind(target, table, term):
         def call(*args):
@@ -720,7 +901,8 @@ def _point_check(problem, points, envs):
 
     def check(entries):
         for i, (term, vec) in enumerate(entries):
-            em.namespace[f"_t{i}"] = bind(targets[i], dict(zip(rows[i], vec)), term)
+            table = {} if vec is None else dict(zip(rows[i], values[i](vec)))
+            em.namespace[f"_t{i}"] = bind(targets[i], table, term)
         return run()
 
     return check
@@ -934,12 +1116,11 @@ def build_decision_tree(ids, covers, preds, depth=None):
     (payload, mask) that together hold every id.  An id's class is the
     first cover that holds it, and a node whose ids need no split is the
     Leaf of the first cover that holds them all.  `preds` is a list of
-    (payload, bool vector indexed by id).  With a `depth`, no split is
-    made that many levels down.  The first predicate of highest gain
-    wins.  Returns Leaf/Branch, or None when no predicate makes progress.
-
-    Each vector becomes an int mask once, so a split is one `&` and a
-    class count one popcount.
+    (payload, mask), the mask setting bit i where the predicate holds on
+    id i.  With a `depth`, no split is made that many levels down.  The
+    first predicate of highest gain wins.  Returns Leaf/Branch, or None
+    when no predicate makes progress.  A split is one `&` and a class
+    count one popcount.
     """
     classes, taken = [], 0
     for _, c in covers:
@@ -948,8 +1129,8 @@ def build_decision_tree(ids, covers, preds, depth=None):
             classes.append(own)
         taken |= c
     masks = []
-    for payload, vec in preds:
-        m = _mask(vec) & ids
+    for payload, m in preds:
+        m &= ids
         if m and m != ids:  # a predicate that splits no subset of ids is never chosen
             masks.append((payload, m))
     return _id3(ids, classes, covers, masks, depth)
@@ -1035,17 +1216,19 @@ def _cover_and_stitch(en, n, covers, cond, check, goal=None):
     """Return the first enumerated term that `covers(term, vec)`, a mask
     with bit i for id i, says is right on all of ids 0..n-1.  With no
     conditional, that is the first hit of a goal-driven build (see
-    `Enumerator.first`), and the Failure is `_exhaust_reason`.  With the
-    conditional production `cond` (see `_conditional`), terms with new
-    covers (in a chain, with new selections: see `_stitch_chain`) are
-    kept and stitched for each new one once together they cover every
-    id; a stitched term is returned once it is in `en.grammar` and
-    `check(term)` says it is right on every id, as a direct hit is.  Else
-    the Failure is the last stitch's, if one was tried; `cover-stall` if
-    the finite grammar ran out; else `_exhaust_reason`.  A `goal(term,
-    vec)`, true only of a term right on every id, stops the size that
-    `en.enumerate` builds at its first hit, which is then returned
-    before any stitch over the entries ahead of it in that size."""
+    `Enumerator.first`) on `goal`, when given, which tests a vector
+    without computing its cover, and the Failure is `_exhaust_reason`.
+    With the conditional production `cond` (see `_conditional`), terms
+    with new covers (in a chain, with new selections: see
+    `_stitch_chain`) are kept and stitched for each new one once together
+    they cover every id; a stitched term is returned once it is in
+    `en.grammar` and `check(term)` says it is right on every id, as a
+    direct hit is.  Else the Failure is the last stitch's, if one was
+    tried; `cover-stall` if the finite grammar ran out; else
+    `_exhaust_reason`.  A `goal(term, vec)`, true only of a term right
+    on every id, stops the size that `en.enumerate` builds at its first
+    hit, which is then returned before any stitch over the entries ahead
+    of it in that size."""
     all_ids = (1 << n) - 1
     if cond is None:
 
@@ -1053,7 +1236,7 @@ def _cover_and_stitch(en, n, covers, cond, check, goal=None):
             en.deadline.check()
             return covers(term, vec) == all_ids
 
-        hit = en.first(whole)
+        hit = en.first(goal or whole)
         return _exhaust_reason(en) if hit is None else hit[0]
     _, test, then, other = cond
     # a tree's predicate selects, and a chain's term is taken, where this holds
@@ -1069,7 +1252,7 @@ def _cover_and_stitch(en, n, covers, cond, check, goal=None):
             continue
         # a term that selects one way only is never a chain's inner link
         picked = sides([(term, vec)]) if 0 in (then, other) else ()
-        key = (cov, _mask(picked[0][1]) if picked else 0)
+        key = (cov, picked[0][1] if picked else 0)
         if key in seen:
             continue
         seen.add(key)
@@ -1103,14 +1286,23 @@ def _solve_pbe(problem, examples, cond, deadline, smt_cmd):
     keep = _string_keep(dict(target.grammar.nonterminals), [str(o) for o in expected]) if target.ret == STRING else None
     en = Enumerator(target.grammar, envs, problem.macro_map(), max_size=MAX_TERM_SIZE, keep=keep, deadline=deadline)
     ev = Evaluator(problem.macro_map())
+    if target.ret.kind == "BitVec":
+        lanes = _lanes(target.ret.width, len(envs))
+        want = lanes.pack(expected)
 
-    def covers(_term, vec):
-        return _mask(map(operator.eq, vec, expected))
+        def covers(_term, vec):
+            return lanes.ids(lanes.zeros(vec ^ want))
+    else:
+        want = expected
 
-    # no size is built past the first term that meets every example
+        def covers(_term, vec):
+            return _mask(map(operator.eq, vec, expected))
+
+    # no size is built past the first term that meets every example; with
+    # none, the enumerator's one default point is no example to meet
     found = _cover_and_stitch(en, len(examples), covers, cond,
                               lambda term: tuple(map(ev.compile(term), envs)) == expected,
-                              lambda _term, vec: vec == expected)
+                              (lambda _term, vec: vec == want) if examples else None)
     if isinstance(found, Failure):
         return found
     sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
@@ -1119,7 +1311,7 @@ def _solve_pbe(problem, examples, cond, deadline, smt_cmd):
 
 
 def _predicate_pool(en, nt, max_size, sides):
-    """(term, selection) for the `nt` terms up to `max_size`, in
+    """(term, id mask) for the `nt` terms up to `max_size`, in
     enumeration order, as `sides` (see `Enumerator.sides`) reads each
     chunk of a bank, dropping a selection seen before.
 
@@ -1185,7 +1377,7 @@ def _unify_candidate(problem, target, points, cond, deadline):
     check, full = _point_check(problem, points, [envs]), (1 << len(points)) - 1
     found = _cover_and_stitch(
         en, len(points), lambda term, vec: check([(term, vec)]), None if dropped else cond,
-        lambda term: check([(term, ())]) == full,
+        lambda term: check([(term, None)]) == full,
     )
     if isinstance(found, Failure) and dropped:
         return Failure("cover-stall", "multiple target invocations per point")
@@ -1402,7 +1594,7 @@ def _ice_tree(target, states, envs, pos, deadline):
     ids = (1 << len(states)) - 1
     inside = _mask([s in pos for s in states])
     covers = [(True, inside), (False, ids & ~inside)]
-    curated = _octagon_atoms(target, bool_nt, envs)
+    curated = [(t, _mask(v)) for t, v in _octagon_atoms(target, bool_nt, envs)]
     max_stage = max(1, (MAX_PRED_SIZE - 1) // 2)
     en = None  # one enumerator for every stage, built when stage 1 needs it
     # Cheap atom pools first, and within a pool shallow trees first: a

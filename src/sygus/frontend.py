@@ -33,6 +33,7 @@ from .core import (
     subst,
 )
 from .sexpr import (
+    BinTok,
     HexTok,
     IntTok,
     LexError,
@@ -121,6 +122,8 @@ def _parse_term(sx, scope, table, nts=None):
         return Lit(sx.value, STRING)
     if isinstance(sx, HexTok):
         return Lit(sx.value, Sort("BitVec", 4 * sx.digits))
+    if isinstance(sx, BinTok):
+        return Lit(sx.value, Sort("BitVec", sx.digits))
     if isinstance(sx, Symbol):
         name = sx.name
         if nts and name in nts:
@@ -273,8 +276,12 @@ def _parse_grammar(sx, params, table):
         raise ParseError("duplicate nonterminal in grammar")
     scope = dict(params)
     productions = []
-    for name, _, prod_sxs in groups:
+    for name, sort, prod_sxs in groups:
         templates = tuple(_parse_term(p, scope, table, nts) for p in prod_sxs)
+        for p, t in zip(prod_sxs, templates):
+            if t.sort != sort:
+                raise SortError(f"production {to_text(p)} of {name!r} at {p.pos[0]}:{p.pos[1]} "
+                                   f"has sort {t.sort}, expected {sort}")
         productions.append((name, templates))
     return Grammar(
         nonterminals=tuple((name, sort) for name, sort, _ in groups),
@@ -479,7 +486,8 @@ def _term_sx(t: Term):
             return Symbol("true" if t.value else "false")
         if t.sort == STRING:
             return StrTok(t.value)
-        return HexTok(t.value, (t.sort.width + 3) // 4)
+        width = t.sort.width
+        return HexTok(t.value, width // 4) if width % 4 == 0 else BinTok(t.value, width)
     if isinstance(t, Apply):
         return SList((Symbol(t.op),) + tuple(_term_sx(a) for a in t.args))
     if isinstance(t, Let):

@@ -44,7 +44,7 @@ from .core import (
 )
 from .frontend import emit_term
 from .semantics import Evaluator, SourceEmitter, default_value, eval_constraints, solution_interpretations
-from .sexpr import HexTok, IntTok, SList, StrTok, Symbol, parse_sexprs
+from .sexpr import BinTok, HexTok, IntTok, SList, StrTok, Symbol, parse_sexprs
 
 
 class FalseCounterexample(SygusError):
@@ -535,7 +535,7 @@ def build_smt_script(problem, solution) -> str:
 
 
 def _model_value(sx):
-    if isinstance(sx, (IntTok, HexTok, StrTok)):
+    if isinstance(sx, (IntTok, HexTok, BinTok, StrTok)):
         return sx.value
     if isinstance(sx, Symbol):
         if sx.name == "true":

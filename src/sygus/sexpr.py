@@ -4,10 +4,11 @@ The lexer is one token table, `_TOKEN`: a regular expression with one
 named alternative per token kind.  A numeral is an optional `-` and
 Unicode decimal digits (what `int` reads), a symbol a run of characters
 `str.isalnum` accepts or of `_~!@$%^&*-+=<>.?/`, and whitespace what
-`str.isspace` accepts but the newline.  A numeral or hex literal that
-runs into a symbol character (`7y`, `1.5`, `#x1g`) is one malformed
-atom, an error.  Tokens carry their line and column; hex literals their
-digit count too, for four bits per digit.
+`str.isspace` accepts but the newline.  A numeral, hex or binary
+literal that runs into a symbol character (`7y`, `1.5`, `#x1g`, `#b12`)
+is one malformed atom, an error.  Tokens carry their line and column;
+hex and binary literals their digit count too, for four bits or one bit
+per digit.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ class HexTok:
 
 
 @dataclass(frozen=True)
+class BinTok:
+    value: int
+    digits: int
+    pos: tuple = field(default=(0, 0), compare=False)
+
+
+@dataclass(frozen=True)
 class SList:
     items: tuple
     pos: tuple = field(default=(0, 0), compare=False)
@@ -68,12 +76,14 @@ _TOKEN = re.compile(r"""
   | (?P<paren>[()])
   | (?P<numeral>-?\d+(?!{S}))
   | (?P<hex>\#x[0-9a-fA-F]+(?!{S}))
-  | (?P<malformed>(?:-?\d|\#x[0-9a-fA-F]){S}*)
+  | (?P<bin>\#b[01]+(?!{S}))
+  | (?P<malformed>(?:-?\d|\#x[0-9a-fA-F]|\#b[01]){S}*)
   | (?P<symbol>{S}+)
   | (?P<string>"(?:[^"]|"")*"(?!"))
   | (?P<error>.)
 """.format(S=_SYMBOL_CHAR), re.VERBOSE)
 _LEX_ERRORS = {'"': "unterminated string literal", "#": "unsupported '#' literal"}
+_EMPTY = {"#x": "empty hex literal", "#b": "empty binary literal"}
 
 
 def tokenize(text):
@@ -101,10 +111,12 @@ def tokenize(text):
                 line, line_start = line + tok.count("\n"), start + tok.rindex("\n") + 1
         elif kind == "hex":
             yield HexTok(int(tok[2:], 16), len(tok) - 2, pos), pos
+        elif kind == "bin":
+            yield BinTok(int(tok[2:], 2), len(tok) - 2, pos), pos
         elif kind == "malformed":
             raise LexError(f"malformed literal {tok!r}", *pos)
         else:  # a character that starts no token
-            why = "empty hex literal" if text.startswith("#x", start) else _LEX_ERRORS.get(tok)
+            why = _EMPTY.get(text[start:start + 2]) or _LEX_ERRORS.get(tok)
             raise LexError(why or f"unexpected character {tok!r}", *pos)
 
 
@@ -139,6 +151,8 @@ def to_text(sx):
         return '"' + sx.value.replace('"', '""') + '"'
     if isinstance(sx, HexTok):
         return "#x" + format(sx.value, "0{}x".format(sx.digits))
+    if isinstance(sx, BinTok):
+        return "#b" + format(sx.value, "0{}b".format(sx.digits))
     if isinstance(sx, SList):
         return "(" + " ".join(to_text(x) for x in sx.items) + ")"
     raise TypeError(f"not an s-expression: {sx!r}")

@@ -74,6 +74,25 @@ class PointWalk(TreeEvaluator):
             return v
 
 
+def unpacked(vec, sort, n):
+    """The values, one per point, of an enumerator vector of `sort` over
+    `n` points: a BitVec vector is one int, point i's value in bits
+    [w*i, w*(i+1)) for the sort's width w, with nothing above the last
+    point; any other vector is the tuple itself."""
+    if sort.kind != "BitVec":
+        return vec
+    assert type(vec) is int and 0 <= vec < 1 << sort.width * n, vec
+    return tuple(vec >> sort.width * i & (1 << sort.width) - 1 for i in range(n))
+
+
+def packed(values, sort):
+    """The enumerator vector of `sort` with these values, one per point
+    (see `unpacked`)."""
+    if sort.kind != "BitVec":
+        return tuple(values)
+    return sum(v << sort.width * i for i, v in enumerate(values))
+
+
 def enumerate_all(grammar, nt, max_size, interpretations=None, envs=None):
     """Unpruned brute-force enumeration; the reference for pruning checks."""
     en = Enumerator(grammar, envs, interpretations, max_size, prune=False)
@@ -98,18 +117,20 @@ class FullProduct(Enumerator):
 
 def predicate_pool(en, nt, max_size, cond):
     """`engine._predicate_pool` with the condition `cond`, whose hole 0 is
-    the variable "0", walked on each element of each vector; the pool the
-    generated `Enumerator.sides` selects must be equal, in order."""
+    the variable "0", walked on each value of each vector, unpacked; the
+    pool the generated `Enumerator.sides` selects must be equal, in
+    order, each selection the id mask with bit i set where `cond` holds
+    at point i."""
     pool = []
     seen = set()
     ev = TreeEvaluator()
     for s in range(1, max_size + 1):
         for term, vec in en.bank(nt, s):
-            bvec = tuple(ev.eval(cond, {"0": v}) for v in vec)
+            bvec = tuple(ev.eval(cond, {"0": v}) for v in unpacked(vec, en.grammar.sort_of(nt), len(en.envs)))
             if bvec in seen or all(bvec) or not any(bvec):
                 continue
             seen.add(bvec)
-            pool.append((term, bvec))
+            pool.append((term, sum(1 << i for i, b in enumerate(bvec) if b)))
     return pool
 
 
@@ -178,8 +199,8 @@ def _entropy(labels, ids):
 
 def build_decision_tree(ids, labels, leaf, preds, depth=None):
     """`engine.build_decision_tree` over frozensets, one `Counter` per
-    candidate split; the mask learner must give an equal tree, or None
-    where this one does."""
+    candidate split, each predicate read bit by bit from its mask; the
+    mask learner must give an equal tree, or None where this one does."""
     ids = frozenset(ids)
     node = leaf(ids)
     if node is not None:
@@ -189,8 +210,8 @@ def build_decision_tree(ids, labels, leaf, preds, depth=None):
     base = _entropy(labels, ids)
     best = None
     best_gain = -1.0
-    for payload, vec in preds:
-        yes = frozenset(i for i in ids if vec[i])
+    for payload, mask in preds:
+        yes = frozenset(i for i in ids if mask >> i & 1)
         no = ids - yes
         if not yes or not no:
             continue

@@ -230,13 +230,17 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["solve", _b("abs.sl"), "--smt-cmd", "z3 'x"], "argument --smt-cmd: No closing quotation"),
     (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Int x)"), "--smt-cmd", "z3 'x"],
      "argument --smt-cmd: No closing quotation"),
+    (lambda tmp: ["solve", _problem(tmp, "(set-logic BV)\n(synth-fun f ((x (BitVec 8))) (BitVec 8)\n"
+                                        "  ((Start (BitVec 8) (x #x0001 (bvnot Start)))))\n"
+                                        "(constraint (= (f #x00) #x01))\n(check-synth)")],
+     "production #x0001 of 'Start' at 3:25 has sort (BitVec 16), expected (BitVec 8)"),
 ], ids=["bad-float", "bad-int", "verify-missing-file", "verify-unbound-target", "bench-not-a-directory",
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
         "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
         "solve-superscript-digit", "solve-malformed-literal", "solve-name-declared-twice",
         "solve-invariant-macro-sorts", "solve-argument-sort", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
         "nuggets-out-a-file", "solve-seed", "bench-seed", "verify-seed", "nuggets-seed", "solve-smt-cmd-quote",
-        "verify-smt-cmd-quote"])
+        "verify-smt-cmd-quote", "solve-production-sort"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):
     # a mistyped flag is an input error like any other, never exit 2 (timeout)
     try:

@@ -135,7 +135,9 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
     p = parse_file(os.path.join(BENCH, bench))
     g, envs = p.targets[0].grammar, envs(p)
     en = Enumerator(g, envs, p.macro_map(), max_size=7)
-    entries = [e for nt, _ in g.nonterminals for s in range(1, 8) for e in en.bank(nt, s)]
+    # a BitVec vector is packed, one int per entry: decoded, it is the tuple
+    entries = [(term, reference.unpacked(vec, sort, len(envs)))
+               for nt, sort in g.nonterminals for s in range(1, 8) for term, vec in en.bank(nt, s)]
     assert all(len(vec) == len(envs) for _, vec in entries)
     for i, env in enumerate(envs):
         ev = PointWalk(p.macro_map(), env)
@@ -145,19 +147,21 @@ def test_generated_vectors_match_the_tree_walk(bench, envs):
 
 
 # The fig2 grammar's generated source over one point: one function per
-# production, its macros expanded, its BitVec builtins written as Python
-# operators, each vector element an expression of its own, the inner
+# production, its macros expanded, each vector one packed word computed by
+# whole-word operations (a shift by a literal masked to its lanes, bvadd
+# as a carry-free sum of each lane's low bits with the top bits set apart,
+# if0's ite as a select through the lane mask of its selection), the inner
 # loop of each commutative production halved over a bank paired with
 # itself, the one-sided `if0` reading only the condition entries that
-# `_s73` finds selecting both ways, and each banked entry tested against
-# the goal inline, returning at a hit; this pins the source byte for
-# byte.
+# `_s73` finds selecting both ways, each as a lane mask, and each banked
+# entry tested against the goal inline, returning at a hit; this pins the
+# source byte for byte.
 FIG2_VECTOR_SOURCE = '''\
 def _p0(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        vec = (0,)
+        vec = 0x0
         n += 1
         if not n % 1024: deadline.check(f'while building size {s}')
         if prune and vec in sigs:
@@ -176,7 +180,7 @@ def _p2(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        vec = (1,)
+        vec = 0x1
         n += 1
         if not n % 1024: deadline.check(f'while building size {s}')
         if prune and vec in sigs:
@@ -194,9 +198,8 @@ def _p2(en, nt, s):
 def _p4(en, nt, s):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
-    _v6, = _k5
     try:
-        vec = (_v6,)
+        vec = _k5
         n += 1
         if not n % 1024: deadline.check(f'while building size {s}')
         if prune and vec in sigs:
@@ -216,8 +219,7 @@ def _p8(en, nt, s, _v9):
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v10, _v11 in _v9:
-            _v12, = _v11
-            vec = ((_v12 ^ 18446744073709551615),)
+            vec = (_v11 ^ 0xffffffffffffffff)
             n += 1
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
@@ -239,8 +241,7 @@ def _p15(en, nt, s, _v16):
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v17, _v18 in _v16:
-            _v19, = _v18
-            vec = ((_v19 << 1 & 18446744073709551615),)
+            vec = (_v18 << 1 & 0xfffffffffffffffe)
             n += 1
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
@@ -262,8 +263,7 @@ def _p20(en, nt, s, _v21):
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v22, _v23 in _v21:
-            _v24, = _v23
-            vec = ((_v24 >> 1),)
+            vec = (_v23 >> 1 & 0x7fffffffffffffff)
             n += 1
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
@@ -285,8 +285,7 @@ def _p25(en, nt, s, _v26):
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v27, _v28 in _v26:
-            _v29, = _v28
-            vec = ((_v29 >> 4),)
+            vec = (_v28 >> 4 & 0xfffffffffffffff)
             n += 1
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
@@ -308,8 +307,7 @@ def _p30(en, nt, s, _v31):
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
         for _v32, _v33 in _v31:
-            _v34, = _v33
-            vec = ((_v34 >> 16),)
+            vec = (_v33 >> 16 & 0xffffffffffff)
             n += 1
             if not n % 1024: deadline.check(f'while building size {s}')
             if prune and vec in sigs:
@@ -332,10 +330,8 @@ def _p35(en, nt, s, _v36, _v37):
     diagonal = _v36 is _v37
     try:
         for k, (_v38, _v40) in enumerate(_v36):
-            _v42, = _v40
             for _v39, _v41 in _k44(_v37, k if diagonal else 0, None):
-                _v43, = _v41
-                vec = ((_v42 & _v43),)
+                vec = (_v40 & _v41)
                 n += 1
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
@@ -358,10 +354,8 @@ def _p45(en, nt, s, _v46, _v47):
     diagonal = _v46 is _v47
     try:
         for k, (_v48, _v50) in enumerate(_v46):
-            _v52, = _v50
             for _v49, _v51 in _k44(_v47, k if diagonal else 0, None):
-                _v53, = _v51
-                vec = ((_v52 | _v53),)
+                vec = (_v50 | _v51)
                 n += 1
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
@@ -384,10 +378,8 @@ def _p54(en, nt, s, _v55, _v56):
     diagonal = _v55 is _v56
     try:
         for k, (_v57, _v59) in enumerate(_v55):
-            _v61, = _v59
             for _v58, _v60 in _k44(_v56, k if diagonal else 0, None):
-                _v62, = _v60
-                vec = ((_v61 ^ _v62),)
+                vec = (_v59 ^ _v60)
                 n += 1
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
@@ -410,10 +402,8 @@ def _p63(en, nt, s, _v64, _v65):
     diagonal = _v64 is _v65
     try:
         for k, (_v66, _v68) in enumerate(_v64):
-            _v70, = _v68
             for _v67, _v69 in _k44(_v65, k if diagonal else 0, None):
-                _v71, = _v69
-                vec = ((_v70 + _v71 & 18446744073709551615),)
+                vec = ((_v68 & 0x7fffffffffffffff) + (_v69 & 0x7fffffffffffffff) ^ (_v68 ^ _v69) & 0x8000000000000000)
                 n += 1
                 if not n % 1024: deadline.check(f'while building size {s}')
                 if prune and vec in sigs:
@@ -433,29 +423,25 @@ def _p63(en, nt, s, _v64, _v65):
 def _s73(bank):
     out = []
     for term, _v74 in bank:
-        _v75, = _v74
-        sel = ((_v75 == 1),)
-        if any(sel) and not all(sel):
-            out.append((term, sel))
+        top = ((((_w76 := (_v74 ^ 0x1)) & 0x7fffffffffffffff) + 0x7fffffffffffffff | _w76) & 0x8000000000000000 ^ 0x8000000000000000)
+        if top and top != 0x8000000000000000:
+            out.append((term, ((top) >> 63) * 0xffffffffffffffff))
     return out
-def _p72(en, nt, s, _v76, _v77, _v78):
+def _p72(en, nt, s, _v77, _v78, _v79):
     out, sigs, n = en._bank[nt, s], en._sigs[nt], en.constructed
     prune, keep, deadline, goal = en.prune, en.keep, en.deadline, en.goal
     try:
-        for _v79, _v82 in _s73(_v76):
-            _v85, = _v82
-            for _v80, _v83 in _v77:
-                _v86, = _v83
-                for _v81, _v84 in _v78:
-                    _v87, = _v84
-                    vec = ((_v86 if _v85 else _v87),)
+        for _v80, _v83 in _s73(_v77):
+            for _v81, _v84 in _v78:
+                for _v82, _v85 in _v79:
+                    vec = (_v85 ^ (_v84 ^ _v85) & _v83)
                     n += 1
                     if not n % 1024: deadline.check(f'while building size {s}')
                     if prune and vec in sigs:
                         continue
                     if keep is not None and not keep(nt, vec):
                         continue
-                    term = _k13('if0', (_v79,_v80,_v81,), _k14)
+                    term = _k13('if0', (_v80,_v81,_v82,), _k14)
                     if prune:
                         sigs[vec] = term
                     entry = term, vec
@@ -481,18 +467,22 @@ def test_fig2_vector_source_is_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("points", [1, 65, 200])
 def test_every_point_count_unrolls_its_vectors(monkeypatch, points):
-    # each element of a vector is an expression of its own at any point
-    # count: no comprehension zips the columns
-    p = parse_file(os.path.join(BENCH, "fig2_bv_template.sl"))
+    # each element of a tuple vector is an expression of its own at any
+    # point count: no comprehension zips the columns; a BitVec vector is
+    # one packed word at any point count, read whole
     sources = []
     build = semantics.SourceEmitter.build
     monkeypatch.setattr(semantics.SourceEmitter, "build",
                         lambda em, source, name: sources.append(source) or build(em, source, name))
     envs = [{"x": (v * 0x9E3779B97F4A7C15) & (2**64 - 1)} for v in range(points)]
-    Enumerator(p.targets[0].grammar, envs, p.macro_map(), max_size=3).bank("Start", 1)
-    assert "zip(" not in sources[0] and "tuple(" not in sources[0]
-    # the leaf x unpacks its column into one local per point
-    assert re.search(rf"^ +(_v\d+,){{{points}}} = _k\d+$", sources[0], re.M)
+    for bench in ("abs.sl", "fig2_bv_template.sl"):
+        p = parse_file(os.path.join(BENCH, bench))
+        Enumerator(p.targets[0].grammar, envs, p.macro_map(), max_size=3).bank("Start", 1)
+    ints, words = sources
+    assert not any("zip(" in src or "tuple(" in src for src in sources)
+    # abs's leaf x unpacks its column into one local per point; fig2's is its column
+    assert re.search(rf"^ +(_v\d+,){{{points}}} = _k\d+$", ints, re.M)
+    assert re.search(r"^ +vec = _k\d+$", words, re.M) and not re.search(r"^ +(_v\d+,)+ = ", words, re.M)
 
 
 def test_no_generated_build_function_yields(monkeypatch):
@@ -656,6 +646,62 @@ def test_max_finite_size():
         productions=(("S", (Apply("+", (Hole("A", INT), Hole("A", INT)), INT),)), ("A", (X, Lit(1, INT)))),
     )
     assert Enumerator(flat, ENVS).max_finite_size() == 3
+
+
+# --- packed BitVec vectors ------------------------------------------------
+
+
+def _bv_literal(value, width):
+    return f"#x{value:0{width // 4}x}" if width % 4 == 0 else f"#b{value:0{width}b}"
+
+
+@st.composite
+def _packed_cases(draw):
+    """(problem, envs, size): a small BitVec grammar at width 1, 4, 8 or
+    64 over 1-128 points.  S draws from the arithmetic and bitwise
+    operators, shifts by literals (amounts at or past the width among
+    them), a one-sided `ite` on a Bool nonterminal over `=`, a one-sided
+    `if0` macro, and two-sided selections whose else branch is another
+    BitVec nonterminal."""
+    width = draw(st.sampled_from([1, 4, 8, 64]))
+    bv, lit = f"(BitVec {width})", lambda v: _bv_literal(v % (1 << width), width)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    points = ([0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(126)])[:draw(st.integers(1, 128))]
+    shifts = [f"({op} S {lit(k)})" for op in ("bvshl", "bvlshr")
+              for k in draw(st.lists(st.integers(0, width + 2), max_size=2))]
+    ops = draw(st.lists(st.sampled_from([
+        "(bvadd S S)", "(bvsub S S)", "(bvneg S)", "(bvmul S S)", "(bvand S S)", "(bvor S S)", "(bvxor S S)",
+        "(bvnot S)", "(ite B S S)", "(if0 S S S)", "(ite B S T)", "(if0 S S T)"]), min_size=1, max_size=5, unique=True))
+    start = " ".join(["x", lit(0), lit(1), lit(draw(st.integers(0, (1 << width) - 1))), *shifts, *ops])
+    text = (f"(set-logic BV)\n"
+            f"(define-fun if0 ((c {bv}) (a {bv}) (b {bv})) {bv} (ite (= c {lit(draw(st.integers(0, 3)))}) a b))\n"
+            f"(synth-fun f ((x {bv})) {bv} ((S {bv} ({start})) (T {bv} (x {lit(3)} (bvxor T S)))"
+            f" (B Bool ((= S S) (= S {lit(1)}) (not B)))))\n(check-synth)")
+    return parse(text), [{"x": v} for v in points], draw(st.integers(4, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_packed_cases())
+def test_packed_vectors_match_the_full_product_and_the_tree_walk(case):
+    # every BitVec vector is one int whose lanes, decoded, are the walked
+    # values at each point; the shortcut build and the full product bank the
+    # same entries in order, and each size constructs what size_cost says
+    p, envs, size = case
+    g, macros = p.targets[0].grammar, p.macro_map()
+    en = Enumerator(g, envs, macros, max_size=size)
+    full = reference.FullProduct(g, envs, macros, max_size=size)
+    for s in range(1, size + 1):
+        for twin in (en, full):
+            cost, before = twin.size_cost(s), twin.constructed
+            twin.ensure(s)
+            assert twin.constructed - before == cost, s
+        for nt, _ in g.nonterminals:
+            assert en.bank(nt, s) == full.bank(nt, s), (nt, s)
+    walks = [PointWalk(macros, env) for env in envs]
+    for nt, sort in g.nonterminals:
+        for s in range(1, size + 1):
+            for term, vec in en.bank(nt, s):
+                assert reference.unpacked(vec, sort, len(envs)) == tuple(w.eval(term, w.env) for w in walks), term
 
 
 # --- PBE extraction ---------------------------------------------------------
@@ -894,11 +940,11 @@ def _enumerated_pool(en, nt, max_size, cond):
     for term, vec in en.enumerate(nt):
         if term_size(term) > max_size:
             break
-        bvec = tuple(ev.eval(cond, {"0": v}) for v in vec)
+        bvec = tuple(ev.eval(cond, {"0": v}) for v in reference.unpacked(vec, en.grammar.sort_of(nt), len(en.envs)))
         if bvec in seen or all(bvec) or not any(bvec):
             continue
         seen.add(bvec)
-        pool.append((term, bvec))
+        pool.append((term, engine._mask(bvec)))  # a selection is an id mask
     return pool
 
 
@@ -1068,7 +1114,7 @@ def test_predicate_pool_matches_the_reference(bench, envs, size):
     pool = _predicate_pool(en, cond_nt, size, en.sides(cond))
     assert len(pool) > 20  # not a vacuous comparison
     assert pool == reference.predicate_pool(en, cond_nt, size, cond)
-    assert all(type(b) is bool for _, bvec in pool for b in bvec)
+    assert all(type(sel) is int for _, sel in pool)
 
 
 CORPUS = sorted(glob.glob(os.path.join(BENCH, "*.sl")))
@@ -1097,19 +1143,25 @@ def _fig2_pbe_problems():
     return out
 
 
+def _goal_vector(en, expected):
+    """The start vector with the `expected` values: packed for a BitVec start."""
+    return reference.packed(expected, en.grammar.sort_of(en.grammar.start))
+
+
 def _pbe_enumerators(target, macros, envs, expected):
     """The enumerator `_solve_pbe` builds, with its goal, and a goal-free twin."""
     keep = _pbe_keep(target, expected)
     ens = [Enumerator(target.grammar, envs, macros, max_size=16, keep=keep) for _ in range(2)]
-    ens[0].goal = (target.grammar.start, lambda _term, vec: vec == expected)
+    want = _goal_vector(ens[0], expected)
+    ens[0].goal = (target.grammar.start, lambda _term, vec: vec == want)
     return ens
 
 
 def _until_goal(en, expected):
-    seq = []
+    seq, want = [], _goal_vector(en, expected)
     for term, vec in en.enumerate():
         seq.append((term, vec))
-        if vec == expected:
+        if vec == want:
             return seq
 
 
@@ -1157,7 +1209,7 @@ def test_a_build_yields_once_per_goal_hit(grammar, macros, envs, size, nt):
     # a size built with a goal stops for good at its first hit, having
     # built a prefix of what a goal-free build of the size holds
     def goal(_term, vec):
-        return vec[0] % 2 == 0
+        return reference.unpacked(vec, grammar.sort_of(nt), len(envs))[0] % 2 == 0
 
     twin = Enumerator(grammar, envs, macros, max_size=size)
     stops = 0
@@ -1409,7 +1461,7 @@ def test_a_bank_read_while_a_goal_enumeration_waits_is_whole():
             for nt, _ in target.grammar.nonterminals:
                 assert en.bank(nt, s) == ref.bank(nt, s), (nt, s)
         assert en.constructed == ref.constructed
-        while got[-1][1] != expected:
+        while got[-1][1] != _goal_vector(en, expected):
             got.append(next(seq))
         assert got == want
 
@@ -1827,7 +1879,7 @@ def test_ice_tree_reads_every_stage_from_one_enumerator(bench, monkeypatch):
         m.setattr(engine, "MAX_PRED_SIZE", 7)
         engine._ice_tree(target, states, envs, pos, engine._Deadline(60))
     assert len(built) == 1 and len(seen) == 12  # 4 pools x 3 depths
-    curated = _octagon_atoms(target, bool_nt, envs)
+    curated = [(t, engine._mask(v)) for t, v in _octagon_atoms(target, bool_nt, envs)]
     for stage in range(4):
         preds = curated
         if stage:
@@ -1912,8 +1964,9 @@ def _id_set(mask):
 def _tree_inputs(draw):
     """The engine's arguments for `build_decision_tree` (an id mask, covers
     as (payload, mask), preds, depth) and the reference's (ids, labels,
-    leaf, preds, depth) for one case: ids over 2-5 classes, boolean
-    vectors with duplicates and constant ones among them, a depth, and
+    leaf, preds, depth) for one case: ids over 2-5 classes, predicates
+    as (payload, mask) from boolean vectors with duplicates and constant
+    ones among them, a depth, and
     covers and a leaf like `_stitch`'s (the first cover holding every id)
     or like `_ice_tree`'s (one class throughout)."""
     n = draw(st.integers(1, 24))
@@ -1923,7 +1976,7 @@ def _tree_inputs(draw):
     vecs = draw(st.lists(vec | st.sampled_from([(True,) * n, (False,) * n]), max_size=10))
     if vecs:
         vecs += draw(st.lists(st.sampled_from(vecs), max_size=4))
-    preds = [(f"p{j}", v) for j, v in enumerate(vecs)]
+    preds = [(f"p{j}", engine._mask(v)) for j, v in enumerate(vecs)]
     depth = draw(st.none() | st.integers(0, 3))
     if draw(st.booleans()):
         # each id is covered by its own class and maybe others, and is

@@ -156,6 +156,22 @@ def test_duplicate_hex_digits_width():
     assert "#x0000000000000001" in out
 
 
+@pytest.mark.parametrize("width", [1, 6])
+def test_binary_literals_round_trip_at_their_width(width):
+    # a width that is not a multiple of 4 has only binary literals, and is
+    # emitted as one, so it reads back at its width
+    bv = f"(BitVec {width})"
+    one, top = "#b" + "1".rjust(width, "0"), "#b1" + "0" * (width - 1)
+    text = (f"(set-logic BV)\n(synth-fun f ((x {bv})) {bv} ((Start {bv} (x {one} (bvnot Start) (bvadd Start Start)))))\n"
+            f"(constraint (= (f {one}) {top}))\n(check-synth)")
+    p = parse(text)
+    assert {lit.sort.width for _, ts in p.targets[0].grammar.productions for lit in ts if isinstance(lit, Lit)} == {width}
+    out = emit_problem(p)
+    assert one in out and top in out and "#x" not in out
+    assert parse(out) == p
+    assert emit_problem(parse(out)) == out
+
+
 _INV = """(set-logic LIA)
 (synth-inv inv ((x Int)))
 (synth-inv other ((y Int)))
@@ -183,7 +199,9 @@ _READER_ERRORS = [
     (parse_sexprs, '(f\n  "a""b" "c"")', LexError, "unterminated string literal at 2:10"),
     (parse_sexprs, "(f #x)", LexError, "empty hex literal at 1:4"),
     (parse_sexprs, "(f #xg1)", LexError, "empty hex literal at 1:4"),
-    (parse_sexprs, "(f #b01)", LexError, "unsupported '#' literal at 1:4"),
+    (parse_sexprs, "(f #b)", LexError, "empty binary literal at 1:4"),
+    (parse_sexprs, "(f #b2)", LexError, "empty binary literal at 1:4"),
+    (parse_sexprs, "(f #o17)", LexError, "unsupported '#' literal at 1:4"),
     (parse_sexprs, "(f ; c\n\t| x)", LexError, "unexpected character '|' at 2:2"),
     (parse_sexprs, "(f {x})", LexError, "unexpected character '{' at 1:4"),
     # a numeral or hex literal that runs into a symbol character is one atom
@@ -193,6 +211,7 @@ _READER_ERRORS = [
     (parse_sexprs, "(f 1.5)", LexError, "malformed literal '1.5' at 1:4"),
     (parse_sexprs, "(f -1x)", LexError, "malformed literal '-1x' at 1:4"),
     (parse_sexprs, "(f #x0_)", LexError, "malformed literal '#x0_' at 1:4"),
+    (parse_sexprs, "(f #b012)", LexError, "malformed literal '#b012' at 1:4"),
     (parse, "(set-logic LIA) (synth-fun f ((x Int) (y Int)) Int ((Start Int (x 0 7y)))) (check-synth)", LexError,
      "malformed literal '7y' at 1:69"),
     # parse_sexprs
@@ -233,6 +252,9 @@ _READER_ERRORS = [
      "(check-synth)", SortError, "bvadd expects two equal-width bitvectors, got ((BitVec 8) (BitVec 4)) at 1:85"),
     (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((Start Int (x (ite Start Start Start))))) (check-synth)",
      SortError, "ill-sorted ite over (Int Int Int) at 1:59"),
+    # _parse_grammar: a production is named as it is written
+    (parse, "(set-logic BV) (synth-fun f ((x (BitVec 8))) (BitVec 8) ((Start (BitVec 8) (x #b101)))) (check-synth)",
+     SortError, "production #b101 of 'Start' at 1:79 has sort (BitVec 3), expected (BitVec 8)"),
     # default_grammar
     (parse, "(set-logic BV) (synth-fun f ((x (BitVec 4))) (BitVec 4)) (check-synth)", UnsupportedDefaultGrammar,
      "no default grammar for logic 'BV'"),

@@ -85,7 +85,33 @@ STR_PREFIX = (
     "(check-synth)"
 )
 
-INLINE = {"ite_max": ITE_MAX, "max2": MAX2, "if0": IF0, "bv_double": BV_DOUBLE, "str_prefix": STR_PREFIX}
+# fig2's operators at (BitVec 8), a width whose lanes a packed vector
+# holds eight to a 64-bit word; its solutions were captured from the
+# engines while every vector was still a tuple.
+BV8 = (
+    "(set-logic BV)\n"
+    "(define-fun shr1 ((x (BitVec 8))) (BitVec 8) (bvlshr x #x01))\n"
+    "(define-fun shl1 ((x (BitVec 8))) (BitVec 8) (bvshl x #x01))\n"
+    "(define-fun if0 ((x (BitVec 8)) (y (BitVec 8)) (z (BitVec 8))) (BitVec 8) (ite (= x #x01) y z))\n"
+    "(synth-fun f ((x (BitVec 8))) (BitVec 8)\n"
+    "  ((Start (BitVec 8) (#x00 #x01 x (bvnot Start) (shl1 Start) (shr1 Start)\n"
+    "                      (bvand Start Start) (bvor Start Start) (bvxor Start Start) (bvadd Start Start)\n"
+    "                      (if0 Start Start Start)))))\n"
+    "(constraint (= (f #x00) #xff))\n"
+    "(constraint (= (f #x01) #x02))\n"
+    "(constraint (= (f #x80) #x7f))\n"
+    "(constraint (= (f #xff) #x01))\n"
+    "(constraint (= (f #x37) #x49))\n"
+    "(check-synth)"
+)
+
+INLINE = {"ite_max": ITE_MAX, "max2": MAX2, "if0": IF0, "bv_double": BV_DOUBLE, "str_prefix": STR_PREFIX, "bv8": BV8}
+
+# the tree that auto (unification, for PBE) and unif stitch for BV8
+BV8_STITCHED = (
+    "(define-fun f ((x (BitVec 8))) (BitVec 8) (if0 (bvand #x01 x) (if0 x (shl1 #x01) (if0 (bvnot (shl1 x)) #x01 "
+    "(bvnot (bvadd x (shr1 (bvnot #x00)))))) (bvnot x)))"
+)
 
 # (problem, engine) -> (emitted text, verdict kind, points used), or a
 # Failure.reason string
@@ -138,6 +164,13 @@ GOLDEN = {
         "valid",
         4,
     ),
+    ("bv8", "auto"): (BV8_STITCHED, "valid", 5),
+    ("bv8", "cegis"): (
+        "(define-fun f ((x (BitVec 8))) (BitVec 8) (bvxor (bvadd x (bvnot #x00)) (bvor (shl1 x) (shr1 (shr1 (shl1 x))))))",
+        "valid",
+        5,
+    ),
+    ("bv8", "unif"): (BV8_STITCHED, "valid", 5),
 }
 
 

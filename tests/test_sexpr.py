@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sygus.sexpr import (
+    BinTok,
     HexTok,
     IntTok,
     LexError,
@@ -45,7 +46,7 @@ def test_negative_int_and_symbol_minus():
 @pytest.mark.parametrize("text, atoms", [
     ("12", [IntTok(12)]), ("-3", [IntTok(-3)]), ("#xFF", [HexTok(255, 2)]), ("x1", [Symbol("x1")]),
     ("x-1", [Symbol("x-1")]), ("-x", [Symbol("-x")]), ("(- 5)", ["(", Symbol("-"), IntTok(5), ")"]),
-    ("12)", [IntTok(12), ")"]),
+    ("12)", [IntTok(12), ")"]), ("#b101", [BinTok(5, 3)]), ("#b0)", [BinTok(0, 1), ")"]),
 ])
 def test_a_literal_ends_at_a_delimiter(text, atoms):
     # a numeral or hex literal that runs into a symbol character is an
@@ -65,6 +66,12 @@ def test_hex_literal_keeps_width():
     assert isinstance(sx, HexTok)
     assert sx.value == 0xFF
     assert sx.digits == 4
+
+
+def test_binary_literal_keeps_width():
+    (sx,) = parse_sexprs("#b000101")
+    assert sx == BinTok(5, 6)
+    assert to_text(sx) == "#b000101"
 
 
 def test_positions_point_at_offender():
