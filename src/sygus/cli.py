@@ -172,16 +172,15 @@ def _cmd_nuggets(args):
     except SygusError as e:
         print(f"failure: {e}", file=sys.stderr)
         return EXIT_FAILURE
-    rng.shuffle(nuggets)
-    nuggets = nuggets[: args.count]
+    # nuggets that agree at every sample input state one benchmark: each
+    # tuple of outputs is written once, in the order nuggets first give it
     ev = Evaluator(problem.macro_map())
-    params = [n for n, _ in target.params]
+    outputs = list(dict.fromkeys(tuple(map(ev.compile(body), sample)) for body in nuggets))
+    rng.shuffle(outputs)
     stem = os.path.splitext(os.path.basename(args.grammar_file))[0]
-    for i, body in enumerate(nuggets):
+    for i, outs in enumerate(outputs[: args.count]):
         constraints = []
-        fn = ev.compile(body)
-        for env in sample:
-            out_val = fn(env)
+        for env, out_val in zip(sample, outs):
             call = Apply(
                 target.name,
                 tuple(Lit(env[n], s) for n, s in target.params),

@@ -1,4 +1,5 @@
-"""Sorted terms, grammars and synthesis problems.
+"""Sorted terms, grammars and synthesis problems, and `BUILTINS`, the
+one table of builtin operators.
 
 Terms are immutable trees; the sort of every node is computed at
 construction time so ill-sorted terms fail fast.  Grammars store
@@ -9,7 +10,8 @@ naming a nonterminal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 
 class SygusError(Exception):
@@ -122,46 +124,138 @@ class Hole(Term):
 
 
 # ---------------------------------------------------------------------------
-# Operator signatures
+# Builtin operators
 
-# Fixed-signature operators, keyed by logic layer.  Each entry maps an
-# operator to a list of (argument sorts, result sort) alternatives; None in
-# an argument list position means "any number of further arguments of the
-# preceding sort" (used for variadic and/or/+).
 
-_CORE_TABLE = {
-    "not": [((BOOL,), BOOL)],
-    "=>": [((BOOL, BOOL), BOOL)],
-    "and": "variadic-bool",
-    "or": "variadic-bool",
-    "xor": [((BOOL, BOOL), BOOL)],
-}
+def _str_at(s, i):
+    if 0 <= i < len(s):
+        return s[i]
+    return ""
 
-_LIA_TABLE = {
-    "+": "variadic-int",
-    "-": [((INT,), INT), ((INT, INT), INT)],
-    "*": [((INT, INT), INT)],
-    "<": [((INT, INT), BOOL)],
-    "<=": [((INT, INT), BOOL)],
-    ">": [((INT, INT), BOOL)],
-    ">=": [((INT, INT), BOOL)],
-}
 
-_BV_OPS_1 = ("bvnot", "bvneg")
-_BV_OPS_2 = ("bvand", "bvor", "bvxor", "bvadd", "bvsub", "bvmul", "bvlshr", "bvshl", "bvashr")
+def _str_substr(s, i, n):
+    if i < 0 or n < 0 or i >= len(s):
+        return ""
+    return s[i : i + n]
 
-_STR_TABLE = {
-    "str.++": [((STRING, STRING), STRING)],
-    "str.replace": [((STRING, STRING, STRING), STRING)],
-    "str.at": [((STRING, INT), STRING)],
-    "str.substr": [((STRING, INT, INT), STRING)],
-    "str.len": [((STRING,), INT)],
-    "str.indexof": [((STRING, STRING, INT), INT)],
-    "str.prefixof": [((STRING, STRING), BOOL)],
-    "str.suffixof": [((STRING, STRING), BOOL)],
-    "str.contains": [((STRING, STRING), BOOL)],
-    "str.to.int": [((STRING,), INT)],
-    "int.to.str": [((INT,), STRING)],
+
+def _str_indexof(s, t, i):
+    if i < 0 or i > len(s):
+        return -1
+    if t == "":
+        return i
+    j = s.find(t, i)
+    return j
+
+
+def _str_replace(s, t, r):
+    if t == "":
+        return r + s
+    i = s.find(t)
+    if i < 0:
+        return s
+    return s[:i] + r + s[i + len(t) :]
+
+
+def _str_to_int(s):
+    if s and all(c in "0123456789" for c in s):
+        return int(s)
+    return -1
+
+
+def _int_to_str(i):
+    return str(i) if i >= 0 else ""
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """One row of `BUILTINS`: what a builtin operator is, for the
+    parser, both term compilers and pruning.
+
+    `logic` declares it: "Core" every logic, "LIA" LIA and SLIA, "SLIA"
+    or "BV" that logic alone.  `signature` lists (argument sorts, result
+    sort) alternatives, or names a rule of `SignatureTable.result_sort`.
+    `value` is its Python callable; a BitVec operator's is
+    `value(width, mask)`, the callable at that width, whose results
+    `mask` (2^width - 1) keeps canonical.
+
+    `source` maps an arity to the Python expression generated code
+    writes, `{}` per argument and `{m}` for the result's mask; at other
+    arities it calls `value`, but for `and` and `or`, which
+    `SourceEmitter` short-circuits itself.  A BitVec source is written
+    only over BitVec arguments; a `lanewise` one computes every lane of
+    packed words at once, `{m}` then every lane's bits (`engine._Lanes`).
+
+    Pruning reads the algebra: `commutative`, the same value with the
+    two arguments swapped; `mirror`, the operator whose value is the
+    same with them swapped ((> a b) is (< b a)); `total`, the arities at
+    which neither value nor source raises on arguments of its sorts.  A
+    row may leave out what holds (`+` cannot raise either): a wider
+    algebra changes what pruning builds.
+    """
+
+    logic: str
+    signature: object
+    value: object
+    source: dict = field(default_factory=dict)
+    lanewise: bool = False
+    commutative: bool = False
+    mirror: str = None
+    total: tuple = ()
+
+
+_INT_CMP = [((INT, INT), BOOL)]
+_STR_TEST = [((STRING, STRING), BOOL)]
+
+BUILTINS = {
+    "not": Builtin("Core", [((BOOL,), BOOL)], lambda a: not a, {1: "not {}"}, total=(1,)),
+    "=>": Builtin("Core", [((BOOL, BOOL), BOOL)], lambda a, b: (not a) or b, {2: "not {} or {}"}, total=(2,)),
+    "and": Builtin("Core", "variadic-bool", lambda *xs: all(xs), commutative=True, total=(2,)),
+    "or": Builtin("Core", "variadic-bool", lambda *xs: any(xs), commutative=True, total=(2,)),
+    "xor": Builtin("Core", [((BOOL, BOOL), BOOL)], operator.ne, commutative=True, total=(2,)),
+    "=": Builtin("Core", "same", lambda *xs: all(x == xs[0] for x in xs[1:]), {2: "{} == {}"},
+                 commutative=True, total=(2,)),
+    "distinct": Builtin("Core", "same", lambda *xs: len(set(xs)) == len(xs)),
+    "ite": Builtin("Core", "ite", lambda c, a, b: a if c else b, {3: "{1} if {0} else {2}"}),
+    "+": Builtin("LIA", "variadic-int", lambda *xs: sum(xs), {2: "{} + {}"}, commutative=True),
+    "-": Builtin("LIA", [((INT,), INT), ((INT, INT), INT)], lambda a, b=None: -a if b is None else a - b,
+                 {1: "- {}", 2: "{} - {}"}),
+    "*": Builtin("LIA", [((INT, INT), INT)], lambda a, b: a * b, {2: "{} * {}"}, commutative=True),
+    "<": Builtin("LIA", _INT_CMP, lambda a, b: a < b, {2: "{} < {}"}, mirror=">", total=(2,)),
+    "<=": Builtin("LIA", _INT_CMP, lambda a, b: a <= b, {2: "{} <= {}"}, mirror=">=", total=(2,)),
+    ">": Builtin("LIA", _INT_CMP, lambda a, b: a > b, {2: "{} > {}"}, mirror="<", total=(2,)),
+    ">=": Builtin("LIA", _INT_CMP, lambda a, b: a >= b, {2: "{} >= {}"}, mirror="<=", total=(2,)),
+    "bvnot": Builtin("BV", "bv1", lambda w, m: lambda a: ~a & m, {1: "{} ^ {m}"}, lanewise=True),
+    "bvneg": Builtin("BV", "bv1", lambda w, m: lambda a: -a & m, {1: "- {} & {m}"}),
+    "bvand": Builtin("BV", "bv2", lambda w, m: lambda a, b: a & b, {2: "{} & {}"}, lanewise=True, commutative=True),
+    "bvor": Builtin("BV", "bv2", lambda w, m: lambda a, b: a | b, {2: "{} | {}"}, lanewise=True, commutative=True),
+    "bvxor": Builtin("BV", "bv2", lambda w, m: lambda a, b: a ^ b, {2: "{} ^ {}"}, lanewise=True, commutative=True),
+    "bvadd": Builtin("BV", "bv2", lambda w, m: lambda a, b: (a + b) & m, {2: "{} + {} & {m}"}, commutative=True),
+    "bvsub": Builtin("BV", "bv2", lambda w, m: lambda a, b: (a - b) & m, {2: "{} - {} & {m}"}),
+    "bvmul": Builtin("BV", "bv2", lambda w, m: lambda a, b: (a * b) & m, {2: "{} * {} & {m}"}, commutative=True),
+    # a shift by a literal amount is an operator too; see `semantics._bv_shift`
+    "bvshl": Builtin("BV", "bv2", lambda w, m: lambda a, b: (a << b) & m if b < w else 0),
+    "bvlshr": Builtin("BV", "bv2", lambda w, m: lambda a, b: a >> b if b < w else 0),
+    "bvashr": Builtin("BV", "bv2", lambda w, m: lambda a, b: (
+        (a >> min(b, w - 1)) | (m & (m << (w - min(b, w - 1))))
+        if a >> (w - 1)
+        else a >> b if b < w else 0
+    )),
+    "bvult": Builtin("BV", "bvcmp", lambda w, m: operator.lt, {2: "{} < {}"}, mirror="bvugt", total=(2,)),
+    "bvule": Builtin("BV", "bvcmp", lambda w, m: operator.le, {2: "{} <= {}"}, mirror="bvuge", total=(2,)),
+    "bvugt": Builtin("BV", "bvcmp", lambda w, m: operator.gt, {2: "{} > {}"}, mirror="bvult", total=(2,)),
+    "bvuge": Builtin("BV", "bvcmp", lambda w, m: operator.ge, {2: "{} >= {}"}, mirror="bvule", total=(2,)),
+    "str.++": Builtin("SLIA", [((STRING, STRING), STRING)], operator.add),
+    "str.replace": Builtin("SLIA", [((STRING, STRING, STRING), STRING)], _str_replace),
+    "str.at": Builtin("SLIA", [((STRING, INT), STRING)], _str_at),
+    "str.substr": Builtin("SLIA", [((STRING, INT, INT), STRING)], _str_substr),
+    "str.len": Builtin("SLIA", [((STRING,), INT)], len),
+    "str.indexof": Builtin("SLIA", [((STRING, STRING, INT), INT)], _str_indexof),
+    "str.prefixof": Builtin("SLIA", _STR_TEST, lambda a, b: b.startswith(a)),
+    "str.suffixof": Builtin("SLIA", _STR_TEST, lambda a, b: b.endswith(a)),
+    "str.contains": Builtin("SLIA", _STR_TEST, lambda a, b: b in a),
+    "str.to.int": Builtin("SLIA", [((STRING,), INT)], _str_to_int),
+    "int.to.str": Builtin("SLIA", [((INT,), STRING)], _int_to_str),
 }
 
 
@@ -171,33 +265,26 @@ class SignatureTable:
 
     def __init__(self, logic: str):
         self.logic = logic
-        self.fixed = dict(_CORE_TABLE)
-        if logic in ("LIA", "SLIA"):
-            self.fixed.update(_LIA_TABLE)
-        if logic == "SLIA":
-            self.fixed.update(_STR_TABLE)
-        if logic == "BV":
-            for op in _BV_OPS_1:
-                self.fixed[op] = "bv1"
-            for op in _BV_OPS_2:
-                self.fixed[op] = "bv2"
+        logics = ("Core", "LIA", "SLIA") if logic == "SLIA" else ("Core", logic)
+        self.fixed = {op: b.signature for op, b in BUILTINS.items() if b.logic in logics}
         self.defined = {}  # name -> (param sorts tuple, result sort)
 
     def register(self, name, param_sorts, ret):
         self.defined[name] = (tuple(param_sorts), ret)
 
     def known(self, op):
-        return op in self.fixed or op in self.defined or op in ("=", "distinct", "ite")
+        return op in self.fixed or op in self.defined
 
     def result_sort(self, op, arg_sorts):
         arg_sorts = tuple(arg_sorts)
-        if op == "ite":
+        entry = self.fixed.get(op)
+        if entry == "ite":
             if len(arg_sorts) != 3:
                 raise ArityError(f"ite expects 3 arguments, got {len(arg_sorts)}")
             if arg_sorts[0] != BOOL or arg_sorts[1] != arg_sorts[2]:
                 raise SortError(f"ill-sorted ite over {sorts_text(arg_sorts)}")
             return arg_sorts[1]
-        if op in ("=", "distinct"):
+        if entry == "same":
             if len(arg_sorts) < 2 or len(set(arg_sorts)) != 1:
                 raise SortError(f"{op} needs >= 2 arguments of one sort, got {sorts_text(arg_sorts)}")
             return BOOL
@@ -208,7 +295,6 @@ class SignatureTable:
                     raise ArityError(f"{op} expects {len(params)} arguments, got {len(arg_sorts)}")
                 raise SortError(f"{op} expects {sorts_text(params)}, got {sorts_text(arg_sorts)}")
             return ret
-        entry = self.fixed.get(op)
         if entry is None:
             raise UnknownOperator(f"unknown operator {op!r} in logic {self.logic}")
         # Benchmarks in the wild apply and/or/+ to a single argument, so
@@ -225,14 +311,14 @@ class SignatureTable:
             if len(arg_sorts) != 1 or arg_sorts[0].kind != "BitVec":
                 raise SortError(f"{op} expects one bitvector, got {sorts_text(arg_sorts)}")
             return arg_sorts[0]
-        if entry == "bv2":
+        if entry in ("bv2", "bvcmp"):
             if (
                 len(arg_sorts) != 2
                 or arg_sorts[0].kind != "BitVec"
                 or arg_sorts[0] != arg_sorts[1]
             ):
                 raise SortError(f"{op} expects two equal-width bitvectors, got {sorts_text(arg_sorts)}")
-            return arg_sorts[0]
+            return arg_sorts[0] if entry == "bv2" else BOOL
         for params, ret in entry:
             if arg_sorts == params:
                 return ret

@@ -13,7 +13,7 @@ Two strategies over the same enumeration machinery:
 search from it for both engines.  Plain CEGIS, unification and the ICE
 variant share one counterexample-guided loop, `_cegis`: propose a
 candidate, verify it, then learn from the counterexample or stall.  PBE
-problems skip the loop, since their examples are the whole
+problems run it for one round, since their examples are the whole
 specification.  PBE and every single-target round share one search,
 `_cover_and_stitch`, which stitches only under unification; several
 targets go through a product loop, `_consistent_candidate`.  Each round
@@ -72,6 +72,7 @@ from dataclasses import dataclass
 from .core import (
     Apply,
     BOOL,
+    BUILTINS,
     Grammar,
     Hole,
     INT,
@@ -215,14 +216,13 @@ def _term_source(em, tmpl, kids):
 # A production's function looks at the deadline once per this many candidates.
 DEADLINE_STRIDE = 1024
 # Operators whose value does not change when their two arguments swap.
-COMMUTATIVE = frozenset({"+", "*", "=", "and", "or", "xor", "bvand", "bvor", "bvxor", "bvadd", "bvmul"})
+COMMUTATIVE = frozenset(op for op, row in BUILTINS.items() if row.commutative)
 # Each comparison with the one whose value is the same with its two
 # arguments swapped: (> a b) is (< b a).
-MIRRORS = {">": "<", "<": ">", ">=": "<=", "<=": ">="}
+MIRRORS = {op: row.mirror for op, row in BUILTINS.items() if row.mirror}
 # (operator, arity) of the builtins whose generated code cannot raise on
 # arguments of their sorts; see `_selector`.
-TOTAL_OPS = frozenset({("=", 2), ("not", 1), ("and", 2), ("or", 2), ("=>", 2), ("xor", 2),
-                       ("<", 2), ("<=", 2), (">", 2), (">=", 2)})
+TOTAL_OPS = frozenset((op, n) for op, row in BUILTINS.items() for n in row.total)
 
 
 class _Lanes:
@@ -264,13 +264,14 @@ _lanes = functools.lru_cache(maxsize=None)(_Lanes)
 
 class _VectorSource:
     """Source of the vectors of terms over `n` points.  A BitVec-sorted
-    term's vector is one packed word (see `_Lanes`): `bvand`, `bvor`,
-    `bvxor` and `bvnot` are one operation each, a shift by a literal is
-    a shift and a lane mask, `bvadd` adds the low bits of every lane and
-    sets each top bit apart, and `ite` selects through a lane mask
-    (`mask`).  Any other operator's values are computed point by point,
-    each lane unpacked, and packed again.  A term of any other sort has
-    the tuple of its values, one expression per point.
+    term's vector is one packed word (see `_Lanes`): a lanewise builtin
+    (`bvand`, `bvor`, `bvxor`, `bvnot`) is its own source over words, a
+    shift by a literal is a shift and a lane mask, `bvadd` adds the low
+    bits of every lane and sets each top bit apart, and `ite` selects
+    through a lane mask (`mask`).  Any other operator's values are
+    computed point by point, each lane unpacked, and packed again.  A
+    term of any other sort has the tuple of its values, one expression
+    per point.
 
     `columns` maps each variable to the expression holding its vector
     and `sorts` to its sort.  A variable in `selections` is a Bool whose
@@ -322,10 +323,9 @@ class _VectorSource:
         if op == "ite" and len(args) == 3:
             then, (other, again) = self.word(args[1]), self._twice(self.word(args[2]))
             return f"({other} ^ ({then} ^ {again}) & {self.mask(args[0], lanes)})"
-        if op in ("bvand", "bvor", "bvxor") and len(args) == 2:
-            return f"({self.word(args[0])} {_BITWISE[op]} {self.word(args[1])})"
-        if op == "bvnot" and len(args) == 1:
-            return f"({self.word(args[0])} ^ {hex(lanes.all)})"
+        row = BUILTINS.get(op)
+        if row is not None and row.lanewise and len(args) in row.source:
+            return f"({row.source[len(args)].format(*map(self.word, args), m=hex(lanes.all))})"
         if op in ("bvshl", "bvlshr") and len(args) == 2 and isinstance(args[1], Lit):
             amount = args[1].value
             if amount >= lanes.width:
@@ -369,9 +369,6 @@ class _VectorSource:
             low, high = hex(lanes.low), hex(lanes.high)
             return f"((({x} & {low}) + {low} | {again}) & {high} ^ {high})"
         return None
-
-
-_BITWISE = {"bvand": "&", "bvor": "|", "bvxor": "^"}
 
 
 class Enumerator:
@@ -1278,7 +1275,7 @@ def _cover_and_stitch(en, n, covers, cond, check, goal=None):
 def _solve_pbe(problem, examples, cond, deadline, smt_cmd):
     """Cover-and-stitch over the examples, with `cond` as the conditional
     production to stitch with; None enumerates only.  The term found is
-    verified with the caller's `smt_cmd`."""
+    the one round of `_cegis`, verified with the caller's `smt_cmd`."""
     target = problem.targets[0]
     params = [n for n, _ in target.params]
     envs = [dict(zip(params, ex.inputs)) for ex in examples]
@@ -1300,14 +1297,16 @@ def _solve_pbe(problem, examples, cond, deadline, smt_cmd):
 
     # no size is built past the first term that meets every example; with
     # none, the enumerator's one default point is no example to meet
-    found = _cover_and_stitch(en, len(examples), covers, cond,
-                              lambda term: tuple(map(ev.compile(term), envs)) == expected,
-                              (lambda _term, vec: vec == want) if examples else None)
-    if isinstance(found, Failure):
-        return found
-    sol = Solution(_defined_funs([target], {target.name: found}), points_used=len(examples))
-    sol.verdict = oracle.verify(problem, sol.as_map(), smt_cmd)
-    return sol
+    def propose():
+        return _cover_and_stitch(en, len(examples), covers, cond,
+                                 lambda term: tuple(map(ev.compile(term), envs)) == expected,
+                                 (lambda _term, vec: vec == want) if examples else None)
+
+    # the examples are the whole specification, so one round: a term that
+    # meets them all has no counterexample to learn from
+    stall = Failure("oracle-stall", "counterexample to a term that meets every example")
+    return _cegis(problem, [target], propose, lambda _point, _sol_map: stall, lambda: len(examples), 1,
+                  deadline, smt_cmd)
 
 
 def _predicate_pool(en, nt, max_size, sides):

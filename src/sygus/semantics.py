@@ -1,21 +1,25 @@
-"""Concrete evaluation of terms over LIA, 64-bit bitvectors and strings.
+"""Concrete evaluation of terms over LIA, bitvectors and strings: the
+term compiler `SourceEmitter`, and the `Evaluator` that runs its code.
 
-Partial string/int functions are totalized the SMT-LIB way: out-of-range
-`str.at`/`str.substr` give "", a failed `str.indexof` or `str.to.int`
-gives -1, `int.to.str` of a negative gives "", and `str.replace`
-rewrites only the first occurrence.
+What a builtin operator computes, and the Python source generated code
+writes for it, is its row of `core.BUILTINS`; `builtin_impl` reads the
+value and `SourceEmitter` the source.  Partial string/int functions,
+whose helpers live in `core` beside the table, are totalized the SMT-LIB
+way: out-of-range `str.at`/`str.substr` give "", a failed `str.indexof`
+or `str.to.int` gives -1, `int.to.str` of a negative gives "", and
+`str.replace` rewrites only the first occurrence.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 
 from .core import (
     Apply,
     ArityError,
     BOOL,
+    BUILTINS,
     Hole,
     INT,
     Let,
@@ -51,119 +55,12 @@ def default_value(sort: Sort):
     raise SortMismatch(f"no default value for {sort}")
 
 
-def _str_at(s, i):
-    if 0 <= i < len(s):
-        return s[i]
-    return ""
-
-
-def _str_substr(s, i, n):
-    if i < 0 or n < 0 or i >= len(s):
-        return ""
-    return s[i : i + n]
-
-
-def _str_indexof(s, t, i):
-    if i < 0 or i > len(s):
-        return -1
-    if t == "":
-        return i
-    j = s.find(t, i)
-    return j
-
-
-def _str_replace(s, t, r):
-    if t == "":
-        return r + s
-    i = s.find(t)
-    if i < 0:
-        return s
-    return s[:i] + r + s[i + len(t) :]
-
-
-def _str_to_int(s):
-    if s and all(c in "0123456789" for c in s):
-        return int(s)
-    return -1
-
-
-def _int_to_str(i):
-    return str(i) if i >= 0 else ""
-
-
 def builtin_impl(op: str, sort: Sort):
-    """Return a python callable implementing `op` at result sort `sort`.
-
-    Bitvector operators close over the result width so values stay
-    canonical (masked).  Raises KeyError for non-builtin operators.
-    """
-    if op.startswith("bv"):
-        mask = (1 << sort.width) - 1
-        width = sort.width
-        return {
-            "bvnot": lambda a: ~a & mask,
-            "bvneg": lambda a: -a & mask,
-            "bvand": lambda a, b: a & b,
-            "bvor": lambda a, b: a | b,
-            "bvxor": lambda a, b: a ^ b,
-            "bvadd": lambda a, b: (a + b) & mask,
-            "bvsub": lambda a, b: (a - b) & mask,
-            "bvmul": lambda a, b: (a * b) & mask,
-            "bvshl": lambda a, b: (a << b) & mask if b < width else 0,
-            "bvlshr": lambda a, b: a >> b if b < width else 0,
-            "bvashr": lambda a, b: (
-                (a >> min(b, width - 1)) | (mask & (mask << (width - min(b, width - 1))))
-                if a >> (width - 1)
-                else a >> b if b < width else 0
-            ),
-        }[op]
-    return _FIXED_IMPLS[op]
-
-
-_FIXED_IMPLS = {
-    "not": lambda a: not a,
-    "and": lambda *xs: all(xs),
-    "or": lambda *xs: any(xs),
-    "=>": lambda a, b: (not a) or b,
-    "xor": operator.ne,
-    "=": lambda *xs: all(x == xs[0] for x in xs[1:]),
-    "distinct": lambda *xs: len(set(xs)) == len(xs),
-    "ite": lambda c, a, b: a if c else b,
-    "+": lambda *xs: sum(xs),
-    "-": lambda a, b=None: -a if b is None else a - b,
-    "*": lambda a, b: a * b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "str.++": operator.add,
-    "str.len": len,
-    "str.at": _str_at,
-    "str.substr": _str_substr,
-    "str.indexof": _str_indexof,
-    "str.replace": _str_replace,
-    "str.prefixof": lambda a, b: b.startswith(a),
-    "str.suffixof": lambda a, b: b.endswith(a),
-    "str.contains": lambda a, b: b in a,
-    "str.to.int": _str_to_int,
-    "int.to.str": _int_to_str,
-}
-
-
-# Source templates, by (op, arity), of the builtins that generated code
-# writes as Python operators when every argument is an Int or a Bool.
-_OPERATORS = {("-", 1): "- {}", ("not", 1): "not {}"} | {
-    (op, 2): f"{{}} {op} {{}}" for op in ("+", "-", "*", "<", "<=", ">", ">=")}
-
-# The same for builtins whose arguments are all BitVecs.  Values are
-# canonical, so only a result that can leave 0..mask is masked; `{m}` is
-# the mask of the result's width.  `bvshl` and `bvlshr` become operators
-# only by a literal amount (`_bv_shift`).
-_BV_OPERATORS = {
-    ("bvand", 2): "{} & {}", ("bvor", 2): "{} | {}", ("bvxor", 2): "{} ^ {}",
-    ("bvnot", 1): "{} ^ {m}", ("bvneg", 1): "- {} & {m}",
-    ("bvadd", 2): "{} + {} & {m}", ("bvsub", 2): "{} - {} & {m}", ("bvmul", 2): "{} * {} & {m}",
-}
+    """Return a python callable implementing `op` at result sort `sort`:
+    its `BUILTINS` value, a BitVec operator's at the width of `sort`.
+    Raises KeyError for non-builtin operators."""
+    row = BUILTINS[op]
+    return row.value(sort.width, (1 << sort.width) - 1) if row.logic == "BV" else row.value
 
 
 def _raiser(error, message):
@@ -234,13 +131,12 @@ class SourceEmitter:
     variable in scope to the local holding its value (SyGuS names never
     appear in the source).  Applied functions become `defs` with
     positional parameters, except an op in `calls`, which becomes a call
-    to the name `calls` maps it to.  A two-argument `=` of any sort,
-    arithmetic, comparisons and `not` over Int and Bool arguments become
-    Python operators, and so do the bitwise and arithmetic BitVec
-    builtins, masked where a result can leave its width, and shifts by a
-    literal amount; other builtins call `builtin_impl`'s callables, bound
-    into `namespace`.  `and`, `or`, `=>` and `ite` evaluate only the
-    arguments they need, and errors are raised only when evaluation
+    to the name `calls` maps it to.  A builtin applied at an arity its
+    `BUILTINS` row gives source for becomes that Python expression (a
+    BitVec one only over BitVec arguments), and so does a BitVec shift by
+    a literal amount; other builtins call `builtin_impl`'s callables,
+    bound into `namespace`.  `and`, `or`, `=>` and `ite` evaluate only
+    the arguments they need, and errors are raised only when evaluation
     reaches them.
     Each source text is compiled once per process; each emitter runs it
     in its own namespace.
@@ -310,24 +206,18 @@ class SourceEmitter:
             return f"{self._bound[op]}({', '.join(args)})"
         if op in ("and", "or"):
             return f"(True if {f' {op} '.join(args)} else False)" if args else repr(op == "and")
-        if op == "=>" and len(args) == 2:
-            return f"(not {args[0]} or {args[1]})"
-        if op == "ite" and len(args) == 3:
-            return f"({args[1]} if {args[0]} else {args[2]})"
-        if op == "=" and len(args) == 2:
-            return f"({args[0]} == {args[1]})"
-        if (op, len(args)) in _OPERATORS and all(a.sort in (INT, BOOL) for a in arg_terms):
-            return f"({_OPERATORS[op, len(args)].format(*args)})"
-        if args and all(a.sort.kind == "BitVec" for a in arg_terms):
-            if op in ("bvshl", "bvlshr") and len(args) == 2 and isinstance(arg_terms[1], Lit):
-                return _bv_shift(op, args[0], arg_terms[1].value, sort.width)
-            if (op, len(args)) in _BV_OPERATORS:
-                return f"({_BV_OPERATORS[op, len(args)].format(*args, m=(1 << sort.width) - 1)})"
-        try:
-            impl = builtin_impl(op, sort)
-        except KeyError:
+        row = BUILTINS.get(op)
+        if row is None:
             return self._fail(SortMismatch, f"no interpretation for operator {op!r}", args)
-        return f"{self.bind((op, sort, len(args)), impl)}({', '.join(args)})"
+        source = row.source.get(len(args))
+        if row.logic == "BV":
+            if not all(a.sort.kind == "BitVec" for a in arg_terms):
+                source = None
+            elif op in ("bvshl", "bvlshr") and len(args) == 2 and isinstance(arg_terms[1], Lit):
+                return _bv_shift(op, args[0], arg_terms[1].value, sort.width)
+        if source is not None:
+            return f"({source.format(*args, m=(1 << sort.width) - 1)})"
+        return f"{self.bind((op, sort, len(args)), builtin_impl(op, sort))}({', '.join(args)})"
 
     def _def(self, t, names, params):
         """The name of a new def of `params` returning `t`."""

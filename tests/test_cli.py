@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from sygus import oracle
 from sygus.cli import EXIT_FAILURE, EXIT_INPUT, EXIT_OK, EXIT_TIMEOUT, main
 from sygus.frontend import parse_file
 from sygus.harness import SuiteConfig, solve_benchmark
@@ -58,6 +59,44 @@ def test_solve_prints_what_the_harness_solves(name, capsys):
     outcome, _, _, _, solution = solve_benchmark(_b(name), SuiteConfig())
     assert outcome in ("solved", "unknown-verified")
     assert capsys.readouterr().out == solution + "\n"
+
+
+# the unsigned bitvector comparisons: the larger of x and y, unsigned
+BV_MAX = """\
+(set-logic BV)
+(synth-fun f ((x (BitVec 8)) (y (BitVec 8))) (BitVec 8)
+  ((Start (BitVec 8) (x y #x00 (ite B Start Start)))
+   (B Bool ((bvult Start Start) (bvuge Start Start)))))
+(constraint (= (f #x01 #x02) #x02))
+(constraint (= (f #x80 #x7f) #x80))
+(constraint (= (f #xff #x00) #xff))
+(constraint (= (f #x00 #x00) #x00))
+(constraint (= (f #x10 #x11) #x11))
+(constraint (= (f #xfe #xff) #xff))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("engine", ["auto", "cegis", "unif"])
+def test_solve_with_unsigned_bitvector_comparisons(tmp_path, capsys, engine):
+    path = tmp_path / "bv_max.sl"
+    path.write_text(BV_MAX)
+    assert main(["solve", str(path), "--engine", engine, "--timeout", "30"]) == EXIT_OK
+    sol = capsys.readouterr().out
+    assert sol == "(define-fun f ((x (BitVec 8)) (y (BitVec 8))) (BitVec 8) (ite (bvult x y) y x))\n"
+    sol_path = tmp_path / "bv_max.sol"
+    sol_path.write_text(sol)
+    assert main(["verify", str(path), str(sol_path)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid\n"
+
+
+def test_solve_refuted_pbe_term_is_failure(monkeypatch, capsys):
+    # a term that meets every example goes through the one CEGIS loop: a
+    # counterexample to it stalls the loop, and nothing is printed
+    monkeypatch.setattr(oracle, "verify", lambda problem, sol, smt_cmd=None: oracle.Counterexample({"x": 0}))
+    assert main(["solve", _b("fig2_bv_template.sl"), "--engine", "cegis"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("; no solution: oracle-stall"), err
 
 
 CONFLICTING = (
@@ -172,6 +211,16 @@ def test_nuggets_emits_parsable_benchmarks(tmp_path, capsys):
         p = parse_file(f)
         assert len(p.constraints) == 6
         assert p.targets[0].name == "f"
+
+
+def test_nuggets_states_each_benchmark_once(tmp_path, capsys):
+    # two nuggets with one output at every sample input would give one
+    # benchmark twice
+    out_dir = str(tmp_path / "nuggets")
+    assert main(["nuggets", _b("fig2_bv_template.sl"), "--k", "3", "--count", "100000", "--out", out_dir]) == EXIT_OK
+    files = glob.glob(os.path.join(out_dir, "*.sl"))
+    constraint_sets = {frozenset(parse_file(f).constraints) for f in files}
+    assert len(files) == len(constraint_sets) > 20
 
 
 @pytest.mark.parametrize("flag, value", [("--k", "0"), ("--examples", "0"), ("--count", "-1")])

@@ -250,6 +250,8 @@ _READER_ERRORS = [
      "= needs >= 2 arguments of one sort, got (Bool Int) at 1:78"),
     (parse, "(set-logic BV) (declare-var x (BitVec 8)) (declare-var y (BitVec 4)) (constraint (= (bvadd x y) x)) "
      "(check-synth)", SortError, "bvadd expects two equal-width bitvectors, got ((BitVec 8) (BitVec 4)) at 1:85"),
+    (parse, "(set-logic BV) (declare-var x (BitVec 8)) (declare-var y (BitVec 4)) (constraint (bvult x y)) "
+     "(check-synth)", SortError, "bvult expects two equal-width bitvectors, got ((BitVec 8) (BitVec 4)) at 1:82"),
     (parse, "(set-logic LIA) (synth-fun f ((x Int)) Int ((Start Int (x (ite Start Start Start))))) (check-synth)",
      SortError, "ill-sorted ite over (Int Int Int) at 1:59"),
     # _parse_grammar: a production is named as it is written

@@ -1,9 +1,13 @@
 """Theory evaluator tests against independent reference implementations."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sygus.core import Apply, ArityError, BOOL, BV64, Hole, INT, Let, Lit, Sort, STRING, SygusError, Var
+from sygus.core import (
+    Apply, ArityError, BOOL, BUILTINS, BV64, Hole, INT, Let, Lit, SignatureTable, Sort, STRING, SygusError, Var,
+)
 from sygus.semantics import (
     Evaluator,
     SortMismatch,
@@ -205,6 +209,88 @@ def test_emitted_bitvec_operators_match_builtin_impl(width, data):
         want = builtin_impl(op, term.sort)(*[env[v] if isinstance(v, str) else v for v in args])
         got = em.build(f"def run(a, b): return {source}", "run")(env["a"], env["b"])
         assert (type(got), got) == (type(want), want), (term, source, env)
+
+
+# --- the builtin table: every row's value, source and algebra ---------------
+
+_POOL = (INT, BOOL, STRING, Sort("BitVec", 1), Sort("BitVec", 8))
+
+
+def _applications(op):
+    """(argument sorts, result sort) of each application of `op` to one to
+    three arguments of `_POOL`'s sorts that its logic's signatures accept."""
+    logic = BUILTINS[op].logic
+    table = SignatureTable("LIA" if logic == "Core" else logic)
+    out = []
+    for n in (1, 2, 3):
+        for sorts in itertools.product(_POOL, repeat=n):
+            try:
+                out.append((sorts, table.result_sort(op, sorts)))
+            except SygusError:
+                pass
+    return out
+
+
+def _emitted(op, sorts, result):
+    """The function generated code computes `op` by, one parameter per argument."""
+    names = [f"x{i}" for i in range(len(sorts))]
+    em = SourceEmitter()
+    source = em.expr(Apply(op, tuple(map(Var, names, sorts)), result), dict(zip(names, names)))
+    return em.build(f"def run({', '.join(names)}): return {source}", "run")
+
+
+def _values(sort):
+    if sort == INT:
+        return st.integers(-3, 3) | st.integers()
+    if sort == BOOL:
+        return st.booleans()
+    if sort == STRING:
+        return st.text("ab0", max_size=4)
+    return st.integers(0, (1 << sort.width) - 1)
+
+
+# op -> [(argument sorts, result sort, emitted function, argument strategy)]
+_CASES = {op: [(sorts, result, _emitted(op, sorts, result), st.tuples(*map(_values, sorts)))
+               for sorts, result in _applications(op)]
+          for op in BUILTINS}
+
+
+def _outcome(fn, args, total):
+    """(type, value) of `fn(*args)`, or the type of the error it raises,
+    which it may not at a `total` arity."""
+    try:
+        value = fn(*args)
+    except Exception as e:
+        if total:
+            raise
+        return type(e)
+    return type(value), value
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_builtin_rows_hold(data):
+    """Over arguments of every sort a row's signature takes, its emitted
+    source gives its value, neither raises at a total arity, and its
+    algebra holds; a lanewise source over packed words gives each lane's value."""
+    for op, row in BUILTINS.items():
+        assert _CASES[op], op
+        for sorts, result, emitted, draw in _CASES[op]:
+            args = data.draw(draw)
+            value = builtin_impl(op, result)
+            total = len(args) in row.total
+            assert _outcome(emitted, args, total) == _outcome(value, args, total), (op, args)
+            if row.commutative and len(args) == 2:
+                assert value(*args) == value(*args[::-1]), (op, args)
+            if row.mirror:  # at equal arguments too, where < and <= differ
+                for a, b in (args, args[:1] * 2):
+                    assert value(a, b) == builtin_impl(row.mirror, result)(b, a), (op, a, b)
+            if row.lanewise:
+                width, lanes = result.width, [data.draw(draw) for _ in range(3)]
+                pack = lambda values: sum(v << width * i for i, v in enumerate(values))
+                words = [pack(column) for column in zip(*lanes)]
+                source = row.source[len(sorts)].format(*map(str, words), m=(1 << 3 * width) - 1)
+                assert eval(source) == pack(value(*point) for point in lanes), (op, source, lanes)
 
 
 def test_default_values():
