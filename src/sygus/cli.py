@@ -11,7 +11,6 @@ the same call each benchmark of a batch run makes.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import random
 import shlex
@@ -50,17 +49,6 @@ def _input(fn, *args):
         raise _InputError(e) from e
 
 
-def _seconds(text):
-    """A wallclock budget: a finite number of seconds above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:  # false for nan too
-        raise argparse.ArgumentTypeError(f"must be a finite number of seconds above 0, got {text!r}")
-    return value
-
-
 def _argv(text):
     """A command line, split once into its argv list as a POSIX shell would."""
     try:
@@ -71,18 +59,23 @@ def _argv(text):
 
 def _engine_flags(sp):
     sp.add_argument("--engine", choices=ENGINES, default="auto")
-    sp.add_argument("--timeout", type=_seconds, default=60.0)
+    sp.add_argument("--timeout", type=float, default=60.0)
     sp.add_argument("--smt-cmd", type=_argv, default=None, help="external SMT solver command")
 
 
 def _suite_config(args, **extra):
-    """The SuiteConfig of the engine flags `_engine_flags` adds."""
-    return SuiteConfig(engine=args.engine, timeout=args.timeout, smt_cmd=args.smt_cmd, **extra)
+    """The SuiteConfig of the engine flags `_engine_flags` adds; a setting
+    it refuses is an input error."""
+    try:
+        return SuiteConfig(engine=args.engine, timeout=args.timeout, smt_cmd=args.smt_cmd, **extra)
+    except ValueError as e:
+        raise _InputError(e) from e
 
 
 def _cmd_solve(args):
+    cfg = _suite_config(args)
     problem = _input(parse_file, args.file)
-    result = solve(problem, _suite_config(args))
+    result = solve(problem, cfg)
     if isinstance(result, Failure):
         why = f"{result.reason} ({result.detail})" if result.detail else result.reason
         print(f"; no solution: {why}", file=sys.stderr)
@@ -113,10 +106,9 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
+    cfg = _suite_config(args, workers=args.workers, records_path=args.records, solutions_dir=args.solutions)
     if not os.path.isdir(args.dir):
         raise _InputError(f"{args.dir} is not a directory")
-    if args.workers < 1:
-        raise _InputError(f"--workers must be at least 1, got {args.workers}")
     if args.records and os.path.exists(args.records):
         _input(load_records, args.records)
     # both outputs must be writable before the first benchmark runs
@@ -124,7 +116,6 @@ def _cmd_bench(args):
         _input(open, args.records, "a").close()
     if args.solutions:
         _input(lambda: os.makedirs(args.solutions, exist_ok=True))
-    cfg = _suite_config(args, workers=args.workers, records_path=args.records, solutions_dir=args.solutions)
     records = run_suite(args.dir, cfg)
     for r in records:
         size = "-" if r.size is None else str(r.size)

@@ -167,6 +167,13 @@ def _int_to_str(i):
     return str(i) if i >= 0 else ""
 
 
+def _signed(compare, width):
+    """`compare` on two's-complement `width`-bit values: with each sign bit
+    flipped, their unsigned order is the signed one."""
+    s = 1 << width - 1
+    return lambda a, b: compare(a ^ s, b ^ s)
+
+
 @dataclass(frozen=True)
 class Builtin:
     """One row of `BUILTINS`: what a builtin operator is, for the
@@ -176,11 +183,11 @@ class Builtin:
     or "BV" that logic alone.  `signature` lists (argument sorts, result
     sort) alternatives, or names a rule of `SignatureTable.result_sort`.
     `value` is its Python callable; a BitVec operator's is
-    `value(width, mask)`, the callable at that width, whose results
-    `mask` (2^width - 1) keeps canonical.
+    `value(width, mask)`, the callable at its operands' width, whose
+    results `mask` (2^width - 1) keeps canonical.
 
     `source` maps an arity to the Python expression generated code
-    writes, `{}` per argument and `{m}` for the result's mask; at other
+    writes, `{}` per argument and `{m}` for the operands' mask; at other
     arities it calls `value`, but for `and` and `or`, which
     `SourceEmitter` short-circuits itself.  A BitVec source is written
     only over BitVec arguments; a `lanewise` one computes every lane of
@@ -245,6 +252,10 @@ BUILTINS = {
     "bvule": Builtin("BV", "bvcmp", lambda w, m: operator.le, {2: "{} <= {}"}, mirror="bvuge", total=(2,)),
     "bvugt": Builtin("BV", "bvcmp", lambda w, m: operator.gt, {2: "{} > {}"}, mirror="bvult", total=(2,)),
     "bvuge": Builtin("BV", "bvcmp", lambda w, m: operator.ge, {2: "{} >= {}"}, mirror="bvule", total=(2,)),
+    "bvslt": Builtin("BV", "bvcmp", lambda w, m: _signed(operator.lt, w), mirror="bvsgt", total=(2,)),
+    "bvsle": Builtin("BV", "bvcmp", lambda w, m: _signed(operator.le, w), mirror="bvsge", total=(2,)),
+    "bvsgt": Builtin("BV", "bvcmp", lambda w, m: _signed(operator.gt, w), mirror="bvslt", total=(2,)),
+    "bvsge": Builtin("BV", "bvcmp", lambda w, m: _signed(operator.ge, w), mirror="bvsle", total=(2,)),
     "str.++": Builtin("SLIA", [((STRING, STRING), STRING)], operator.add),
     "str.replace": Builtin("SLIA", [((STRING, STRING, STRING), STRING)], _str_replace),
     "str.at": Builtin("SLIA", [((STRING, INT), STRING)], _str_at),

@@ -10,13 +10,15 @@ Two strategies over the same enumeration machinery:
   atoms from positive, negative and implication examples.
 
 `classify` decides once what kind each problem is, and `_run` picks the
-search from it for both engines.  Plain CEGIS, unification and the ICE
-variant share one counterexample-guided loop, `_cegis`: propose a
-candidate, verify it, then learn from the counterexample or stall.  PBE
-problems run it for one round, since their examples are the whole
-specification.  PBE and every single-target round share one search,
-`_cover_and_stitch`, which stitches only under unification; several
-targets go through a product loop, `_consistent_candidate`.  Each round
+search from it for both engines; where a problem has no conditional
+production to stitch with, unification makes the calls enumeration
+makes.  Plain CEGIS, unification and the ICE variant share one
+counterexample-guided loop, `_cegis`: propose a candidate, verify it,
+then learn from the counterexample or stall.  PBE problems run it for
+one round, since their examples are the whole specification.  PBE and
+every single-target round share one search, `_cover_and_stitch`, which
+stitches only under unification; several targets go through a product
+loop, `_consistent_candidate`.  Each round
 checks a candidate with one `_point_check`: the constraints are compiled
 once over the round's points, and each target application reads the
 candidate's value from its bank vector.  A stitch joins terms by the
@@ -840,9 +842,9 @@ def extract_pbe_points(problem):
 
 @dataclass(frozen=True)
 class ProblemClass:
-    """`kind` is "invariant", "pbe" (with its `examples`), "conditional" or
-    "plain"; `cond` is a single target's `_conditional`.  Examples in
-    `conflict` leave the problem classed by its grammar."""
+    """`kind` is "invariant", "pbe" (with its `examples`) or "plain";
+    `cond` is a single target's `_conditional`, None where there is none
+    to stitch with.  Examples in `conflict` leave the problem plain."""
 
     kind: str
     examples: list = None
@@ -859,8 +861,7 @@ def classify(problem):
         examples, conflict = extract_pbe_points(problem), None
     except ConflictingExamples as e:
         examples, conflict = None, str(e)
-    kind = "pbe" if examples is not None else "plain" if cond is None else "conditional"
-    return ProblemClass(kind, examples, cond, conflict)
+    return ProblemClass("pbe" if examples is not None else "plain", examples, cond, conflict)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1025,6 @@ def _run(problem, wallclock, smt_cmd, unify):
             return _ice_solve(problem, deadline, smt_cmd)
         if pclass.kind == "pbe":
             return _solve_pbe(problem, pclass.examples, cond, deadline, smt_cmd)
-        if unify and pclass.kind != "conditional":
-            many = len(targets) != 1
-            return Failure("no-conditional-production", "unification handles a single target" if many else "")
         if len(targets) == 1:
             propose = lambda points: _unify_candidate(problem, targets[0], points, cond, deadline)
         else:

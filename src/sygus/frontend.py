@@ -548,14 +548,18 @@ def emit_problem(p: Problem) -> str:
                     )
                 )
             )
+    # a universal followed by its primed twin is one declare-primed-var
+    us, i = p.universals, 0
+    while i < len(us):
+        name, sort = us[i]
+        primed = us[i + 1:i + 2] == ((name + "!", sort),)
+        head = "declare-primed-var" if primed else "declare-var"
+        lines.append(to_text(SList((Symbol(head), Symbol(name), _sort_sx(sort)))))
+        i += 1 + primed
+    # an invariant's three verification conditions come last, from inv-constraint
+    for c in p.constraints if spec is None else p.constraints[:-3]:
+        lines.append(to_text(SList((Symbol("constraint"), _term_sx(c)))))
     if spec is not None:
-        emitted = set()
-        for name, sort in p.universals:
-            base = name[:-1] if name.endswith("!") else name
-            if base in emitted:
-                continue
-            emitted.add(base)
-            lines.append(to_text(SList((Symbol("declare-primed-var"), Symbol(base), _sort_sx(sort)))))
         lines.append(
             to_text(
                 SList(
@@ -569,10 +573,5 @@ def emit_problem(p: Problem) -> str:
                 )
             )
         )
-    else:
-        for name, sort in p.universals:
-            lines.append(to_text(SList((Symbol("declare-var"), Symbol(name), _sort_sx(sort)))))
-        for c in p.constraints:
-            lines.append(to_text(SList((Symbol("constraint"), _term_sx(c)))))
     lines.append("(check-synth)")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,13 @@
 """Batch runner and competition-style scoring.
 
 `solve` is the one mapping from a `SuiteConfig` to a solve: the engine
-it names, given its wallclock in seconds and its SMT command.  `sygus
-solve` calls it, and so does `solve_benchmark` for each benchmark of a
-suite.  Every run samples from the one fixed `oracle.SEED`.
+it names, given its wallclock in seconds and its SMT command.  There
+are two: `cegis`, enumerative CEGIS (`cegis_solve`), and `auto`,
+unification (`unify_solve`), which enumerates alone where a problem has
+no conditional production.  `sygus solve` calls it, and so does
+`solve_benchmark` for each benchmark of a suite.  Every run samples
+from the one fixed `oracle.SEED`.  A record's engine is a label that
+nothing checks, so a record file of any label loads and scores.
 
 Runs engines over a directory of `.sl` benchmarks under a wallclock
 limit, applies both post-processors, persists one JSON line per record
@@ -31,11 +35,11 @@ from dataclasses import dataclass, asdict
 from multiprocessing.connection import wait
 
 from .core import SygusError, term_size
-from .engine import Failure, cegis_solve, classify, unify_solve
+from .engine import Failure, cegis_solve, unify_solve
 from .frontend import parse_file
 from .oracle import check_conformance, verify
 
-ENGINES = ("cegis", "unif", "auto")
+ENGINES = ("cegis", "auto")
 TIME_EDGES = (1, 3, 10, 30, 100, 300, 1000, 3600)
 SIZE_EDGES = (10, 30, 100, 300, 1000)
 GRACE = 5.0  # wallclock slack past the budget before run_suite terminates a worker
@@ -175,13 +179,9 @@ class SuiteConfig:
 
 
 def _pick_solver(problem, engine):
-    if engine == "cegis":
-        return cegis_solve
-    if engine == "unif":
-        return unify_solve
-    # auto: unification for invariant and PBE problems and for a single
-    # target whose grammar has a conditional; plain enumeration otherwise.
-    return cegis_solve if classify(problem).kind == "plain" else unify_solve
+    """The engine function of `engine`: `auto` is unification, which
+    enumerates alone where `problem` has no conditional production."""
+    return cegis_solve if engine == "cegis" else unify_solve
 
 
 def solve(problem, cfg: SuiteConfig):

@@ -56,9 +56,10 @@ def default_value(sort: Sort):
 
 
 def builtin_impl(op: str, sort: Sort):
-    """Return a python callable implementing `op` at result sort `sort`:
-    its `BUILTINS` value, a BitVec operator's at the width of `sort`.
-    Raises KeyError for non-builtin operators."""
+    """Return a python callable implementing `op`: its `BUILTINS` value,
+    a BitVec operator's at the width of `sort`, its operands' sort (a
+    comparison's result is Bool).  Raises KeyError for non-builtin
+    operators."""
     row = BUILTINS[op]
     return row.value(sort.width, (1 << sort.width) - 1) if row.logic == "BV" else row.value
 
@@ -211,6 +212,7 @@ class SourceEmitter:
             return self._fail(SortMismatch, f"no interpretation for operator {op!r}", args)
         source = row.source.get(len(args))
         if row.logic == "BV":
+            sort = arg_terms[0].sort  # a BitVec operator works at its operands' width
             if not all(a.sort.kind == "BitVec" for a in arg_terms):
                 source = None
             elif op in ("bvshl", "bvlshr") and len(args) == 2 and isinstance(arg_terms[1], Lit):

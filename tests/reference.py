@@ -38,8 +38,8 @@ class TreeEvaluator:
                 if len(params) != len(vals):
                     raise ArityError(_arity_message(t.op, params, vals))
                 return self.eval(body, dict(zip(params, vals)))
-            try:
-                fn = builtin_impl(t.op, t.sort)
+            try:  # a BitVec operator works at its operands' width; no other reads the sort
+                fn = builtin_impl(t.op, t.args[0].sort if t.args else t.sort)
             except KeyError:
                 raise SortMismatch(f"no interpretation for operator {t.op!r}") from None
             return fn(*vals)

@@ -77,17 +77,44 @@ BV_MAX = """\
 """
 
 
-@pytest.mark.parametrize("engine", ["auto", "cegis", "unif"])
-def test_solve_with_unsigned_bitvector_comparisons(tmp_path, capsys, engine):
-    path = tmp_path / "bv_max.sl"
-    path.write_text(BV_MAX)
+def _solve_and_verify(tmp_path, capsys, text, engine, body):
+    """`sygus solve` prints f defined by `body`, and `sygus verify` says it is valid."""
+    path = tmp_path / "problem.sl"
+    path.write_text(text)
     assert main(["solve", str(path), "--engine", engine, "--timeout", "30"]) == EXIT_OK
     sol = capsys.readouterr().out
-    assert sol == "(define-fun f ((x (BitVec 8)) (y (BitVec 8))) (BitVec 8) (ite (bvult x y) y x))\n"
-    sol_path = tmp_path / "bv_max.sol"
+    assert sol == f"(define-fun f ((x (BitVec 8)) (y (BitVec 8))) (BitVec 8) {body})\n"
+    sol_path = tmp_path / "problem.sol"
     sol_path.write_text(sol)
     assert main(["verify", str(path), str(sol_path)]) == EXIT_OK
     assert capsys.readouterr().out == "valid\n"
+
+
+@pytest.mark.parametrize("engine", ["auto", "cegis"])
+def test_solve_with_unsigned_bitvector_comparisons(tmp_path, capsys, engine):
+    _solve_and_verify(tmp_path, capsys, BV_MAX, engine, "(ite (bvult x y) y x)")
+
+
+# the signed bitvector comparisons: the larger of x and y, signed
+BV_SIGNED_MAX = """\
+(set-logic BV)
+(synth-fun f ((x (BitVec 8)) (y (BitVec 8))) (BitVec 8)
+  ((Start (BitVec 8) (x y #x00 (ite B Start Start)))
+   (B Bool ((bvslt Start Start) (bvsge Start Start)))))
+(constraint (= (f #x01 #x02) #x02))
+(constraint (= (f #x80 #x7f) #x7f))
+(constraint (= (f #x7f #x80) #x7f))
+(constraint (= (f #xff #x00) #x00))
+(constraint (= (f #x05 #xfb) #x05))
+(constraint (= (f #xfe #xff) #xff))
+(constraint (= (f #x02 #x01) #x02))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("engine", ["auto", "cegis"])
+def test_solve_with_signed_bitvector_comparisons(tmp_path, capsys, engine):
+    _solve_and_verify(tmp_path, capsys, BV_SIGNED_MAX, engine, "(ite (bvslt x y) y x)")
 
 
 def test_solve_refuted_pbe_term_is_failure(monkeypatch, capsys):
@@ -105,7 +132,7 @@ CONFLICTING = (
 )
 
 
-@pytest.mark.parametrize("engine", ["cegis", "unif", "auto"])
+@pytest.mark.parametrize("engine", ["cegis", "auto"])
 def test_solve_conflicting_examples_is_failure(tmp_path, capsys, engine):
     path = tmp_path / "conflict.sl"
     path.write_text(CONFLICTING)
@@ -240,10 +267,14 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun other ((x Int)) Int x)")],
      "solution does not bind abs"),
     (lambda tmp: ["bench", _b("abs.sl")], "is not a directory"),
-    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "nan"], "argument --timeout: must be a finite number"),
-    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "0"], "argument --timeout: must be a finite number"),
-    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "-1"], "argument --timeout: must be a finite number"),
-    (lambda tmp: ["bench", str(tmp), "--timeout", "inf"], "argument --timeout: must be a finite number"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "nan"],
+     "timeout must be a finite number of seconds above 0, got nan"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "0"],
+     "timeout must be a finite number of seconds above 0, got 0.0"),
+    (lambda tmp: ["solve", _b("abs.sl"), "--timeout", "-1"],
+     "timeout must be a finite number of seconds above 0, got -1.0"),
+    (lambda tmp: ["bench", str(tmp), "--timeout", "inf"],
+     "timeout must be a finite number of seconds above 0, got inf"),
     (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int) (y Int)) Int x)")],
      "solution 'abs' takes 2 arguments, the target 1"),
     (lambda tmp: ["verify", _b("abs.sl"), _solution(tmp, "(define-fun abs ((x Int)) Bool true)")],
@@ -267,7 +298,9 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
     (lambda tmp: ["solve", _problem(tmp, "(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n(declare-var y Bool)\n"
                                         "(constraint (= (f y) 1))\n(check-synth)")],
      "f expects (Int), got (Bool) at 4:16"),
-    (lambda tmp: ["bench", str(tmp), "--workers", "0"], "--workers must be at least 1, got 0"),
+    (lambda tmp: ["bench", str(tmp), "--workers", "0"], "workers must be at least 1, got 0"),
+    (lambda tmp: ["bench", str(tmp / "missing"), "--workers", "0"], "workers must be at least 1, got 0"),
+    (lambda tmp: ["solve", str(tmp / "missing.sl"), "--engine", "unif"], "invalid choice: 'unif'"),
     (lambda tmp: ["bench", str(tmp), "--solutions", _solution(tmp, "")], "File exists"),
     (lambda tmp: ["bench", str(tmp), "--records", str(tmp / "missing" / "r.jsonl")], "No such file"),
     (lambda tmp: ["nuggets", _b("fig2_bv_template.sl"), "--k", "2", "--out", _solution(tmp, "")], "File exists"),
@@ -287,7 +320,8 @@ def test_nuggets_rejects_a_bad_count(tmp_path, capsys, flag, value):
         "solve-timeout-nan", "solve-timeout-0", "solve-timeout-negative", "bench-timeout-inf",
         "verify-wrong-arity", "verify-wrong-sort", "verify-target-defined-twice", "bench-corrupt-records",
         "solve-superscript-digit", "solve-malformed-literal", "solve-name-declared-twice",
-        "solve-invariant-macro-sorts", "solve-argument-sort", "bench-workers-0", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
+        "solve-invariant-macro-sorts", "solve-argument-sort", "bench-workers-0", "bench-workers-0-before-the-directory",
+        "solve-engine-unif", "bench-solutions-a-file", "bench-records-in-a-missing-directory",
         "nuggets-out-a-file", "solve-seed", "bench-seed", "verify-seed", "nuggets-seed", "solve-smt-cmd-quote",
         "verify-smt-cmd-quote", "solve-production-sort"])
 def test_input_errors_exit_3(argv, says, tmp_path, capsys):

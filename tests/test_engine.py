@@ -29,6 +29,7 @@ from sygus.engine import (
     _predicate_pool,
     _string_keep,
     cegis_solve,
+    classify,
     extract_pbe_points,
     generate_nuggets,
     unify_solve,
@@ -1101,15 +1102,21 @@ def test_a_pool_builds_every_size_while_time_is_left():
     assert timed._done == free._done == 9 and timed.constructed == free.constructed
 
 
-@pytest.mark.parametrize("bench, envs, size", [
-    ("fig2_bv_template.sl", [{"x": v} for v in (1, 2, 4, 8, 3, 16, 2**63, 2**64 - 1)], 6),
-    ("abs.sl", [{"x": v} for v in range(-8, 9)], 7),
-], ids=["if0", "ite"])
-def test_predicate_pool_matches_the_reference(bench, envs, size):
+FIG2_POOL_ENVS = [{"x": v} for v in (1, 2, 4, 8, 3, 16, 2**63, 2**64 - 1)]
+
+
+@pytest.mark.parametrize("bench, envs, size, negated", [
+    ("fig2_bv_template.sl", FIG2_POOL_ENVS, 6, False),
+    ("abs.sl", [{"x": v} for v in range(-8, 9)], 7, False),
+    ("fig2_bv_template.sl", FIG2_POOL_ENVS, 6, True),
+], ids=["if0", "ite", "chain"])
+def test_predicate_pool_matches_the_reference(bench, envs, size, negated):
     p = parse_file(os.path.join(BENCH, bench))
     g = p.targets[0].grammar
     cond_nt, cond = _pool_args(p)
     assert isinstance(cond, Var) == (bench == "abs.sl")  # (ite B S S) selects on B itself, if0 on (= C 1)
+    if negated:  # what a chain selects on: its hole 0 is taken where the condition fails
+        cond = Apply("not", (cond,), BOOL)
     en = Enumerator(g, envs, p.macro_map())
     pool = _predicate_pool(en, cond_nt, size, en.sides(cond))
     assert len(pool) > 20  # not a vacuous comparison
@@ -1304,12 +1311,18 @@ def test_cegis_stops_early_like_a_whole_size_scan(problem, cap, monkeypatch):
     assert got == run()
 
 
+def _solver(p, name):
+    """The solve function a test names: "unif" is `unify_solve` called
+    directly, any other name an engine, through the harness's pick."""
+    return unify_solve if name == "unif" else _pick_solver(p, name)
+
+
 @pytest.mark.parametrize("engine", ["cegis", "unif", "auto"])
 @pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
 def test_every_solver_keeps_a_one_second_budget(path, engine):
     p = parse_file(path)
     t0 = time.monotonic()
-    _pick_solver(p, engine)(p, 1.0)
+    _solver(p, engine)(p, 1.0)
     assert time.monotonic() - t0 < 1.5
 
 
@@ -1362,7 +1375,7 @@ def test_a_renamed_conditional_stitches_the_same(engine_name):
         outs = []
         for t in (text, _renamed(text)):
             p = parse(t)
-            out = _pick_solver(p, engine_name)(p, 30)
+            out = _solver(p, engine_name)(p, 30)
             assert isinstance(out, Solution), (name, out)
             outs.append(out.emit())
         assert _renamed(outs[1], back=True) == outs[0], name
@@ -1477,7 +1490,7 @@ SHL1_INPUTS = (0x0, 0x1, 0xffffffffffffffff, 0x100000000, 0xffffffff, 0xb4ca0142
 def test_a_direct_hit_beats_a_stitch_in_its_own_size(engine_name):
     mask = (1 << 64) - 1
     p = _fig2_pbe([(x, ((1 ^ x) ^ mask) << 1 & mask) for x in SHL1_INPUTS])
-    out = _pick_solver(p, engine_name)(p, 30)
+    out = _solver(p, engine_name)(p, 30)
     assert isinstance(out, Solution) and out.emit().endswith(f" {SHL1_REFERENCE})")
 
 
@@ -1500,6 +1513,53 @@ def test_many_example_pbe_finds_its_term(engine_name):
     out = _pick_solver(p, engine_name)(p, 30)
     assert isinstance(out, Solution) and out.emit().endswith(f" {WIDE_REFERENCE})")
     assert out.verdict.kind == "valid"
+
+
+BV_TRIPLE = """\
+(set-logic BV)
+(synth-fun f ((x (BitVec 8))) (BitVec 8)
+  ((Start (BitVec 8) (x #x01 (bvadd Start Start) (bvxor Start Start) (bvshl Start #x01)))))
+(declare-var x (BitVec 8))
+(constraint (= (f x) (bvadd x (bvshl x #x01))))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize("engine_name", ["cegis", "auto"])
+def test_a_universal_bitvector_spec_is_solved(engine_name):
+    # each CEGIS round reads the BitVec target's values out of its packed vector
+    p = parse(BV_TRIPLE)
+    out = _pick_solver(p, engine_name)(p, 30)
+    assert isinstance(out, Solution) and out.emit().endswith(" (bvadd x (bvadd x x)))")
+    assert out.verdict.kind == "unknown"
+    body = out.funs["f"].body
+    assert all(TreeEvaluator().eval(body, {"x": x}) == 3 * x & 0xFF for x in range(256))
+
+
+# f(x, y): the low bit of x where it is set, else x where it is not 0, else y
+QMB_PBE = """\
+(set-logic BV)
+(define-fun qmb ((a (BitVec 8)) (b (BitVec 8))) (BitVec 8) (ite (= a #x00) b a))
+(synth-fun f ((x (BitVec 8)) (y (BitVec 8))) (BitVec 8)
+  ((Start (BitVec 8) (x y #x01 (bvand Start Start) (bvxor Start Start) (bvadd Start Start) (qmb Start Start)))))
+(constraint (= (f #x00 #x05) #x05))
+(constraint (= (f #x03 #x05) #x01))
+(constraint (= (f #x02 #x07) #x02))
+(constraint (= (f #x00 #x00) #x00))
+(constraint (= (f #x81 #x10) #x01))
+(constraint (= (f #x40 #x01) #x40))
+(check-synth)
+"""
+
+
+def test_pbe_over_a_bitvector_chain_is_solved():
+    # qmb is a chain: a term is taken where it is not #x00, read off its packed vector
+    p = parse(QMB_PBE)
+    out = _pick_solver(p, "auto")(p, 30)
+    assert isinstance(out, Solution) and out.verdict.kind == "valid"
+    ev = TreeEvaluator(p.macro_map())
+    for ex in extract_pbe_points(p):
+        assert ev.eval(out.funs["f"].body, dict(zip("xy", ex.inputs))) == ex.output
 
 
 def _fig2_direct_problems():
@@ -1624,26 +1684,29 @@ STOP_REASONS = {
         _lia_spec(OPEN_ITE, "(constraint (= (f x) (+ x 1)))"), 20, [{"x": 3}, {"x": 3}],
         {"cegis": ("oracle-stall", "repeated counterexample"), "unif": ("oracle-stall", "repeated counterexample")},
     ),
+    # the product loop: (x, x) is refuted at x = 3 even though it holds there
     "two-targets": (
-        _lia_spec("", "(constraint (= (f x) (g x)))", extra="(synth-fun g ((x Int)) Int)\n"), 20, [],
-        {"unif": ("no-conditional-production", "unification handles a single target")},
+        _lia_spec("", "(constraint (= (f x) (g x)))", extra="(synth-fun g ((x Int)) Int)\n"), 20,
+        [{"x": 3}, {"x": 3}],
+        {"cegis": ("oracle-stall", "repeated counterexample"), "unif": ("oracle-stall", "repeated counterexample")},
     ),
     # the product loop: no pair of finite-grammar terms gives f(3) = g(3) + 100
     "two-targets-finite": (
         _lia_spec(FINITE_PLAIN, "(constraint (= (f x) (+ (g x) 100)))",
                   extra=f"(synth-fun g ((x Int)) Int {FINITE_PLAIN})\n"), 20, [{"x": 3}],
-        {"cegis": ("grammar-exhausted", "")},
+        {"cegis": ("grammar-exhausted", ""), "unif": ("grammar-exhausted", "")},
     ),
     # the product loop: no pair of terms up to size 4 gives f(3) = g(3) + 10,
     # though (+ x (+ x (+ x (+ 1 1)))) and 1 would
     "two-targets-size-cap": (
         _lia_spec(OPEN_PLAIN, "(constraint (= (f x) (+ (g x) 10)))",
                   extra=f"(synth-fun g ((x Int)) Int {OPEN_PLAIN})\n"), 4, [{"x": 3}],
-        {"cegis": ("budget-exhausted", "size cap reached")},
+        {"cegis": ("budget-exhausted", "size cap reached"), "unif": ("budget-exhausted", "size cap reached")},
     ),
+    # nothing to stitch with: no term up to size 4 gives f(3) = 10
     "no-conditional": (
-        _lia_spec(OPEN_PLAIN, "(constraint (= (f x) (+ x 7)))"), 20, [],
-        {"unif": ("no-conditional-production", "")},
+        _lia_spec(OPEN_PLAIN, "(constraint (= (f x) (+ x 7)))"), 4, [{"x": 3}],
+        {"cegis": ("budget-exhausted", "size cap reached"), "unif": ("budget-exhausted", "size cap reached")},
     ),
 }
 
@@ -1678,17 +1741,44 @@ COUPLED = {
 }
 
 
+def _coupled(constraint):
+    """f and g over OPEN_ITE under one constraint over both, so neither can be solved alone."""
+    return _lia_spec(OPEN_ITE, f"(constraint {constraint})", extra=f"(synth-fun g ((x Int)) Int {OPEN_ITE})\n")
+
+
 @pytest.mark.parametrize("engine_name", ["cegis", "auto"])
 @pytest.mark.parametrize("constraint", list(COUPLED))
 def test_the_product_loop_solves_coupled_targets(constraint, engine_name):
-    # one constraint over both targets, so neither can be solved alone
-    p = parse(_lia_spec(OPEN_ITE, f"(constraint {constraint})", extra=f"(synth-fun g ((x Int)) Int {OPEN_ITE})\n"))
-    solve = _pick_solver(p, engine_name)
-    assert solve is cegis_solve
+    p = parse(_coupled(constraint))
     t0 = time.monotonic()
-    out = solve(p, 30)
+    out = _pick_solver(p, engine_name)(p, 30)
     assert time.monotonic() - t0 < 1.0
     assert isinstance(out, Solution) and out.emit() == COUPLED[constraint]
+
+
+def _plain_specs():
+    """(text, size cap, the points `_refuting` refutes with, or None for
+    the oracle's own verdicts) of every spec here with no conditional
+    production to stitch with."""
+    for name, (text, cap, points, _want) in STOP_REASONS.items():
+        if classify(parse(text)).cond is None:
+            yield pytest.param(text, cap, points, id=name)
+    for constraint in COUPLED:
+        yield pytest.param(_coupled(constraint), engine.MAX_TERM_SIZE, None, id=constraint)
+
+
+@pytest.mark.parametrize("text, cap, points", _plain_specs())
+def test_unification_without_a_conditional_is_the_enumerative_search(text, cap, points, monkeypatch):
+    p = parse(text)
+    monkeypatch.setattr(engine, "MAX_TERM_SIZE", cap)
+    outs = []
+    for solve in (cegis_solve, unify_solve):
+        if points is not None:
+            monkeypatch.setattr(oracle, "verify", _refuting(points))
+        out = solve(p, 30)
+        outs.append((out.reason, out.detail) if isinstance(out, Failure)
+                    else (out.emit(), out.verdict.kind, out.points_used))
+    assert outs[0] == outs[1]
 
 
 MAX2 = (
@@ -1743,7 +1833,7 @@ def test_point_covers_match_a_per_point_check(problem):
 @pytest.mark.parametrize("engine_name", ["cegis", "unif", "auto"])
 def test_a_let_bound_target_argument_is_solved(engine_name):
     p = parse(_lia_spec("", LET_ARG))
-    out = _pick_solver(p, engine_name)(p, 30)
+    out = _solver(p, engine_name)(p, 30)
     assert isinstance(out, Solution), out
     assert out.emit() == "(define-fun f ((x Int)) Int (+ x 1))"
 
@@ -1773,21 +1863,19 @@ def test_conditional_kind_prefers_ite_then_if0_then_qm(prods, want):
 
 
 CONFLICTING ="(constraint (= (f 1) 2)) (constraint (= (f 1) 3))"
-AUTO_PICKS = {os.path.basename(path): unify_solve for path in CORPUS} | {
-    "qm_loop.sl": cegis_solve,  # two targets
-    "conflicting, default grammar": unify_solve,  # classed by the grammar's ite
-    "conflicting, no conditional": cegis_solve,
-}
+AUTO_PICKS = [os.path.basename(path) for path in CORPUS] + ["conflicting, default grammar", "conflicting, no conditional"]
 
 
-@pytest.mark.parametrize("name", list(AUTO_PICKS))
+@pytest.mark.parametrize("name", AUTO_PICKS)
 def test_auto_picks_by_problem_class(name):
+    # auto is unification for every class of problem, qm_loop.sl's two
+    # targets and a grammar with no conditional included
     if name.startswith("conflicting"):
         grammar = "" if "default" in name else OPEN_PLAIN
         p = parse(_lia_spec(grammar, CONFLICTING, decls=""))
     else:
         p = parse_file(os.path.join(BENCH, name))
-    assert _pick_solver(p, "auto") is AUTO_PICKS[name]
+    assert _pick_solver(p, "auto") is unify_solve
 
 
 # --- invariant atoms -------------------------------------------------------

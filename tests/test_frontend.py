@@ -101,6 +101,19 @@ def test_round_trip_all_benchmarks():
         assert parse(emit_problem(p)) == p, path
 
 
+def test_an_invariant_problem_keeps_its_plain_constraints_and_universals():
+    text = ("(set-logic LIA)\n(synth-inv inv-f ((x Int)))\n(declare-primed-var x Int)\n(declare-var z Int)\n"
+            "(define-fun pre-f ((x Int)) Bool (= x 0))\n(define-fun trans-f ((x Int) (x! Int)) Bool (= x! (+ x 1)))\n"
+            "(define-fun post-f ((x Int)) Bool (>= x 0))\n(constraint (>= z z))\n"
+            "(inv-constraint inv-f pre-f trans-f post-f)\n(check-synth)")
+    p = parse(text)
+    assert [n for n, _ in p.universals] == ["x", "x!", "z"] and len(p.constraints) == 4
+    out = emit_problem(p)
+    assert "(declare-var z Int)" in out and "(constraint (>= z z))" in out
+    assert parse(out) == p
+    assert emit_problem(parse(out)) == out
+
+
 def test_emit_term_negative_numbers():
     t = Apply("+", (Var("x", INT), Lit(-3, INT)), INT)
     assert emit_term(t) == "(+ x -3)"

@@ -180,10 +180,10 @@ def test_suite_config_rejects_fewer_than_one_worker(workers):
         SuiteConfig(workers=workers)
 
 
-@pytest.mark.parametrize("engine", ["unify", "AUTO", ""])
+@pytest.mark.parametrize("engine", ["unify", "AUTO", "", "unif"])
 def test_suite_config_rejects_an_unknown_engine(engine):
-    # a name outside ENGINES would run the auto policy under its own label
-    with pytest.raises(ValueError, match=f"engine must be one of cegis, unif, auto, got {engine!r}"):
+    # a name outside ENGINES would run unification under its own label
+    with pytest.raises(ValueError, match=f"engine must be one of cegis, auto, got {engine!r}"):
         SuiteConfig(engine=engine)
 
 
@@ -402,7 +402,7 @@ def test_resume_reruns_the_benchmark_of_a_torn_record(tmp_path):
     assert sorted(load_records(str(path)), key=lambda r: r.benchmark) == sorted(records, key=lambda r: r.benchmark)
 
 
-@pytest.mark.parametrize("engine, solver", [("cegis", "cegis_solve"), ("unif", "unify_solve")])
+@pytest.mark.parametrize("engine, solver", [("cegis", "cegis_solve"), ("auto", "unify_solve")])
 @pytest.mark.parametrize("body, outcome", [
     ("(* x 17)", "nonconformant"),  # neither * nor 17 is in abs's grammar
     ("x", "semantics-failed"),  # wrong at every negative x

@@ -1,6 +1,7 @@
 """Theory evaluator tests against independent reference implementations."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,20 +278,32 @@ def test_builtin_rows_hold(data):
         assert _CASES[op], op
         for sorts, result, emitted, draw in _CASES[op]:
             args = data.draw(draw)
-            value = builtin_impl(op, result)
+            sort = sorts[0] if row.logic == "BV" else result  # a BitVec operator's width is its operands'
+            value = builtin_impl(op, sort)
             total = len(args) in row.total
             assert _outcome(emitted, args, total) == _outcome(value, args, total), (op, args)
             if row.commutative and len(args) == 2:
                 assert value(*args) == value(*args[::-1]), (op, args)
             if row.mirror:  # at equal arguments too, where < and <= differ
                 for a, b in (args, args[:1] * 2):
-                    assert value(a, b) == builtin_impl(row.mirror, result)(b, a), (op, a, b)
+                    assert value(a, b) == builtin_impl(row.mirror, sort)(b, a), (op, a, b)
             if row.lanewise:
                 width, lanes = result.width, [data.draw(draw) for _ in range(3)]
                 pack = lambda values: sum(v << width * i for i, v in enumerate(values))
                 words = [pack(column) for column in zip(*lanes)]
                 source = row.source[len(sorts)].format(*map(str, words), m=(1 << 3 * width) - 1)
                 assert eval(source) == pack(value(*point) for point in lanes), (op, source, lanes)
+
+
+@pytest.mark.parametrize("width", [1, 4, 8])
+def test_signed_comparisons_order_twos_complement(width):
+    # compiled at the operands' width, where the sign bit is; the result is Bool
+    sort = Sort("BitVec", width)
+    signed = lambda v: v - (v >> width - 1 << width)
+    for op, compare in (("bvslt", operator.lt), ("bvsle", operator.le), ("bvsgt", operator.gt), ("bvsge", operator.ge)):
+        fn = Evaluator().compile(Apply(op, (Var("x", sort), Var("y", sort)), BOOL))
+        for x, y in itertools.product(range(1 << width), repeat=2):
+            assert fn({"x": x, "y": y}) == compare(signed(x), signed(y)), (op, x, y)
 
 
 def test_default_values():
